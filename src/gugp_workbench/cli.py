@@ -3,7 +3,8 @@ verifiers together over the text formats.
 
 Output is stable KEY=VALUE lines on stdout; diagnostics go to stderr.  Exit
 codes: 0 success (and verification PASS), 1 usage or I/O error, 2
-verification FAIL, 3 capacity exceeded.
+verification FAIL, 3 capacity exceeded, 4 internal error (a bug in the
+workbench).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .core import GugpInstance, RelationalInstance, metrics
 from .errors import (
     CapacityError,
     DegenerateInstanceError,
+    InternalError,
     ObjectiveMismatchError,
     ParseError,
     UsageError,
@@ -60,7 +62,7 @@ from .verification import (
     smoothness,
 )
 
-USAGE_EXIT, FAIL_EXIT, CAPACITY_EXIT = 1, 2, 3
+USAGE_EXIT, FAIL_EXIT, CAPACITY_EXIT, INTERNAL_EXIT = 1, 2, 3, 4
 
 
 def _read(path: str):
@@ -475,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAPACITY_EXIT
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
     except (
         ParseError,
         ValidationError,

@@ -55,12 +55,6 @@ class Permutation:
             inv[img - 1] = i
         return Permutation(tuple(inv))
 
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composition: first apply self, then other."""
-        if other.size != self.size:
-            raise ValidationError("cannot compose permutations of different sizes")
-        return Permutation(tuple(other.image[img - 1] for img in self.image))
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -82,11 +76,6 @@ class Relation:
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self.pairs
-
-    @classmethod
-    def graph_of(cls, pi: Permutation) -> "Relation":
-        k = pi.size
-        return cls(k, k, frozenset((i, pi.apply(i)) for i in range(1, k + 1)))
 
     @classmethod
     def complement_of(cls, pi: Permutation) -> "Relation":

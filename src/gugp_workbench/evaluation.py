@@ -15,9 +15,11 @@ Within each family the max and min values of one labeling sum to exactly 1.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
+from typing import Sequence
 
-from .core import GugpInstance, Labeling, RelationalInstance, metrics
+from .core import GugpEdge, GugpInstance, Labeling, RelEdge, RelationalInstance, metrics
 from .errors import (
     DegenerateInstanceError,
     ObjectiveMismatchError,
@@ -56,12 +58,40 @@ def satisfied_weight(instance: GugpInstance, labeling: Labeling) -> Fraction:
 
 
 def unsatisfied_weight(instance: GugpInstance, labeling: Labeling) -> Fraction:
-    check_labeling(instance, labeling)
-    total = Fraction(0)
-    for e in instance.edges:
-        if e.pi.image[labeling[e.u] - 1] != labeling[e.v]:
-            total += e.weight
-    return total
+    return metrics(instance).sigma - satisfied_weight(instance, labeling)
+
+
+def scaled_weights(weights: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """Return ``(scale, ints)`` with ``ints[i] == weights[i] * scale`` exactly.
+
+    ``scale`` is the least common denominator, so integer sums and
+    comparisons stand in for exact ``Fraction`` ones and
+    ``Fraction(x, scale)`` converts a result back.
+    """
+    scale = math.lcm(*(w.denominator for w in weights))
+    return scale, [int(w * scale) for w in weights]
+
+
+def pair_tables(
+    edges: Sequence[GugpEdge | RelEdge], weights: Sequence[int], k1: int, k2: int
+) -> dict[tuple[int, int], list[list[int]]]:
+    """Integer satisfied-weight table per oriented vertex pair.
+
+    ``tables[u, v][a][b]`` is the summed weight of the (u, v) edges that the
+    labels a at u and b at v satisfy, where ``weights[i]`` is edge i's
+    weight.  Row and column 0 are padding so 1-indexed labels index
+    directly.  Each table is (k1+1) x (k2+1); filling it costs O(k) per
+    permutation edge and O(|R|) per relation edge.
+    """
+    tables: dict[tuple[int, int], list[list[int]]] = {}
+    for e, w in zip(edges, weights):
+        table = tables.get((e.u, e.v))
+        if table is None:
+            table = tables[e.u, e.v] = [[0] * (k2 + 1) for _ in range(k1 + 1)]
+        pairs = e.rel.pairs if isinstance(e, RelEdge) else enumerate(e.pi.image, 1)
+        for a, b in pairs:
+            table[a][b] += w
+    return tables
 
 
 def require_objective(instance: GugpInstance, objective: Objective) -> None:
@@ -97,14 +127,15 @@ def labeling_value(
         raise DegenerateInstanceError(
             f"{objective.value} value undefined: zero normalizer"
         )
+    satisfied = satisfied_weight(instance, labeling)
     if objective is Objective.MAX_UGP or objective is Objective.MAX_PWT:
-        numerator = satisfied_weight(instance, labeling)
+        numerator = satisfied
     elif objective is Objective.MIN_UGP or objective is Objective.MIN_PWT:
-        numerator = unsatisfied_weight(instance, labeling)
+        numerator = m.sigma - satisfied
     elif objective is Objective.MAX_NWA:
-        numerator = abs(unsatisfied_weight(instance, labeling))
+        numerator = abs(m.sigma - satisfied)
     else:
-        numerator = abs(satisfied_weight(instance, labeling))
+        numerator = abs(satisfied)
     return numerator / normalizer
 
 

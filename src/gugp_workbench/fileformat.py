@@ -182,13 +182,13 @@ def _parse_rel(reader: _Reader) -> RelationalInstance:
                 raise ParseError(
                     f"relation of {m} pairs needs {2 * m} label fields", line
                 )
-            pairs = []
+            pairs: set[tuple[int, int]] = set()
             for i in range(m):
                 a = _parse_int(fields[5 + 2 * i], line)
                 b = _parse_int(fields[6 + 2 * i], line)
                 if (a, b) in pairs:
                     raise ParseError(f"duplicate relation pair ({a},{b})", line)
-                pairs.append((a, b))
+                pairs.add((a, b))
             edges.append(RelEdge(u, v, weight, Relation(k1, k2, frozenset(pairs))))
         else:
             raise ParseError(f"unknown record {fields[0]!r}", line)

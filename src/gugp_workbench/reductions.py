@@ -25,6 +25,7 @@ exposed via the encode/decode helpers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,15 +154,9 @@ class TspInstance:
         if any(w <= 0 for _, _, w in normalized):
             raise ValidationError("pair weights must be positive")
 
+    @functools.cached_property
     def weight_map(self) -> dict[tuple[int, int], Fraction]:
         return {(u, v): w for u, v, w in self.weights}
-
-    def weight(self, a: int, b: int) -> Fraction:
-        u, v = min(a, b), max(a, b)
-        for eu, ev, w in self.weights:
-            if (eu, ev) == (u, v):
-                return w
-        raise ValidationError(f"no weight for pair ({a},{b})")
 
 
 def tsp_to_min_nwa(tsp: TspInstance) -> tuple[GugpInstance, BundleMap]:
@@ -212,7 +207,7 @@ def labeling_to_tour(tsp: TspInstance, labeling: Labeling) -> tuple[int, ...]:
 def tour_weight(tsp: TspInstance, tour: tuple[int, ...]) -> Fraction:
     if sorted(tour) != list(range(tsp.n)):
         raise ValidationError("tour must visit every vertex exactly once")
-    wmap = tsp.weight_map()
+    wmap = tsp.weight_map
     total = Fraction(0)
     for i, a in enumerate(tour):
         b = tour[(i + 1) % tsp.n]

@@ -9,7 +9,6 @@ might be partitioned.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,8 +22,10 @@ from .errors import (
 from .evaluation import (
     Objective,
     labeling_value,
+    pair_tables,
     relational_value,
     require_objective,
+    scaled_weights,
 )
 from .rng import SplitMix64
 
@@ -44,11 +45,22 @@ class SolveResult:
     visited: int
 
 
-def _scaled_int_weights(weights: list[Fraction]) -> list[int]:
-    # Common-denominator integers keep the inner enumeration loop exact but
-    # fast; the scale factor cancels out of every comparison.
-    scale = math.lcm(*(w.denominator for w in weights)) if weights else 1
-    return [int(w * scale) for w in weights]
+def _best_labeling(
+    domains: list[range], tables: dict[tuple[int, int], list[list[int]]]
+) -> Labeling:
+    """Scan all labelings in lexicographic order and return the first one
+    with the largest total table weight (only strict gains replace it)."""
+    pairs = [(u, v, table) for (u, v), table in tables.items()]
+    best: Labeling | None = None
+    best_sat: int | None = None
+    for labeling in itertools.product(*domains):
+        sat = 0
+        for u, v, table in pairs:
+            sat += table[labeling[u]][labeling[v]]
+        if best_sat is None or sat > best_sat:
+            best, best_sat = labeling, sat
+    assert best is not None
+    return best
 
 
 def brute_force(
@@ -69,23 +81,9 @@ def brute_force(
         raise CapacityError(
             f"label space {instance.k}^{instance.n} = {space} exceeds cap {cap}"
         )
-    edges = instance.edges
-    iw = _scaled_int_weights([e.weight for e in edges])
-    # image tuples padded so a 1-indexed label indexes directly
-    compiled = [
-        (e.u, e.v, (0,) + e.pi.image, iw[i]) for i, e in enumerate(edges)
-    ]
-    best: Labeling | None = None
-    best_sat: int | None = None
-    for labeling in itertools.product(range(1, instance.k + 1), repeat=instance.n):
-        sat = 0
-        for u, v, image, w in compiled:
-            if image[labeling[u]] == labeling[v]:
-                sat += w
-        if best_sat is None or sat > best_sat:
-            best_sat = sat
-            best = labeling
-    assert best is not None
+    _, weights = scaled_weights([e.weight for e in instance.edges])
+    tables = pair_tables(instance.edges, weights, instance.k, instance.k)
+    best = _best_labeling([range(1, instance.k + 1)] * instance.n, tables)
     return SolveResult(best, labeling_value(instance, best, objective), space)
 
 
@@ -104,21 +102,9 @@ def brute_force_relational(
         raise CapacityError(f"label space {space} exceeds cap {cap}")
     if not instance.edges:
         raise DegenerateInstanceError("relational value undefined: no edges")
-    iw = _scaled_int_weights([e.weight for e in instance.edges])
-    compiled = [
-        (e.u, e.v, e.rel.pairs, iw[i]) for i, e in enumerate(instance.edges)
-    ]
-    best: Labeling | None = None
-    best_sat: int | None = None
-    for labeling in itertools.product(*domains):
-        sat = 0
-        for u, v, pairs, w in compiled:
-            if (labeling[u], labeling[v]) in pairs:
-                sat += w
-        if best_sat is None or sat > best_sat:
-            best_sat = sat
-            best = labeling
-    assert best is not None
+    _, weights = scaled_weights([e.weight for e in instance.edges])
+    tables = pair_tables(instance.edges, weights, instance.k1, instance.k2)
+    best = _best_labeling(domains, tables)
     return SolveResult(best, relational_value(instance, best), space)
 
 
@@ -160,38 +146,24 @@ def local_search_half(
         stream = SplitMix64(seed)
         labels = [1 + stream.below(k) for _ in range(n)]
 
-    abs_w = [abs(e.weight) for e in instance.edges]
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(instance.edges):
-        incident[e.u].append(i)
-        incident[e.v].append(i)
-    edges = instance.edges
-
-    def edge_happy(i: int) -> bool:
-        e = edges[i]
-        return e.pi.image[labels[e.u] - 1] != labels[e.v]
-
-    def local_split(vertex: int) -> tuple[Fraction, Fraction]:
-        sat = Fraction(0)
-        total = Fraction(0)
-        for i in incident[vertex]:
-            total += abs_w[i]
-            if edge_happy(i):
-                sat += abs_w[i]
-        return sat, total
-
-    def global_sat() -> Fraction:
-        return sum((abs_w[i] for i in range(len(edges)) if edge_happy(i)), Fraction(0))
+    # Integer restated weights.  incident[x] holds (y, hit, w) per edge at x:
+    # the edge is unsatisfied in restated form exactly when f(x) = hit[f(y)].
+    _, weights = scaled_weights([-e.weight for e in instance.edges])
+    incident: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
+    for e, w in zip(instance.edges, weights):
+        incident[e.u].append((e.v, (0,) + e.pi.invert().image, w))
+        incident[e.v].append((e.u, (0,) + e.pi.image, w))
+    total = [sum(w for _, _, w in edges) for edges in incident]
+    # unsat[x]: restated weight at x left unsatisfied; x is below the half
+    # threshold exactly when 2 * unsat[x] > total[x]
+    unsat = [
+        sum(w for y, hit, w in incident[x] if hit[labels[y]] == labels[x])
+        for x in range(n)
+    ]
 
     iterations = 0
-    current_global = global_sat()
     while True:
-        mover = None
-        for v in range(n):
-            sat, total = local_split(v)
-            if 2 * sat < total:
-                mover = v
-                break
+        mover = next((x for x in range(n) if 2 * unsat[x] > total[x]), None)
         if mover is None:
             break
         if iterations >= iteration_cap:
@@ -200,23 +172,19 @@ def local_search_half(
                 "the strict-improvement argument guarantees this cannot happen"
             )
         old = labels[mover]
-        best_label = None
-        best_sat = None
-        for candidate in range(1, k + 1):
-            if candidate == old:
-                continue
-            labels[mover] = candidate
-            sat, _ = local_split(mover)
-            if best_sat is None or sat > best_sat:
-                best_sat = sat
-                best_label = candidate
-        assert best_label is not None
-        labels[mover] = best_label
-        iterations += 1
-        new_global = global_sat()
-        if new_global <= current_global:
+        unsat_at = [0] * (k + 1)
+        for y, hit, w in incident[mover]:
+            unsat_at[hit[labels[y]]] += w
+        new = min((c for c in range(1, k + 1) if c != old), key=unsat_at.__getitem__)
+        # only the mover's edges change, so its local gain is the global gain
+        if unsat_at[new] >= unsat[mover]:
             raise InternalError("local search step failed to improve globally")
-        current_global = new_global
+        for y, hit, w in incident[mover]:
+            h = hit[labels[y]]
+            unsat[y] += w * ((h == new) - (h == old))
+        unsat[mover] = unsat_at[new]
+        labels[mover] = new
+        iterations += 1
 
     result = tuple(labels)
     value = labeling_value(instance, result, Objective.MAX_NWA)

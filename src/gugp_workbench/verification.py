@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import GugpInstance, RelationalInstance, metrics
 from .errors import (
@@ -25,12 +25,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .evaluation import (
-    Objective,
-    relational_value,
-    satisfied_weight,
-    unsatisfied_weight,
-)
+from .evaluation import Objective, pair_tables, satisfied_weight, scaled_weights
 from .reductions import (
     BundleMap,
     TspInstance,
@@ -86,14 +81,29 @@ def _report(
     )
 
 
-def _require_bundles(gadget: GugpInstance, bundles: BundleMap) -> None:
+def _bundle_tables(
+    gadget: GugpInstance, bundles: BundleMap, weighted: bool, claim: str, case_cap: int
+) -> Iterator[tuple[int, int, int, list[list[int]]]]:
+    """Yield ``(bundle, scale, total, table)``, building one table at a time.
+
+    ``table[a][b]`` and ``total`` are the bundle's weight satisfied at labels
+    (a, b) and its whole weight, both times ``scale``; unweighted tables
+    count edges.  The cap bounds the edge looks performed: k per edge to
+    fill a table plus k^2 to read it.
+    """
     if bundles.total_edges != len(gadget.edges):
         raise ValidationError("bundle ranges do not cover the gadget edge sequence")
-    for i in range(bundles.source_count):
-        span = bundles.edge_range(i)
-        endpoints = {(gadget.edges[j].u, gadget.edges[j].v) for j in span}
-        if len(endpoints) != 1:
+    k = gadget.k
+    looks = sum(k * (end - start) + k * k for start, end in bundles.ranges)
+    if looks > case_cap:
+        raise CapacityError(f"{claim} check needs {looks} edge looks > cap {case_cap}")
+    for i, (start, end) in enumerate(bundles.ranges):
+        edges = gadget.edges[start:end]
+        scale, weights = scaled_weights([e.weight if weighted else 1 for e in edges])
+        tables = pair_tables(edges, weights, k, k)
+        if len(tables) != 1:
             raise ValidationError(f"bundle {i} mixes edges of different vertex pairs")
+        yield i, scale, sum(weights), tables.popitem()[1]
 
 
 def check_bundle_exactly_one(
@@ -101,23 +111,18 @@ def check_bundle_exactly_one(
     bundles: BundleMap,
     case_cap: int = DEFAULT_CASE_CAP,
 ) -> VerifyReport:
-    """Every bundle must satisfy exactly one of its edges per label pair."""
-    _require_bundles(gadget, bundles)
+    """Every bundle must satisfy exactly one of its edges per label pair.
+
+    ``case_cap`` bounds the edge looks performed: k * |bundle| + k^2 per bundle.
+    """
     k = gadget.k
-    work = sum(
-        k * k * len(bundles.edge_range(i)) for i in range(bundles.source_count)
-    )
-    if work > case_cap:
-        raise CapacityError(f"exactly-one check needs {work} edge looks > cap {case_cap}")
     witnesses: list[Witness] = []
     cases = 0
-    for i in range(bundles.source_count):
-        span = list(bundles.edge_range(i))
-        images = [(0,) + gadget.edges[j].pi.image for j in span]
+    for i, _, _, table in _bundle_tables(gadget, bundles, False, "exactly-one", case_cap):
         for a in range(1, k + 1):
             for b in range(1, k + 1):
                 cases += 1
-                hits = sum(1 for image in images if image[a] == b)
+                hits = table[a][b]
                 if hits != 1:
                     witnesses.append((i, (a, b), 1, hits))
     return _report("bundle-exactly-one", cases, witnesses)
@@ -156,32 +161,25 @@ def check_indicator_weights(
     case_cap: int = DEFAULT_CASE_CAP,
 ) -> VerifyReport:
     """Each bundle's unsatisfied weight must be exactly 1 where the predicate
-    holds and exactly 0 elsewhere."""
-    _require_bundles(gadget, bundles)
+    holds and exactly 0 elsewhere.
+
+    ``case_cap`` bounds the edge looks performed: k * |bundle| + k^2 per bundle.
+    """
     k = gadget.k
-    work = sum(
-        k * k * len(bundles.edge_range(i)) for i in range(bundles.source_count)
-    )
-    if work > case_cap:
-        raise CapacityError(f"indicator check needs {work} edge looks > cap {case_cap}")
     witnesses: list[Witness] = []
     cases = 0
-    for i in range(bundles.source_count):
-        span = list(bundles.edge_range(i))
-        compiled = [
-            ((0,) + gadget.edges[j].pi.image, gadget.edges[j].weight) for j in span
-        ]
-        bundle_total = sum((w for _, w in compiled), Fraction(0))
+    for i, scale, total, table in _bundle_tables(
+        gadget, bundles, True, "indicator", case_cap
+    ):
         for a in range(1, k + 1):
             for b in range(1, k + 1):
                 cases += 1
-                sat = sum(
-                    (w for image, w in compiled if image[a] == b), Fraction(0)
-                )
-                expected = Fraction(1) if predicate(i, a, b) else Fraction(0)
-                actual = bundle_total - sat
+                expected = scale if predicate(i, a, b) else 0
+                actual = total - table[a][b]
                 if actual != expected:
-                    witnesses.append((i, (a, b), expected, actual))
+                    witnesses.append(
+                        (i, (a, b), Fraction(expected, scale), Fraction(actual, scale))
+                    )
     return _report("bundle-indicator-weights", cases, witnesses)
 
 
@@ -274,65 +272,77 @@ def check_strip_bounds(
     space = instance.k**instance.n
     if space > cap:
         raise CapacityError(f"label space {space} exceeds cap {cap}")
-    neg_total = abs(m.w_minus)
+    # integer weights: every edge in one table, positive edges in another
+    scale, weights = scaled_weights([e.weight for e in instance.edges])
+    k = instance.k
+    tables_all = pair_tables(instance.edges, weights, k, k)
+    tables_pos = pair_tables(instance.edges, [max(w, 0) for w in weights], k, k)
+    pairs = [
+        (u, v, table, tables_pos[u, v]) for (u, v), table in tables_all.items()
+    ]
+    sigma = sum(weights)
+    w_plus = sum(w for w in weights if w > 0)
+    neg_total = w_plus - sigma
 
-    best_orig: Fraction | None = None
+    def frac(x: int) -> Fraction:
+        return Fraction(x, scale)
+
+    best_orig: int | None = None
     best_orig_label = None
-    best_stripped: Fraction | None = None
+    best_stripped: int | None = None
     best_stripped_label = None
     witnesses: list[Witness] = []
     cases = 0
-    for labeling in itertools.product(
-        range(1, instance.k + 1), repeat=instance.n
-    ):
+    for labeling in itertools.product(range(1, k + 1), repeat=instance.n):
         cases += 1
-        unsat_all = Fraction(0)
-        unsat_pos = Fraction(0)
-        for e in instance.edges:
-            if e.pi.image[labeling[e.u] - 1] != labeling[e.v]:
-                unsat_all += e.weight
-                if e.weight > 0:
-                    unsat_pos += e.weight
+        sat_all = sat_pos = 0
+        for u, v, table, table_pos in pairs:
+            a, b = labeling[u], labeling[v]
+            sat_all += table[a][b]
+            sat_pos += table_pos[a][b]
+        unsat_all = sigma - sat_all
+        unsat_pos = w_plus - sat_pos
         # per-labeling sandwich; both inequalities hold identically in f
         if not unsat_all <= unsat_pos:
-            witnesses.append((None, labeling, "W(f) <= W'(f)", (unsat_all, unsat_pos)))
+            pair = (frac(unsat_all), frac(unsat_pos))
+            witnesses.append((None, labeling, "W(f) <= W'(f)", pair))
         if not unsat_pos <= unsat_all + neg_total:
-            witnesses.append(
-                (None, labeling, "W'(f) <= W(f) + |W-|", (unsat_pos, unsat_all))
-            )
+            pair = (frac(unsat_pos), frac(unsat_all))
+            witnesses.append((None, labeling, "W'(f) <= W(f) + |W-|", pair))
         if best_orig is None or unsat_all < best_orig:
             best_orig, best_orig_label = unsat_all, labeling
         if best_stripped is None or unsat_pos < best_stripped:
             best_stripped, best_stripped_label = unsat_pos, labeling
     assert best_orig is not None and best_stripped is not None
+    min_orig, min_stripped = frac(best_orig), frac(best_stripped)
 
     # cross-check the joint enumeration against the solver
     solver_orig = brute_force(instance, Objective.MIN_PWT, cap)
-    if solver_orig.value * m.sigma != best_orig:
+    if solver_orig.value * m.sigma != min_orig:
         witnesses.append(
-            (None, "solver-cross-check", best_orig, solver_orig.value * m.sigma)
+            (None, "solver-cross-check", min_orig, solver_orig.value * m.sigma)
         )
 
     if not best_orig <= best_stripped:
         witnesses.append(
-            (None, "optimum", "W(f*) <= W'(f')", (best_orig, best_stripped))
+            (None, "optimum", "W(f*) <= W'(f')", (min_orig, min_stripped))
         )
     if not best_stripped <= best_orig + neg_total:
         witnesses.append(
-            (None, "optimum", "W'(f') <= W(f*) + |W-|", (best_stripped, best_orig))
+            (None, "optimum", "W'(f') <= W(f*) + |W-|", (min_stripped, min_orig))
         )
 
     def fmt(x: Fraction) -> str:
         return f"{x.numerator}/{x.denominator}"
 
-    val_orig = best_orig / m.sigma
-    val_stripped = best_stripped / m.w_plus
+    val_orig = min_orig / m.sigma
+    val_stripped = min_stripped / m.w_plus
     rho = m.ratio if m.ratio is not None else Fraction(0)
     lower_ok = val_stripped >= (1 - rho) * val_orig
     upper_ok = val_stripped <= val_orig + rho
     notes = (
-        f"MIN_UNSAT_ORIGINAL={fmt(best_orig)}",
-        f"MIN_UNSAT_STRIPPED={fmt(best_stripped)}",
+        f"MIN_UNSAT_ORIGINAL={fmt(min_orig)}",
+        f"MIN_UNSAT_STRIPPED={fmt(min_stripped)}",
         f"VAL_ORIGINAL={fmt(val_orig)}",
         f"VAL_STRIPPED={fmt(val_stripped)}",
         f"NORMALIZED_LOWER={'HOLDS' if lower_ok else 'FAILS'}",

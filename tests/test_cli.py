@@ -9,6 +9,7 @@ import pytest
 from gugp_workbench import (
     GugpEdge,
     GugpInstance,
+    InternalError,
     Permutation,
     T22Edge,
     TwoToTwoInstance,
@@ -147,6 +148,20 @@ def test_solve_capacity_exit_code(capsys, tmp_path):
     )
     assert code == 3
     assert "exceeds cap" in err
+
+
+def test_internal_error_exit_code(capsys, tmp_path, monkeypatch):
+    import gugp_workbench.cli as cli
+
+    def broken(*_args, **_kwargs):
+        raise InternalError("local search step failed to improve globally")
+
+    monkeypatch.setattr(cli, "local_search_half", broken)
+    path = write(tmp_path / "neg.gugp", gugp(2, 2, (0, 1, -1, identity(2))))
+    code, out, err = run(capsys, "solve", "local2", "--in", path)
+    assert code == 4
+    assert out == []
+    assert "internal error: local search step failed" in err
 
 
 def test_unknown_objective(capsys, counterexample):

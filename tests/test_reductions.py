@@ -159,9 +159,13 @@ def test_tsp_normalizes_pair_order():
             (2, 1, Fraction(6)),
         ),
     )
-    assert inst.weight(0, 1) == 4
-    assert inst.weight(1, 0) == 4
-    assert inst.weight(2, 1) == 6
+    assert inst.weights == (
+        (0, 1, Fraction(4)),
+        (0, 2, Fraction(5)),
+        (1, 2, Fraction(6)),
+    )
+    assert inst.weight_map[0, 1] == 4
+    assert inst.weight_map[1, 2] == 6
 
 
 def test_encoding_structure():

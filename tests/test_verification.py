@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gugp_workbench import (
     BundleMap,
     CapacityError,
+    GenSpec,
     GugpEdge,
     GugpInstance,
     ObjectiveMismatchError,
@@ -35,6 +36,7 @@ from gugp_workbench import (
     check_value_transfer,
     coordinate_collision_predicate,
     exhaustive_tsp_optimum,
+    generate,
     isolated_left_vertices,
     pair_block_predicate,
     pwt1_gadget,
@@ -139,6 +141,40 @@ def test_exactly_one_capacity():
     gadget, bundles = triangle_gadget()
     with pytest.raises(CapacityError):
         check_bundle_exactly_one(gadget, bundles, case_cap=5)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_bundle_exactly_one,
+        lambda g, b, case_cap: check_indicator_weights(
+            g, b, coordinate_collision_predicate(1), case_cap=case_cap
+        ),
+    ],
+)
+def test_bundle_cap_counts_looks_performed(check):
+    # 3 bundles of 3 edges on 3 labels: 3 * 3 looks to fill each bundle's
+    # table plus 3 * 3 to read it, 54 in all (not 3 * 3 * 3 per bundle, 81)
+    gadget, bundles = triangle_gadget()
+    assert check(gadget, bundles, case_cap=60).passed
+    assert check(gadget, bundles, case_cap=54).passed
+    with pytest.raises(CapacityError, match="needs 54 edge looks > cap 53"):
+        check(gadget, bundles, case_cap=53)
+
+
+def test_exactly_one_fits_fold3_readme_gadget_at_default_cap():
+    # the README base squared to fold 3: 864 bundles of 27 edges on 27
+    # labels need 864 * (27 * 27 + 27 * 27) looks, well under the default cap
+    base = generate(
+        GenSpec(family="planted-3col", seed=7, n=5, m=6)
+    ).instance
+    pairs = tuple((e.u, e.v) for e in base.edges)
+    gadget, bundles = pwt1_gadget(repeat_max3cut(base.n, pairs, 3))
+    report = check_bundle_exactly_one(gadget, bundles)
+    assert report.passed
+    assert report.cases == 864 * 27 * 27
+    with pytest.raises(CapacityError, match="needs 1259712 edge looks"):
+        check_bundle_exactly_one(gadget, bundles, case_cap=1_259_711)
 
 
 def test_bundles_must_match_gadget():
