@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import GugpInstance, RelationalInstance, metrics
+from .core import GugpInstance, RelationalInstance, metrics, scaled_weights
 from .errors import (
     CapacityError,
     DegenerateInstanceError,
@@ -255,7 +255,8 @@ def _cmd_eval(args) -> int:
                 "relational instances have a single objective; drop --objective"
             )
         sat = relational_satisfied_weight(instance, labeling)
-        total = sum((e.weight for e in instance.edges), Fraction(0))
+        scale, weights = scaled_weights([e.weight for e in instance.edges])
+        total = Fraction(sum(weights), scale)
         print(f"SAT={fmt_fraction(sat)}")
         print(f"TOTAL={fmt_fraction(total)}")
         print(f"VAL={fmt_fraction(relational_value(instance, labeling))}")

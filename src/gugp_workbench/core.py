@@ -13,8 +13,10 @@ Conventions used throughout the workbench:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ValidationError
 
@@ -318,13 +320,21 @@ class InstanceMetrics:
     ratio: Fraction | None
 
 
+def scaled_weights(weights: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """Return ``(scale, ints)`` with ``ints[i] == weights[i] * scale`` exactly.
+
+    ``scale`` is the least common denominator, so integer sums and
+    comparisons stand in for exact ``Fraction`` ones and
+    ``Fraction(x, scale)`` converts a result back.
+    """
+    scale = math.lcm(*(w.denominator for w in weights))
+    return scale, [w.numerator * (scale // w.denominator) for w in weights]
+
+
 def metrics(instance: GugpInstance) -> InstanceMetrics:
-    w_plus = Fraction(0)
-    w_minus = Fraction(0)
-    for e in instance.edges:
-        if e.weight > 0:
-            w_plus += e.weight
-        else:
-            w_minus += e.weight
-    ratio = None if w_plus == 0 else abs(w_minus) / w_plus
-    return InstanceMetrics(w_plus, w_minus, w_plus + w_minus, ratio)
+    scale, weights = scaled_weights([e.weight for e in instance.edges])
+    plus = sum(w for w in weights if w > 0)
+    minus = sum(w for w in weights if w < 0)
+    ratio = None if plus == 0 else Fraction(-minus, plus)
+    w_plus, w_minus = Fraction(plus, scale), Fraction(minus, scale)
+    return InstanceMetrics(w_plus, w_minus, Fraction(plus + minus, scale), ratio)

@@ -15,11 +15,20 @@ Within each family the max and min values of one labeling sum to exactly 1.
 from __future__ import annotations
 
 import enum
-import math
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .core import GugpEdge, GugpInstance, Labeling, RelEdge, RelationalInstance, metrics
+from .core import (
+    GugpEdge,
+    GugpInstance,
+    InstanceMetrics,
+    Labeling,
+    RelEdge,
+    RelationalInstance,
+    metrics,
+    scaled_weights,
+)
 from .errors import (
     DegenerateInstanceError,
     ObjectiveMismatchError,
@@ -50,26 +59,13 @@ def check_labeling(instance: GugpInstance, labeling: Labeling) -> None:
 
 def satisfied_weight(instance: GugpInstance, labeling: Labeling) -> Fraction:
     check_labeling(instance, labeling)
-    total = Fraction(0)
-    for e in instance.edges:
-        if e.pi.image[labeling[e.u] - 1] == labeling[e.v]:
-            total += e.weight
-    return total
+    scale, weights = scaled_weights([e.weight for e in instance.edges])
+    hits = (e.pi.image[labeling[e.u] - 1] == labeling[e.v] for e in instance.edges)
+    return Fraction(sum(itertools.compress(weights, hits)), scale)
 
 
 def unsatisfied_weight(instance: GugpInstance, labeling: Labeling) -> Fraction:
     return metrics(instance).sigma - satisfied_weight(instance, labeling)
-
-
-def scaled_weights(weights: Sequence[Fraction | int]) -> tuple[int, list[int]]:
-    """Return ``(scale, ints)`` with ``ints[i] == weights[i] * scale`` exactly.
-
-    ``scale`` is the least common denominator, so integer sums and
-    comparisons stand in for exact ``Fraction`` ones and
-    ``Fraction(x, scale)`` converts a result back.
-    """
-    scale = math.lcm(*(w.denominator for w in weights))
-    return scale, [int(w * scale) for w in weights]
 
 
 def pair_tables(
@@ -94,8 +90,9 @@ def pair_tables(
     return tables
 
 
-def require_objective(instance: GugpInstance, objective: Objective) -> None:
-    """Raise unless the instance's weight signs fit the objective family."""
+def require_objective(instance: GugpInstance, objective: Objective) -> InstanceMetrics:
+    """Raise unless the instance's weight signs fit the objective family;
+    return the instance's metrics."""
     m = metrics(instance)
     if objective in (Objective.MAX_UGP, Objective.MIN_UGP):
         if m.w_minus != 0:
@@ -112,13 +109,13 @@ def require_objective(instance: GugpInstance, objective: Objective) -> None:
             raise ObjectiveMismatchError(
                 f"{objective.value} requires all weights negative"
             )
+    return m
 
 
 def labeling_value(
     instance: GugpInstance, labeling: Labeling, objective: Objective
 ) -> Fraction:
-    require_objective(instance, objective)
-    m = metrics(instance)
+    m = require_objective(instance, objective)
     if objective in (Objective.MAX_NWA, Objective.MIN_NWA):
         normalizer = abs(m.w_minus)
     else:
@@ -158,16 +155,14 @@ def relational_satisfied_weight(
     instance: RelationalInstance, labeling: Labeling
 ) -> Fraction:
     check_relational_labeling(instance, labeling)
-    total = Fraction(0)
-    for e in instance.edges:
-        if (labeling[e.u], labeling[e.v]) in e.rel:
-            total += e.weight
-    return total
+    scale, weights = scaled_weights([e.weight for e in instance.edges])
+    hits = ((labeling[e.u], labeling[e.v]) in e.rel for e in instance.edges)
+    return Fraction(sum(itertools.compress(weights, hits)), scale)
 
 
 def relational_value(instance: RelationalInstance, labeling: Labeling) -> Fraction:
     """Satisfied-weight fraction of a labeling, in [0, 1]."""
-    total = sum((e.weight for e in instance.edges), Fraction(0))
-    if total == 0:
+    if not instance.edges:
         raise DegenerateInstanceError("relational value undefined: no edges")
-    return relational_satisfied_weight(instance, labeling) / total
+    scale, weights = scaled_weights([e.weight for e in instance.edges])
+    return relational_satisfied_weight(instance, labeling) * scale / sum(weights)

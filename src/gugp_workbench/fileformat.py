@@ -112,6 +112,8 @@ def _parse_gugp(reader: _Reader) -> GugpInstance:
     k = reader.keyword_int("k")
     n = reader.keyword_int("n")
     edges = []
+    # one shared Permutation per distinct image line
+    perms: dict[tuple[str, ...], Permutation] = {}
     for line, fields in reader.remaining():
         if fields[0] != "e" or len(fields) != 4 + k:
             raise ParseError(
@@ -120,8 +122,10 @@ def _parse_gugp(reader: _Reader) -> GugpInstance:
         u = _parse_int(fields[1], line)
         v = _parse_int(fields[2], line)
         weight = _parse_fraction(fields[3], line)
-        image = tuple(_parse_int(t, line) for t in fields[4:])
-        edges.append(GugpEdge(u, v, weight, Permutation(image)))
+        tokens = tuple(fields[4:])
+        if tokens not in perms:
+            perms[tokens] = Permutation(tuple(_parse_int(t, line) for t in tokens))
+        edges.append(GugpEdge(u, v, weight, perms[tokens]))
     return GugpInstance(n, k, tuple(edges))
 
 
@@ -194,7 +198,7 @@ def _parse_rel(reader: _Reader) -> RelationalInstance:
             raise ParseError(f"unknown record {fields[0]!r}", line)
     side_tuple = None
     if bipartite:
-        if sorted(sides) != list(range(n)):
+        if len(sides) != n or sorted(sides) != list(range(n)):
             raise ParseError("bipartite file must assign a side to every vertex")
         side_tuple = tuple(sides[v] for v in range(n))
     return RelationalInstance(n, k1, k2, tuple(edges), bipartite, side_tuple)
@@ -288,7 +292,7 @@ def _parse_lab(reader: _Reader) -> tuple[int, ...]:
         if label < 1:
             raise ParseError("labels are 1-indexed", line)
         assignments[v] = label
-    if sorted(assignments) != list(range(n)):
+    if len(assignments) != n or sorted(assignments) != list(range(n)):
         raise ParseError("labeling must assign every vertex exactly once")
     return tuple(assignments[v] for v in range(n))
 

@@ -38,6 +38,7 @@ from .core import (
     RelEdge,
     Relation,
     RelationalInstance,
+    scaled_weights,
 )
 from .errors import (
     CapacityError,
@@ -46,8 +47,8 @@ from .errors import (
     ValidationError,
 )
 
-DEFAULT_LABEL_CAP = 729  # 3^l
-DEFAULT_VERTEX_CAP = 20_000  # n^l
+LABEL_CAP = 729  # 3^l
+VERTEX_CAP = 20_000  # n^l
 
 
 def modplus(m: int, n: int) -> int:
@@ -146,8 +147,11 @@ class TspInstance:
             )
         )
         object.__setattr__(self, "weights", normalized)
-        expected = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)]
-        if [(u, v) for u, v, _ in normalized] != expected:
+        # the count is compared first, so a huge n allocates nothing
+        pairs = [(u, v) for u, v, _ in normalized]
+        if len(pairs) != self.n * (self.n - 1) // 2 or pairs != list(
+            itertools.combinations(range(self.n), 2)
+        ):
             raise ValidationError(
                 "every unordered pair needs exactly one weight, with u < v"
             )
@@ -208,11 +212,9 @@ def tour_weight(tsp: TspInstance, tour: tuple[int, ...]) -> Fraction:
     if sorted(tour) != list(range(tsp.n)):
         raise ValidationError("tour must visit every vertex exactly once")
     wmap = tsp.weight_map
-    total = Fraction(0)
-    for i, a in enumerate(tour):
-        b = tour[(i + 1) % tsp.n]
-        total += wmap[(min(a, b), max(a, b))]
-    return total
+    legs = zip(tour, tour[1:] + tour[:1])
+    scale, weights = scaled_weights([wmap[min(a, b), max(a, b)] for a, b in legs])
+    return Fraction(sum(weights), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +373,6 @@ def repeat_max3cut(
     n: int,
     edges: tuple[tuple[int, int], ...],
     fold: int,
-    label_cap: int = DEFAULT_LABEL_CAP,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> RepeatedInstance:
     """Repeat a simple undirected graph's 3-cut game ``fold`` times.
 
@@ -381,10 +381,10 @@ def repeat_max3cut(
     """
     if fold < 1:
         raise ValidationError("fold must be at least 1")
-    if 3**fold > label_cap:
-        raise CapacityError(f"label count 3^{fold} exceeds cap {label_cap}")
-    if n**fold > vertex_cap:
-        raise CapacityError(f"vertex count {n}^{fold} exceeds cap {vertex_cap}")
+    if 3**fold > LABEL_CAP:
+        raise CapacityError(f"label count 3^{fold} exceeds cap {LABEL_CAP}")
+    if n**fold > VERTEX_CAP:
+        raise CapacityError(f"vertex count {n}^{fold} exceeds cap {VERTEX_CAP}")
     oriented: list[tuple[int, int]] = []
     for u, v in edges:
         if u == v:
@@ -536,13 +536,6 @@ class TwoToTwoInstance:
                 raise ValidationError(
                     f"edge ({e.u},{e.v}) permutations must act on [1..{2 * self.k}]"
                 )
-
-    def to_relational(self) -> RelationalInstance:
-        edges = tuple(
-            RelEdge(e.u, e.v, e.weight, two2two_relation(e.pi_u, e.pi_v))
-            for e in self.edges
-        )
-        return RelationalInstance(self.n, 2 * self.k, 2 * self.k, edges)
 
     def to_unit_relational(self) -> RelationalInstance:
         """Same constraints with every weight forced to 1 (edge counting)."""

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GugpInstance, Labeling, RelationalInstance, metrics
+from .core import GugpInstance, Labeling, RelationalInstance, scaled_weights
 from .errors import (
     CapacityError,
     DegenerateInstanceError,
@@ -25,7 +25,6 @@ from .evaluation import (
     pair_tables,
     relational_value,
     require_objective,
-    scaled_weights,
 )
 from .rng import SplitMix64
 
@@ -131,10 +130,11 @@ def local_search_half(
     """
     if instance.k < 2:
         raise DegenerateInstanceError("local search needs at least two labels")
-    m = metrics(instance)
-    if m.w_plus != 0:
+    # Integer restated weights |w|; a negative one is a positive edge.
+    _, weights = scaled_weights([-e.weight for e in instance.edges])
+    if any(w < 0 for w in weights):
         raise ObjectiveMismatchError("local search requires all weights negative")
-    if not instance.edges:
+    if not weights:
         raise DegenerateInstanceError("max-nwa value undefined: no edges")
     if iteration_cap is None:
         iteration_cap = instance.k**instance.n
@@ -146,9 +146,8 @@ def local_search_half(
         stream = SplitMix64(seed)
         labels = [1 + stream.below(k) for _ in range(n)]
 
-    # Integer restated weights.  incident[x] holds (y, hit, w) per edge at x:
-    # the edge is unsatisfied in restated form exactly when f(x) = hit[f(y)].
-    _, weights = scaled_weights([-e.weight for e in instance.edges])
+    # incident[x] holds (y, hit, w) per edge at x: the edge is unsatisfied
+    # in restated form exactly when f(x) = hit[f(y)].
     incident: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
     for e, w in zip(instance.edges, weights):
         incident[e.u].append((e.v, (0,) + e.pi.invert().image, w))

@@ -6,36 +6,39 @@ number of cases inspected.  Reports are deterministic: witnesses appear in
 scan order (bundle index, then label pair / labeling).
 
 Checks never trust metadata produced by the reductions: indicator predicates
-are re-derived from source structure (label decodings, endpoint
-permutations), and bundle weights are compared against independently stated
+are the complements of the source game's own relations
+(``all_coords_differ_relation``, ``two2two_relation``), which neither gadget
+builder calls, and bundle weights are compared against independently stated
 closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .core import GugpInstance, RelationalInstance, metrics
+from .core import GugpInstance, Relation, RelationalInstance, metrics, scaled_weights
 from .errors import (
     CapacityError,
     ObjectiveMismatchError,
     UsageError,
     ValidationError,
 )
-from .evaluation import Objective, pair_tables, satisfied_weight, scaled_weights
+from .evaluation import Objective, pair_tables, satisfied_weight
+from .fileformat import fmt_fraction
 from .reductions import (
     BundleMap,
     TspInstance,
     TwoToTwoInstance,
-    decode_label,
+    all_coords_differ_relation,
     labeling_to_tour,
-    t_contains,
     tour_to_labeling,
     tour_weight,
     tsp_to_min_nwa,
+    two2two_relation,
 )
 from .solvers import (
     DEFAULT_BRUTE_CAP,
@@ -128,30 +131,36 @@ def check_bundle_exactly_one(
     return _report("bundle-exactly-one", cases, witnesses)
 
 
-def coordinate_collision_predicate(fold: int) -> Callable[[int, int, int], bool]:
-    """Indicator input for shift-gadget bundles: unsatisfied weight should be
-    1 exactly when the two decoded label tuples share a coordinate."""
+def _misses(relation_of: Callable[[int], Relation]) -> Callable[[int, int, int], bool]:
+    """Predicate holding when (a, b) lies outside the bundle's relation;
+    labels outside the relation's ranges raise ``ValidationError``."""
 
-    def predicate(_bundle: int, a: int, b: int) -> bool:
-        return any(
-            x == y for x, y in zip(decode_label(a, fold), decode_label(b, fold))
-        )
+    def predicate(bundle: int, a: int, b: int) -> bool:
+        rel = relation_of(bundle)
+        if not (1 <= a <= rel.k1 and 1 <= b <= rel.k2):
+            raise ValidationError(
+                f"label pair ({a},{b}) out of range [1..{rel.k1}]x[1..{rel.k2}]"
+            )
+        return (a, b) not in rel.pairs
 
     return predicate
+
+
+def coordinate_collision_predicate(fold: int) -> Callable[[int, int, int], bool]:
+    """Indicator input for shift-gadget bundles: unsatisfied weight should be
+    1 exactly when the two label tuples share a coordinate, i.e. miss the
+    repeated 3-cut game's all-coordinates-differ relation."""
+    differ = all_coords_differ_relation(fold)
+    return _misses(lambda _bundle: differ)
 
 
 def pair_block_predicate(
     source: TwoToTwoInstance,
 ) -> Callable[[int, int, int], bool]:
     """Indicator input for pair-block bundles: unsatisfied weight should be 1
-    exactly when (pi_u(a), pi_v(b)) misses the block-diagonal pairing,
-    recomputed from the source edge's own permutations."""
-
-    def predicate(bundle: int, a: int, b: int) -> bool:
-        e = source.edges[bundle]
-        return not t_contains(e.pi_u.apply(a), e.pi_v.apply(b))
-
-    return predicate
+    exactly when (a, b) misses the source edge's two-to-two relation."""
+    relations = [two2two_relation(e.pi_u, e.pi_v) for e in source.edges]
+    return _misses(relations.__getitem__)
 
 
 def check_indicator_weights(
@@ -210,13 +219,7 @@ def check_gadget_metrics(
         }
     else:
         raise UsageError(f"unknown gadget family {family!r}")
-    got = metrics(gadget)
-    actual = {
-        "w_plus": got.w_plus,
-        "w_minus": got.w_minus,
-        "sigma": got.sigma,
-        "ratio": got.ratio,
-    }
+    actual = asdict(metrics(gadget))
     witnesses: list[Witness] = [
         (None, name, expected[name], actual[name])
         for name in ("w_plus", "w_minus", "sigma", "ratio")
@@ -244,8 +247,8 @@ def check_value_transfer(
     if gad.value != expected:
         witnesses.append((None, "min-pwt-optimum", expected, gad.value))
     notes = (
-        f"SOURCE_OPTIMUM={src.value.numerator}/{src.value.denominator}",
-        f"GADGET_MIN_PWT={gad.value.numerator}/{gad.value.denominator}",
+        f"SOURCE_OPTIMUM={fmt_fraction(src.value)}",
+        f"GADGET_MIN_PWT={fmt_fraction(gad.value)}",
     )
     return _report("value-transfer", src.visited + gad.visited, witnesses, notes)
 
@@ -264,25 +267,24 @@ def check_strip_bounds(
     notes: the upper one genuinely fails for instances whose optimum value is
     negative.
     """
-    m = metrics(instance)
-    if m.sigma <= 0:
+    scale, weights = scaled_weights([e.weight for e in instance.edges])
+    sigma = sum(weights)
+    w_plus = sum(w for w in weights if w > 0)
+    neg_total = w_plus - sigma
+    if sigma <= 0:
         raise ObjectiveMismatchError("strip bounds require positive total weight")
-    if m.w_plus == 0:
+    if w_plus == 0:
         raise ObjectiveMismatchError("strip bounds require a positive edge")
     space = instance.k**instance.n
     if space > cap:
         raise CapacityError(f"label space {space} exceeds cap {cap}")
-    # integer weights: every edge in one table, positive edges in another
-    scale, weights = scaled_weights([e.weight for e in instance.edges])
+    # every edge in one table, positive edges in another
     k = instance.k
     tables_all = pair_tables(instance.edges, weights, k, k)
     tables_pos = pair_tables(instance.edges, [max(w, 0) for w in weights], k, k)
     pairs = [
         (u, v, table, tables_pos[u, v]) for (u, v), table in tables_all.items()
     ]
-    sigma = sum(weights)
-    w_plus = sum(w for w in weights if w > 0)
-    neg_total = w_plus - sigma
 
     def frac(x: int) -> Fraction:
         return Fraction(x, scale)
@@ -317,11 +319,9 @@ def check_strip_bounds(
     min_orig, min_stripped = frac(best_orig), frac(best_stripped)
 
     # cross-check the joint enumeration against the solver
-    solver_orig = brute_force(instance, Objective.MIN_PWT, cap)
-    if solver_orig.value * m.sigma != min_orig:
-        witnesses.append(
-            (None, "solver-cross-check", min_orig, solver_orig.value * m.sigma)
-        )
+    solver_min = brute_force(instance, Objective.MIN_PWT, cap).value * frac(sigma)
+    if solver_min != min_orig:
+        witnesses.append((None, "solver-cross-check", min_orig, solver_min))
 
     if not best_orig <= best_stripped:
         witnesses.append(
@@ -332,22 +332,19 @@ def check_strip_bounds(
             (None, "optimum", "W'(f') <= W(f*) + |W-|", (min_stripped, min_orig))
         )
 
-    def fmt(x: Fraction) -> str:
-        return f"{x.numerator}/{x.denominator}"
-
-    val_orig = min_orig / m.sigma
-    val_stripped = min_stripped / m.w_plus
-    rho = m.ratio if m.ratio is not None else Fraction(0)
+    val_orig = Fraction(best_orig, sigma)
+    val_stripped = Fraction(best_stripped, w_plus)
+    rho = Fraction(neg_total, w_plus)
     lower_ok = val_stripped >= (1 - rho) * val_orig
     upper_ok = val_stripped <= val_orig + rho
     notes = (
-        f"MIN_UNSAT_ORIGINAL={fmt(min_orig)}",
-        f"MIN_UNSAT_STRIPPED={fmt(min_stripped)}",
-        f"VAL_ORIGINAL={fmt(val_orig)}",
-        f"VAL_STRIPPED={fmt(val_stripped)}",
+        f"MIN_UNSAT_ORIGINAL={fmt_fraction(min_orig)}",
+        f"MIN_UNSAT_STRIPPED={fmt_fraction(min_stripped)}",
+        f"VAL_ORIGINAL={fmt_fraction(val_orig)}",
+        f"VAL_STRIPPED={fmt_fraction(val_stripped)}",
         f"NORMALIZED_LOWER={'HOLDS' if lower_ok else 'FAILS'}",
         f"NORMALIZED_UPPER={'HOLDS' if upper_ok else 'FAILS'}",
-        f"NORMALIZED_UPPER_BOUND={fmt(val_orig + rho)}",
+        f"NORMALIZED_UPPER_BOUND={fmt_fraction(val_orig + rho)}",
         f"WITNESS_ORIGINAL={','.join(map(str, best_orig_label or ()))}",
         f"WITNESS_STRIPPED={','.join(map(str, best_stripped_label or ()))}",
     )
@@ -367,8 +364,7 @@ def check_half_guarantee(
     """
     result = local_search_half(instance, seed=seed)
     witnesses: list[Witness] = []
-    notes = [f"VAL={result.value.numerator}/{result.value.denominator}",
-             f"ITERATIONS={result.visited}"]
+    notes = [f"VAL={fmt_fraction(result.value)}", f"ITERATIONS={result.visited}"]
     if result.value < Fraction(1, 2):
         witnesses.append((None, result.labeling, Fraction(1, 2), result.value))
     if result.visited > instance.n:
@@ -381,25 +377,26 @@ def check_half_guarantee(
             witnesses.append(
                 (None, result.labeling, optimum.value / 2, result.value)
             )
-        notes.append(
-            f"OPTIMUM={optimum.value.numerator}/{optimum.value.denominator}"
-        )
+        notes.append(f"OPTIMUM={fmt_fraction(optimum.value)}")
     else:
         notes.append("OPTIMUM=SKIPPED-CAPACITY")
     return _report("local-search-half-guarantee", cases, witnesses, tuple(notes))
 
 
 def exhaustive_tsp_optimum(tsp: TspInstance) -> tuple[Fraction, tuple[int, ...]]:
-    """Minimum tour weight by scanning all tours that fix vertex 0 first."""
-    best: Fraction | None = None
-    best_tour: tuple[int, ...] | None = None
-    for rest in itertools.permutations(range(1, tsp.n)):
-        tour = (0,) + rest
-        w = tour_weight(tsp, tour)
-        if best is None or w < best:
-            best, best_tour = w, tour
-    assert best is not None and best_tour is not None
-    return best, best_tour
+    """Minimum tour weight by scanning all tours that fix vertex 0 first
+    (the first one found wins ties)."""
+    scale, weights = scaled_weights([w for _, _, w in tsp.weights])
+    dist = [[0] * tsp.n for _ in range(tsp.n)]
+    for (u, v, _), w in zip(tsp.weights, weights):
+        dist[u][v] = dist[v][u] = w
+
+    def length(tour: tuple[int, ...]) -> int:
+        return sum(dist[a][b] for a, b in zip(tour, tour[1:] + tour[:1]))
+
+    tours = ((0,) + rest for rest in itertools.permutations(range(1, tsp.n)))
+    best = min(tours, key=length)
+    return Fraction(length(best), scale), best
 
 
 def check_tsp_equivalence(
@@ -415,8 +412,8 @@ def check_tsp_equivalence(
     brute_abs = brute.value * neg_total
     witnesses: list[Witness] = []
     notes = [
-        f"TSP_OPTIMUM={opt_weight.numerator}/{opt_weight.denominator}",
-        f"ENCODED_MIN_ABS_SAT={brute_abs.numerator}/{brute_abs.denominator}",
+        f"TSP_OPTIMUM={fmt_fraction(opt_weight)}",
+        f"ENCODED_MIN_ABS_SAT={fmt_fraction(brute_abs)}",
     ]
     if opt_weight != brute_abs:
         witnesses.append((None, "optimum", opt_weight, brute_abs))
@@ -433,12 +430,8 @@ def check_tsp_equivalence(
     else:
         # possible only when some degenerate labeling ties the optimum at M
         notes.append("ENCODED_WITNESS=NON-BIJECTIVE-TIE")
-    factorial = 1
-    for i in range(2, tsp.n):
-        factorial *= i
-    return _report(
-        "tsp-equivalence", factorial + brute.visited, witnesses, tuple(notes)
-    )
+    cases = math.factorial(tsp.n - 1) + brute.visited
+    return _report("tsp-equivalence", cases, witnesses, tuple(notes))
 
 
 def isolated_left_vertices(instance: RelationalInstance) -> tuple[int, ...]:

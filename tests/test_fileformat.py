@@ -20,6 +20,8 @@ from gugp_workbench import (
     ValidationError,
     fmt_fraction,
     parse,
+    pwt1_gadget,
+    repeat_max3cut,
     serialize,
     serialize_labeling,
     two2two_relation,
@@ -177,6 +179,15 @@ def test_labeling_round_trip(labels):
     assert parse(serialize(labeling)) == labeling
 
 
+def test_gugp_parse_shares_one_permutation_per_image():
+    gadget, _ = pwt1_gadget(repeat_max3cut(3, ((0, 1), (1, 2), (2, 0)), 2))
+    text = serialize(gadget)
+    parsed = parse(text)
+    assert len({id(e.pi) for e in parsed.edges}) == 9 < len(parsed.edges)
+    assert parsed == gadget
+    assert serialize(parsed) == text
+
+
 def test_comments_and_blank_lines_ignored():
     text = (
         "# hand-written file\n"
@@ -236,6 +247,13 @@ def test_parse_error_reports_line_number():
         parse(text)
     assert excinfo.value.line == 4
     assert "line 4" in str(excinfo.value)
+
+
+def test_non_integer_image_after_a_shared_one_names_its_line():
+    text = "GUGP v1\nk 2\nn 2\ne 0 1 1/1 1 2\ne 1 0 1/1 1 2\ne 1 0 1/1 1 x\n"
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert excinfo.value.line == 6
 
 
 def test_fraction_requires_slash_form():
@@ -317,6 +335,20 @@ def test_tsp_requires_sorted_pairs():
 def test_tsp_missing_pair_is_rejected():
     text = "TSP v1\nn 3\nw 0 1 1/1\nw 0 2 1/1\n"
     with pytest.raises((ParseError, ValidationError)):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("LAB v1\nn 1000000000000\n", ParseError),
+        ("REL v1\nk1 2\nk2 2\nn 1000000000000\nbipartite 1\n", ParseError),
+        ("TSP v1\nn 1000000000000\n", ValidationError),
+    ],
+)
+def test_huge_header_count_with_empty_body_fails_at_once(text, error):
+    # compared with the record count before anything of that size is built
+    with pytest.raises(error, match="every vertex|every unordered pair"):
         parse(text)
 
 

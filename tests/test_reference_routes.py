@@ -1,8 +1,10 @@
-"""The integer pair-table routes against plain ``Fraction`` references.
+"""The integer routes against plain ``Fraction`` references.
 
 Each reference below is the direct per-edge ``Fraction`` loop for one
-solver or verifier.  The package's integer routes must match it exactly:
-the same labelings, work counts, notes, and witnesses in scan order.
+weight sum, solver or verifier, or the label-decoding form of one indicator
+predicate.  The package's integer and relation-built routes must match it
+exactly: the same values, labelings, work counts, notes, and witnesses in
+scan order.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from gugp_workbench import (
     GenSpec,
     GugpEdge,
     GugpInstance,
+    InstanceMetrics,
     Objective,
     ObjectiveMismatchError,
     Permutation,
@@ -25,24 +28,114 @@ from gugp_workbench import (
     Relation,
     RelationalInstance,
     SplitMix64,
+    TspInstance,
+    ValidationError,
     brute_force,
     brute_force_relational,
     check_bundle_exactly_one,
     check_indicator_weights,
     check_strip_bounds,
     coordinate_collision_predicate,
+    decode_label,
+    exhaustive_tsp_optimum,
     generate,
     labeling_value,
     local_search_half,
     metrics,
+    pair_block_predicate,
     pwt1_gadget,
+    relational_satisfied_weight,
+    relational_value,
     repeat_max3cut,
+    satisfied_weight,
+    t_contains,
+    unsatisfied_weight,
 )
 
-from conftest import gugp_instances, rationals
+from conftest import gugp_instances, labelings_for, rationals
 
 # ---------------------------------------------------------------------------
 # references
+
+
+def ref_metrics(instance):
+    w_plus = Fraction(0)
+    w_minus = Fraction(0)
+    for e in instance.edges:
+        if e.weight > 0:
+            w_plus += e.weight
+        else:
+            w_minus += e.weight
+    ratio = None if w_plus == 0 else abs(w_minus) / w_plus
+    return InstanceMetrics(w_plus, w_minus, w_plus + w_minus, ratio)
+
+
+def ref_satisfied_weight(instance, labeling):
+    total = Fraction(0)
+    for e in instance.edges:
+        if e.pi.image[labeling[e.u] - 1] == labeling[e.v]:
+            total += e.weight
+    return total
+
+
+def ref_labeling_value(instance, labeling, objective):
+    """The value, or None when the objective's normalizer is zero."""
+    m = ref_metrics(instance)
+    sat = ref_satisfied_weight(instance, labeling)
+    numerator, normalizer = {
+        Objective.MAX_UGP: (sat, m.sigma),
+        Objective.MIN_UGP: (m.sigma - sat, m.sigma),
+        Objective.MAX_PWT: (sat, m.sigma),
+        Objective.MIN_PWT: (m.sigma - sat, m.sigma),
+        Objective.MAX_NWA: (abs(m.sigma - sat), abs(m.w_minus)),
+        Objective.MIN_NWA: (abs(sat), abs(m.w_minus)),
+    }[objective]
+    return None if normalizer == 0 else numerator / normalizer
+
+
+def ref_allowed(instance, objective):
+    m = ref_metrics(instance)
+    if objective in (Objective.MAX_UGP, Objective.MIN_UGP):
+        return m.w_minus == 0
+    if objective in (Objective.MAX_PWT, Objective.MIN_PWT):
+        return m.sigma > 0
+    return m.w_plus == 0
+
+
+def ref_relational_satisfied_weight(instance, labeling):
+    total = Fraction(0)
+    for e in instance.edges:
+        if (labeling[e.u], labeling[e.v]) in e.rel:
+            total += e.weight
+    return total
+
+
+def ref_exhaustive_tsp_optimum(tsp):
+    best = best_tour = None
+    for rest in itertools.permutations(range(1, tsp.n)):
+        tour = (0,) + rest
+        w = Fraction(0)
+        for i, a in enumerate(tour):
+            b = tour[(i + 1) % tsp.n]
+            w += tsp.weight_map[min(a, b), max(a, b)]
+        if best is None or w < best:
+            best, best_tour = w, tour
+    return best, best_tour
+
+
+def ref_collision_predicate(fold):
+    def predicate(_bundle, a, b):
+        return any(x == y for x, y in zip(decode_label(a, fold), decode_label(b, fold)))
+
+    return predicate
+
+
+def ref_pair_block_predicate(source):
+    def predicate(bundle, a, b):
+        e = source.edges[bundle]
+        return not t_contains(e.pi_u.apply(a), e.pi_v.apply(b))
+
+    return predicate
 
 
 def ref_brute_force(instance):
@@ -257,6 +350,123 @@ def bundled_gadgets(draw):
             edges.append(GugpEdge(u, v, draw(rationals()), Permutation(tuple(image))))
         ranges.append((start, len(edges)))
     return GugpInstance(3, k, tuple(edges)), BundleMap(tuple(ranges))
+
+
+# ---------------------------------------------------------------------------
+# weight sums and values
+
+
+def assert_weight_sums_match_reference(inst, labeling):
+    m = metrics(inst)
+    assert m == ref_metrics(inst)
+    assert all(type(x) is Fraction for x in (m.w_plus, m.w_minus, m.sigma))
+    sat = ref_satisfied_weight(inst, labeling)
+    assert satisfied_weight(inst, labeling) == sat
+    assert unsatisfied_weight(inst, labeling) == ref_metrics(inst).sigma - sat
+    for objective in Objective:
+        if not ref_allowed(inst, objective):
+            with pytest.raises(ObjectiveMismatchError):
+                labeling_value(inst, labeling, objective)
+            continue
+        expected = ref_labeling_value(inst, labeling, objective)
+        if expected is None:
+            with pytest.raises(DegenerateInstanceError):
+                labeling_value(inst, labeling, objective)
+        else:
+            assert labeling_value(inst, labeling, objective) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["any", "positive", "negative"]).flatmap(
+        lambda signs: gugp_instances(signs=signs)
+    ),
+    st.data(),
+)
+def test_weight_sums_match_reference(inst, data):
+    assert_weight_sums_match_reference(inst, data.draw(labelings_for(inst.n, inst.k)))
+
+
+def test_weight_sums_on_edgeless_instance():
+    assert_weight_sums_match_reference(GugpInstance(2, 2, ()), (1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relational_instances(), st.data())
+def test_relational_sums_match_reference(inst, data):
+    domains = [st.integers(1, inst.label_count(v)) for v in range(inst.n)]
+    labeling = data.draw(st.tuples(*domains))
+    sat = ref_relational_satisfied_weight(inst, labeling)
+    assert relational_satisfied_weight(inst, labeling) == sat
+    total = sum((e.weight for e in inst.edges), Fraction(0))
+    assert relational_value(inst, labeling) == sat / total
+
+
+def test_relational_sums_on_edgeless_instance():
+    inst = RelationalInstance(2, 2, 2, ())
+    assert relational_satisfied_weight(inst, (1, 2)) == 0
+    with pytest.raises(DegenerateInstanceError):
+        relational_value(inst, (1, 2))
+
+
+@st.composite
+def tsp_instances(draw, n):
+    # few distinct weights, so optimal tours often tie
+    weights = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(5, 3)])
+    pairs = itertools.combinations(range(n), 2)
+    return TspInstance(n, tuple((u, v, draw(weights)) for u, v in pairs))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_exhaustive_tsp_optimum_matches_reference(n, data):
+    tsp = data.draw(tsp_instances(n))
+    assert exhaustive_tsp_optimum(tsp) == ref_exhaustive_tsp_optimum(tsp)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_exhaustive_tsp_optimum_matches_reference_seeded(n):
+    tsp = generate(GenSpec("random-tsp", seed=n, n=n)).instance
+    assert exhaustive_tsp_optimum(tsp) == ref_exhaustive_tsp_optimum(tsp)
+
+
+# ---------------------------------------------------------------------------
+# indicator predicates
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_collision_predicate_matches_reference(fold):
+    _, bundles = pwt1_gadget(repeat_max3cut(2, ((0, 1),), fold))
+    predicate = coordinate_collision_predicate(fold)
+    reference = ref_collision_predicate(fold)
+    labels = range(1, 3**fold + 1)
+    for i in range(bundles.source_count):
+        for a, b in itertools.product(labels, labels):
+            assert predicate(i, a, b) == reference(i, a, b)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_pair_block_predicate_matches_reference(seed, k):
+    source = generate(GenSpec("random-t22", seed=seed, n=4, m=5, k=k)).instance
+    predicate = pair_block_predicate(source)
+    reference = ref_pair_block_predicate(source)
+    labels = range(1, 2 * k + 1)
+    for i in range(len(source.edges)):
+        for a, b in itertools.product(labels, labels):
+            assert predicate(i, a, b) == reference(i, a, b)
+
+
+def test_predicates_reject_out_of_range_labels():
+    source = generate(GenSpec("random-t22", seed=1, n=3, m=2, k=2)).instance
+    for predicate, k in (
+        (coordinate_collision_predicate(2), 9),
+        (pair_block_predicate(source), 4),
+    ):
+        for a, b in ((0, 1), (k + 1, 1), (1, 0), (1, k + 1)):
+            with pytest.raises(ValidationError):
+                predicate(0, a, b)
 
 
 # ---------------------------------------------------------------------------
