@@ -40,6 +40,8 @@ from .reductions import (
     TspInstance,
     TwoToTwoInstance,
     all_coords_differ_relation,
+    label_fold,
+    pwt1_gadget,
     repeat_max3cut,
     repeated_from_relational,
     strip_negative,
@@ -178,8 +180,6 @@ def _cmd_reduce(args) -> int:
     elif kind == "pwt1":
         if not isinstance(source, RelationalInstance):
             raise UsageError("pwt1 expects a repeated 3-cut REL file")
-        from .reductions import pwt1_gadget
-
         gadget, bundles = pwt1_gadget(repeated_from_relational(source))
         _write(args.out, serialize(gadget))
     elif kind == "pwt-half":
@@ -277,19 +277,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _derive_pwt1_bundles(gadget: GugpInstance) -> tuple[int, BundleMap]:
-    fold = 0
-    while 3**fold < gadget.k:
-        fold += 1
-    if 3**fold != gadget.k or fold < 1:
-        raise UsageError("gadget label count must be a power of three (>= 3)")
-    if not gadget.edges or len(gadget.edges) % gadget.k:
-        raise UsageError(
-            f"gadget edge count must be a positive multiple of {gadget.k}"
-        )
-    return fold, BundleMap.uniform(len(gadget.edges) // gadget.k, gadget.k)
-
-
 def _cmd_verify(args) -> int:
     kind = args.kind
     if kind == "smoothness":
@@ -304,74 +291,56 @@ def _cmd_verify(args) -> int:
             print(f"NOTE=ISOLATED_LEFT_VERTEX={v}")
         return 0
 
-    if kind == "gadget-pwt1":
+    if kind in ("gadget-pwt1", "gadget-pwt-half"):
         gadget = _read(getattr(args, "in"))
         if not isinstance(gadget, GugpInstance):
-            raise UsageError("gadget-pwt1 expects a GUGP file")
-        fold, bundles = _derive_pwt1_bundles(gadget)
-        reports = [
-            check_bundle_exactly_one(gadget, bundles),
-            check_indicator_weights(
-                gadget, bundles, coordinate_collision_predicate(fold)
-            ),
-            check_gadget_metrics(gadget, "pwt1", fold, bundles.source_count),
-        ]
-        differ = all_coords_differ_relation(fold)
-        derived_source = RelationalInstance(
-            gadget.n,
-            gadget.k,
-            gadget.k,
-            tuple(
-                RelEdge(
-                    gadget.edges[r.start].u,
-                    gadget.edges[r.start].v,
-                    Fraction(1),
-                    differ,
+            raise UsageError(f"{kind} expects a GUGP file")
+        # one bundle of gadget.k edges per unit-weight source edge
+        if kind == "gadget-pwt1":
+            family, param = "pwt1", label_fold(gadget.k)
+            if not gadget.edges or len(gadget.edges) % gadget.k:
+                raise UsageError(
+                    f"gadget edge count must be a positive multiple of {gadget.k}"
                 )
-                for r in (bundles.edge_range(i) for i in range(bundles.source_count))
-            ),
-        )
-        if gadget.k**gadget.n <= args.cap:
-            reports.append(check_value_transfer(derived_source, gadget, args.cap))
+            predicate = coordinate_collision_predicate(param)
+            differ = all_coords_differ_relation(param)
+            source_edges = tuple(
+                RelEdge(first.u, first.v, Fraction(1), differ)
+                for first in gadget.edges[:: gadget.k]
+            )
+            source = RelationalInstance(gadget.n, gadget.k, gadget.k, source_edges)
         else:
-            print("NOTE=VALUE_TRANSFER=SKIPPED-CAPACITY")
-        return _finish_verify(reports)
-
-    if kind == "gadget-pwt-half":
-        gadget = _read(getattr(args, "in"))
-        if not isinstance(gadget, GugpInstance):
-            raise UsageError("gadget-pwt-half expects a GUGP file")
-        if not args.source:
-            raise UsageError(
-                "gadget-pwt-half needs --source (the T22 file the gadget encodes)"
-            )
-        source = _read(args.source)
-        if not isinstance(source, TwoToTwoInstance):
-            raise UsageError("--source must be a T22 file")
-        width = 2 * source.k
-        if gadget.k != width:
-            raise UsageError(
-                f"gadget has {gadget.k} labels but source expects {width}"
-            )
-        if len(gadget.edges) != width * len(source.edges):
-            raise UsageError(
-                "gadget edge count does not match source edges times bundle size"
-            )
-        bundles = BundleMap.uniform(len(source.edges), width)
-        for i, e in enumerate(source.edges):
-            first = gadget.edges[bundles.edge_range(i).start]
-            if (first.u, first.v) != (e.u, e.v):
-                raise UsageError(f"bundle {i} endpoints do not match source edge")
+            if not args.source:
+                raise UsageError(
+                    "gadget-pwt-half needs --source (the T22 file the gadget encodes)"
+                )
+            t22 = _read(args.source)
+            if not isinstance(t22, TwoToTwoInstance):
+                raise UsageError("--source must be a T22 file")
+            width = 2 * t22.k
+            if gadget.k != width:
+                raise UsageError(
+                    f"gadget has {gadget.k} labels but source expects {width}"
+                )
+            if len(gadget.edges) != width * len(t22.edges):
+                raise UsageError(
+                    "gadget edge count does not match source edges times bundle size"
+                )
+            for i, (e, first) in enumerate(zip(t22.edges, gadget.edges[::width])):
+                if (first.u, first.v) != (e.u, e.v):
+                    raise UsageError(f"bundle {i} endpoints do not match source edge")
+            family, param = "pwt-half", t22.k
+            predicate = pair_block_predicate(t22)
+            source = t22.to_unit_relational()
+        bundles = BundleMap.uniform(len(source.edges), gadget.k)
         reports = [
             check_bundle_exactly_one(gadget, bundles),
-            check_indicator_weights(gadget, bundles, pair_block_predicate(source)),
-            check_gadget_metrics(gadget, "pwt-half", source.k, len(source.edges)),
+            check_indicator_weights(gadget, bundles, predicate),
+            check_gadget_metrics(gadget, family, param, len(source.edges)),
         ]
-        if gadget.k**gadget.n <= args.cap:
-            reports.append(
-                check_value_transfer(source.to_unit_relational(), gadget, args.cap)
-            )
-        else:
+        try:
+            reports.append(check_value_transfer(source, gadget, args.cap))
+        except CapacityError:
             print("NOTE=VALUE_TRANSFER=SKIPPED-CAPACITY")
         return _finish_verify(reports)
 

@@ -331,6 +331,16 @@ def scaled_weights(weights: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     return scale, [w.numerator * (scale // w.denominator) for w in weights]
 
 
+def capped_power_product(factors: Sequence[tuple[int, int]], cap: int) -> int | None:
+    """The product of ``k**e`` over ``factors`` if it is at most ``cap``, else
+    None.  k^e >= 2^(e * (k.bit_length() - 1)) for k >= 2 decides first, so
+    no power much longer than ``cap`` is built."""
+    if sum(e * max(k.bit_length() - 1, 0) for k, e in factors) >= cap.bit_length():
+        return None
+    product = math.prod(k**e for k, e in factors)
+    return product if product <= cap else None
+
+
 def metrics(instance: GugpInstance) -> InstanceMetrics:
     scale, weights = scaled_weights([e.weight for e in instance.edges])
     plus = sum(w for w in weights if w > 0)

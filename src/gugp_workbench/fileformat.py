@@ -115,7 +115,7 @@ def _parse_gugp(reader: _Reader) -> GugpInstance:
     # one shared Permutation per distinct image line
     perms: dict[tuple[str, ...], Permutation] = {}
     for line, fields in reader.remaining():
-        if fields[0] != "e" or len(fields) != 4 + k:
+        if k < 1 or fields[0] != "e" or len(fields) != 4 + k:
             raise ParseError(
                 f"expected 'e <u> <v> <num>/<den> <{k} images>'", line
             )
@@ -224,7 +224,8 @@ def _parse_t22(reader: _Reader) -> TwoToTwoInstance:
     edges = []
     for line, fields in reader.remaining():
         if (
-            fields[0] != "e"
+            k < 1
+            or fields[0] != "e"
             or len(fields) != 6 + 2 * width
             or fields[4] != "pu"
             or fields[5 + width] != "pv"

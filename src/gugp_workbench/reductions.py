@@ -38,6 +38,7 @@ from .core import (
     RelEdge,
     Relation,
     RelationalInstance,
+    capped_power_product,
     scaled_weights,
 )
 from .errors import (
@@ -336,6 +337,16 @@ class RepeatedInstance:
         return RelationalInstance(self.n, self.label_count, self.label_count, rel_edges)
 
 
+def label_fold(k: int) -> int:
+    """The fold l >= 1 with 3^l == k; ``ValidationError`` if there is none."""
+    fold = 0
+    while 3**fold < k:
+        fold += 1
+    if 3**fold != k or fold < 1:
+        raise ValidationError("label count must be a power of three (at least 3)")
+    return fold
+
+
 def repeated_from_relational(instance: RelationalInstance) -> RepeatedInstance:
     """Recover a repeated 3-cut game from its relational serialization.
 
@@ -343,12 +354,9 @@ def repeated_from_relational(instance: RelationalInstance) -> RepeatedInstance:
     the all-coordinates-differ relation, and a vertex count that is a perfect
     fold-th power (the base size).
     """
-    k = instance.k1
-    fold = 0
-    while 3**fold < k:
-        fold += 1
-    if instance.k2 != k or 3**fold != k or fold < 1:
+    if instance.k2 != instance.k1:
         raise ValidationError("label count must be a power of three (at least 3)")
+    fold = label_fold(instance.k1)
     differ = all_coords_differ_relation(fold)
     pairs = []
     for e in instance.edges:
@@ -359,10 +367,12 @@ def repeated_from_relational(instance: RelationalInstance) -> RepeatedInstance:
                 "every relation must be the all-coordinates-differ relation"
             )
         pairs.append((min(e.u, e.v), max(e.u, e.v)))
-    base = next(
-        (b for b in range(1, instance.n + 1) if b**fold == instance.n), None
-    )
-    if base is None:
+    # integer fold-th root: binary search below 2^ceil(bits(n) / fold)
+    n, base, top = instance.n, 1, 1 << -(-instance.n.bit_length() // fold)
+    while base < top:
+        mid = (base + top + 1) // 2
+        base, top = (mid, top) if mid**fold <= n else (base, mid - 1)
+    if base**fold != n:
         raise ValidationError(
             f"vertex count {instance.n} is not a perfect power with exponent {fold}"
         )
@@ -381,9 +391,9 @@ def repeat_max3cut(
     """
     if fold < 1:
         raise ValidationError("fold must be at least 1")
-    if 3**fold > LABEL_CAP:
+    if capped_power_product(((3, fold),), LABEL_CAP) is None:
         raise CapacityError(f"label count 3^{fold} exceeds cap {LABEL_CAP}")
-    if n**fold > VERTEX_CAP:
+    if capped_power_product(((n, fold),), VERTEX_CAP) is None:
         raise CapacityError(f"vertex count {n}^{fold} exceeds cap {VERTEX_CAP}")
     oriented: list[tuple[int, int]] = []
     for u, v in edges:

@@ -12,7 +12,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GugpInstance, Labeling, RelationalInstance, scaled_weights
+from .core import (
+    GugpInstance,
+    Labeling,
+    RelationalInstance,
+    capped_power_product,
+    scaled_weights,
+)
 from .errors import (
     CapacityError,
     DegenerateInstanceError,
@@ -62,6 +68,15 @@ def _best_labeling(
     return best
 
 
+def _require_label_space(factors: tuple[tuple[int, int], ...], cap: int) -> int:
+    """The label space, a product of ``k**e``; ``CapacityError`` over ``cap``."""
+    space = capped_power_product(factors, cap)
+    if space is None:
+        shown = " * ".join(f"{k}^{e}" for k, e in factors)
+        raise CapacityError(f"label space {shown} exceeds cap {cap}")
+    return space
+
+
 def brute_force(
     instance: GugpInstance,
     objective: Objective,
@@ -75,11 +90,7 @@ def brute_force(
     scan direction serves every objective and ties break identically.
     """
     require_objective(instance, objective)
-    space = instance.k**instance.n
-    if space > cap:
-        raise CapacityError(
-            f"label space {instance.k}^{instance.n} = {space} exceeds cap {cap}"
-        )
+    space = _require_label_space(((instance.k, instance.n),), cap)
     _, weights = scaled_weights([e.weight for e in instance.edges])
     tables = pair_tables(instance.edges, weights, instance.k, instance.k)
     best = _best_labeling([range(1, instance.k + 1)] * instance.n, tables)
@@ -91,16 +102,14 @@ def brute_force_relational(
     cap: int = DEFAULT_BRUTE_CAP,
 ) -> SolveResult:
     """Enumerate all labelings and return the maximum satisfied-weight fraction."""
-    space = 1
-    domains = []
-    for v in range(instance.n):
-        k = instance.label_count(v)
-        domains.append(range(1, k + 1))
-        space *= k
-    if space > cap:
-        raise CapacityError(f"label space {space} exceeds cap {cap}")
+    factors = ((instance.k1, instance.n),)
+    if instance.sides is not None:
+        left = instance.sides.count("V")
+        factors = ((instance.k1, left), (instance.k2, instance.n - left))
+    space = _require_label_space(factors, cap)
     if not instance.edges:
         raise DegenerateInstanceError("relational value undefined: no edges")
+    domains = [range(1, instance.label_count(v) + 1) for v in range(instance.n)]
     _, weights = scaled_weights([e.weight for e in instance.edges])
     tables = pair_tables(instance.edges, weights, instance.k1, instance.k2)
     best = _best_labeling(domains, tables)
@@ -119,10 +128,11 @@ def local_search_half(
     than half of its incident restated weight satisfied, the smallest such
     vertex is reassigned to its locally best label different from the current
     one (smallest label on ties).  Every step strictly increases the global
-    restated satisfied weight, which bounds the number of steps; at
+    restated satisfied weight, by at least 1 on integer-scaled weights, so
+    their sum bounds the steps (the default ``iteration_cap``).  At
     termination each vertex meets the half threshold locally, hence the
-    labeling satisfies at least half of the total restated weight,
-    i.e. its max-NWA value is at least 1/2.
+    labeling satisfies at least half of the total restated weight, i.e. its
+    max-NWA value is at least 1/2.
 
     The returned ``visited`` is the number of reassignment steps.  The start
     is the all-1 labeling, or a seeded uniform labeling when ``seed`` is
@@ -137,7 +147,7 @@ def local_search_half(
     if not weights:
         raise DegenerateInstanceError("max-nwa value undefined: no edges")
     if iteration_cap is None:
-        iteration_cap = instance.k**instance.n
+        iteration_cap = sum(weights)
 
     n, k = instance.n, instance.k
     if seed is None:

@@ -7,12 +7,17 @@ from fractions import Fraction
 import pytest
 
 from gugp_workbench import (
+    GenSpec,
     GugpEdge,
     GugpInstance,
     InternalError,
     Permutation,
+    RelEdge,
+    Relation,
+    RelationalInstance,
     T22Edge,
     TwoToTwoInstance,
+    generate,
     parse,
     serialize,
 )
@@ -148,6 +153,104 @@ def test_solve_capacity_exit_code(capsys, tmp_path):
     )
     assert code == 3
     assert "exceeds cap" in err
+
+
+def run_module(directory, *argv):
+    """Run the CLI as a child process that must answer within seconds;
+    ``{d}`` in an argument stands for ``directory``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "gugp_workbench"]
+        + [arg.format(d=directory) for arg in argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    return proc.returncode, proc.stdout.splitlines(), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("solve", "brute", "--in", "{d}/big.gugp", "--objective", "max-pwt"),
+            "label space 2^20000 exceeds cap 1000000",
+        ),
+        (
+            ("verify", "strip-bounds", "--in", "{d}/big.gugp"),
+            "label space 2^20000 exceeds cap 1000000",
+        ),
+        (
+            ("solve", "brute", "--in", "{d}/huge.rel"),
+            "label space 3^1000000000000 exceeds cap 1000000",
+        ),
+        (
+            ("reduce", "repeat3cut", "--in", "{d}/edge.rel", "--l", "1000000000")
+            + ("--out", "{d}/out.rel"),
+            "label count 3^1000000000 exceeds cap 729",
+        ),
+        (
+            ("verify", "tsp-equiv", "--in", "{d}/n11.tsp"),
+            "label space 11^11 exceeds cap 1000000",
+        ),
+    ],
+)
+def test_over_cap_input_is_refused_before_any_work(tmp_path, argv, message):
+    # header counts alone decide: no big power is printed, no label or tour
+    # is scanned
+    (tmp_path / "big.gugp").write_text("GUGP v1\nk 2\nn 20000\ne 0 1 1/1 1 2\n")
+    rel = "REL v1\nk1 3\nk2 3\nn {}\nbipartite 0\ne 0 1 1/1 1 1 2\n"
+    (tmp_path / "huge.rel").write_text(rel.format(10**12))
+    (tmp_path / "edge.rel").write_text(rel.format(2))
+    tsp = generate(GenSpec(family="random-tsp", seed=1, n=11)).instance
+    write(tmp_path / "n11.tsp", tsp)
+    code, out, err = run_module(tmp_path, *argv)
+    assert code == 3
+    assert out == []
+    assert err == f"error: {message}\n"
+
+
+def test_reduce_pwt1_on_a_huge_header_takes_the_root_directly(tmp_path):
+    (tmp_path / "base.rel").write_text(
+        "REL v1\nk1 3\nk2 3\nn 1000000000000\nbipartite 0\n"
+    )
+    code, out, err = run_module(
+        tmp_path, "reduce", "pwt1", "--in", "{d}/base.rel", "--out", "{d}/g.gugp"
+    )
+    assert (code, err) == (0, "")
+    assert out == [f"OUT={tmp_path}/g.gugp", "BUNDLES=0", "EDGES=0"]
+    assert parse((tmp_path / "g.gugp").read_text()).n == 10**12
+
+
+@pytest.mark.parametrize(
+    "instance, objective, space, shown",
+    [
+        (gugp(4, 3, (0, 1, 1, identity(3))), ("--objective", "max-ugp"), 81, "3^4"),
+        (
+            RelationalInstance(
+                3,
+                2,
+                3,
+                (RelEdge(0, 2, Fraction(1), Relation(2, 3, frozenset({(1, 2)}))),),
+                bipartite=True,
+                sides=("V", "V", "W"),
+            ),
+            (),
+            12,
+            "2^2 * 3^1",
+        ),
+    ],
+)
+def test_cap_equal_to_label_space_solves_and_one_less_refuses(
+    capsys, tmp_path, instance, objective, space, shown
+):
+    path = write(tmp_path / "instance.txt", instance)
+    argv = ("solve", "brute", "--in", path, *objective, "--cap")
+    code, out, _ = run(capsys, *argv, str(space))
+    assert code == 0
+    assert f"VISITED={space}" in out
+    code, out, err = run(capsys, *argv, str(space - 1))
+    assert (code, out) == (3, [])
+    assert err == f"error: label space {shown} exceeds cap {space - 1}\n"
 
 
 def test_internal_error_exit_code(capsys, tmp_path, monkeypatch):

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gugp_workbench import (
+    DegenerateInstanceError,
     GugpEdge,
     GugpInstance,
     ParseError,
@@ -349,6 +350,40 @@ def test_tsp_missing_pair_is_rejected():
 def test_huge_header_count_with_empty_body_fails_at_once(text, error):
     # compared with the record count before anything of that size is built
     with pytest.raises(error, match="every vertex|every unordered pair"):
+        parse(text)
+
+
+# Field values that reach the deeper checks: header keywords, record tags,
+# small (also negative) counts and labels, rationals good and bad, and junk.
+_FIELDS = st.one_of(
+    st.sampled_from(
+        ["e", "s", "w", "f", "k", "k1", "k2", "n", "bipartite", "pu", "pv"]
+        + ["V", "W", "1/1", "-1/2", "1/0", "2/4", "x", "#", ""]
+    ),
+    st.integers(min_value=-3, max_value=6).map(str),
+    st.text(max_size=3),
+)
+_LINES = st.lists(_FIELDS, max_size=14).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["GUGP v1", "REL v1", "T22 v1", "TSP v1", "LAB v1"]),
+    st.lists(_LINES, max_size=8),
+)
+def test_parse_raises_only_documented_errors(header, lines):
+    # DegenerateInstanceError is the T22 header "k 1"
+    try:
+        parse("\n".join([header, *lines]))
+    except (ParseError, ValidationError, DegenerateInstanceError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "text", ["GUGP v1\nk -3\nn 2\ne\n", "T22 v1\nk -1\nn 2\ne 0\n"]
+)
+def test_nonpositive_label_count_rejects_records_by_shape(text):
+    with pytest.raises(ParseError, match="line 4"):
         parse(text)
 
 

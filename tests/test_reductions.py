@@ -15,6 +15,7 @@ from gugp_workbench import (
     GugpInstance,
     Permutation,
     RelationKind,
+    RelationalInstance,
     T22Edge,
     TspInstance,
     TwoToTwoInstance,
@@ -337,6 +338,25 @@ def test_repeat_caps():
         repeat_max3cut(3, triangle_pairs(), 7)  # 3^7 labels > 729
     with pytest.raises(CapacityError):
         repeat_max3cut(12, ((0, 1),), 4)  # 12^4 vertices > 20000
+
+
+@pytest.mark.parametrize(
+    "n, fold, base",
+    [
+        (10**12, 2, 10**6),
+        (3**12, 3, 81),
+        (1, 3, 1),
+        (10**6 + 1, 2, None),
+        (63, 3, None),
+    ],
+)
+def test_repeated_base_is_the_exact_integer_root(n, fold, base):
+    instance = RelationalInstance(n, 3**fold, 3**fold, ())
+    if base is None:
+        with pytest.raises(ValidationError, match="not a perfect power"):
+            repeated_from_relational(instance)
+    else:
+        assert repeated_from_relational(instance).base_n == base
 
 
 def test_repeated_round_trip_through_relational():

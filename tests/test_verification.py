@@ -419,6 +419,14 @@ def test_half_guarantee_optimum_skip_note():
     assert "OPTIMUM=SKIPPED-CAPACITY" in report.notes
 
 
+@pytest.mark.parametrize("cap, note", [(4, "OPTIMUM=1/1"), (3, "OPTIMUM=SKIPPED-CAPACITY")])
+def test_half_guarantee_optimum_runs_exactly_up_to_the_cap(cap, note):
+    # 2^2 labelings: the solver's own capacity check decides
+    report = check_half_guarantee(gugp(2, 2, (0, 1, -1, identity(2))), cap=cap)
+    assert report.passed
+    assert note in report.notes
+
+
 def test_half_guarantee_contradictory_parallel_edges():
     inst = gugp(
         2,
