@@ -32,7 +32,7 @@ from .evaluation import (
     satisfied_weight,
     unsatisfied_weight,
 )
-from .fileformat import fmt_fraction, parse, serialize, serialize_labeling
+from .fileformat import fmt_fraction, parse, parse_fraction, serialize, serialize_labeling
 from .generators import FAMILIES, GenSpec, generate
 from .reductions import (
     BundleMap,
@@ -76,16 +76,10 @@ def _write(path: str, text: str) -> None:
 
 
 def _parse_ratio(token: str) -> Fraction:
-    parts = token.split("/")
-    if len(parts) != 2:
-        raise UsageError(f"ratio must be <num>/<den>, got {token!r}")
-    try:
-        num, den = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"ratio must be <num>/<den>, got {token!r}") from None
-    if den <= 0 or num < 0:
+    ratio = parse_fraction(token, None)
+    if ratio < 0:
         raise UsageError("ratio must be non-negative with positive denominator")
-    return Fraction(num, den)
+    return ratio
 
 
 def _objective(name: str) -> Objective:
@@ -241,27 +235,30 @@ def _cmd_eval(args) -> int:
     labeling = _read(args.labeling)
     if not isinstance(labeling, tuple):
         raise UsageError("--labeling must point at a LAB file")
+    # compute every value before printing, so a failing input prints nothing
     if isinstance(instance, GugpInstance):
-        sat = satisfied_weight(instance, labeling)
-        unsat = unsatisfied_weight(instance, labeling)
-        print(f"SAT={fmt_fraction(sat)}")
-        print(f"UNSAT={fmt_fraction(unsat)}")
+        values = {
+            "SAT": satisfied_weight(instance, labeling),
+            "UNSAT": unsatisfied_weight(instance, labeling),
+        }
         if args.objective:
-            value = labeling_value(instance, labeling, _objective(args.objective))
-            print(f"VAL={fmt_fraction(value)}")
+            objective = _objective(args.objective)
+            values["VAL"] = labeling_value(instance, labeling, objective)
     elif isinstance(instance, RelationalInstance):
         if args.objective:
             raise UsageError(
                 "relational instances have a single objective; drop --objective"
             )
-        sat = relational_satisfied_weight(instance, labeling)
         scale, weights = scaled_weights([e.weight for e in instance.edges])
-        total = Fraction(sum(weights), scale)
-        print(f"SAT={fmt_fraction(sat)}")
-        print(f"TOTAL={fmt_fraction(total)}")
-        print(f"VAL={fmt_fraction(relational_value(instance, labeling))}")
+        values = {
+            "SAT": relational_satisfied_weight(instance, labeling),
+            "TOTAL": Fraction(sum(weights), scale),
+            "VAL": relational_value(instance, labeling),
+        }
     else:
         raise UsageError("eval expects a GUGP or REL file")
+    for key, value in values.items():
+        print(f"{key}={fmt_fraction(value)}")
     return 0
 
 

@@ -179,6 +179,32 @@ def classify_relation(rel: Relation) -> RelationKind:
     return RelationKind.GENERAL
 
 
+def check_edge(edge) -> None:
+    """The rule every edge type (``GugpEdge``, ``RelEdge``, ``T22Edge``)
+    shares: the weight is stored as a ``Fraction``, vertex ids are
+    non-negative and the endpoints differ."""
+    if not isinstance(edge.weight, Fraction):
+        object.__setattr__(edge, "weight", Fraction(edge.weight))
+    if edge.u < 0 or edge.v < 0:
+        raise ValidationError("vertex ids must be non-negative")
+    if edge.u == edge.v:
+        raise ValidationError(f"self-loop at vertex {edge.u}")
+
+
+def check_instance(instance) -> None:
+    """The rule every instance type (``GugpInstance``, ``RelationalInstance``,
+    ``TwoToTwoInstance``) shares: ``edges`` is stored as a tuple, there is at
+    least one vertex and every endpoint is below ``n``."""
+    object.__setattr__(instance, "edges", tuple(instance.edges))
+    if instance.n < 1:
+        raise ValidationError("instance needs at least one vertex")
+    for e in instance.edges:
+        if e.u >= instance.n or e.v >= instance.n:
+            raise ValidationError(
+                f"edge ({e.u},{e.v}) references vertex >= n={instance.n}"
+            )
+
+
 @dataclass(frozen=True)
 class GugpEdge:
     """Oriented edge carrying a permutation constraint and a signed weight.
@@ -192,11 +218,7 @@ class GugpEdge:
     pi: Permutation
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.u < 0 or self.v < 0:
-            raise ValidationError("vertex ids must be non-negative")
-        if self.u == self.v:
-            raise ValidationError(f"self-loop at vertex {self.u}")
+        check_edge(self)
         if self.weight == 0:
             raise ValidationError(f"zero-weight edge ({self.u},{self.v})")
 
@@ -210,20 +232,17 @@ class GugpInstance:
     edges: tuple[GugpEdge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if self.n < 1:
-            raise ValidationError("instance needs at least one vertex")
+        check_instance(self)
         if self.k < 1:
             raise ValidationError("instance needs at least one label")
         for e in self.edges:
-            if e.u >= self.n or e.v >= self.n:
-                raise ValidationError(
-                    f"edge ({e.u},{e.v}) references vertex >= n={self.n}"
-                )
             if e.pi.size != self.k:
                 raise ValidationError(
                     f"edge ({e.u},{e.v}) permutation size {e.pi.size} != k={self.k}"
                 )
+
+    def label_count(self, vertex: int) -> int:
+        return self.k
 
 
 @dataclass(frozen=True)
@@ -239,11 +258,7 @@ class RelEdge:
     rel: Relation
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.u < 0 or self.v < 0:
-            raise ValidationError("vertex ids must be non-negative")
-        if self.u == self.v:
-            raise ValidationError(f"self-loop at vertex {self.u}")
+        check_edge(self)
         if self.weight <= 0:
             raise ValidationError(
                 f"relational edge ({self.u},{self.v}) needs positive weight"
@@ -254,58 +269,50 @@ class RelEdge:
 class RelationalInstance:
     """A two-prover game: every edge constrains its endpoints by a relation.
 
-    Non-bipartite instances require k1 == k2 (one shared label set).
-    Bipartite instances carry a side tag 'V' or 'W' per vertex; every edge
-    must run from a V-vertex to a W-vertex, V-vertices take labels in [k1]
-    and W-vertices labels in [k2].
+    Non-bipartite instances (``sides`` None) require k1 == k2 (one shared
+    label set).  Bipartite instances carry a side tag 'V' or 'W' per vertex;
+    every edge must run from a V-vertex to a W-vertex, V-vertices take labels
+    in [k1] and W-vertices labels in [k2].
     """
 
     n: int
     k1: int
     k2: int
     edges: tuple[RelEdge, ...]
-    bipartite: bool = False
     sides: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if self.sides is not None:
-            object.__setattr__(self, "sides", tuple(self.sides))
-        if self.n < 1:
-            raise ValidationError("instance needs at least one vertex")
+        check_instance(self)
         if self.k1 < 1 or self.k2 < 1:
             raise ValidationError("label counts must be positive")
-        if self.bipartite:
-            if self.sides is None or len(self.sides) != self.n:
+        if self.sides is not None:
+            object.__setattr__(self, "sides", tuple(self.sides))
+            if len(self.sides) != self.n:
                 raise ValidationError("bipartite instance needs a side per vertex")
             if any(s not in ("V", "W") for s in self.sides):
                 raise ValidationError("vertex sides must be 'V' or 'W'")
-        else:
-            if self.sides is not None:
-                raise ValidationError("sides are only meaningful when bipartite")
-            if self.k1 != self.k2:
-                raise ValidationError("non-bipartite instance requires k1 == k2")
+        elif self.k1 != self.k2:
+            raise ValidationError("non-bipartite instance requires k1 == k2")
         for e in self.edges:
-            if e.u >= self.n or e.v >= self.n:
-                raise ValidationError(
-                    f"edge ({e.u},{e.v}) references vertex >= n={self.n}"
-                )
             if e.rel.k1 != self.k1 or e.rel.k2 != self.k2:
                 raise ValidationError(
                     f"edge ({e.u},{e.v}) relation shape ({e.rel.k1},{e.rel.k2}) "
                     f"!= instance ({self.k1},{self.k2})"
                 )
-            if self.bipartite:
-                assert self.sides is not None
-                if self.sides[e.u] != "V" or self.sides[e.v] != "W":
-                    raise ValidationError(
-                        f"edge ({e.u},{e.v}) must run from side V to side W"
-                    )
+            if self.sides is not None and (
+                self.sides[e.u] != "V" or self.sides[e.v] != "W"
+            ):
+                raise ValidationError(
+                    f"edge ({e.u},{e.v}) must run from side V to side W"
+                )
+
+    @property
+    def bipartite(self) -> bool:
+        return self.sides is not None
 
     def label_count(self, vertex: int) -> int:
-        if self.bipartite:
-            assert self.sides is not None
-            return self.k1 if self.sides[vertex] == "V" else self.k2
+        if self.sides is not None and self.sides[vertex] == "W":
+            return self.k2
         return self.k1
 
 

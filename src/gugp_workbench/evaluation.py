@@ -45,15 +45,18 @@ class Objective(enum.Enum):
     MIN_NWA = "min-nwa"
 
 
-def check_labeling(instance: GugpInstance, labeling: Labeling) -> None:
+def check_labeling(
+    instance: GugpInstance | RelationalInstance, labeling: Labeling
+) -> None:
     if len(labeling) != instance.n:
         raise ValidationError(
             f"labeling has {len(labeling)} entries, instance has {instance.n} vertices"
         )
     for v, label in enumerate(labeling):
-        if not 1 <= label <= instance.k:
+        k = instance.label_count(v)
+        if not 1 <= label <= k:
             raise ValidationError(
-                f"label {label} at vertex {v} out of range [1..{instance.k}]"
+                f"label {label} at vertex {v} out of range [1..{k}]"
             )
 
 
@@ -136,25 +139,10 @@ def labeling_value(
     return numerator / normalizer
 
 
-def check_relational_labeling(
-    instance: RelationalInstance, labeling: Labeling
-) -> None:
-    if len(labeling) != instance.n:
-        raise ValidationError(
-            f"labeling has {len(labeling)} entries, instance has {instance.n} vertices"
-        )
-    for v, label in enumerate(labeling):
-        k = instance.label_count(v)
-        if not 1 <= label <= k:
-            raise ValidationError(
-                f"label {label} at vertex {v} out of range [1..{k}]"
-            )
-
-
 def relational_satisfied_weight(
     instance: RelationalInstance, labeling: Labeling
 ) -> Fraction:
-    check_relational_labeling(instance, labeling)
+    check_labeling(instance, labeling)
     scale, weights = scaled_weights([e.weight for e in instance.edges])
     hits = ((labeling[e.u], labeling[e.v]) in e.rel for e in instance.edges)
     return Fraction(sum(itertools.compress(weights, hits)), scale)

@@ -21,6 +21,7 @@ is deterministic, so files are safe to diff byte-for-byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .core import (
     GugpEdge,
@@ -42,7 +43,8 @@ def fmt_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_fraction(token: str, line: int) -> Fraction:
+def parse_fraction(token: str, line: int | None) -> Fraction:
+    """A ``<num>/<den>`` token; ``line`` (None outside a file) tags errors."""
     parts = token.split("/")
     if len(parts) != 2:
         raise ParseError(f"expected <num>/<den>, got {token!r}", line)
@@ -62,38 +64,51 @@ def _parse_int(token: str, line: int) -> int:
         raise ParseError(f"expected integer, got {token!r}", line) from None
 
 
-def _records(text: str) -> list[tuple[int, list[str]]]:
-    records = []
+def _parse_permutation(tokens: tuple[str, ...], line: int) -> Permutation:
+    return Permutation(tuple(_parse_int(t, line) for t in tokens))
+
+
+def _cached(cache: dict, key, line: int, build, *args):
+    """``cache[key]``, built (and so validated) by ``build(key, line, *args)``
+    on the line where ``key`` first appears; later lines share that object."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build(key, line, *args)
+    return value
+
+
+Records = Iterator[tuple[int, list[str]]]
+
+
+def _records(text: str) -> Records:
+    """The ``(line number, fields)`` of each line that is not blank or a comment."""
     for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        records.append((number, stripped.split()))
-    return records
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            yield number, fields
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.records = _records(text)
-        self.position = 0
+def _next(records: Records) -> tuple[int, list[str]]:
+    record = next(records, None)
+    if record is None:
+        raise ParseError("unexpected end of file")
+    return record
 
-    def next(self) -> tuple[int, list[str]]:
-        if self.position >= len(self.records):
-            raise ParseError("unexpected end of file")
-        record = self.records[self.position]
-        self.position += 1
-        return record
 
-    def keyword_int(self, keyword: str) -> int:
-        line, fields = self.next()
-        if len(fields) != 2 or fields[0] != keyword:
-            raise ParseError(f"expected '{keyword} <int>'", line)
-        return _parse_int(fields[1], line)
+def _keyword_int(records: Records, keyword: str) -> int:
+    line, fields = _next(records)
+    if len(fields) != 2 or fields[0] != keyword:
+        raise ParseError(f"expected '{keyword} <int>'", line)
+    return _parse_int(fields[1], line)
 
-    def remaining(self) -> list[tuple[int, list[str]]]:
-        rest = self.records[self.position :]
-        self.position = len(self.records)
-        return rest
+
+def _edge_head(
+    fields: list[str], line: int, weights: dict[str, Fraction]
+) -> tuple[int, int, Fraction]:
+    """The ``<u> <v> <num>/<den>`` after a record's keyword, in that order."""
+    u = _parse_int(fields[1], line)
+    v = _parse_int(fields[2], line)
+    return u, v, _cached(weights, fields[3], line, parse_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +123,21 @@ def serialize_gugp(instance: GugpInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_gugp(reader: _Reader) -> GugpInstance:
-    k = reader.keyword_int("k")
-    n = reader.keyword_int("n")
+def _parse_gugp(records: Records) -> GugpInstance:
+    k = _keyword_int(records, "k")
+    n = _keyword_int(records, "n")
     edges = []
-    # one shared Permutation per distinct image line
+    weights: dict[str, Fraction] = {}
     perms: dict[tuple[str, ...], Permutation] = {}
-    for line, fields in reader.remaining():
+    for line, fields in records:
         if k < 1 or fields[0] != "e" or len(fields) != 4 + k:
             raise ParseError(
                 f"expected 'e <u> <v> <num>/<den> <{k} images>'", line
             )
-        u = _parse_int(fields[1], line)
-        v = _parse_int(fields[2], line)
-        weight = _parse_fraction(fields[3], line)
-        tokens = tuple(fields[4:])
-        if tokens not in perms:
-            perms[tokens] = Permutation(tuple(_parse_int(t, line) for t in tokens))
-        edges.append(GugpEdge(u, v, weight, perms[tokens]))
-    return GugpInstance(n, k, tuple(edges))
+        u, v, weight = _edge_head(fields, line, weights)
+        pi = _cached(perms, tuple(fields[4:]), line, _parse_permutation)
+        edges.append(GugpEdge(u, v, weight, pi))
+    return GugpInstance(n, k, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +152,7 @@ def serialize_rel(instance: RelationalInstance) -> str:
         f"n {instance.n}",
         f"bipartite {1 if instance.bipartite else 0}",
     ]
-    if instance.bipartite:
-        assert instance.sides is not None
+    if instance.sides is not None:
         for v, side in enumerate(instance.sides):
             lines.append(f"s {v} {side}")
     for e in instance.edges:
@@ -153,17 +163,33 @@ def serialize_rel(instance: RelationalInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_rel(reader: _Reader) -> RelationalInstance:
-    k1 = reader.keyword_int("k1")
-    k2 = reader.keyword_int("k2")
-    n = reader.keyword_int("n")
-    line, fields = reader.next()
+def _parse_relation(tokens: tuple[str, ...], line: int, k1: int, k2: int) -> Relation:
+    """A relation from ``<m> <a1> <b1> ... <am> <bm>`` tokens."""
+    m = _parse_int(tokens[0], line)
+    if len(tokens) != 1 + 2 * m:
+        raise ParseError(f"relation of {m} pairs needs {2 * m} label fields", line)
+    pairs: set[tuple[int, int]] = set()
+    for i in range(1, len(tokens), 2):
+        pair = (_parse_int(tokens[i], line), _parse_int(tokens[i + 1], line))
+        if pair in pairs:
+            raise ParseError(f"duplicate relation pair ({pair[0]},{pair[1]})", line)
+        pairs.add(pair)
+    return Relation(k1, k2, frozenset(pairs))
+
+
+def _parse_rel(records: Records) -> RelationalInstance:
+    k1 = _keyword_int(records, "k1")
+    k2 = _keyword_int(records, "k2")
+    n = _keyword_int(records, "n")
+    line, fields = _next(records)
     if len(fields) != 2 or fields[0] != "bipartite" or fields[1] not in ("0", "1"):
         raise ParseError("expected 'bipartite <0|1>'", line)
     bipartite = fields[1] == "1"
     sides: dict[int, str] = {}
     edges = []
-    for line, fields in reader.remaining():
+    weights: dict[str, Fraction] = {}
+    relations: dict[tuple[str, ...], Relation] = {}
+    for line, fields in records:
         if fields[0] == "s":
             if len(fields) != 3 or fields[2] not in ("V", "W"):
                 raise ParseError("expected 's <v> <V|W>'", line)
@@ -178,22 +204,10 @@ def _parse_rel(reader: _Reader) -> RelationalInstance:
                 raise ParseError(
                     "expected 'e <u> <v> <num>/<den> <m> <a1> <b1> ...'", line
                 )
-            u = _parse_int(fields[1], line)
-            v = _parse_int(fields[2], line)
-            weight = _parse_fraction(fields[3], line)
-            m = _parse_int(fields[4], line)
-            if len(fields) != 5 + 2 * m:
-                raise ParseError(
-                    f"relation of {m} pairs needs {2 * m} label fields", line
-                )
-            pairs: set[tuple[int, int]] = set()
-            for i in range(m):
-                a = _parse_int(fields[5 + 2 * i], line)
-                b = _parse_int(fields[6 + 2 * i], line)
-                if (a, b) in pairs:
-                    raise ParseError(f"duplicate relation pair ({a},{b})", line)
-                pairs.add((a, b))
-            edges.append(RelEdge(u, v, weight, Relation(k1, k2, frozenset(pairs))))
+            u, v, weight = _edge_head(fields, line, weights)
+            key = tuple(fields[4:])
+            rel = _cached(relations, key, line, _parse_relation, k1, k2)
+            edges.append(RelEdge(u, v, weight, rel))
         else:
             raise ParseError(f"unknown record {fields[0]!r}", line)
     side_tuple = None
@@ -201,7 +215,7 @@ def _parse_rel(reader: _Reader) -> RelationalInstance:
         if len(sides) != n or sorted(sides) != list(range(n)):
             raise ParseError("bipartite file must assign a side to every vertex")
         side_tuple = tuple(sides[v] for v in range(n))
-    return RelationalInstance(n, k1, k2, tuple(edges), bipartite, side_tuple)
+    return RelationalInstance(n, k1, k2, edges, side_tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +231,14 @@ def serialize_t22(instance: TwoToTwoInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_t22(reader: _Reader) -> TwoToTwoInstance:
-    k = reader.keyword_int("k")
-    n = reader.keyword_int("n")
+def _parse_t22(records: Records) -> TwoToTwoInstance:
+    k = _keyword_int(records, "k")
+    n = _keyword_int(records, "n")
     width = 2 * k
     edges = []
-    for line, fields in reader.remaining():
+    weights: dict[str, Fraction] = {}
+    perms: dict[tuple[str, ...], Permutation] = {}
+    for line, fields in records:
         if (
             k < 1
             or fields[0] != "e"
@@ -235,13 +251,11 @@ def _parse_t22(reader: _Reader) -> TwoToTwoInstance:
                 f"pv <{width} images>'",
                 line,
             )
-        u = _parse_int(fields[1], line)
-        v = _parse_int(fields[2], line)
-        weight = _parse_fraction(fields[3], line)
-        pu = tuple(_parse_int(t, line) for t in fields[5 : 5 + width])
-        pv = tuple(_parse_int(t, line) for t in fields[6 + width : 6 + 2 * width])
-        edges.append(T22Edge(u, v, weight, Permutation(pu), Permutation(pv)))
-    return TwoToTwoInstance(n, k, tuple(edges))
+        u, v, weight = _edge_head(fields, line, weights)
+        pu = _cached(perms, tuple(fields[5 : 5 + width]), line, _parse_permutation)
+        pv = _cached(perms, tuple(fields[6 + width :]), line, _parse_permutation)
+        edges.append(T22Edge(u, v, weight, pu, pv))
+    return TwoToTwoInstance(n, k, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +269,17 @@ def serialize_tsp(instance: TspInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_tsp(reader: _Reader) -> TspInstance:
-    n = reader.keyword_int("n")
+def _parse_tsp(records: Records) -> TspInstance:
+    n = _keyword_int(records, "n")
     weights = []
-    for line, fields in reader.remaining():
+    cache: dict[str, Fraction] = {}
+    for line, fields in records:
         if fields[0] != "w" or len(fields) != 4:
             raise ParseError("expected 'w <u> <v> <num>/<den>'", line)
-        u = _parse_int(fields[1], line)
-        v = _parse_int(fields[2], line)
+        u, v, weight = _edge_head(fields, line, cache)
         if u >= v:
             raise ParseError("pair weights require u < v", line)
-        weights.append((u, v, _parse_fraction(fields[3], line)))
+        weights.append((u, v, weight))
     return TspInstance(n, tuple(weights))
 
 
@@ -280,10 +294,10 @@ def serialize_labeling(labeling: tuple[int, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_lab(reader: _Reader) -> tuple[int, ...]:
-    n = reader.keyword_int("n")
+def _parse_lab(records: Records) -> tuple[int, ...]:
+    n = _keyword_int(records, "n")
     assignments: dict[int, int] = {}
-    for line, fields in reader.remaining():
+    for line, fields in records:
         if fields[0] != "f" or len(fields) != 3:
             raise ParseError("expected 'f <v> <label>'", line)
         v = _parse_int(fields[1], line)
@@ -311,15 +325,15 @@ _HEADERS = {
 
 
 def parse(text: str) -> Parsed:
-    reader = _Reader(text)
-    line, fields = reader.next()
+    records = _records(text)
+    line, fields = _next(records)
     if len(fields) != 2 or fields[1] != "v1" or fields[0] not in _HEADERS:
         raise ParseError(
             f"unknown header {' '.join(fields)!r}; "
             f"expected one of {sorted(_HEADERS)} with version v1",
             line,
         )
-    return _HEADERS[fields[0]](reader)
+    return _HEADERS[fields[0]](records)
 
 
 def serialize(obj: Parsed) -> str:

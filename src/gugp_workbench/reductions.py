@@ -39,6 +39,8 @@ from .core import (
     Relation,
     RelationalInstance,
     capped_power_product,
+    check_edge,
+    check_instance,
     scaled_weights,
 )
 from .errors import (
@@ -507,11 +509,7 @@ class T22Edge:
     pi_v: Permutation
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.u < 0 or self.v < 0:
-            raise ValidationError("vertex ids must be non-negative")
-        if self.u == self.v:
-            raise ValidationError(f"self-loop at vertex {self.u}")
+        check_edge(self)
         if self.weight <= 0:
             raise ValidationError("two-to-two edges need positive weight")
         if self.pi_u.size != self.pi_v.size:
@@ -528,9 +526,7 @@ class TwoToTwoInstance:
     edges: tuple[T22Edge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if self.n < 1:
-            raise ValidationError("instance needs at least one vertex")
+        check_instance(self)
         if self.k < 2:
             # at k = 1 the gadget weight equations force a zero weight,
             # so the whole family is rejected as degenerate
@@ -538,10 +534,6 @@ class TwoToTwoInstance:
                 "two-to-two games need half-size k >= 2"
             )
         for e in self.edges:
-            if e.u >= self.n or e.v >= self.n:
-                raise ValidationError(
-                    f"edge ({e.u},{e.v}) references vertex >= n={self.n}"
-                )
             if e.pi_u.size != 2 * self.k:
                 raise ValidationError(
                     f"edge ({e.u},{e.v}) permutations must act on [1..{2 * self.k}]"

@@ -435,7 +435,7 @@ def check_tsp_equivalence(
 
 def isolated_left_vertices(instance: RelationalInstance) -> tuple[int, ...]:
     """V-side vertices with no incident edges (skipped by ``smoothness``)."""
-    if not instance.bipartite or instance.sides is None:
+    if instance.sides is None:
         raise ValidationError("smoothness applies to bipartite instances")
     seen = {e.u for e in instance.edges}
     return tuple(

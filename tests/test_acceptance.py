@@ -387,7 +387,7 @@ def bipartite_bijection_instance(stream):
         edges.append(
             RelEdge(stream.below(lefts), lefts + stream.below(rights), Fraction(1), rel)
         )
-    return RelationalInstance(n, k, k, tuple(edges), bipartite=True, sides=sides)
+    return RelationalInstance(n, k, k, tuple(edges), sides=sides)
 
 
 def test_c10_smoothness_exact_values():
@@ -405,7 +405,6 @@ def test_c10_smoothness_exact_values():
             RelEdge(0, 1, Fraction(1), merge_first),
             RelEdge(0, 2, Fraction(1), keep_both),
         ),
-        bipartite=True,
         sides=("V", "W", "W"),
     )
     assert smoothness(two_projections) == HALF
@@ -416,7 +415,6 @@ def test_c10_smoothness_exact_values():
         3,
         2,
         (RelEdge(0, 1, Fraction(1), constant),),
-        bipartite=True,
         sides=("V", "W"),
     )
     assert smoothness(all_merged) == 1

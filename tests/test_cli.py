@@ -112,6 +112,33 @@ def test_solve_brute_and_eval_agree(capsys, counterexample, tmp_path):
     assert "UNSAT=-1/3" in out
 
 
+@pytest.mark.parametrize(
+    "text, objective, message",
+    [
+        (
+            "REL v1\nk1 2\nk2 2\nn 2\nbipartite 0\n",
+            (),
+            "relational value undefined: no edges",
+        ),
+        (
+            "GUGP v1\nk 2\nn 2\ne 0 1 1/1 1 2\ne 0 1 -1/3 2 1\n",
+            ("--objective", "max-nwa"),
+            "max-nwa requires all weights negative",
+        ),
+    ],
+)
+def test_eval_prints_nothing_when_a_value_fails(
+    capsys, tmp_path, text, objective, message
+):
+    instance = write(tmp_path / "instance.txt", text)
+    labeling = write(tmp_path / "ones.lab", (1, 1))
+    code, out, err = run(
+        capsys, "eval", "--in", instance, "--labeling", labeling, *objective
+    )
+    assert (code, out) == (1, [])
+    assert err == f"error: {message}\n"
+
+
 def test_solve_brute_needs_objective_for_gugp(capsys, counterexample):
     code, _, err = run(capsys, "solve", "brute", "--in", counterexample)
     assert code == 1
@@ -231,7 +258,6 @@ def test_reduce_pwt1_on_a_huge_header_takes_the_root_directly(tmp_path):
                 2,
                 3,
                 (RelEdge(0, 2, Fraction(1), Relation(2, 3, frozenset({(1, 2)}))),),
-                bipartite=True,
                 sides=("V", "V", "W"),
             ),
             (),
@@ -544,7 +570,6 @@ def test_verify_smoothness(capsys, tmp_path):
         2,
         2,
         (RelEdge(0, 1, Fraction(1), rel),),
-        bipartite=True,
         sides=("V", "W"),
     )
     path = write(tmp_path / "b.rel", inst)

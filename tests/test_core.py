@@ -14,7 +14,10 @@ from gugp_workbench import (
     Relation,
     RelationKind,
     RelationalInstance,
+    T22Edge,
+    TwoToTwoInstance,
     ValidationError,
+    check_labeling,
     classify_relation,
     metrics,
     pwt1_gadget,
@@ -203,7 +206,6 @@ def test_bipartite_edges_must_cross_sides():
             2,
             2,
             (RelEdge(0, 1, Fraction(1), rel),),
-            bipartite=True,
             sides=("V", "V"),
         )
 
@@ -215,11 +217,118 @@ def test_bipartite_label_count_routing():
         4,
         2,
         (RelEdge(0, 1, Fraction(1), rel),),
-        bipartite=True,
         sides=("V", "W"),
     )
     assert inst.label_count(0) == 4
     assert inst.label_count(1) == 2
+
+
+# ---------------------------------------------------------------------------
+# the rules every edge and instance type shares
+
+ONE_PAIR = Relation(2, 2, frozenset({(1, 1)}))
+
+EDGE_TYPES = {
+    "gugp": lambda u, v, w: GugpEdge(u, v, w, identity(2)),
+    "rel": lambda u, v, w: RelEdge(u, v, w, ONE_PAIR),
+    "t22": lambda u, v, w: T22Edge(u, v, w, identity(4), identity(4)),
+}
+
+INSTANCE_TYPES = {
+    "gugp": lambda n, e: GugpInstance(n, 2, e),
+    "rel": lambda n, e: RelationalInstance(n, 2, 2, e),
+    "rel-bipartite": lambda n, e: RelationalInstance(
+        n, 2, 2, e, sides=("V",) + ("W",) * (n - 1)
+    ),
+    "t22": lambda n, e: TwoToTwoInstance(n, 2, e),
+}
+
+
+def _edges_for(kind, pairs):
+    edge_kind = kind.split("-")[0]
+    return tuple(EDGE_TYPES[edge_kind](u, v, Fraction(1)) for u, v in pairs)
+
+
+@pytest.mark.parametrize("kind", EDGE_TYPES)
+@pytest.mark.parametrize(
+    "u, v, message",
+    [
+        (-1, 0, "vertex ids must be non-negative"),
+        (0, -2, "vertex ids must be non-negative"),
+        (1, 1, "self-loop at vertex 1"),
+    ],
+)
+def test_every_edge_type_shares_the_endpoint_rule(kind, u, v, message):
+    with pytest.raises(ValidationError) as excinfo:
+        EDGE_TYPES[kind](u, v, Fraction(1))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("kind", EDGE_TYPES)
+def test_every_edge_type_stores_its_weight_as_a_fraction(kind):
+    given_fraction = Fraction(3, 2)
+    assert EDGE_TYPES[kind](0, 1, given_fraction).weight is given_fraction
+    converted = EDGE_TYPES[kind](0, 1, 2).weight
+    assert type(converted) is Fraction and converted == 2
+
+
+@pytest.mark.parametrize("kind", INSTANCE_TYPES)
+@pytest.mark.parametrize(
+    "n, pairs, message",
+    [
+        (0, (), "instance needs at least one vertex"),
+        (2, ((0, 2),), "edge (0,2) references vertex >= n=2"),
+        (2, ((0, 1), (3, 1)), "edge (3,1) references vertex >= n=2"),
+    ],
+)
+def test_every_instance_type_shares_the_vertex_range_rule(kind, n, pairs, message):
+    with pytest.raises(ValidationError) as excinfo:
+        INSTANCE_TYPES[kind](n, _edges_for(kind, pairs))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("kind", INSTANCE_TYPES)
+def test_every_instance_type_stores_its_edges_as_a_tuple(kind):
+    edges = _edges_for(kind, [(0, 1)])
+    assert INSTANCE_TYPES[kind](2, list(edges)).edges == edges
+
+
+WIDE_LEFT = Relation(4, 2, frozenset({(1, 1), (4, 2)}))
+LABELED = {
+    "gugp": gugp(2, 2, (0, 1, 1, identity(2))),
+    "rel": RelationalInstance(2, 2, 2, (RelEdge(0, 1, Fraction(1), ONE_PAIR),)),
+    "rel-bipartite": RelationalInstance(
+        2, 4, 2, (RelEdge(0, 1, Fraction(1), WIDE_LEFT),), sides=("V", "W")
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, labeling, message",
+    [
+        ("gugp", (1,), "labeling has 1 entries, instance has 2 vertices"),
+        ("gugp", (1, 3), "label 3 at vertex 1 out of range [1..2]"),
+        ("rel", (1, 2, 1), "labeling has 3 entries, instance has 2 vertices"),
+        ("rel", (0, 1), "label 0 at vertex 0 out of range [1..2]"),
+        ("rel-bipartite", (), "labeling has 0 entries, instance has 2 vertices"),
+        ("rel-bipartite", (5, 1), "label 5 at vertex 0 out of range [1..4]"),
+        ("rel-bipartite", (4, 3), "label 3 at vertex 1 out of range [1..2]"),
+    ],
+)
+def test_one_labeling_rule_serves_every_instance_kind(kind, labeling, message):
+    with pytest.raises(ValidationError) as excinfo:
+        check_labeling(LABELED[kind], labeling)
+    assert str(excinfo.value) == message
+
+
+def test_labelings_in_range_pass_for_every_instance_kind():
+    for instance, labeling in zip(LABELED.values(), [(2, 1), (2, 2), (4, 2)]):
+        check_labeling(instance, labeling)
+
+
+def test_bipartite_is_whether_sides_are_given():
+    assert LABELED["rel"].bipartite is False
+    assert LABELED["rel-bipartite"].bipartite is True
 
 
 # ---------------------------------------------------------------------------

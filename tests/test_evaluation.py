@@ -206,7 +206,6 @@ def test_bipartite_labeling_ranges():
         4,
         2,
         (RelEdge(0, 1, Fraction(1), rel),),
-        bipartite=True,
         sides=("V", "W"),
     )
     assert relational_satisfied_weight(inst, (4, 2)) == 1

@@ -68,7 +68,6 @@ def test_rel_bipartite_canonical_bytes():
         4,
         2,
         (RelEdge(0, 1, Fraction(1), rel),),
-        bipartite=True,
         sides=("V", "W"),
     )
     assert serialize(inst) == (
@@ -168,7 +167,6 @@ def test_bipartite_rel_round_trip():
         4,
         2,
         (RelEdge(0, 2, Fraction(1), rel), RelEdge(1, 2, Fraction(2), rel)),
-        bipartite=True,
         sides=("V", "V", "W"),
     )
     assert parse(serialize(inst)) == inst
@@ -187,6 +185,22 @@ def test_gugp_parse_shares_one_permutation_per_image():
     assert len({id(e.pi) for e in parsed.edges}) == 9 < len(parsed.edges)
     assert parsed == gadget
     assert serialize(parsed) == text
+
+
+def test_repeated_tokens_parse_to_one_shared_object():
+    a, b = parse("GUGP v1\nk 2\nn 3\ne 0 1 1/2 2 1\ne 1 2 1/2 2 1\n").edges
+    assert a.weight is b.weight and a.pi is b.pi
+    a, b = parse(
+        "T22 v1\nk 2\nn 3\n"
+        "e 0 1 1/2 pu 2 1 3 4 pv 1 2 3 4\n"
+        "e 1 2 1/2 pu 1 2 3 4 pv 2 1 3 4\n"
+    ).edges
+    assert a.weight is b.weight and a.pi_u is b.pi_v and a.pi_v is b.pi_u
+    a, b = parse(
+        "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\n"
+        "e 0 1 1/2 2 1 2 2 1\ne 1 2 1/2 2 1 2 2 1\n"
+    ).edges
+    assert a.weight is b.weight and a.rel is b.rel
 
 
 def test_comments_and_blank_lines_ignored():
@@ -255,6 +269,55 @@ def test_non_integer_image_after_a_shared_one_names_its_line():
     with pytest.raises(ParseError) as excinfo:
         parse(text)
     assert excinfo.value.line == 6
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "GUGP v1\nk 2\nn 3\ne 0 1 1/2 1 2\ne 1 2 1/0 1 2\n",
+            "line 5: denominator must be positive in '1/0'",
+        ),
+        (
+            "T22 v1\nk 2\nn 3\ne 0 1 1/1 pu 1 2 3 4 pv 1 2 3 4\n"
+            "e 1 2 1/1 pu 1 2 3 4 pv 1 2 x 4\n",
+            "line 5: expected integer, got 'x'",
+        ),
+        (
+            "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\n"
+            "e 0 1 1/1 1 1 2\ne 1 2 1/1 1 1 x\n",
+            "line 7: expected integer, got 'x'",
+        ),
+        (
+            "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\n"
+            "e 0 1 1/1 1 1 2\ne 1 2 1/1 2 1 2 1 2\n",
+            "line 7: duplicate relation pair (1,2)",
+        ),
+        (
+            "TSP v1\nn 3\nw 0 1 1/1\nw 0 2 1/1\nw 1 2 x/1\n",
+            "line 5: non-integer rational parts in 'x/1'",
+        ),
+    ],
+)
+def test_bad_token_first_seen_on_a_later_line_names_that_line(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "GUGP v1\nk 2\nn 2\ne x 1 1/0 1 2\n",
+        "T22 v1\nk 2\nn 2\ne x 1 1/0 pu 1 2 3 4 pv 1 2 3 4\n",
+        "REL v1\nk1 2\nk2 2\nn 2\nbipartite 0\ne x 1 1/0 1 1 1\n",
+        "TSP v1\nn 3\nw x 1 1/0\n",
+    ],
+)
+def test_bad_vertex_is_reported_before_a_bad_weight(text):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value).endswith(": expected integer, got 'x'")
 
 
 def test_fraction_requires_slash_form():

@@ -333,7 +333,7 @@ def relational_instances(draw):
             )
         )
         edges.append(RelEdge(u, v, draw(rationals("positive")), Relation(k1, k2, pairs)))
-    return RelationalInstance(n, k1, k2, tuple(edges), bipartite, sides)
+    return RelationalInstance(n, k1, k2, tuple(edges), sides)
 
 
 @st.composite

@@ -508,7 +508,6 @@ def test_smoothness_zero_for_bijections():
         2,
         2,
         (RelEdge(0, 1, Fraction(1), rel),),
-        bipartite=True,
         sides=("V", "W"),
     )
     assert smoothness(inst) == 0
@@ -522,7 +521,6 @@ def test_smoothness_two_projection_example():
         2,
         2,
         (RelEdge(0, 1, Fraction(1), merge_a), RelEdge(0, 2, Fraction(1), keep)),
-        bipartite=True,
         sides=("V", "W", "W"),
     )
     assert smoothness(inst) == Fraction(1, 2)
@@ -535,7 +533,6 @@ def test_smoothness_constant_projection_is_one():
         3,
         2,
         (RelEdge(0, 1, Fraction(1), constant),),
-        bipartite=True,
         sides=("V", "W"),
     )
     assert smoothness(inst) == 1
@@ -548,7 +545,6 @@ def test_smoothness_rejects_non_projection():
         2,
         2,
         (RelEdge(0, 1, Fraction(1), rel),),
-        bipartite=True,
         sides=("V", "W"),
     )
     with pytest.raises(ValidationError, match="not a projection"):
@@ -569,7 +565,6 @@ def test_isolated_left_vertices_reported():
         2,
         2,
         (RelEdge(0, 2, Fraction(1), rel),),
-        bipartite=True,
         sides=("V", "V", "W"),
     )
     assert isolated_left_vertices(inst) == (1,)
