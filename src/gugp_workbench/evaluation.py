@@ -71,9 +71,12 @@ def unsatisfied_weight(instance: GugpInstance, labeling: Labeling) -> Fraction:
     return metrics(instance).sigma - satisfied_weight(instance, labeling)
 
 
+Tables = dict[tuple[int, int], list[list[int]]]
+
+
 def pair_tables(
     edges: Sequence[GugpEdge | RelEdge], weights: Sequence[int], k1: int, k2: int
-) -> dict[tuple[int, int], list[list[int]]]:
+) -> Tables:
     """Integer satisfied-weight table per oriented vertex pair.
 
     ``tables[u, v][a][b]`` is the summed weight of the (u, v) edges that the
@@ -82,7 +85,7 @@ def pair_tables(
     directly.  Each table is (k1+1) x (k2+1); filling it costs O(k) per
     permutation edge and O(|R|) per relation edge.
     """
-    tables: dict[tuple[int, int], list[list[int]]] = {}
+    tables: Tables = {}
     for e, w in zip(edges, weights):
         table = tables.get((e.u, e.v))
         if table is None:

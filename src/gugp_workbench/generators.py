@@ -156,12 +156,8 @@ def _planted_3col(spec: GenSpec, stream: SplitMix64) -> GenResult:
         )
     for _ in range(_RESAMPLE_BUDGET):
         chi = tuple(1 + stream.below(3) for _ in range(spec.n))
-        bichromatic = sum(
-            1
-            for u in range(spec.n)
-            for v in range(u + 1, spec.n)
-            if chi[u] != chi[v]
-        )
+        s1, s2, s3 = (chi.count(c) for c in (1, 2, 3))
+        bichromatic = s1 * s2 + s1 * s3 + s2 * s3
         if spec.m <= bichromatic:
             break
     else:  # pragma: no cover - budget is enormous for feasible requests

@@ -1,16 +1,28 @@
 """Exact solvers: exhaustive enumeration and a factor-2 local search.
 
-Brute force is deterministic: labelings are scanned in lexicographic order
-and only strictly better candidates replace the incumbent, so ties resolve to
-the lexicographically smallest optimal labeling regardless of how the scan
-might be partitioned.
+Every exhaustive scan runs on one kernel, ``_prefix_scan``.  It splits the
+vertices into a depth-first prefix and a trailing block: the longest suffix
+whose joint label count is at most ``BLOCK_LABELINGS``.  The tables inside
+the block are summed once into a vector over the block's labelings in
+lexicographic order; the tables from a prefix vertex into the block give one
+such vector per label of that vertex.  The prefix is walked depth-first with
+one partial sum per depth, and each prefix leaf scores all its block
+labelings as one sum of vectors.  Every one of the k^n labelings is still
+scored.
+
+Brute force is deterministic: it takes the first maximum within a leaf's
+vector and lets a later leaf replace the incumbent only when strictly
+better.  Leaves come in lexicographic prefix order and vectors in
+lexicographic block order, so ties resolve to the lexicographically smallest
+optimal labeling, as in a plain lexicographic scan.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .core import (
     GugpInstance,
@@ -27,6 +39,7 @@ from .errors import (
 )
 from .evaluation import (
     Objective,
+    Tables,
     labeling_value,
     pair_tables,
     relational_value,
@@ -35,6 +48,10 @@ from .evaluation import (
 from .rng import SplitMix64
 
 DEFAULT_BRUTE_CAP = 1_000_000
+# Largest joint label count of the trailing block that one row vector scores.
+BLOCK_LABELINGS = 243
+# Local search keeps four per-vertex lists; the header's n is checked first.
+LOCAL_SEARCH_VERTEX_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -50,20 +67,80 @@ class SolveResult:
     visited: int
 
 
-def _best_labeling(
-    domains: list[range], tables: dict[tuple[int, int], list[list[int]]]
-) -> Labeling:
-    """Scan all labelings in lexicographic order and return the first one
-    with the largest total table weight (only strict gains replace it)."""
-    pairs = [(u, v, table) for (u, v), table in tables.items()]
+# (prefix labels, prefix score, score of each block labeling)
+Leaf = tuple[Labeling, int, list[int]]
+
+
+def _prefix_scan(
+    domains: list[range], tables: Tables
+) -> tuple[list[Labeling], Iterator[Leaf]]:
+    """Score every labeling of ``domains`` under ``tables`` (as built by
+    ``pair_tables``), one prefix leaf at a time.
+
+    Returns the block labelings in lexicographic order and a generator of
+    ``(prefix, base, row)`` in lexicographic prefix order: labeling
+    ``prefix + block[j]`` scores ``base + row[j]``.  The split depends only
+    on the domain sizes, so two scans over the same domains yield the same
+    prefixes in the same order.
+    """
+    split, size = len(domains), 1
+    while split and size * len(domains[split - 1]) <= BLOCK_LABELINGS:
+        split -= 1
+        size *= len(domains[split])
+    block: list[Labeling] = [()]
+    for dom in domains[split:]:
+        block = [t + (a,) for t in block for a in dom]
+    # column x: the label of vertex x in each block labeling
+    columns = dict(zip(range(split, len(domains)), zip(*block)))
+    internal: list[Iterator[int]] = []
+    # later[x]: (y, table[label of y][label of x]) for prefix tables, y < x
+    later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
+    # crossing[x][a]: per table from x into the block, its scores at label a
+    crossing: dict[int, dict[int, list[Iterator[int]]]] = {}
+    for (u, v), table in tables.items():
+        if u > v:
+            u, v, table = v, u, [list(col) for col in zip(*table)]
+        if v < split:
+            later[v].append((u, table))
+        elif u >= split:
+            rows = map(table.__getitem__, columns[u])
+            internal.append(map(operator.getitem, rows, columns[v]))
+        else:
+            by_label = crossing.setdefault(u, {a: [] for a in domains[u]})
+            for a, parts in by_label.items():
+                parts.append(map(table[a].__getitem__, columns[v]))
+    block_row = list(map(sum, zip(*internal))) if internal else [0] * len(block)
+    crossers = [
+        (x, {a: list(map(sum, zip(*parts))) for a, parts in by_label.items()})
+        for x, by_label in crossing.items()
+    ]
+    labels = [0] * split
+
+    def walk(x: int, base: int) -> Iterator[Leaf]:
+        """Label vertex x onward; ``base`` scores the labels before x."""
+        if x == split:
+            rows = [by_label[labels[y]] for y, by_label in crossers]
+            rows.append(block_row)
+            yield tuple(labels), base, list(map(sum, zip(*rows)))
+            return
+        gain = list(map(sum, zip(*(t[labels[y]] for y, t in later[x]))))
+        for a in domains[x]:
+            labels[x] = a
+            yield from walk(x + 1, base + gain[a] if gain else base)
+
+    return block, walk(0, 0)
+
+
+def _best_labeling(domains: list[range], tables: Tables) -> Labeling:
+    """The lexicographically first labeling with the largest total table
+    weight: the first maximum of each row, replaced only on strict gains."""
+    block, leaves = _prefix_scan(domains, tables)
     best: Labeling | None = None
     best_sat: int | None = None
-    for labeling in itertools.product(*domains):
-        sat = 0
-        for u, v, table in pairs:
-            sat += table[labeling[u]][labeling[v]]
-        if best_sat is None or sat > best_sat:
-            best, best_sat = labeling, sat
+    for prefix, base, row in leaves:
+        top = max(row)
+        if best_sat is None or base + top > best_sat:
+            best, best_sat = prefix + block[row.index(top)], base + top
     assert best is not None
     return best
 
@@ -136,7 +213,8 @@ def local_search_half(
 
     The returned ``visited`` is the number of reassignment steps.  The start
     is the all-1 labeling, or a seeded uniform labeling when ``seed`` is
-    given.
+    given.  More than ``LOCAL_SEARCH_VERTEX_CAP`` vertices raise
+    ``CapacityError`` before any per-vertex list is built.
     """
     if instance.k < 2:
         raise DegenerateInstanceError("local search needs at least two labels")
@@ -146,10 +224,12 @@ def local_search_half(
         raise ObjectiveMismatchError("local search requires all weights negative")
     if not weights:
         raise DegenerateInstanceError("max-nwa value undefined: no edges")
+    n, k = instance.n, instance.k
+    if n > LOCAL_SEARCH_VERTEX_CAP:
+        raise CapacityError(f"vertex count {n} exceeds cap {LOCAL_SEARCH_VERTEX_CAP}")
     if iteration_cap is None:
         iteration_cap = sum(weights)
 
-    n, k = instance.n, instance.k
     if seed is None:
         labels = [1] * n
     else:

@@ -16,18 +16,26 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .core import GugpInstance, Relation, RelationalInstance, metrics, scaled_weights
+from .core import (
+    GugpInstance,
+    Labeling,
+    Relation,
+    RelationalInstance,
+    metrics,
+    scaled_weights,
+)
 from .errors import (
     CapacityError,
     ObjectiveMismatchError,
     UsageError,
     ValidationError,
 )
-from .evaluation import Objective, pair_tables, satisfied_weight
+from .evaluation import Objective, Tables, pair_tables, satisfied_weight
 from .fileformat import fmt_fraction
 from .reductions import (
     BundleMap,
@@ -42,6 +50,7 @@ from .reductions import (
 )
 from .solvers import (
     DEFAULT_BRUTE_CAP,
+    _prefix_scan,
     brute_force,
     brute_force_relational,
     local_search_half,
@@ -253,6 +262,53 @@ def check_value_transfer(
     return _report("value-transfer", src.visited + gad.visited, witnesses, notes)
 
 
+def _strip_scan(
+    domains: list[range],
+    tables_all: Tables,
+    tables_pos: Tables,
+    sigma: int,
+    w_plus: int,
+    scale: int,
+) -> tuple[int, list[Witness], tuple[int, Labeling], tuple[int, Labeling]]:
+    """One joint scan over the all-edges and positive-edges tables.
+
+    Returns the cases, the sandwich witnesses in scan order, and the first
+    minimum unsatisfied weight with its labeling for each table set.  A
+    leaf's whole row is checked at once; only a failing row is walked
+    labeling by labeling to record its witnesses.
+    """
+    neg_total = w_plus - sigma
+    block, leaves_all = _prefix_scan(domains, tables_all)
+    _, leaves_pos = _prefix_scan(domains, tables_pos)
+    best_orig: tuple[int, Labeling] | None = None
+    best_stripped: tuple[int, Labeling] | None = None
+    witnesses: list[Witness] = []
+    cases = 0
+    for (prefix, base, row), (_, base_pos, row_pos) in zip(leaves_all, leaves_pos):
+        cases += len(row)
+        unsat = list(map((sigma - base).__sub__, row))
+        unsat_pos = list(map((w_plus - base_pos).__sub__, row_pos))
+        # per-labeling sandwich W(f) <= W'(f) <= W(f) + |W-|
+        if not (
+            all(map(operator.le, unsat, unsat_pos))
+            and all(map(operator.le, unsat_pos, map(neg_total.__add__, unsat)))
+        ):
+            for t, u_all, u_pos in zip(block, unsat, unsat_pos):
+                if not u_all <= u_pos:
+                    pair = (Fraction(u_all, scale), Fraction(u_pos, scale))
+                    witnesses.append((None, prefix + t, "W(f) <= W'(f)", pair))
+                if not u_pos <= u_all + neg_total:
+                    pair = (Fraction(u_pos, scale), Fraction(u_all, scale))
+                    witnesses.append((None, prefix + t, "W'(f) <= W(f) + |W-|", pair))
+        low, low_pos = min(unsat), min(unsat_pos)
+        if best_orig is None or low < best_orig[0]:
+            best_orig = (low, prefix + block[unsat.index(low)])
+        if best_stripped is None or low_pos < best_stripped[0]:
+            best_stripped = (low_pos, prefix + block[unsat_pos.index(low_pos)])
+    assert best_orig is not None and best_stripped is not None
+    return cases, witnesses, best_orig, best_stripped
+
+
 def check_strip_bounds(
     instance: GugpInstance, cap: int = DEFAULT_BRUTE_CAP
 ) -> VerifyReport:
@@ -277,42 +333,18 @@ def check_strip_bounds(
     solver = brute_force(instance, Objective.MIN_PWT, cap)
     # every edge in one table, positive edges in another
     k = instance.k
+    domains = [range(1, k + 1)] * instance.n
     tables_all = pair_tables(instance.edges, weights, k, k)
     tables_pos = pair_tables(instance.edges, [max(w, 0) for w in weights], k, k)
-    pairs = [
-        (u, v, table, tables_pos[u, v]) for (u, v), table in tables_all.items()
-    ]
+    cases, witnesses, orig, stripped = _strip_scan(
+        domains, tables_all, tables_pos, sigma, w_plus, scale
+    )
+    best_orig, best_orig_label = orig
+    best_stripped, best_stripped_label = stripped
 
     def frac(x: int) -> Fraction:
         return Fraction(x, scale)
 
-    best_orig: int | None = None
-    best_orig_label = None
-    best_stripped: int | None = None
-    best_stripped_label = None
-    witnesses: list[Witness] = []
-    cases = 0
-    for labeling in itertools.product(range(1, k + 1), repeat=instance.n):
-        cases += 1
-        sat_all = sat_pos = 0
-        for u, v, table, table_pos in pairs:
-            a, b = labeling[u], labeling[v]
-            sat_all += table[a][b]
-            sat_pos += table_pos[a][b]
-        unsat_all = sigma - sat_all
-        unsat_pos = w_plus - sat_pos
-        # per-labeling sandwich; both inequalities hold identically in f
-        if not unsat_all <= unsat_pos:
-            pair = (frac(unsat_all), frac(unsat_pos))
-            witnesses.append((None, labeling, "W(f) <= W'(f)", pair))
-        if not unsat_pos <= unsat_all + neg_total:
-            pair = (frac(unsat_pos), frac(unsat_all))
-            witnesses.append((None, labeling, "W'(f) <= W(f) + |W-|", pair))
-        if best_orig is None or unsat_all < best_orig:
-            best_orig, best_orig_label = unsat_all, labeling
-        if best_stripped is None or unsat_pos < best_stripped:
-            best_stripped, best_stripped_label = unsat_pos, labeling
-    assert best_orig is not None and best_stripped is not None
     min_orig, min_stripped = frac(best_orig), frac(best_stripped)
 
     # cross-check the joint enumeration against the solver
@@ -342,8 +374,8 @@ def check_strip_bounds(
         f"NORMALIZED_LOWER={'HOLDS' if lower_ok else 'FAILS'}",
         f"NORMALIZED_UPPER={'HOLDS' if upper_ok else 'FAILS'}",
         f"NORMALIZED_UPPER_BOUND={fmt_fraction(val_orig + rho)}",
-        f"WITNESS_ORIGINAL={','.join(map(str, best_orig_label or ()))}",
-        f"WITNESS_STRIPPED={','.join(map(str, best_stripped_label or ()))}",
+        f"WITNESS_ORIGINAL={','.join(map(str, best_orig_label))}",
+        f"WITNESS_STRIPPED={','.join(map(str, best_stripped_label))}",
     )
     return _report("strip-weight-sandwich", cases, witnesses, notes)
 

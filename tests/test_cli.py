@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, report lines, exit codes, pipelines."""
 
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -234,6 +235,42 @@ def test_over_cap_input_is_refused_before_any_work(tmp_path, argv, message):
     assert code == 3
     assert out == []
     assert err == f"error: {message}\n"
+
+
+def _limit_address_space():
+    """Cap the child's address space at 512 MiB (never above its own limit)."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 512 * 2**20 if hard == resource.RLIM_INFINITY else min(hard, 512 * 2**20)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "local2", "--in", "{d}/bomb.gugp", "--labeling", "{d}/out.lab"),
+        ("verify", "half-guarantee", "--in", "{d}/bomb.gugp"),
+    ],
+)
+def test_local_search_refuses_a_huge_vertex_count_before_allocating(tmp_path, argv):
+    # one all-negative edge and a header n of 10^12; the parent code ended
+    # in a MemoryError traceback (exit 1) under this limit
+    (tmp_path / "bomb.gugp").write_text(
+        "GUGP v1\nk 2\nn 1000000000000\ne 0 1 -1/1 1 2\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "gugp_workbench"]
+        + [arg.format(d=tmp_path) for arg in argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert (proc.stdout, proc.stderr) == (
+        "",
+        "error: vertex count 1000000000000 exceeds cap 100000\n",
+    )
+    assert not (tmp_path / "out.lab").exists()
 
 
 def test_reduce_pwt1_on_a_huge_header_takes_the_root_directly(tmp_path):

@@ -8,6 +8,7 @@ scan order.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -52,7 +53,10 @@ from gugp_workbench import (
     unsatisfied_weight,
 )
 
-from conftest import gugp_instances, labelings_for, rationals
+from gugp_workbench.solvers import BLOCK_LABELINGS, _best_labeling, _prefix_scan
+from gugp_workbench.verification import _strip_scan
+
+from conftest import gugp, gugp_instances, labelings_for, perm, rationals
 
 # ---------------------------------------------------------------------------
 # references
@@ -497,6 +501,245 @@ def test_brute_force_matches_reference_seeded(seed):
 def test_brute_force_relational_matches_reference(inst):
     result = brute_force_relational(inst)
     assert (result.labeling, result.visited) == ref_brute_force_relational(inst)
+
+
+# ---------------------------------------------------------------------------
+# the prefix-scan kernel
+
+# padding entries: any read of row or column 0 would show in a score
+PAD = 10**6
+
+
+def ref_scores(domains, tables):
+    """Every labeling with its total table weight, in lexicographic order."""
+    return [
+        (f, sum(table[f[u]][f[v]] for (u, v), table in tables.items()))
+        for f in itertools.product(*domains)
+    ]
+
+
+def kernel_scores(domains, tables):
+    block, leaves = _prefix_scan(domains, tables)
+    return [
+        (prefix + t, base + score)
+        for prefix, base, row in leaves
+        for t, score in zip(block, row)
+    ]
+
+
+def ref_strip_scan(domains, tables_all, tables_pos, sigma, w_plus, scale):
+    """The strip-bounds joint scan as one plain loop over all labelings."""
+    neg_total = w_plus - sigma
+    best_orig = best_stripped = None
+    witnesses = []
+    scores_pos = ref_scores(domains, tables_pos)
+    for (f, sat), (_, sat_pos) in zip(ref_scores(domains, tables_all), scores_pos):
+        unsat, unsat_pos = sigma - sat, w_plus - sat_pos
+        if not unsat <= unsat_pos:
+            pair = (Fraction(unsat, scale), Fraction(unsat_pos, scale))
+            witnesses.append((None, f, "W(f) <= W'(f)", pair))
+        if not unsat_pos <= unsat + neg_total:
+            pair = (Fraction(unsat_pos, scale), Fraction(unsat, scale))
+            witnesses.append((None, f, "W'(f) <= W(f) + |W-|", pair))
+        if best_orig is None or unsat < best_orig[0]:
+            best_orig = (unsat, f)
+        if best_stripped is None or unsat_pos < best_stripped[0]:
+            best_stripped = (unsat_pos, f)
+    return len(scores_pos), witnesses, best_orig, best_stripped
+
+
+@st.composite
+def scan_domains(draw, max_space=3000):
+    """1..8 vertices with 1..4 labels each, at most ``max_space`` labelings."""
+    sizes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        room = min(4, max_space // math.prod(sizes))
+        sizes.append(draw(st.integers(min_value=1, max_value=room)))
+    return [range(1, size + 1) for size in sizes]
+
+
+@st.composite
+def scan_tables(draw, domains, entries=st.integers(min_value=-5, max_value=5)):
+    """Tables on ordered vertex pairs, (u, v) and (v, u) alike, sized by the
+    endpoints' label counts, with ``PAD`` in row and column 0."""
+    n = len(domains)
+    tables = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6)) if n > 1 else 0):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = (u + draw(st.integers(min_value=1, max_value=n - 1))) % n
+        tables[u, v] = [[PAD] * (len(domains[v]) + 1)] + [
+            [PAD] + [draw(entries) for _ in domains[v]] for _ in domains[u]
+        ]
+    return tables
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_domains().flatmap(lambda d: st.tuples(st.just(d), scan_tables(d))))
+def test_prefix_scan_scores_every_labeling_in_order(domains_and_tables):
+    domains, tables = domains_and_tables
+    reference = ref_scores(domains, tables)
+    assert kernel_scores(domains, tables) == reference
+    top = max(score for _, score in reference)
+    first = next(f for f, score in reference if score == top)
+    assert _best_labeling(domains, tables) == first
+
+
+@pytest.mark.parametrize(
+    "sizes, prefix_len, leaf_count",
+    [
+        ([3] * 7, 2, 9),  # 3^5 = 243 labelings in the block
+        ([2] * 10, 3, 8),  # 2^7 = 128; one more vertex would pass the constant
+        ([3] * 5, 0, 1),  # the whole space is the block
+        ([4], 0, 1),  # n = 1
+        ([2, 300, 2], 2, 600),  # a vertex over the constant stays in the prefix
+        ([300], 1, 300),  # an empty block: one score per leaf
+    ],
+)
+def test_prefix_scan_split_depends_on_label_counts_only(sizes, prefix_len, leaf_count):
+    domains = [range(1, size + 1) for size in sizes]
+    n = len(domains)
+    # one table on every consecutive pair, both orientations, and a long edge
+    tables = {}
+    for u, v in [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * (n > 1):
+        tables[u, v] = [[PAD] * (sizes[v] + 1)] + [
+            [PAD] + [(3 * a + 5 * b + u) % 7 - 3 for b in domains[v]]
+            for a in domains[u]
+        ]
+    block, leaves = _prefix_scan(domains, tables)
+    leaves = list(leaves)
+    assert len(leaves) == leaf_count
+    assert all(len(prefix) == prefix_len for prefix, _, _ in leaves)
+    assert len(block) == math.prod(sizes[prefix_len:]) <= BLOCK_LABELINGS
+    assert [prefix + t for prefix, _, _ in leaves for t in block] == list(
+        itertools.product(*domains)
+    )
+    assert kernel_scores(domains, tables) == ref_scores(domains, tables)
+
+
+def test_prefix_scan_without_tables_ties_at_all_ones():
+    domains = [range(1, 4)] * 7
+    assert _best_labeling(domains, {}) == (1,) * 7
+    assert _best_labeling([range(1, 6)], {}) == (1,)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k, n, m", [(3, 7, 14), (2, 10, 18)])
+def test_brute_force_over_the_block_matches_reference(seed, k, n, m):
+    inst = seeded_gugp(seed, n=n, m=m, k=k, max_ratio=Fraction(1, 2))
+    labeling, visited = ref_brute_force(inst)
+    assert k**n > BLOCK_LABELINGS
+    for objective in (Objective.MAX_PWT, Objective.MIN_PWT):
+        result = brute_force(inst, objective)
+        assert (result.labeling, result.visited) == (labeling, visited)
+        assert result.value == labeling_value(inst, labeling, objective)
+    report = check_strip_bounds(inst)
+    assert (report.cases, list(report.witnesses), report.notes) == ref_strip_bounds(inst)
+
+
+def test_brute_force_on_mixed_orientations_parallel_edges_and_isolated_vertices():
+    # vertices 0, 1 form the prefix and 2..6 the block; 3 and 5 are isolated
+    inst = gugp(
+        7,
+        3,
+        (0, 1, 2, perm(2, 3, 1)),
+        (1, 0, -1, perm(1, 3, 2)),
+        (0, 1, 1, perm(3, 1, 2)),  # parallel to the first edge
+        (0, 4, 3, perm(1, 2, 3)),  # prefix -> block
+        (6, 1, 2, perm(2, 1, 3)),  # block -> prefix
+        (6, 1, -1, perm(3, 2, 1)),
+        (2, 6, 1, perm(3, 1, 2)),
+        (6, 2, 2, perm(2, 3, 1)),  # the reverse of a block pair
+        (4, 2, 1, perm(1, 3, 2)),
+    )
+    labeling, visited = ref_brute_force(inst)
+    for objective in (Objective.MAX_PWT, Objective.MIN_PWT):
+        result = brute_force(inst, objective)
+        assert (result.labeling, result.visited) == (labeling, visited)
+    report = check_strip_bounds(inst)
+    assert (report.cases, list(report.witnesses), report.notes) == ref_strip_bounds(inst)
+
+
+def cyclic_shift(k, s):
+    return perm(*((a + s) % k + 1 for a in range(k)))
+
+
+@pytest.mark.parametrize("k, n", [(2, 10), (3, 7), (3, 3)])
+def test_all_tie_instances_return_all_ones(k, n):
+    # every label pair on an edge pair satisfies exactly one of the k shifts
+    pairs = [(0, n - 1), (n - 1, 1), (1, 2)]
+    inst = gugp(n, k, *[(u, v, 1, cyclic_shift(k, s)) for u, v in pairs for s in range(k)])
+    assert ref_brute_force(inst)[0] == (1,) * n
+    for objective in (Objective.MAX_UGP, Objective.MIN_UGP):
+        assert brute_force(inst, objective).labeling == (1,) * n
+    report = check_strip_bounds(inst)
+    assert (report.cases, list(report.witnesses), report.notes) == ref_strip_bounds(inst)
+    assert "WITNESS_ORIGINAL=" + ",".join(["1"] * n) in report.notes
+
+
+def test_all_tie_bipartite_relational_returns_all_ones():
+    sides = ("V",) * 4 + ("W",) * 4
+    full = Relation(3, 2, frozenset(itertools.product(range(1, 4), range(1, 3))))
+    edges = tuple(RelEdge(u, v, Fraction(1), full) for u, v in ((0, 4), (1, 7), (3, 5)))
+    inst = RelationalInstance(8, 3, 2, edges, sides)
+    result = brute_force_relational(inst)
+    assert (result.labeling, result.visited) == ((1,) * 8, 3**4 * 2**4)
+    assert result.value == 1
+
+
+@st.composite
+def bipartite_over_the_block(draw):
+    """V side 0..3 with 3 labels, W side 4..7 with 2: 1,296 labelings."""
+    sides = ("V",) * 4 + ("W",) * 4
+    edges = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        u = draw(st.integers(min_value=0, max_value=3))
+        v = draw(st.integers(min_value=4, max_value=7))
+        pairs = draw(
+            st.frozensets(st.tuples(st.integers(1, 3), st.integers(1, 2)), max_size=4)
+        )
+        edges.append(RelEdge(u, v, draw(rationals("positive")), Relation(3, 2, pairs)))
+    return RelationalInstance(8, 3, 2, tuple(edges), sides)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bipartite_over_the_block())
+def test_bipartite_relational_over_the_block_matches_reference(inst):
+    result = brute_force_relational(inst)
+    assert (result.labeling, result.visited) == ref_brute_force_relational(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scan_domains().flatmap(
+        lambda d: st.tuples(st.just(d), scan_tables(d), scan_tables(d))
+    ),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=1, max_value=6),
+)
+def test_strip_scan_matches_reference_on_mismatched_tables(
+    domains_and_tables, sigma, w_plus, scale
+):
+    domains, tables_all, tables_pos = domains_and_tables
+    args = (domains, tables_all, tables_pos, sigma, w_plus, scale)
+    assert _strip_scan(*args) == ref_strip_scan(*args)
+
+
+def test_strip_scan_walks_only_the_failing_rows():
+    # one prefix-block table scores only the labelings with f(0) = 2 and
+    # f(6) = 3: a third of the row in each of three leaves
+    domains = [range(1, 4)] * 7
+    table = [[PAD] * 4] + [[PAD, 0, 0, 0] for _ in range(3)]
+    table[2][3] = 5
+    args = (domains, {(0, 6): table}, {}, 10, 10, 2)
+    cases, witnesses, best_orig, best_stripped = _strip_scan(*args)
+    assert (cases, witnesses, best_orig, best_stripped) == ref_strip_scan(*args)
+    assert len(witnesses) == 3 * 3**4
+    assert witnesses[0] == (
+        None, (2, 1, 1, 1, 1, 1, 3), "W'(f) <= W(f) + |W-|", (Fraction(5), Fraction(5, 2))
+    )
+    assert best_orig == (5, (2, 1, 1, 1, 1, 1, 3))
+    assert best_stripped == (10, (1,) * 7)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,19 @@ def test_iteration_cap_signals_internal_error():
         local_search_half(inst, iteration_cap=0)
 
 
+def test_vertex_cap_refuses_before_any_per_vertex_list(monkeypatch):
+    from gugp_workbench import GugpEdge, GugpInstance, solvers
+
+    monkeypatch.setattr(solvers, "LOCAL_SEARCH_VERTEX_CAP", 5)
+    edge = GugpEdge(0, 1, Fraction(-1), identity(2))
+    assert local_search_half(GugpInstance(5, 2, (edge,))).labeling == (2, 1, 1, 1, 1)
+    with pytest.raises(CapacityError, match=r"^vertex count 6 exceeds cap 5$"):
+        local_search_half(GugpInstance(6, 2, (edge,)))
+    # the objective and label-count checks still come first
+    with pytest.raises(DegenerateInstanceError):
+        local_search_half(GugpInstance(6, 1, (GugpEdge(0, 1, -1, identity(1)),)))
+
+
 def test_seeded_start_is_reproducible():
     inst = gugp(
         4,
