@@ -27,7 +27,6 @@ from .errors import (
 from .evaluation import (
     Objective,
     labeling_value,
-    relational_satisfied_weight,
     relational_value,
     satisfied_weight,
     unsatisfied_weight,
@@ -251,7 +250,7 @@ def _cmd_eval(args) -> int:
             )
         scale, weights = scaled_weights([e.weight for e in instance.edges])
         values = {
-            "SAT": relational_satisfied_weight(instance, labeling),
+            "SAT": satisfied_weight(instance, labeling),
             "TOTAL": Fraction(sum(weights), scale),
             "VAL": relational_value(instance, labeling),
         }

@@ -12,7 +12,6 @@ Conventions used throughout the workbench:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,105 +77,6 @@ class Relation:
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         return pair in self.pairs
-
-    @classmethod
-    def complement_of(cls, pi: Permutation) -> "Relation":
-        """All pairs (a, b) with b != pi(a); k^2 - k pairs."""
-        k = pi.size
-        pairs = frozenset(
-            (a, b)
-            for a in range(1, k + 1)
-            for b in range(1, k + 1)
-            if b != pi.apply(a)
-        )
-        return cls(k, k, pairs)
-
-
-class RelationKind(enum.Enum):
-    PERMUTATION = "permutation"
-    TWO_TO_ONE_PROJECTION = "two-to-one-projection"
-    TWO_TO_TWO = "two-to-two"
-    COMPLEMENT_OF_PERMUTATION = "complement-of-permutation"
-    GENERAL = "general"
-
-
-def _rows(rel: Relation) -> dict[int, frozenset[int]]:
-    rows: dict[int, set[int]] = {a: set() for a in range(1, rel.k1 + 1)}
-    for a, b in rel.pairs:
-        rows[a].add(b)
-    return {a: frozenset(bs) for a, bs in rows.items()}
-
-
-def _is_permutation_graph(rel: Relation) -> bool:
-    if rel.k1 != rel.k2 or len(rel.pairs) != rel.k1:
-        return False
-    return (
-        len({a for a, _ in rel.pairs}) == rel.k1
-        and len({b for _, b in rel.pairs}) == rel.k1
-    )
-
-
-def _is_two_to_two(rel: Relation) -> bool:
-    # (i, j) in R iff (pi_u(i), pi_v(j)) lands in a common consecutive pair
-    # block {2l-1, 2l}, for some pi_u, pi_v.  Equivalently: every row has
-    # exactly two entries, each distinct row value is shared by exactly two
-    # left labels, and the distinct row values are pairwise disjoint.
-    k = rel.k1
-    if rel.k2 != k or k % 2 != 0 or k < 2:
-        return False
-    rows = _rows(rel)
-    if any(len(r) != 2 for r in rows.values()):
-        return False
-    counts: dict[frozenset[int], int] = {}
-    for r in rows.values():
-        counts[r] = counts.get(r, 0) + 1
-    if len(counts) != k // 2 or any(c != 2 for c in counts.values()):
-        return False
-    covered: set[int] = set()
-    for r in counts:
-        if covered & r:
-            return False
-        covered |= r
-    return True
-
-
-def classify_relation(rel: Relation) -> RelationKind:
-    """Classify a relation by its combinatorial shape.
-
-    The two-to-two test is an exact structural check (rows must pair up into
-    disjoint two-element blocks), so it works at any size.  The
-    complement-of-a-permutation reading is tried before the plain permutation
-    reading: on two labels the two classes coincide, and the complement
-    reading wins there.
-    """
-    if rel.k1 == rel.k2:
-        k = rel.k1
-        if len(rel.pairs) == k * k - k:
-            complement = Relation(
-                k,
-                k,
-                frozenset(
-                    (a, b)
-                    for a in range(1, k + 1)
-                    for b in range(1, k + 1)
-                    if (a, b) not in rel.pairs
-                ),
-            )
-            if _is_permutation_graph(complement):
-                return RelationKind.COMPLEMENT_OF_PERMUTATION
-        if _is_permutation_graph(rel):
-            return RelationKind.PERMUTATION
-        if _is_two_to_two(rel):
-            return RelationKind.TWO_TO_TWO
-    elif rel.k1 == 2 * rel.k2:
-        rows = _rows(rel)
-        if all(len(r) == 1 for r in rows.values()):
-            fibers: dict[int, int] = {}
-            for _, b in rel.pairs:
-                fibers[b] = fibers.get(b, 0) + 1
-            if len(fibers) == rel.k2 and all(c == 2 for c in fibers.values()):
-                return RelationKind.TWO_TO_ONE_PROJECTION
-    return RelationKind.GENERAL
 
 
 def check_edge(edge) -> None:

@@ -60,11 +60,26 @@ def check_labeling(
             )
 
 
-def satisfied_weight(instance: GugpInstance, labeling: Labeling) -> Fraction:
+def _scaled_satisfied(
+    instance: GugpInstance | RelationalInstance, labeling: Labeling
+) -> tuple[int, int, list[int]]:
+    """The satisfied weight and the edge weights, as integers times scale."""
     check_labeling(instance, labeling)
-    scale, weights = scaled_weights([e.weight for e in instance.edges])
-    hits = (e.pi.image[labeling[e.u] - 1] == labeling[e.v] for e in instance.edges)
-    return Fraction(sum(itertools.compress(weights, hits)), scale)
+    edges = instance.edges
+    scale, weights = scaled_weights([e.weight for e in edges])
+    if isinstance(instance, GugpInstance):
+        hits = (e.pi.image[labeling[e.u] - 1] == labeling[e.v] for e in edges)
+    else:
+        hits = ((labeling[e.u], labeling[e.v]) in e.rel for e in edges)
+    return sum(itertools.compress(weights, hits)), scale, weights
+
+
+def satisfied_weight(
+    instance: GugpInstance | RelationalInstance, labeling: Labeling
+) -> Fraction:
+    """Weight of the edges with pi(f(u)) = f(v), or (f(u), f(v)) in R."""
+    satisfied, scale, _ = _scaled_satisfied(instance, labeling)
+    return Fraction(satisfied, scale)
 
 
 def unsatisfied_weight(instance: GugpInstance, labeling: Labeling) -> Fraction:
@@ -118,10 +133,9 @@ def require_objective(instance: GugpInstance, objective: Objective) -> InstanceM
     return m
 
 
-def labeling_value(
-    instance: GugpInstance, labeling: Labeling, objective: Objective
-) -> Fraction:
-    m = require_objective(instance, objective)
+def objective_normalizer(m: InstanceMetrics, objective: Objective) -> Fraction:
+    """The denominator of the objective's values: |negative weight| for NWA,
+    the total weight otherwise; ``DegenerateInstanceError`` when it is 0."""
     if objective in (Objective.MAX_NWA, Objective.MIN_NWA):
         normalizer = abs(m.w_minus)
     else:
@@ -130,6 +144,14 @@ def labeling_value(
         raise DegenerateInstanceError(
             f"{objective.value} value undefined: zero normalizer"
         )
+    return normalizer
+
+
+def labeling_value(
+    instance: GugpInstance, labeling: Labeling, objective: Objective
+) -> Fraction:
+    m = require_objective(instance, objective)
+    normalizer = objective_normalizer(m, objective)
     satisfied = satisfied_weight(instance, labeling)
     if objective is Objective.MAX_UGP or objective is Objective.MAX_PWT:
         numerator = satisfied
@@ -142,18 +164,9 @@ def labeling_value(
     return numerator / normalizer
 
 
-def relational_satisfied_weight(
-    instance: RelationalInstance, labeling: Labeling
-) -> Fraction:
-    check_labeling(instance, labeling)
-    scale, weights = scaled_weights([e.weight for e in instance.edges])
-    hits = ((labeling[e.u], labeling[e.v]) in e.rel for e in instance.edges)
-    return Fraction(sum(itertools.compress(weights, hits)), scale)
-
-
 def relational_value(instance: RelationalInstance, labeling: Labeling) -> Fraction:
     """Satisfied-weight fraction of a labeling, in [0, 1]."""
     if not instance.edges:
         raise DegenerateInstanceError("relational value undefined: no edges")
-    scale, weights = scaled_weights([e.weight for e in instance.edges])
-    return relational_satisfied_weight(instance, labeling) * scale / sum(weights)
+    satisfied, _, weights = _scaled_satisfied(instance, labeling)
+    return Fraction(satisfied, sum(weights))

@@ -27,6 +27,10 @@ Families:
 
 Endpoint draws are u = below(n), then v = below(n-1) bumped by one when
 v >= u, giving a uniform ordered pair of distinct vertices.
+
+Before any draw, a size above ``GEN_SIZE_CAP`` raises ``CapacityError``:
+m*k (random-gugp), n(n-1)/2 (random-tsp), n + m (planted-3col), or 4*m*k
+(random-t22, plus n when planting).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GugpEdge, GugpInstance, Labeling, Permutation, metrics
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .reductions import (
     T22Edge,
     TspInstance,
@@ -47,6 +51,7 @@ from .rng import SplitMix64
 
 FAMILIES = ("random-gugp", "random-tsp", "planted-3col", "random-t22")
 _RESAMPLE_BUDGET = 10_000
+GEN_SIZE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,11 @@ class GenResult:
     planted: Labeling | None = None
 
 
+def _require_size(spec: GenSpec, size: int) -> None:
+    if size > GEN_SIZE_CAP:
+        raise CapacityError(f"{spec.family} size {size} exceeds cap {GEN_SIZE_CAP}")
+
+
 def _pair(stream: SplitMix64, n: int) -> tuple[int, int]:
     u = stream.below(n)
     v = stream.below(n - 1)
@@ -107,6 +117,7 @@ def _random_gugp(spec: GenSpec, stream: SplitMix64) -> GenResult:
             "ratio bounds do not apply to all-negative instances "
             "(the ratio is undefined without positive weight)"
         )
+    _require_size(spec, spec.m * spec.k)
     draw_signs = not spec.nwa and spec.max_ratio != 0
     for _ in range(_RESAMPLE_BUDGET):
         edges = []
@@ -134,6 +145,7 @@ def _random_gugp(spec: GenSpec, stream: SplitMix64) -> GenResult:
 def _random_tsp(spec: GenSpec, stream: SplitMix64) -> GenResult:
     if spec.n < 3:
         raise UsageError("random-tsp needs n >= 3")
+    _require_size(spec, spec.n * (spec.n - 1) // 2)
     weights = tuple(
         (u, v, _weight(stream))
         for u in range(spec.n)
@@ -145,6 +157,7 @@ def _random_tsp(spec: GenSpec, stream: SplitMix64) -> GenResult:
 def _planted_3col(spec: GenSpec, stream: SplitMix64) -> GenResult:
     if spec.n < 2 or spec.m is None or spec.m < 1:
         raise UsageError("planted-3col needs n >= 2 and m >= 1")
+    _require_size(spec, spec.n + spec.m)
     # feasibility ceiling: the balanced coloring maximizes bichromatic pairs
     base, extra = divmod(spec.n, 3)
     sizes = [base + (1 if i < extra else 0) for i in range(3)]
@@ -183,6 +196,7 @@ def _planted_3col(spec: GenSpec, stream: SplitMix64) -> GenResult:
 def _random_t22(spec: GenSpec, stream: SplitMix64) -> GenResult:
     if spec.n < 2 or not spec.m or spec.m < 1 or not spec.k or spec.k < 2:
         raise UsageError("random-t22 needs n >= 2, m >= 1, k >= 2")
+    _require_size(spec, 4 * spec.m * spec.k + (spec.n if spec.satisfiable else 0))
     width = 2 * spec.k
     planted = (
         tuple(1 + stream.below(width) for _ in range(spec.n))

@@ -2,8 +2,6 @@
 
 Contents:
 
-* ``restate_nwa`` -- view an all-negative instance as a relational game on
-  complement relations with absolute weights;
 * ``tsp_to_min_nwa`` -- encode a travelling-salesman instance as an
   all-negative unique game whose minimum |satisfied weight| is the optimal
   tour length;
@@ -46,7 +44,6 @@ from .core import (
 from .errors import (
     CapacityError,
     DegenerateInstanceError,
-    ObjectiveMismatchError,
     ValidationError,
 )
 
@@ -99,31 +96,6 @@ class BundleMap:
     @property
     def total_edges(self) -> int:
         return self.ranges[-1][1] if self.ranges else 0
-
-    def edge_range(self, i: int) -> range:
-        start, end = self.ranges[i]
-        return range(start, end)
-
-
-# ---------------------------------------------------------------------------
-# all-negative instances as relational games
-
-
-def restate_nwa(instance: GugpInstance) -> RelationalInstance:
-    """Restate an all-negative instance over complement relations.
-
-    Each edge (u, v, w, pi) with w < 0 becomes (u, v, |w|, R) where R holds
-    the pairs (a, b) with b != pi(a).  A labeling satisfies the restated edge
-    exactly when it leaves the original edge unsatisfied, so the restated
-    satisfied weight equals |unsatisfied weight| of the original.
-    """
-    if any(e.weight >= 0 for e in instance.edges):
-        raise ObjectiveMismatchError("restatement requires all weights negative")
-    edges = tuple(
-        RelEdge(e.u, e.v, abs(e.weight), Relation.complement_of(e.pi))
-        for e in instance.edges
-    )
-    return RelationalInstance(instance.n, instance.k, instance.k, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +200,7 @@ def max3cut_instance(
     n: int, edges: tuple[tuple[int, int], ...]
 ) -> RelationalInstance:
     """A 3-cut game: every edge demands different labels from {1, 2, 3}."""
-    differ = Relation(
-        3, 3, frozenset((a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b)
-    )
+    differ = all_coords_differ_relation(1)
     rel_edges = tuple(RelEdge(u, v, Fraction(1), differ) for u, v in edges)
     return RelationalInstance(n, 3, 3, rel_edges)
 

@@ -41,6 +41,7 @@ from .evaluation import (
     Objective,
     Tables,
     labeling_value,
+    objective_normalizer,
     pair_tables,
     relational_value,
     require_objective,
@@ -166,8 +167,9 @@ def brute_force(
     in whether the satisfied or unsatisfied share is reported), so a single
     scan direction serves every objective and ties break identically.
     """
-    require_objective(instance, objective)
+    m = require_objective(instance, objective)
     space = _require_label_space(((instance.k, instance.n),), cap)
+    objective_normalizer(m, objective)  # a zero normalizer refuses before the scan
     _, weights = scaled_weights([e.weight for e in instance.edges])
     tables = pair_tables(instance.edges, weights, instance.k, instance.k)
     best = _best_labeling([range(1, instance.k + 1)] * instance.n, tables)

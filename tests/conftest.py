@@ -14,9 +14,6 @@ from gugp_workbench import (
     GugpEdge,
     GugpInstance,
     Permutation,
-    RelEdge,
-    Relation,
-    RelationalInstance,
 )
 
 
@@ -86,19 +83,3 @@ def labelings_for(draw, n: int, k: int):
     return tuple(
         draw(st.integers(min_value=1, max_value=k)) for _ in range(n)
     )
-
-
-@st.composite
-def relations(draw, max_k: int = 4):
-    k1 = draw(st.integers(min_value=1, max_value=max_k))
-    k2 = draw(st.integers(min_value=1, max_value=max_k))
-    pairs = draw(
-        st.frozensets(
-            st.tuples(
-                st.integers(min_value=1, max_value=k1),
-                st.integers(min_value=1, max_value=k2),
-            ),
-            min_size=1,
-        )
-    )
-    return Relation(k1, k2, pairs)

@@ -39,8 +39,8 @@ from gugp_workbench import (
     parse,
     product_coloring,
     pwt1_gadget,
-    relational_satisfied_weight,
     repeat_max3cut,
+    satisfied_weight,
     serialize,
     smoothness,
     tour_to_labeling,
@@ -360,7 +360,7 @@ def test_c09_repetition_completeness():
         for fold in (1, 2):
             repeated = repeat_max3cut(n, base_edges, fold)
             lifted = product_coloring(chi, fold)
-            sat = relational_satisfied_weight(repeated.to_relational(), lifted)
+            sat = satisfied_weight(repeated.to_relational(), lifted)
             assert sat == Fraction(len(repeated.edges))
             for u, v in repeated.edges:
                 cu = decode_label(lifted[u], fold)

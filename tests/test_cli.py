@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +274,48 @@ def test_local_search_refuses_a_huge_vertex_count_before_allocating(tmp_path, ar
     assert not (tmp_path / "out.lab").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("random-gugp", "--n", "4", "--m", "6", "--k", "1000000000"),
+            "random-gugp size 6000000000 exceeds cap 100000",
+        ),
+        (
+            ("random-gugp", "--n", "4", "--m", "1000000000", "--k", "3"),
+            "random-gugp size 3000000000 exceeds cap 100000",
+        ),
+        (
+            ("random-t22", "--n", "4", "--m", "5", "--k", "1000000000"),
+            "random-t22 size 20000000000 exceeds cap 100000",
+        ),
+        (
+            ("random-tsp", "--n", "100000"),
+            "random-tsp size 4999950000 exceeds cap 100000",
+        ),
+        (
+            ("planted-3col", "--n", "100000000", "--m", "6"),
+            "planted-3col size 100000006 exceeds cap 100000",
+        ),
+    ],
+)
+def test_gen_refuses_an_over_cap_size_before_the_first_draw(tmp_path, argv, message):
+    # without the cap these ended in a MemoryError traceback under this
+    # limit, or were still drawing after 20 s
+    out = tmp_path / "out.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gugp_workbench", "gen", "--seed", "1"]
+        + ["--out", str(out), "--family", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_reduce_pwt1_on_a_huge_header_takes_the_root_directly(tmp_path):
     (tmp_path / "base.rel").write_text(
         "REL v1\nk1 3\nk2 3\nn 1000000000000\nbipartite 0\n"
@@ -524,7 +567,7 @@ def test_block_gadget_verify_requires_source(capsys, block_gadget_file):
 
 def test_verify_fails_with_exit_2_on_perturbed_gadget(capsys, tmp_path, block_gadget_file):
     gadget_path, source_path = block_gadget_file
-    gadget = parse(open(gadget_path).read())
+    gadget = parse(Path(gadget_path).read_text())
     edges = list(gadget.edges)
     edges[0] = GugpEdge(edges[0].u, edges[0].v, Fraction(1, 9), edges[0].pi)
     bad = write(tmp_path / "bad.gugp", GugpInstance(gadget.n, gadget.k, tuple(edges)))

@@ -1,4 +1,4 @@
-"""Permutations, relations, relation classification, instances, metrics."""
+"""Permutations, relations, instances, metrics."""
 
 from fractions import Fraction
 
@@ -12,19 +12,17 @@ from gugp_workbench import (
     Permutation,
     RelEdge,
     Relation,
-    RelationKind,
     RelationalInstance,
     T22Edge,
     TwoToTwoInstance,
     ValidationError,
     check_labeling,
-    classify_relation,
     metrics,
     pwt1_gadget,
     repeat_max3cut,
 )
 
-from conftest import gugp, identity, perm, permutations, relations
+from conftest import gugp, identity, perm, permutations
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,7 @@ def test_non_bijection_rejected():
 
 
 # ---------------------------------------------------------------------------
-# relations and classification
+# relations
 
 
 def test_relation_rejects_out_of_range_pairs():
@@ -83,68 +81,6 @@ def test_relation_rejects_out_of_range_pairs():
         Relation(2, 2, frozenset({(1, 3)}))
     with pytest.raises(ValidationError):
         Relation(2, 2, frozenset({(0, 1)}))
-
-
-def graph_of(p: Permutation) -> Relation:
-    return Relation(p.size, p.size, frozenset(enumerate(p.image, start=1)))
-
-
-def test_graph_of_permutation_classifies_as_permutation():
-    rel = graph_of(identity(3))
-    assert rel.pairs == frozenset({(1, 1), (2, 2), (3, 3)})
-    assert classify_relation(rel) == RelationKind.PERMUTATION
-
-
-def test_two_to_one_projection_classification():
-    rel = Relation(4, 2, frozenset({(1, 1), (2, 1), (3, 2), (4, 2)}))
-    assert classify_relation(rel) == RelationKind.TWO_TO_ONE_PROJECTION
-
-
-def test_complement_of_identity_k2_classification():
-    rel = Relation(2, 2, frozenset({(1, 2), (2, 1)}))
-    assert classify_relation(rel) == RelationKind.COMPLEMENT_OF_PERMUTATION
-
-
-@given(permutations(max_k=5))
-def test_complement_classification(p):
-    rel = Relation.complement_of(p)
-    if p.size == 1:
-        # the complement of the only permutation on [1] is the empty
-        # relation, which still matches the complement shape exactly
-        assert rel.pairs == frozenset()
-    assert classify_relation(rel) == RelationKind.COMPLEMENT_OF_PERMUTATION
-
-
-@given(permutations(max_k=6))
-def test_permutation_graph_classification(p):
-    kind = classify_relation(graph_of(p))
-    if p.size == 2:
-        # on two labels every permutation graph is also a complement;
-        # the complement reading wins by convention
-        assert kind == RelationKind.COMPLEMENT_OF_PERMUTATION
-    else:
-        assert kind == RelationKind.PERMUTATION
-
-
-def test_two_to_two_classification():
-    # blocks {1,2}x{1,2} and {3,4}x{3,4}
-    pairs = frozenset(
-        {(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4)}
-    )
-    assert classify_relation(Relation(4, 4, pairs)) == RelationKind.TWO_TO_TWO
-
-
-def test_two_to_two_requires_disjoint_blocks():
-    # rows of size 2 that cannot be grouped into 2x2 blocks
-    pairs = frozenset(
-        {(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 1)}
-    )
-    assert classify_relation(Relation(4, 4, pairs)) == RelationKind.GENERAL
-
-
-def test_general_classification():
-    rel = Relation(3, 3, frozenset({(1, 1), (1, 2), (1, 3)}))
-    assert classify_relation(rel) == RelationKind.GENERAL
 
 
 def test_relation_contains():
@@ -424,8 +360,3 @@ def test_metrics_additive_over_disjoint_union(left, right):
     assert mu.w_plus == ma.w_plus + mb.w_plus
     assert mu.w_minus == ma.w_minus + mb.w_minus
     assert mu.sigma == ma.sigma + mb.sigma
-
-
-@given(relations())
-def test_classification_is_deterministic(rel):
-    assert classify_relation(rel) == classify_relation(rel)

@@ -18,7 +18,7 @@ from gugp_workbench import (
     brute_force_relational,
     generate,
     metrics,
-    relational_satisfied_weight,
+    satisfied_weight,
     serialize,
 )
 
@@ -184,7 +184,7 @@ def test_planted_3col_coloring_satisfies_everything(seed):
     assert result.planted is not None
     assert all(1 <= c <= 3 for c in result.planted)
     total = sum((e.weight for e in inst.edges), Fraction(0))
-    assert relational_satisfied_weight(inst, result.planted) == total
+    assert satisfied_weight(inst, result.planted) == total
     # edges are distinct as unordered pairs
     pairs = [(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges]
     assert len(set(pairs)) == len(pairs) == 7
@@ -215,7 +215,7 @@ def test_random_t22_satisfiable_planting(seed):
     assert result.planted is not None
     relational = result.instance.to_unit_relational()
     total = sum((e.weight for e in relational.edges), Fraction(0))
-    assert relational_satisfied_weight(relational, result.planted) == total
+    assert satisfied_weight(relational, result.planted) == total
     # brute force confirms a fully satisfying labeling exists
     assert brute_force_relational(relational).value == 1
 

@@ -1,4 +1,4 @@
-"""Every instance transformation: restatement, tour encoding, repetition,
+"""Every instance transformation: tour encoding, repetition,
 parallel-edge gadgets, and negative-edge stripping."""
 
 import itertools
@@ -14,24 +14,20 @@ from gugp_workbench import (
     DegenerateInstanceError,
     GugpInstance,
     Permutation,
-    RelationKind,
     RelationalInstance,
     T22Edge,
     TspInstance,
     TwoToTwoInstance,
     ValidationError,
     all_coords_differ_relation,
-    classify_relation,
     labeling_to_tour,
     max3cut_instance,
     metrics,
     modplus,
     product_coloring,
     pwt1_gadget,
-    relational_satisfied_weight,
     repeat_max3cut,
     repeated_from_relational,
-    restate_nwa,
     rotation,
     satisfied_weight,
     strip_negative,
@@ -50,7 +46,7 @@ from gugp_workbench.reductions import (
     encode_vertex_tuple,
 )
 
-from conftest import gugp, gugp_instances, identity, labelings_for, perm, permutations
+from conftest import gugp, identity, perm, permutations
 
 
 # ---------------------------------------------------------------------------
@@ -74,39 +70,6 @@ def test_rotation_images():
     assert rotation(3, 1).image == (2, 3, 1)
     assert rotation(3, -1).image == (3, 1, 2)
     assert rotation(3, 0) == identity(3)
-
-
-# ---------------------------------------------------------------------------
-# complement restatement
-
-
-def test_restate_single_identity_edge():
-    inst = gugp(2, 2, (0, 1, -1, identity(2)))
-    restated = restate_nwa(inst)
-    assert restated.edges[0].weight == 1
-    assert restated.edges[0].rel.pairs == frozenset({(1, 2), (2, 1)})
-
-
-def test_restate_k3_identity_pair_count():
-    inst = gugp(2, 3, (0, 1, -1, identity(3)))
-    assert len(restate_nwa(inst).edges[0].rel.pairs) == 6
-
-
-def test_restate_rejects_positive_weights():
-    from gugp_workbench import ObjectiveMismatchError
-
-    inst = gugp(2, 2, (0, 1, 1, identity(2)))
-    with pytest.raises(ObjectiveMismatchError):
-        restate_nwa(inst)
-
-
-@given(gugp_instances(signs="negative", max_n=4, max_k=3, max_m=6), st.data())
-def test_restated_satisfied_equals_original_unsatisfied(inst, data):
-    labeling = data.draw(labelings_for(inst.n, inst.k))
-    restated = restate_nwa(inst)
-    assert relational_satisfied_weight(restated, labeling) == abs(
-        unsatisfied_weight(inst, labeling)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +139,7 @@ def test_encoding_structure():
     assert bundles.source_count == 3
     big = Fraction(3)  # n * max weight
     for i in range(3):
-        block = [encoded.edges[j] for j in bundles.edge_range(i)]
+        block = [encoded.edges[j] for j in range(*bundles.ranges[i])]
         assert block[0].weight == -big
         assert block[0].pi == identity(3)
         assert block[1].weight == -1 and block[1].pi == rotation(3, 1)
@@ -373,14 +336,14 @@ def test_product_coloring_satisfies_repeated_triangle():
     inst = repeated.to_relational()
     lifted = product_coloring((1, 2, 3), 2)
     total = sum((e.weight for e in inst.edges), Fraction(0))
-    assert relational_satisfied_weight(inst, lifted) == total == 18
+    assert satisfied_weight(inst, lifted) == total == 18
 
 
 def test_constant_coloring_satisfies_nothing():
     repeated = repeat_max3cut(3, triangle_pairs(), 2)
     inst = repeated.to_relational()
     lifted = product_coloring((2, 2, 2), 2)
-    assert relational_satisfied_weight(inst, lifted) == 0
+    assert satisfied_weight(inst, lifted) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +365,7 @@ def test_unit_gadget_l2_weights():
     gadget, bundles = pwt1_gadget(repeat_max3cut(2, ((0, 1),), 2))
     assert gadget.k == 9
     assert bundles.source_count == 2
-    block = [gadget.edges[j] for j in bundles.edge_range(0)]
+    block = [gadget.edges[j] for j in range(*bundles.ranges[0])]
     negatives = [e for e in block if e.weight < 0]
     positives = [e for e in block if e.weight > 0]
     assert len(negatives) == 5 and len(positives) == 4
@@ -415,7 +378,7 @@ def test_unit_gadget_offsets_order_and_meaning():
     # coordinate j of the label by i_j - 1 mod 3
     gadget, bundles = pwt1_gadget(repeat_max3cut(2, ((0, 1),), 2))
     offsets = list(itertools.product((1, 2, 3), repeat=2))
-    block = [gadget.edges[j] for j in bundles.edge_range(0)]
+    block = [gadget.edges[j] for j in range(*bundles.ranges[0])]
     assert len(block) == 9
     for offset, e in zip(offsets, block):
         has_fixed_coord = 1 in offset
@@ -443,7 +406,7 @@ def test_gadget_bundles_share_weight_layout():
     gadget, bundles = pwt1_gadget(repeat_max3cut(3, triangle_pairs(), 1))
     assert bundles.source_count == 3
     for i in range(3):
-        block = [gadget.edges[j] for j in bundles.edge_range(i)]
+        block = [gadget.edges[j] for j in range(*bundles.ranges[i])]
         assert [e.weight for e in block] == [
             Fraction(-1, 2),
             Fraction(1, 2),
@@ -462,12 +425,25 @@ def test_t_block_membership():
             assert t_contains(a, b) == ((a, b) in inside)
 
 
+def assert_two_to_two(rel):
+    """Every row has two entries, and the rows pair up into k disjoint
+    blocks: each block is the row of exactly two left labels, and the k
+    blocks cover all 2k right labels."""
+    rows = [
+        frozenset(b for a, b in rel.pairs if a == i) for i in range(1, rel.k1 + 1)
+    ]
+    assert all(len(row) == 2 for row in rows)
+    blocks = set(rows)
+    assert sorted(rows.count(block) for block in blocks) == [2] * (rel.k1 // 2)
+    assert frozenset().union(*blocks) == frozenset(range(1, rel.k2 + 1))
+
+
 def test_two2two_relation_identity_is_block_diagonal():
     rel = two2two_relation(identity(4), identity(4))
     assert rel.pairs == frozenset(
         {(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4)}
     )
-    assert classify_relation(rel) == RelationKind.TWO_TO_TWO
+    assert_two_to_two(rel)
 
 
 @given(permutations(k=4), permutations(k=4))
@@ -479,7 +455,7 @@ def test_two2two_relation_size_k2(pu, pv):
 def test_two2two_relation_size_k3(pu, pv):
     rel = two2two_relation(pu, pv)
     assert len(rel.pairs) == 12
-    assert classify_relation(rel) == RelationKind.TWO_TO_TWO
+    assert_two_to_two(rel)
 
 
 def test_two2two_relation_rejects_odd_sizes():
@@ -605,7 +581,7 @@ def test_uniform_bundles():
     bundles = BundleMap.uniform(3, 4)
     assert bundles.source_count == 3
     assert bundles.total_edges == 12
-    assert list(bundles.edge_range(1)) == [4, 5, 6, 7]
+    assert bundles.ranges[1] == (4, 8)
 
 
 def test_bundles_must_be_contiguous():

@@ -45,7 +45,6 @@ from gugp_workbench import (
     metrics,
     pair_block_predicate,
     pwt1_gadget,
-    relational_satisfied_weight,
     relational_value,
     repeat_max3cut,
     satisfied_weight,
@@ -219,7 +218,7 @@ def ref_bundle_exactly_one(gadget, bundles):
     k = gadget.k
     witnesses, cases = [], 0
     for i in range(bundles.source_count):
-        images = [(0,) + gadget.edges[j].pi.image for j in bundles.edge_range(i)]
+        images = [(0,) + gadget.edges[j].pi.image for j in range(*bundles.ranges[i])]
         for a in range(1, k + 1):
             for b in range(1, k + 1):
                 cases += 1
@@ -233,7 +232,7 @@ def ref_indicator_weights(gadget, bundles, predicate):
     k = gadget.k
     witnesses, cases = [], 0
     for i in range(bundles.source_count):
-        edges = [gadget.edges[j] for j in bundles.edge_range(i)]
+        edges = [gadget.edges[j] for j in range(*bundles.ranges[i])]
         bundle_total = sum((e.weight for e in edges), Fraction(0))
         for a in range(1, k + 1):
             for b in range(1, k + 1):
@@ -401,14 +400,14 @@ def test_relational_sums_match_reference(inst, data):
     domains = [st.integers(1, inst.label_count(v)) for v in range(inst.n)]
     labeling = data.draw(st.tuples(*domains))
     sat = ref_relational_satisfied_weight(inst, labeling)
-    assert relational_satisfied_weight(inst, labeling) == sat
+    assert satisfied_weight(inst, labeling) == sat
     total = sum((e.weight for e in inst.edges), Fraction(0))
     assert relational_value(inst, labeling) == sat / total
 
 
 def test_relational_sums_on_edgeless_instance():
     inst = RelationalInstance(2, 2, 2, ())
-    assert relational_satisfied_weight(inst, (1, 2)) == 0
+    assert satisfied_weight(inst, (1, 2)) == 0
     with pytest.raises(DegenerateInstanceError):
         relational_value(inst, (1, 2))
 

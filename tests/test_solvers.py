@@ -19,7 +19,6 @@ from gugp_workbench import (
     local_search_half,
     max3cut_instance,
     product_coloring,
-    relational_satisfied_weight,
     relational_value,
     repeat_max3cut,
 )
@@ -97,6 +96,22 @@ def test_capacity_error_names_the_bound():
     inst = gugp(10, 3, *(((i, i + 1, 1, identity(3))) for i in range(9)))
     with pytest.raises(CapacityError, match="3\\^10"):
         brute_force(inst, Objective.MAX_UGP, cap=10**4)
+
+
+@pytest.mark.parametrize("objective", [Objective.MAX_UGP, Objective.MIN_NWA])
+def test_edgeless_brute_force_refuses_before_it_scans(monkeypatch, objective):
+    from gugp_workbench import GugpInstance, solvers
+
+    def no_scan(*args):
+        raise AssertionError("the edgeless instance was scanned")
+
+    monkeypatch.setattr(solvers, "_prefix_scan", no_scan)
+    message = f"^{objective.value} value undefined: zero normalizer$"
+    with pytest.raises(DegenerateInstanceError, match=message):
+        brute_force(GugpInstance(6, 10, ()), objective)
+    # the capacity check still comes first
+    with pytest.raises(CapacityError, match="exceeds cap"):
+        brute_force(GugpInstance(7, 10, ()), objective)
 
 
 @settings(deadline=None)
