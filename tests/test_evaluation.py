@@ -26,6 +26,7 @@ from gugp_workbench import (
     satisfied_weight,
     unsatisfied_weight,
 )
+from gugp_workbench.evaluation import objective_normalizer
 
 from conftest import gugp, gugp_instances, identity, labelings_for, perm
 
@@ -147,6 +148,25 @@ def test_degenerate_normalizers():
     with pytest.raises(ObjectiveMismatchError):
         labeling_value(inst, (1, 1), Objective.MIN_PWT)
 
+
+
+NWA_OBJECTIVES = (Objective.MAX_NWA, Objective.MIN_NWA)
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_objective_normalizer_per_objective(objective):
+    # w+ = 3 and w- = -1: NWA divides by |w-| = 1, the others by sigma = 2
+    m = metrics(gugp(2, 2, (0, 1, 3, identity(2)), (0, 1, -1, perm(2, 1))))
+    expected = 1 if objective in NWA_OBJECTIVES else 2
+    assert objective_normalizer(m, objective) == expected
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_objective_normalizer_refuses_zero(objective):
+    m = metrics(gugp(3, 2))
+    message = f"^{objective.value} value undefined: zero normalizer$"
+    with pytest.raises(DegenerateInstanceError, match=message):
+        objective_normalizer(m, objective)
 
 @given(gugp_instances(signs="positive"), st.data())
 def test_ugp_max_plus_min_is_one(inst, data):

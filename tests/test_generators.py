@@ -14,6 +14,7 @@ from gugp_workbench import (
     SplitMix64,
     TspInstance,
     TwoToTwoInstance,
+    CapacityError,
     UsageError,
     brute_force_relational,
     generate,
@@ -21,6 +22,7 @@ from gugp_workbench import (
     satisfied_weight,
     serialize,
 )
+from gugp_workbench import generators
 
 # first outputs of the reference algorithm for two fixed seeds; any
 # re-implementation of the generator contract must reproduce these
@@ -246,6 +248,26 @@ def test_size_validation():
     with pytest.raises(UsageError):
         generate(GenSpec("random-t22", seed=1, n=3, m=2, k=1))
 
+
+
+@pytest.mark.parametrize(
+    "spec, size",
+    [
+        (GenSpec("random-gugp", seed=1, n=4, m=3, k=2), 3 * 2),
+        (GenSpec("random-tsp", seed=1, n=5), 5 * 4 // 2),
+        (GenSpec("planted-3col", seed=1, n=6, m=4), 6 + 4),
+        (GenSpec("random-t22", seed=1, n=3, m=2, k=2, satisfiable=True), 4 * 2 * 2 + 3),
+    ],
+    ids=lambda x: x.family if isinstance(x, GenSpec) else None,
+)
+def test_size_cap_boundary(monkeypatch, spec, size):
+    # a spec of exactly the cap is drawn; one over it is refused before a draw
+    monkeypatch.setattr(generators, "GEN_SIZE_CAP", size)
+    assert generate(spec).instance is not None
+    monkeypatch.setattr(generators, "GEN_SIZE_CAP", size - 1)
+    message = f"^{spec.family} size {size} exceeds cap {size - 1}$"
+    with pytest.raises(CapacityError, match=message):
+        generate(spec)
 
 def test_families_constant_matches_dispatch():
     assert FAMILIES == ("random-gugp", "random-tsp", "planted-3col", "random-t22")

@@ -254,6 +254,13 @@ def test_all_coords_differ_relation_sizes():
     assert len(all_coords_differ_relation(2).pairs) == 36
 
 
+def test_max3cut_edges_demand_differing_labels():
+    inst = max3cut_instance(3, ((0, 1), (1, 2)))
+    differ = frozenset((a, b) for a in range(1, 4) for b in range(1, 4) if a != b)
+    assert differ == all_coords_differ_relation(1).pairs
+    assert all(e.rel.pairs == differ and e.weight == 1 for e in inst.edges)
+
+
 # ---------------------------------------------------------------------------
 # repetition
 
