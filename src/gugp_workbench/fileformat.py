@@ -16,6 +16,12 @@ Formats:
 
 ``parse(serialize(x)) == x`` holds for every valid object and serialization
 is deterministic, so files are safe to diff byte-for-byte.
+
+Both directions handle each distinct part once.  Parsing builds one weight,
+permutation or relation per distinct token group and shares it among the
+edges that repeat it; serializing renders each distinct weight, image tuple
+and relation object once and reuses the text for every edge that holds that
+same object.
 """
 
 from __future__ import annotations
@@ -68,6 +74,20 @@ def _parse_permutation(tokens: tuple[str, ...], line: int) -> Permutation:
     return Permutation(tuple(_parse_int(t, line) for t in tokens))
 
 
+def _rendered(cache: dict[int, str], part, render) -> str:
+    """``render(part)``, computed once per object: ``cache`` is keyed by
+    ``id(part)``, which is safe while the instance being serialized holds
+    ``part``, as it does for the whole call."""
+    text = cache.get(id(part))
+    if text is None:
+        text = cache[id(part)] = render(part)
+    return text
+
+
+def _images(pi: Permutation) -> str:
+    return " ".join(map(str, pi.image))
+
+
 def _cached(cache: dict, key, line: int, build, *args):
     """``cache[key]``, built (and so validated) by ``build(key, line, *args)``
     on the line where ``key`` first appears; later lines share that object."""
@@ -117,9 +137,11 @@ def _edge_head(
 
 def serialize_gugp(instance: GugpInstance) -> str:
     lines = ["GUGP v1", f"k {instance.k}", f"n {instance.n}"]
+    weights: dict[int, str] = {}
+    perms: dict[int, str] = {}
     for e in instance.edges:
-        images = " ".join(str(i) for i in e.pi.image)
-        lines.append(f"e {e.u} {e.v} {fmt_fraction(e.weight)} {images}")
+        weight = _rendered(weights, e.weight, fmt_fraction)
+        lines.append(f"e {e.u} {e.v} {weight} {_rendered(perms, e.pi, _images)}")
     return "\n".join(lines) + "\n"
 
 
@@ -144,6 +166,12 @@ def _parse_gugp(records: Records) -> GugpInstance:
 # REL
 
 
+def _relation_fields(rel: Relation) -> str:
+    """``<m> <a1> <b1> ... <am> <bm>`` with the pairs in sorted order."""
+    pairs = sorted(rel.pairs)
+    return " ".join([str(len(pairs))] + [f"{a} {b}" for a, b in pairs])
+
+
 def serialize_rel(instance: RelationalInstance) -> str:
     lines = [
         "REL v1",
@@ -155,11 +183,12 @@ def serialize_rel(instance: RelationalInstance) -> str:
     if instance.sides is not None:
         for v, side in enumerate(instance.sides):
             lines.append(f"s {v} {side}")
+    weights: dict[int, str] = {}
+    relations: dict[int, str] = {}
     for e in instance.edges:
-        pairs = sorted(e.rel.pairs)
-        flat = " ".join(f"{a} {b}" for a, b in pairs)
-        head = f"e {e.u} {e.v} {fmt_fraction(e.weight)} {len(pairs)}"
-        lines.append(f"{head} {flat}" if flat else head)
+        weight = _rendered(weights, e.weight, fmt_fraction)
+        rel = _rendered(relations, e.rel, _relation_fields)
+        lines.append(f"e {e.u} {e.v} {weight} {rel}")
     return "\n".join(lines) + "\n"
 
 
@@ -224,10 +253,13 @@ def _parse_rel(records: Records) -> RelationalInstance:
 
 def serialize_t22(instance: TwoToTwoInstance) -> str:
     lines = ["T22 v1", f"k {instance.k}", f"n {instance.n}"]
+    weights: dict[int, str] = {}
+    perms: dict[int, str] = {}
     for e in instance.edges:
-        pu = " ".join(str(i) for i in e.pi_u.image)
-        pv = " ".join(str(i) for i in e.pi_v.image)
-        lines.append(f"e {e.u} {e.v} {fmt_fraction(e.weight)} pu {pu} pv {pv}")
+        weight = _rendered(weights, e.weight, fmt_fraction)
+        pu = _rendered(perms, e.pi_u, _images)
+        pv = _rendered(perms, e.pi_v, _images)
+        lines.append(f"e {e.u} {e.v} {weight} pu {pu} pv {pv}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,9 @@ Families:
   negated with probability 1/4 (one draw in [0..3], negative on 0), except
   that a ``max_ratio`` of 0 suppresses the sign draw entirely.  When
   ``max_ratio`` is set, whole instances are redrawn (continuing the stream)
-  until the negative/positive ratio is defined and within the bound.
+  until the negative/positive ratio is defined and within the bound; after
+  10,000 draws, or once the draws' m*k sum passes ten times
+  ``GEN_SIZE_CAP``, ``UsageError`` names the number of draws made.
 * ``random-tsp``    -- all pairs in lexicographic order, weights num/den from
   [1..9] each.
 * ``planted-3col``  -- a hidden coloring (one draw in [1..3] per vertex,
@@ -27,6 +29,13 @@ Families:
 
 Endpoint draws are u = below(n), then v = below(n-1) bumped by one when
 v >= u, giving a uniform ordered pair of distinct vertices.
+
+A weight draw is num = 1 + below(9), then den = 1 + below(9); it picks an
+entry of one module-level table of the 81 ``Fraction(num, den)`` values (and
+of a second table of their negations), so no ``Fraction`` is built per edge.
+Within one ``generate`` call every distinct permutation image is built, and
+so validated, once and shared by the edges that draw it.  Neither changes
+what is drawn or in which order.
 
 Before any draw, a size above ``GEN_SIZE_CAP`` raises ``CapacityError``:
 m*k (random-gugp), n(n-1)/2 (random-tsp), n + m (planted-3col), or 4*m*k
@@ -52,6 +61,13 @@ from .rng import SplitMix64
 FAMILIES = ("random-gugp", "random-tsp", "planted-3col", "random-t22")
 _RESAMPLE_BUDGET = 10_000
 GEN_SIZE_CAP = 100_000
+# random-gugp stops redrawing for a ratio bound once this many times the size
+# cap (in m*k units) has been drawn over all resamples
+_RESAMPLE_WORK = 10
+
+# entry 9 * (num - 1) + (den - 1) is num/den, for num and den in [1..9]
+_WEIGHTS = tuple(Fraction(num, den) for num in range(1, 10) for den in range(1, 10))
+_NEGATED_WEIGHTS = tuple(-w for w in _WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -97,16 +113,27 @@ def _pair(stream: SplitMix64, n: int) -> tuple[int, int]:
     return u, v
 
 
-def _permutation(stream: SplitMix64, k: int) -> Permutation:
+Perms = dict[tuple[int, ...], Permutation]
+
+
+def _shared(perms: Perms, image: tuple[int, ...]) -> Permutation:
+    """The one ``Permutation`` of ``image`` in ``perms``, built on first use."""
+    pi = perms.get(image)
+    if pi is None:
+        pi = perms[image] = Permutation(image)
+    return pi
+
+
+def _permutation(stream: SplitMix64, k: int, perms: Perms) -> Permutation:
     image = list(range(1, k + 1))
     stream.shuffle(image)
-    return Permutation(tuple(image))
+    return _shared(perms, tuple(image))
 
 
-def _weight(stream: SplitMix64) -> Fraction:
-    num = 1 + stream.below(9)
-    den = 1 + stream.below(9)
-    return Fraction(num, den)
+def _weight_index(stream: SplitMix64) -> int:
+    """Draw num, then den, in [1..9]; return num/den's index in ``_WEIGHTS``."""
+    num = stream.below(9)
+    return 9 * num + stream.below(9)
 
 
 def _random_gugp(spec: GenSpec, stream: SplitMix64) -> GenResult:
@@ -117,18 +144,22 @@ def _random_gugp(spec: GenSpec, stream: SplitMix64) -> GenResult:
             "ratio bounds do not apply to all-negative instances "
             "(the ratio is undefined without positive weight)"
         )
-    _require_size(spec, spec.m * spec.k)
+    size = spec.m * spec.k
+    _require_size(spec, size)
     draw_signs = not spec.nwa and spec.max_ratio != 0
-    for _ in range(_RESAMPLE_BUDGET):
+    perms: Perms = {}
+    drawn = 0
+    while drawn < _RESAMPLE_BUDGET and drawn * size <= _RESAMPLE_WORK * GEN_SIZE_CAP:
+        drawn += 1
         edges = []
         for _ in range(spec.m):
             u, v = _pair(stream, spec.n)
-            pi = _permutation(stream, spec.k)
-            w = _weight(stream)
-            if spec.nwa:
-                w = -w
-            elif draw_signs and stream.below(4) == 0:
-                w = -w
+            pi = _permutation(stream, spec.k, perms)
+            i = _weight_index(stream)
+            if spec.nwa or (draw_signs and stream.below(4) == 0):
+                w = _NEGATED_WEIGHTS[i]
+            else:
+                w = _WEIGHTS[i]
             edges.append(GugpEdge(u, v, w, pi))
         instance = GugpInstance(spec.n, spec.k, tuple(edges))
         if spec.max_ratio is None:
@@ -137,8 +168,7 @@ def _random_gugp(spec: GenSpec, stream: SplitMix64) -> GenResult:
         if ratio is not None and ratio <= spec.max_ratio:
             return GenResult(instance)
     raise UsageError(
-        f"could not meet ratio bound {spec.max_ratio} within "
-        f"{_RESAMPLE_BUDGET} resamples"
+        f"could not meet ratio bound {spec.max_ratio} within {drawn} resamples"
     )
 
 
@@ -147,7 +177,7 @@ def _random_tsp(spec: GenSpec, stream: SplitMix64) -> GenResult:
         raise UsageError("random-tsp needs n >= 3")
     _require_size(spec, spec.n * (spec.n - 1) // 2)
     weights = tuple(
-        (u, v, _weight(stream))
+        (u, v, _WEIGHTS[_weight_index(stream)])
         for u in range(spec.n)
         for v in range(u + 1, spec.n)
     )
@@ -204,10 +234,12 @@ def _random_t22(spec: GenSpec, stream: SplitMix64) -> GenResult:
         else None
     )
     edges = []
+    perms: Perms = {}
+    one = Fraction(1)
     for _ in range(spec.m):
         u, v = _pair(stream, spec.n)
-        pi_u = _permutation(stream, width)
-        pi_v = _permutation(stream, width)
+        pi_u = _permutation(stream, width, perms)
+        pi_v = _permutation(stream, width, perms)
         if planted is not None:
             # swap pi_u's value at the planted left label with the block
             # partner of pi_v's value at the planted right label
@@ -217,8 +249,8 @@ def _random_t22(spec: GenSpec, stream: SplitMix64) -> GenResult:
                 image = list(pi_u.image)
                 spot = image.index(target)
                 image[planted[u] - 1], image[spot] = target, hit
-                pi_u = Permutation(tuple(image))
-        edges.append(T22Edge(u, v, Fraction(1), pi_u, pi_v))
+                pi_u = _shared(perms, tuple(image))
+        edges.append(T22Edge(u, v, one, pi_u, pi_v))
     return GenResult(TwoToTwoInstance(spec.n, spec.k, tuple(edges)), planted)
 
 

@@ -316,6 +316,20 @@ def test_gen_refuses_an_over_cap_size_before_the_first_draw(tmp_path, argv, mess
     assert not out.exists()
 
 
+def test_gen_stops_redrawing_an_unmet_ratio_bound_by_drawn_size(tmp_path):
+    # m*k is at the size cap, and with a quarter of the edges negative no
+    # draw of 20,000 edges comes near the bound; a count-only limit of
+    # 10,000 redraws was still running at 20 s
+    out = tmp_path / "out.gugp"
+    code, stdout, err = run_module(
+        tmp_path, "gen", "--family", "random-gugp", "--seed", "1", "--n", "10",
+        "--m", "20000", "--k", "5", "--max-ratio", "1/100", "--out", str(out),
+    )
+    assert (code, stdout) == (1, [])
+    assert err == "error: could not meet ratio bound 1/100 within 11 resamples\n"
+    assert not out.exists()
+
+
 def test_reduce_pwt1_on_a_huge_header_takes_the_root_directly(tmp_path):
     (tmp_path / "base.rel").write_text(
         "REL v1\nk1 3\nk2 3\nn 1000000000000\nbipartite 0\n"

@@ -1,5 +1,6 @@
 """Seeded generation: determinism, family constraints, and the PRNG."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,64 @@ def test_same_spec_same_bytes(spec):
     assert a.planted == b.planted
 
 
+# full sha256 of serialize(instance) and of the planted LAB text (None when
+# the family plants nothing), taken from the per-edge generator at 85e951d
+PINNED_BYTES = [
+    (
+        GenSpec("random-gugp", seed=11, n=6, m=40, k=4),
+        "0c67770baa5a33654736a178cf97f0f95e21f38b172e23ced019abbd805b26a6",
+        None,
+    ),
+    (
+        GenSpec("random-gugp", seed=12, n=30, m=200, k=5, nwa=True),
+        "e513e45b5f071887229512b5cc9c4a5eb0d410ad3fb48406af1505d29a91e2cb",
+        None,
+    ),
+    (
+        GenSpec("random-gugp", seed=13, n=5, m=12, k=3, max_ratio=Fraction(1, 2)),
+        "d6af647f7c25237d76f6c04d800b4d4f68c44e255cf63cd790bc13c0d90899c1",
+        None,
+    ),
+    (
+        GenSpec("random-gugp", seed=14, n=5, m=12, k=3, max_ratio=Fraction(0)),
+        "a9436f8ab9fdc7e5af8da81860aad7dd7130de8d5c1e2d27acdb05f7ebd37832",
+        None,
+    ),
+    (
+        GenSpec("random-tsp", seed=15, n=9),
+        "ab35bf6ca8fc3c6a2a0318c7947d75bde3d1c122c6ee06336956dd0723b56db5",
+        None,
+    ),
+    (
+        GenSpec("planted-3col", seed=16, n=9, m=14),
+        "0dde641e11d5e8d917b8f7ea4bb8783b4a1e932ee52806ef43d6d3cbcc5f5f19",
+        "a6c106ab7a24dc969f94fc91b9c52ac209c2c271a1b36bffbac244129891814c",
+    ),
+    (
+        GenSpec("random-t22", seed=17, n=6, m=20, k=2),
+        "e8e1b91ec8c80f4206fffe2a55414177ff79ea4e1f2955141c88b0faca4349db",
+        None,
+    ),
+    (
+        GenSpec("random-t22", seed=18, n=7, m=20, k=3, satisfiable=True),
+        "5f09a6f76726fd7dbf4f19cfe85287052eb3497094abe125ed0e0924e8629d2e",
+        "6d5155c4b2aaa5aec7a1af41ae17c9da5837be460d38f16e31079a77bc3f9181",
+    ),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec, instance_sha, planted_sha", PINNED_BYTES)
+def test_generated_bytes_are_pinned(spec, instance_sha, planted_sha):
+    result = generate(spec)
+    assert _sha256(serialize(result.instance)) == instance_sha
+    planted = None if result.planted is None else _sha256(serialize(result.planted))
+    assert planted == planted_sha
+
+
 def test_different_seeds_differ():
     a = generate(GenSpec("random-gugp", seed=1, n=4, m=6, k=3))
     b = generate(GenSpec("random-gugp", seed=2, n=4, m=6, k=3))
@@ -156,6 +215,20 @@ def test_ratio_zero_means_all_positive(seed):
         GenSpec("random-gugp", seed=seed, n=4, m=6, k=3, max_ratio=Fraction(0))
     )
     assert all(e.weight > 0 for e in result.instance.edges)
+
+
+def test_ratio_resampling_is_bounded_by_drawn_size(monkeypatch):
+    # m*k = 60 per draw and no draw of seed 1 meets the bound, so the work
+    # bound (ten caps drawn) ends the loop after 11 draws
+    spec = GenSpec("random-gugp", seed=1, n=4, m=60, k=1, max_ratio=Fraction(1, 100))
+    monkeypatch.setattr(generators, "GEN_SIZE_CAP", 60)
+    with pytest.raises(UsageError, match="^could not meet ratio bound 1/100 within 11 resamples$"):
+        generate(spec)
+    # the count bound still applies to small draws
+    monkeypatch.setattr(generators, "GEN_SIZE_CAP", 10**6)
+    monkeypatch.setattr(generators, "_RESAMPLE_BUDGET", 3)
+    with pytest.raises(UsageError, match="^could not meet ratio bound 1/100 within 3 resamples$"):
+        generate(spec)
 
 
 def test_nwa_with_ratio_bound_is_unsatisfiable():

@@ -4,7 +4,9 @@ Each reference below is the direct per-edge ``Fraction`` loop for one
 weight sum, solver or verifier, or the label-decoding form of one indicator
 predicate.  The package's integer and relation-built routes must match it
 exactly: the same values, labelings, work counts, notes, and witnesses in
-scan order.
+scan order.  The generator and the serializers, which build or render each
+distinct weight, permutation and relation once, are held to per-edge copies
+the same way: the same instances and the same bytes.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gugp_workbench import (
+    FAMILIES,
     BundleMap,
     DegenerateInstanceError,
     GenSpec,
@@ -29,7 +32,9 @@ from gugp_workbench import (
     Relation,
     RelationalInstance,
     SplitMix64,
+    T22Edge,
     TspInstance,
+    TwoToTwoInstance,
     ValidationError,
     brute_force,
     brute_force_relational,
@@ -39,16 +44,20 @@ from gugp_workbench import (
     coordinate_collision_predicate,
     decode_label,
     exhaustive_tsp_optimum,
+    fmt_fraction,
     generate,
     labeling_value,
     local_search_half,
     metrics,
     pair_block_predicate,
+    parse,
     pwt1_gadget,
     relational_value,
     repeat_max3cut,
     satisfied_weight,
+    serialize,
     t_contains,
+    two2two_to_pwt_half,
     unsatisfied_weight,
 )
 
@@ -829,3 +838,259 @@ def test_local_search_matches_reference_seeded(seed, k):
     inst = seeded_gugp(7 + k, n=40, m=200, k=k, nwa=True)
     result = local_search_half(inst, seed=seed)
     assert (result.labeling, result.visited) == ref_local_search(inst, seed)
+
+
+# ---------------------------------------------------------------------------
+# generation and serialization
+
+
+def ref_generate(spec):
+    """The per-edge generator: each edge builds its own ``Fraction(num, den)``
+    (negated by ``-``) and its own ``Permutation``, in the documented draw
+    order.  Returns the instance and the planted labeling (or None)."""
+    stream = SplitMix64(spec.seed)
+
+    def pair():
+        u = stream.below(spec.n)
+        v = stream.below(spec.n - 1)
+        return u, v + 1 if v >= u else v
+
+    def permutation(k):
+        image = list(range(1, k + 1))
+        stream.shuffle(image)
+        return Permutation(tuple(image))
+
+    def weight():
+        num = 1 + stream.below(9)
+        den = 1 + stream.below(9)
+        return Fraction(num, den)
+
+    if spec.family == "random-gugp":
+        draw_signs = not spec.nwa and spec.max_ratio != 0
+        for _ in range(10_000):
+            edges = []
+            for _ in range(spec.m):
+                u, v = pair()
+                pi = permutation(spec.k)
+                w = weight()
+                if spec.nwa:
+                    w = -w
+                elif draw_signs and stream.below(4) == 0:
+                    w = -w
+                edges.append(GugpEdge(u, v, w, pi))
+            instance = GugpInstance(spec.n, spec.k, tuple(edges))
+            ratio = ref_metrics(instance).ratio
+            if spec.max_ratio is None or (ratio is not None and ratio <= spec.max_ratio):
+                return instance, None
+        raise AssertionError("no draw met the ratio bound")
+    if spec.family == "random-tsp":
+        weights = []
+        for u in range(spec.n):
+            for v in range(u + 1, spec.n):
+                weights.append((u, v, weight()))
+        return TspInstance(spec.n, tuple(weights)), None
+    if spec.family == "planted-3col":
+        while True:
+            chi = tuple(1 + stream.below(3) for _ in range(spec.n))
+            s1, s2, s3 = (chi.count(c) for c in (1, 2, 3))
+            if spec.m <= s1 * s2 + s1 * s3 + s2 * s3:
+                break
+        differ = frozenset((a, b) for a in range(1, 4) for b in range(1, 4) if a != b)
+        edges, seen = [], set()
+        while len(edges) < spec.m:
+            u, v = pair()
+            low, high = min(u, v), max(u, v)
+            if chi[low] != chi[high] and (low, high) not in seen:
+                seen.add((low, high))
+                edges.append(RelEdge(low, high, Fraction(1), Relation(3, 3, differ)))
+        return RelationalInstance(spec.n, 3, 3, tuple(edges)), chi
+    width = 2 * spec.k
+    planted = None
+    if spec.satisfiable:
+        planted = tuple(1 + stream.below(width) for _ in range(spec.n))
+    edges = []
+    for _ in range(spec.m):
+        u, v = pair()
+        pi_u = permutation(width)
+        pi_v = permutation(width)
+        if planted is not None:
+            hit = pi_u.image[planted[u] - 1]
+            target = pi_v.image[planted[v] - 1]
+            if not t_contains(hit, target):
+                image = list(pi_u.image)
+                spot = image.index(target)
+                image[planted[u] - 1], image[spot] = target, hit
+                pi_u = Permutation(tuple(image))
+        edges.append(T22Edge(u, v, Fraction(1), pi_u, pi_v))
+    return TwoToTwoInstance(spec.n, spec.k, tuple(edges)), planted
+
+
+def ref_serialize(instance):
+    """The per-edge serializers: every edge renders its own weight, images
+    or sorted relation."""
+    if isinstance(instance, GugpInstance):
+        lines = ["GUGP v1", f"k {instance.k}", f"n {instance.n}"]
+        for e in instance.edges:
+            images = " ".join(str(i) for i in e.pi.image)
+            lines.append(f"e {e.u} {e.v} {fmt_fraction(e.weight)} {images}")
+    elif isinstance(instance, RelationalInstance):
+        lines = ["REL v1", f"k1 {instance.k1}", f"k2 {instance.k2}", f"n {instance.n}"]
+        lines.append(f"bipartite {1 if instance.bipartite else 0}")
+        for v, side in enumerate(instance.sides or ()):
+            lines.append(f"s {v} {side}")
+        for e in instance.edges:
+            pairs = sorted(e.rel.pairs)
+            flat = "".join(f" {a} {b}" for a, b in pairs)
+            lines.append(f"e {e.u} {e.v} {fmt_fraction(e.weight)} {len(pairs)}{flat}")
+    else:
+        lines = ["T22 v1", f"k {instance.k}", f"n {instance.n}"]
+        for e in instance.edges:
+            pu = " ".join(str(i) for i in e.pi_u.image)
+            pv = " ".join(str(i) for i in e.pi_v.image)
+            lines.append(f"e {e.u} {e.v} {fmt_fraction(e.weight)} pu {pu} pv {pv}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def gen_specs(draw, families=FAMILIES):
+    family = draw(st.sampled_from(families))
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    if family == "random-gugp":
+        flag = draw(st.sampled_from(["none", "nwa", "max_ratio"]))
+        bound = draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2)]))
+        return GenSpec(
+            family, seed,
+            n=draw(st.integers(min_value=2, max_value=8)),
+            m=draw(st.integers(min_value=1, max_value=12)),
+            k=draw(st.integers(min_value=1, max_value=5)),
+            nwa=flag == "nwa",
+            max_ratio=bound if flag == "max_ratio" else None,
+        )
+    if family == "random-tsp":
+        return GenSpec(family, seed, n=draw(st.integers(min_value=3, max_value=8)))
+    if family == "planted-3col":
+        n = draw(st.integers(min_value=2, max_value=9))
+        base, extra = divmod(n, 3)
+        sizes = [base + (1 if i < extra else 0) for i in range(3)]
+        ceiling = sizes[0] * sizes[1] + sizes[0] * sizes[2] + sizes[1] * sizes[2]
+        return GenSpec(family, seed, n=n, m=draw(st.integers(min_value=1, max_value=ceiling)))
+    return GenSpec(
+        family, seed,
+        n=draw(st.integers(min_value=2, max_value=7)),
+        m=draw(st.integers(min_value=1, max_value=10)),
+        k=draw(st.integers(min_value=2, max_value=4)),
+        satisfiable=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(gen_specs())
+def test_generate_matches_the_per_edge_reference(spec):
+    instance, planted = ref_generate(spec)
+    result = generate(spec)
+    assert result.instance == instance
+    assert result.planted == planted
+    assert serialize(result.instance) == serialize(instance)
+    if not isinstance(instance, TspInstance):
+        assert serialize(result.instance) == ref_serialize(instance)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GenSpec("random-gugp", seed=3, n=300, m=1500, k=5, nwa=True),
+        GenSpec("random-gugp", seed=4, n=20, m=40, k=2, max_ratio=Fraction(1, 4)),
+        GenSpec("random-t22", seed=5, n=30, m=58, k=3, satisfiable=True),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_generate_matches_the_per_edge_reference_seeded(spec):
+    instance, planted = ref_generate(spec)
+    result = generate(spec)
+    assert (serialize(result.instance), result.planted) == (ref_serialize(instance), planted)
+
+
+@st.composite
+def mixed_sharing_gugp(draw):
+    """Edges drawn from a small pool of weights and permutations, each either
+    the pool's own object or a fresh equal copy."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=4))
+    weights = draw(st.lists(rationals(), min_size=1, max_size=3))
+    images = draw(st.lists(st.permutations(tuple(range(1, k + 1))), min_size=1, max_size=3))
+    perms = [Permutation(tuple(image)) for image in images]
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = (u + draw(st.integers(min_value=1, max_value=n - 1))) % n
+        w = draw(st.sampled_from(weights))
+        pi = draw(st.sampled_from(perms))
+        if draw(st.booleans()):
+            w = Fraction(w.numerator, w.denominator)
+        if draw(st.booleans()):
+            pi = Permutation(pi.image)
+        edges.append(GugpEdge(u, v, w, pi))
+    return GugpInstance(n, k, tuple(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(mixed_sharing_gugp(), gugp_instances(max_k=5, max_m=10)))
+def test_serialize_gugp_matches_the_per_edge_reference(inst):
+    text = serialize(inst)
+    assert text == ref_serialize(inst)
+    # parsing shares every distinct part; the text must not change
+    assert serialize(parse(text)) == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(relational_instances(), st.data())
+def test_serialize_rel_matches_the_per_edge_reference(inst, data):
+    shared = inst.edges[0].rel
+    # some edges take the first edge's relation object, the others keep an
+    # equal copy or their own relation
+    edges = tuple(
+        RelEdge(e.u, e.v, e.weight, shared if data.draw(st.booleans()) else e.rel)
+        for e in inst.edges
+    )
+    for case in (inst, RelationalInstance(inst.n, inst.k1, inst.k2, edges, inst.sides)):
+        text = serialize(case)
+        assert text == ref_serialize(case)
+        assert serialize(parse(text)) == text
+
+
+def test_serialize_rel_on_bipartite_and_repeated_games():
+    sides = ("V", "V", "W", "W", "W")
+    full = frozenset((a, b) for a in (1, 2, 3) for b in (1, 2))
+    edges = [
+        RelEdge(0, 2, Fraction(1, 2), Relation(3, 2, full)),
+        RelEdge(0, 3, Fraction(2, 4), Relation(3, 2, full)),
+        RelEdge(1, 4, Fraction(3), Relation(3, 2, frozenset())),
+        RelEdge(1, 2, Fraction(3), Relation(3, 2, frozenset({(3, 1)}))),
+    ]
+    bipartite = RelationalInstance(5, 3, 2, tuple(edges), sides)
+    repeated = repeat_max3cut(4, ((0, 1), (1, 2), (2, 3), (3, 0)), 2).to_relational()
+    for inst in (bipartite, repeated):
+        assert serialize(inst) == ref_serialize(inst)
+    assert "e 1 4 3/1 0\n" in serialize(bipartite)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen_specs(families=("random-t22",)), st.booleans())
+def test_serialize_t22_matches_the_per_edge_reference(spec, copied):
+    inst = generate(spec).instance
+    if copied:
+        # equal parts as distinct objects
+        inst = TwoToTwoInstance(inst.n, inst.k, tuple(
+            T22Edge(e.u, e.v, Fraction(1), Permutation(e.pi_u.image), Permutation(e.pi_v.image))
+            for e in inst.edges
+        ))
+    assert serialize(inst) == ref_serialize(inst)
+
+
+@pytest.mark.parametrize("fold", [1, 2])
+def test_serialize_gadgets_matches_the_per_edge_reference(fold):
+    gadget, _ = pwt1_gadget(repeat_max3cut(4, ((0, 1), (1, 2), (2, 3), (0, 2)), fold))
+    t22 = generate(GenSpec("random-t22", seed=9, n=6, m=10, k=3, satisfiable=True))
+    half, _ = two2two_to_pwt_half(t22.instance)
+    for inst in (gadget, half):
+        assert serialize(inst) == ref_serialize(inst)
