@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import GugpInstance, RelationalInstance, metrics, scaled_weights
+from .core import GugpInstance, RelationalInstance, metrics
 from .errors import (
     CapacityError,
     DegenerateInstanceError,
@@ -248,7 +248,7 @@ def _cmd_eval(args) -> int:
             raise UsageError(
                 "relational instances have a single objective; drop --objective"
             )
-        scale, weights = scaled_weights([e.weight for e in instance.edges])
+        scale, weights = instance.integer_weights
         values = {
             "SAT": satisfied_weight(instance, labeling),
             "TOTAL": Fraction(sum(weights), scale),
@@ -453,6 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         DegenerateInstanceError,
         ObjectiveMismatchError,
         OSError,
+        UnicodeDecodeError,  # an input file that is not UTF-8 text
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

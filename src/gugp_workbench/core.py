@@ -12,6 +12,7 @@ Conventions used throughout the workbench:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,6 +142,11 @@ class GugpInstance:
                     f"edge ({e.u},{e.v}) permutation size {e.pi.size} != k={self.k}"
                 )
 
+    @functools.cached_property
+    def integer_weights(self) -> tuple[int, tuple[int, ...]]:
+        """``scaled_weights`` over the edge weights in edge order, derived once."""
+        return scaled_weights([e.weight for e in self.edges])
+
     def label_count(self, vertex: int) -> int:
         return self.k
 
@@ -206,6 +212,8 @@ class RelationalInstance:
                     f"edge ({e.u},{e.v}) must run from side V to side W"
                 )
 
+    integer_weights = GugpInstance.integer_weights  # the same derivation
+
     @property
     def bipartite(self) -> bool:
         return self.sides is not None
@@ -227,7 +235,7 @@ class InstanceMetrics:
     ratio: Fraction | None
 
 
-def scaled_weights(weights: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+def scaled_weights(weights: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
     """Return ``(scale, ints)`` with ``ints[i] == weights[i] * scale`` exactly.
 
     ``scale`` is the least common denominator, so integer sums and
@@ -235,7 +243,7 @@ def scaled_weights(weights: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     ``Fraction(x, scale)`` converts a result back.
     """
     scale = math.lcm(*(w.denominator for w in weights))
-    return scale, [w.numerator * (scale // w.denominator) for w in weights]
+    return scale, tuple(w.numerator * (scale // w.denominator) for w in weights)
 
 
 def capped_power_product(factors: Sequence[tuple[int, int]], cap: int) -> int | None:
@@ -249,7 +257,7 @@ def capped_power_product(factors: Sequence[tuple[int, int]], cap: int) -> int | 
 
 
 def metrics(instance: GugpInstance) -> InstanceMetrics:
-    scale, weights = scaled_weights([e.weight for e in instance.edges])
+    scale, weights = instance.integer_weights
     plus = sum(w for w in weights if w > 0)
     minus = sum(w for w in weights if w < 0)
     ratio = None if plus == 0 else Fraction(-minus, plus)

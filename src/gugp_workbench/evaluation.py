@@ -10,6 +10,7 @@ Objective families and their preconditions:
   |satisfied| (min) weight over |total|, always in [0, 1].
 
 Within each family the max and min values of one labeling sum to exactly 1.
+Every weight sum runs over the instance's ``integer_weights`` (see ``core``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
     RelEdge,
     RelationalInstance,
     metrics,
-    scaled_weights,
 )
 from .errors import (
     DegenerateInstanceError,
@@ -60,26 +60,18 @@ def check_labeling(
             )
 
 
-def _scaled_satisfied(
-    instance: GugpInstance | RelationalInstance, labeling: Labeling
-) -> tuple[int, int, list[int]]:
-    """The satisfied weight and the edge weights, as integers times scale."""
-    check_labeling(instance, labeling)
-    edges = instance.edges
-    scale, weights = scaled_weights([e.weight for e in edges])
-    if isinstance(instance, GugpInstance):
-        hits = (e.pi.image[labeling[e.u] - 1] == labeling[e.v] for e in edges)
-    else:
-        hits = ((labeling[e.u], labeling[e.v]) in e.rel for e in edges)
-    return sum(itertools.compress(weights, hits)), scale, weights
-
-
 def satisfied_weight(
     instance: GugpInstance | RelationalInstance, labeling: Labeling
 ) -> Fraction:
     """Weight of the edges with pi(f(u)) = f(v), or (f(u), f(v)) in R."""
-    satisfied, scale, _ = _scaled_satisfied(instance, labeling)
-    return Fraction(satisfied, scale)
+    check_labeling(instance, labeling)
+    edges = instance.edges
+    scale, weights = instance.integer_weights
+    if isinstance(instance, GugpInstance):
+        hits = (e.pi.image[labeling[e.u] - 1] == labeling[e.v] for e in edges)
+    else:
+        hits = ((labeling[e.u], labeling[e.v]) in e.rel for e in edges)
+    return Fraction(sum(itertools.compress(weights, hits)), scale)
 
 
 def unsatisfied_weight(instance: GugpInstance, labeling: Labeling) -> Fraction:
@@ -168,5 +160,5 @@ def relational_value(instance: RelationalInstance, labeling: Labeling) -> Fracti
     """Satisfied-weight fraction of a labeling, in [0, 1]."""
     if not instance.edges:
         raise DegenerateInstanceError("relational value undefined: no edges")
-    satisfied, _, weights = _scaled_satisfied(instance, labeling)
-    return Fraction(satisfied, sum(weights))
+    scale, weights = instance.integer_weights
+    return satisfied_weight(instance, labeling) / Fraction(sum(weights), scale)

@@ -29,7 +29,6 @@ from .core import (
     Labeling,
     RelationalInstance,
     capped_power_product,
-    scaled_weights,
 )
 from .errors import (
     CapacityError,
@@ -170,7 +169,7 @@ def brute_force(
     m = require_objective(instance, objective)
     space = _require_label_space(((instance.k, instance.n),), cap)
     objective_normalizer(m, objective)  # a zero normalizer refuses before the scan
-    _, weights = scaled_weights([e.weight for e in instance.edges])
+    weights = instance.integer_weights[1]
     tables = pair_tables(instance.edges, weights, instance.k, instance.k)
     best = _best_labeling([range(1, instance.k + 1)] * instance.n, tables)
     return SolveResult(best, labeling_value(instance, best, objective), space)
@@ -189,7 +188,7 @@ def brute_force_relational(
     if not instance.edges:
         raise DegenerateInstanceError("relational value undefined: no edges")
     domains = [range(1, instance.label_count(v) + 1) for v in range(instance.n)]
-    _, weights = scaled_weights([e.weight for e in instance.edges])
+    weights = instance.integer_weights[1]
     tables = pair_tables(instance.edges, weights, instance.k1, instance.k2)
     best = _best_labeling(domains, tables)
     return SolveResult(best, relational_value(instance, best), space)
@@ -221,7 +220,7 @@ def local_search_half(
     if instance.k < 2:
         raise DegenerateInstanceError("local search needs at least two labels")
     # Integer restated weights |w|; a negative one is a positive edge.
-    _, weights = scaled_weights([-e.weight for e in instance.edges])
+    weights = [-w for w in instance.integer_weights[1]]
     if any(w < 0 for w in weights):
         raise ObjectiveMismatchError("local search requires all weights negative")
     if not weights:

@@ -51,6 +51,7 @@ from .reductions import (
 from .solvers import (
     DEFAULT_BRUTE_CAP,
     _prefix_scan,
+    _require_label_space,
     brute_force,
     brute_force_relational,
     local_search_half,
@@ -99,9 +100,9 @@ def _bundle_tables(
     """Yield ``(bundle, scale, total, table)``, building one table at a time.
 
     ``table[a][b]`` and ``total`` are the bundle's weight satisfied at labels
-    (a, b) and its whole weight, both times ``scale``; unweighted tables
-    count edges.  The cap bounds the edge looks performed: k per edge to
-    fill a table plus k^2 to read it.
+    (a, b) and its whole weight, both times the gadget's ``scale``;
+    unweighted tables count edges.  The cap bounds the edge looks performed:
+    k per edge to fill a table plus k^2 to read it.
     """
     if bundles.total_edges != len(gadget.edges):
         raise ValidationError("bundle ranges do not cover the gadget edge sequence")
@@ -109,13 +110,15 @@ def _bundle_tables(
     looks = sum(k * (end - start) + k * k for start, end in bundles.ranges)
     if looks > case_cap:
         raise CapacityError(f"{claim} check needs {looks} edge looks > cap {case_cap}")
+    scale, weights = (
+        gadget.integer_weights if weighted else (1, (1,) * len(gadget.edges))
+    )
     for i, (start, end) in enumerate(bundles.ranges):
-        edges = gadget.edges[start:end]
-        scale, weights = scaled_weights([e.weight if weighted else 1 for e in edges])
-        tables = pair_tables(edges, weights, k, k)
+        part = weights[start:end]
+        tables = pair_tables(gadget.edges[start:end], part, k, k)
         if len(tables) != 1:
             raise ValidationError(f"bundle {i} mixes edges of different vertex pairs")
-        yield i, scale, sum(weights), tables.popitem()[1]
+        yield i, scale, sum(part), tables.popitem()[1]
 
 
 def check_bundle_exactly_one(
@@ -323,34 +326,31 @@ def check_strip_bounds(
     notes: the upper one genuinely fails for instances whose optimum value is
     negative.
     """
-    scale, weights = scaled_weights([e.weight for e in instance.edges])
+    scale, weights = instance.integer_weights
     sigma = sum(weights)
     w_plus = sum(w for w in weights if w > 0)
     neg_total = w_plus - sigma
     if sigma <= 0:
         raise ObjectiveMismatchError("strip bounds require positive total weight")
-    # the solver refuses an over-cap label space before the joint scan starts
-    solver = brute_force(instance, Objective.MIN_PWT, cap)
-    # every edge in one table, positive edges in another
     k = instance.k
+    # the solvers' rule refuses an over-cap label space before the scan starts
+    space = _require_label_space(((k, instance.n),), cap)
+    # every edge in one table, positive edges in another
     domains = [range(1, k + 1)] * instance.n
     tables_all = pair_tables(instance.edges, weights, k, k)
     tables_pos = pair_tables(instance.edges, [max(w, 0) for w in weights], k, k)
     cases, witnesses, orig, stripped = _strip_scan(
         domains, tables_all, tables_pos, sigma, w_plus, scale
     )
-    best_orig, best_orig_label = orig
-    best_stripped, best_stripped_label = stripped
+    (best_orig, best_orig_label), (best_stripped, best_stripped_label) = orig, stripped
+    min_orig, min_stripped = Fraction(best_orig, scale), Fraction(best_stripped, scale)
 
-    def frac(x: int) -> Fraction:
-        return Fraction(x, scale)
-
-    min_orig, min_stripped = frac(best_orig), frac(best_stripped)
-
-    # cross-check the joint enumeration against the solver
-    solver_min = solver.value * frac(sigma)
-    if solver_min != min_orig:
-        witnesses.append((None, "solver-cross-check", min_orig, solver_min))
+    # re-derive the scan's case count and its witness's weight without it
+    if cases != space:
+        witnesses.append((None, "case-count", space, cases))
+    rescored = Fraction(sigma, scale) - satisfied_weight(instance, best_orig_label)
+    if rescored != min_orig:
+        witnesses.append((None, "witness-rescore", min_orig, rescored))
 
     if not best_orig <= best_stripped:
         witnesses.append(

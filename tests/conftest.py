@@ -14,6 +14,9 @@ from gugp_workbench import (
     GugpEdge,
     GugpInstance,
     Permutation,
+    RelEdge,
+    Relation,
+    RelationalInstance,
 )
 
 
@@ -63,10 +66,11 @@ def gugp_instances(
     max_k: int = 4,
     max_m: int = 8,
     min_k: int = 1,
+    min_m: int = 1,
 ):
     n = draw(st.integers(min_value=2, max_value=max_n))
     k = draw(st.integers(min_value=min_k, max_value=max_k))
-    m = draw(st.integers(min_value=1, max_value=max_m))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     edges = []
     for _ in range(m):
         u = draw(st.integers(min_value=0, max_value=n - 1))
@@ -76,6 +80,35 @@ def gugp_instances(
         image = draw(st.permutations(tuple(range(1, k + 1))))
         edges.append(GugpEdge(u, v, w, Permutation(tuple(image))))
     return GugpInstance(n, k, tuple(edges))
+
+
+@st.composite
+def relational_instances(draw, min_m: int = 1):
+    n = draw(st.integers(min_value=2, max_value=5))
+    bipartite = draw(st.booleans())
+    k1 = draw(st.integers(min_value=1, max_value=3))
+    k2 = draw(st.integers(min_value=1, max_value=3)) if bipartite else k1
+    sides = None
+    if bipartite:
+        sides = ("V",) + tuple(draw(st.sampled_from("VW")) for _ in range(n - 2)) + ("W",)
+    edges = []
+    for _ in range(draw(st.integers(min_value=min_m, max_value=6))):
+        if bipartite:
+            u = draw(st.sampled_from([v for v in range(n) if sides[v] == "V"]))
+            v = draw(st.sampled_from([v for v in range(n) if sides[v] == "W"]))
+        else:
+            u = draw(st.integers(min_value=0, max_value=n - 1))
+            v = (u + draw(st.integers(min_value=1, max_value=n - 1))) % n
+        pairs = draw(
+            st.frozensets(
+                st.tuples(
+                    st.integers(min_value=1, max_value=k1),
+                    st.integers(min_value=1, max_value=k2),
+                )
+            )
+        )
+        edges.append(RelEdge(u, v, draw(rationals("positive")), Relation(k1, k2, pairs)))
+    return RelationalInstance(n, k1, k2, tuple(edges), sides)
 
 
 @st.composite

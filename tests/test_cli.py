@@ -1,12 +1,18 @@
 """Command-line behavior: subcommands, report lines, exit codes, pipelines."""
 
+import contextlib
+import functools
+import io
 import resource
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gugp_workbench import (
     GenSpec,
@@ -17,15 +23,21 @@ from gugp_workbench import (
     RelEdge,
     Relation,
     RelationalInstance,
+    Objective,
     T22Edge,
     TwoToTwoInstance,
     generate,
     parse,
+    pwt1_gadget,
+    repeat_max3cut,
     serialize,
+    tsp_to_min_nwa,
+    two2two_to_pwt_half,
 )
 from gugp_workbench.cli import main
+from gugp_workbench.generators import FAMILIES
 
-from conftest import gugp, identity, perm
+from conftest import gugp, gugp_instances, identity, perm, relational_instances
 
 
 def run(capsys, *argv):
@@ -701,3 +713,162 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "verify" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# CLI-wide fuzz: every subcommand and kind, small arbitrary files and flags
+
+
+@functools.cache
+def _valid_texts() -> tuple[str, ...]:
+    """One small valid file per format, and per stage of the README pipelines."""
+    three_col = generate(GenSpec(family="planted-3col", seed=2, n=4, m=4)).instance
+    pairs = tuple((e.u, e.v) for e in three_col.edges)
+    t22 = generate(GenSpec(family="random-t22", seed=3, n=3, m=3, k=2)).instance
+    tsp = generate(GenSpec(family="random-tsp", seed=4, n=4)).instance
+    mixed = GenSpec("random-gugp", seed=5, n=4, m=6, k=3, max_ratio=Fraction(1, 2))
+    nwa = GenSpec("random-gugp", seed=6, n=4, m=6, k=3, nwa=True)
+    objects = [three_col, t22, tsp, generate(mixed).instance, generate(nwa).instance]
+    for fold in (1, 2):
+        repeated = repeat_max3cut(4, pairs[:2], fold)
+        objects += [repeated.to_relational(), pwt1_gadget(repeated)[0]]
+    objects += [two2two_to_pwt_half(t22)[0], tsp_to_min_nwa(tsp)[0], (1, 2, 1, 3)]
+    return tuple(map(serialize, objects))
+
+
+# tokens that reach the deeper checks when swapped into a valid file
+_TOKENS = st.sampled_from(
+    ["-1", "0", "1", "2", "3", "1/1", "-1/2", "1/0", "V", "W", "e", "x", ""]
+)
+
+
+@st.composite
+def _mutated(draw):
+    lines = draw(st.sampled_from(_valid_texts())).splitlines()
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    fields = lines[i].split(" ")
+    how = draw(st.sampled_from(["token", "drop", "repeat"]))
+    if how == "token":
+        j = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+        fields[j] = draw(_TOKENS)
+        lines[i] = " ".join(fields)
+    elif how == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+_LABELINGS = st.one_of(
+    st.just(serialize((1, 2, 1, 3))),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5)
+    .map(tuple)
+    .map(serialize),
+)
+_ARBITRARY = st.one_of(
+    _mutated(),
+    gugp_instances(min_m=0).map(serialize),
+    relational_instances(min_m=0).map(serialize),
+    _LABELINGS,
+    st.text(max_size=30),
+    st.binary(max_size=30),
+)
+
+
+def _mostly(common, rare, share: int):
+    """``common`` in ``share`` of ten draws, else ``rare``."""
+    return st.integers(min_value=0, max_value=9).flatmap(
+        lambda i: common if i < share else rare
+    )
+
+
+# f0 and f1 are mostly valid pipeline files, f2 mostly a labeling
+_FILES = st.tuples(
+    _mostly(st.sampled_from(_valid_texts()), _ARBITRARY, 8),
+    _mostly(st.sampled_from(_valid_texts()), _ARBITRARY, 5),
+    _mostly(_LABELINGS, _ARBITRARY, 5),
+)
+_PATHS = ("f0", "f1", "f2", "missing", ".", "out", "missing/out")
+_IN = st.sampled_from(["f0"] * 4 + ["f1", "f2", "missing", "."])
+_LABELING_IN = st.sampled_from(["f2"] * 3 + ["f0", "f1", "missing"])
+_SOURCE_IN = st.sampled_from(["f1"] * 3 + ["f0", "f2", "missing"])
+_OUT = st.sampled_from(["out"] * 4 + ["missing/out", "."])
+_INT = st.sampled_from([str(i) for i in range(-1, 7)] * 2 + ["x", "", "1/2", "9" * 25])
+_OBJECTIVES = st.sampled_from([o.value for o in Objective] + ["max"])
+# subcommand -> (positional choices, required flags, optional flags), each
+# flag with its values; None marks a bare switch
+_COMMANDS = {
+    "gen": (
+        (),
+        {
+            "--family": st.sampled_from(FAMILIES + ("tsp",)),
+            "--seed": _INT,
+            "--n": st.sampled_from([str(i) for i in range(2, 8)] + ["-1", "x"]),
+            "--m": st.sampled_from([str(i) for i in range(1, 13)] + ["-1", "x"]),
+            "--k": _INT,
+            "--out": _OUT,
+        },
+        {
+            "--max-ratio": st.sampled_from(["1/2", "0/1", "-1/2", "1/0", "x"]),
+            "--nwa": None,
+            "--satisfiable": None,
+            "--planted-out": _OUT,
+        },
+    ),
+    "reduce": (
+        ("tsp-nwa", "repeat3cut", "pwt1", "pwt-half", "strip-neg"),
+        {"--in": _IN, "--out": _OUT},
+        {"--l": st.sampled_from(["-1", "0", "1", "2", "x"])},
+    ),
+    "solve": (
+        ("brute", "local2"),
+        {"--in": _IN},
+        {"--objective": _OBJECTIVES, "--cap": _INT, "--seed": _INT, "--labeling": _OUT},
+    ),
+    "eval": (
+        (),
+        {"--in": _IN, "--labeling": _LABELING_IN},
+        {"--objective": _OBJECTIVES},
+    ),
+    "metrics": ((), {"--in": _IN}, {}),
+    "verify": (
+        ("gadget-pwt1", "gadget-pwt-half", "strip-bounds", "half-guarantee",
+         "tsp-equiv", "smoothness"),
+        {"--in": _IN},
+        {"--source": _SOURCE_IN, "--cap": _INT, "--seed": _INT},
+    ),
+}
+
+
+@st.composite
+def _invocations(draw, command):
+    kinds, required, optional = _COMMANDS[command]
+    argv = [command] + ([draw(st.sampled_from(kinds))] if kinds else [])
+    # now and then one required flag is left out
+    dropped = draw(st.sampled_from([None] * 9 + list(required)))
+    for flag, values in required.items():
+        if flag != dropped:
+            argv += [flag, draw(values)]
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(files=_FILES, data=st.data())
+def test_every_cli_invocation_ends_in_a_documented_exit_code(command, files, data):
+    argv = data.draw(_invocations(command))
+    # each example runs in a fresh directory; the path names resolve into it
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        for i, content in enumerate(files):
+            path = Path(d, f"f{i}")
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content, encoding="utf-8")
+        argv = [str(Path(d, arg)) if arg in _PATHS else arg for arg in argv]
+        assert main(argv) in (0, 1, 2, 3)

@@ -1,12 +1,15 @@
 """Permutations, relations, instances, metrics."""
 
+import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gugp_workbench import (
+    GenSpec,
     GugpEdge,
     GugpInstance,
     Permutation,
@@ -15,14 +18,29 @@ from gugp_workbench import (
     RelationalInstance,
     T22Edge,
     TwoToTwoInstance,
+    Objective,
     ValidationError,
     check_labeling,
+    generate,
+    labeling_value,
+    local_search_half,
     metrics,
+    parse,
     pwt1_gadget,
     repeat_max3cut,
+    satisfied_weight,
+    serialize,
 )
+from gugp_workbench.core import scaled_weights
 
-from conftest import gugp, identity, perm, permutations
+from conftest import (
+    gugp,
+    gugp_instances,
+    identity,
+    perm,
+    permutations,
+    relational_instances,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +378,51 @@ def test_metrics_additive_over_disjoint_union(left, right):
     assert mu.w_plus == ma.w_plus + mb.w_plus
     assert mu.w_minus == ma.w_minus + mb.w_minus
     assert mu.sigma == ma.sigma + mb.sigma
+
+
+# ---------------------------------------------------------------------------
+# integer weights, derived once per instance
+
+
+def test_one_instance_derives_its_integer_weights_once(monkeypatch):
+    spec = GenSpec(family="random-gugp", seed=3, n=30, m=90, k=3, nwa=True)
+    text = serialize(generate(spec).instance)
+    calls = []
+
+    def counting(weights):
+        calls.append(len(weights))
+        return scaled_weights(weights)
+
+    # every package module that holds the name, so no reader escapes the count
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gugp_workbench") and hasattr(module, "scaled_weights"):
+            monkeypatch.setattr(module, "scaled_weights", counting)
+    instance = parse(text)
+    result = local_search_half(instance)
+    labeling_value(instance, result.labeling, Objective.MAX_NWA)
+    metrics(instance)
+    satisfied_weight(instance, result.labeling)
+    assert calls == [90]
+
+
+@given(
+    st.one_of(
+        gugp_instances(min_m=0),
+        relational_instances(min_m=0),
+    )
+)
+@example(GugpInstance(2, 3, ()))
+@example(RelationalInstance(2, 1, 2, (), ("V", "W")))
+def test_integer_weights_are_the_scaled_edge_weights_and_change_no_identity(
+    instance,
+):
+    twin = parse(serialize(instance))
+    assert twin == instance
+    before = (hash(instance), repr(instance), dataclasses.asdict(instance))
+    weights = instance.integer_weights
+    assert weights == scaled_weights([e.weight for e in instance.edges])
+    assert type(weights) is tuple and type(weights[1]) is tuple
+    assert instance.integer_weights is weights
+    assert (hash(instance), repr(instance), dataclasses.asdict(instance)) == before
+    assert instance == twin and hash(instance) == hash(twin)
+    assert parse(serialize(instance)) == instance

@@ -64,7 +64,14 @@ from gugp_workbench import (
 from gugp_workbench.solvers import BLOCK_LABELINGS, _best_labeling, _prefix_scan
 from gugp_workbench.verification import _strip_scan
 
-from conftest import gugp, gugp_instances, labelings_for, perm, rationals
+from conftest import (
+    gugp,
+    gugp_instances,
+    labelings_for,
+    perm,
+    rationals,
+    relational_instances,
+)
 
 # ---------------------------------------------------------------------------
 # references
@@ -317,35 +324,6 @@ def seeded_gugp(seed, n, m, k, nwa=False, max_ratio=None):
         family="random-gugp", seed=seed, n=n, m=m, k=k, nwa=nwa, max_ratio=max_ratio
     )
     return generate(spec).instance
-
-
-@st.composite
-def relational_instances(draw):
-    n = draw(st.integers(min_value=2, max_value=5))
-    bipartite = draw(st.booleans())
-    k1 = draw(st.integers(min_value=1, max_value=3))
-    k2 = draw(st.integers(min_value=1, max_value=3)) if bipartite else k1
-    sides = None
-    if bipartite:
-        sides = ("V",) + tuple(draw(st.sampled_from("VW")) for _ in range(n - 2)) + ("W",)
-    edges = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        if bipartite:
-            u = draw(st.sampled_from([v for v in range(n) if sides[v] == "V"]))
-            v = draw(st.sampled_from([v for v in range(n) if sides[v] == "W"]))
-        else:
-            u = draw(st.integers(min_value=0, max_value=n - 1))
-            v = (u + draw(st.integers(min_value=1, max_value=n - 1))) % n
-        pairs = draw(
-            st.frozensets(
-                st.tuples(
-                    st.integers(min_value=1, max_value=k1),
-                    st.integers(min_value=1, max_value=k2),
-                )
-            )
-        )
-        edges.append(RelEdge(u, v, draw(rationals("positive")), Relation(k1, k2, pairs)))
-    return RelationalInstance(n, k1, k2, tuple(edges), sides)
 
 
 @st.composite

@@ -46,6 +46,8 @@ from gugp_workbench import (
     two2two_to_pwt_half,
 )
 
+from gugp_workbench import verification
+
 from conftest import gugp, identity, perm, permutations
 
 
@@ -376,6 +378,42 @@ def test_strip_requires_positive_sigma():
     inst = gugp(2, 2, (0, 1, 1, identity(2)), (0, 1, -2, perm(2, 1)))
     with pytest.raises(ObjectiveMismatchError):
         check_strip_bounds(inst)
+
+
+def test_strip_bounds_calls_no_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_strip_bounds called brute_force")
+
+    monkeypatch.setattr(verification, "brute_force", refuse)
+    report = check_strip_bounds(counterexample_instance())
+    assert report.passed and report.cases == 4
+    # the solvers' own rule and message refuse an over-cap label space
+    with pytest.raises(CapacityError, match=r"^label space 2\^2 exceeds cap 3$"):
+        check_strip_bounds(counterexample_instance(), cap=3)
+
+
+@pytest.mark.parametrize(
+    "skew, witness",
+    [
+        ("cases", (None, "case-count", 4, 5)),
+        ("minimum", (None, "witness-rescore", Fraction(-2, 3), Fraction(-1, 3))),
+    ],
+)
+def test_strip_bounds_fails_on_a_scan_that_misreports(monkeypatch, skew, witness):
+    real_scan = verification._strip_scan
+
+    def skewed(*args):
+        cases, witnesses, orig, stripped = real_scan(*args)
+        if skew == "cases":
+            cases += 1
+        else:
+            orig = (orig[0] - 1, orig[1])
+        return cases, witnesses, orig, stripped
+
+    monkeypatch.setattr(verification, "_strip_scan", skewed)
+    report = check_strip_bounds(counterexample_instance())
+    assert report.verdict == "FAIL"
+    assert witness in report.witnesses
 
 
 @settings(deadline=None, max_examples=40)
