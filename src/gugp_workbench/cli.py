@@ -64,10 +64,17 @@ from .verification import (
 )
 
 USAGE_EXIT, FAIL_EXIT, CAPACITY_EXIT, INTERNAL_EXIT = 1, 2, 3, 4
+# the instance types that ``solve brute`` and ``eval`` accept
+_GAMES = (GugpInstance, RelationalInstance)
 
 
-def _read(path: str):
-    return parse(Path(path).read_text(encoding="utf-8"))
+def _read(path: str, types: type | tuple[type, ...], message: str):
+    """Parse the file at ``path``; ``UsageError(message)`` unless it is one
+    of ``types``."""
+    parsed = parse(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(parsed, types):
+        raise UsageError(message)
+    return parsed
 
 
 def _write(path: str, text: str) -> None:
@@ -152,44 +159,41 @@ def _simple_graph_from_rel(instance: RelationalInstance) -> tuple[int, tuple]:
     return instance.n, tuple(pairs)
 
 
+# the input type each reduction accepts, and the message for any other file
+_REDUCE_INPUT = {
+    "tsp-nwa": (TspInstance, "tsp-nwa expects a TSP file"),
+    "repeat3cut": (RelationalInstance, "repeat3cut expects a 3-cut REL file"),
+    "pwt1": (RelationalInstance, "pwt1 expects a repeated 3-cut REL file"),
+    "pwt-half": (TwoToTwoInstance, "pwt-half expects a T22 file"),
+    "strip-neg": (GugpInstance, "strip-neg expects a GUGP file"),
+}
+
+
 def _cmd_reduce(args) -> int:
-    source = _read(getattr(args, "in"))
     kind = args.kind
+    source = _read(getattr(args, "in"), *_REDUCE_INPUT[kind])
     if kind == "tsp-nwa":
-        if not isinstance(source, TspInstance):
-            raise UsageError("tsp-nwa expects a TSP file")
         gadget, bundles = tsp_to_min_nwa(source)
-        _write(args.out, serialize(gadget))
     elif kind == "repeat3cut":
-        if not isinstance(source, RelationalInstance) or source.k1 != 3:
-            raise UsageError("repeat3cut expects a 3-cut REL file")
-        n, pairs = _simple_graph_from_rel(source)
-        repeated = repeat_max3cut(n, pairs, args.l)
+        if source.k1 != 3:
+            raise UsageError(_REDUCE_INPUT[kind][1])
+        repeated = repeat_max3cut(*_simple_graph_from_rel(source), args.l)
         _write(args.out, serialize(repeated.to_relational()))
         print(f"OUT={args.out}")
         print(f"VERTICES={repeated.n}")
         print(f"EDGES={len(repeated.edges)}")
         return 0
     elif kind == "pwt1":
-        if not isinstance(source, RelationalInstance):
-            raise UsageError("pwt1 expects a repeated 3-cut REL file")
         gadget, bundles = pwt1_gadget(repeated_from_relational(source))
-        _write(args.out, serialize(gadget))
     elif kind == "pwt-half":
-        if not isinstance(source, TwoToTwoInstance):
-            raise UsageError("pwt-half expects a T22 file")
         gadget, bundles = two2two_to_pwt_half(source)
-        _write(args.out, serialize(gadget))
-    elif kind == "strip-neg":
-        if not isinstance(source, GugpInstance):
-            raise UsageError("strip-neg expects a GUGP file")
+    else:
         stripped = strip_negative(source)
         _write(args.out, serialize(stripped))
         print(f"OUT={args.out}")
         print(f"EDGES={len(stripped.edges)}")
         return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown reduction {kind!r}")
+    _write(args.out, serialize(gadget))
     print(f"OUT={args.out}")
     print(f"BUNDLES={bundles.source_count}")
     print(f"EDGES={bundles.total_edges}")
@@ -197,25 +201,23 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = _read(getattr(args, "in"))
+    path = getattr(args, "in")
     if args.mode == "brute":
+        instance = _read(path, _GAMES, "solve expects a GUGP or REL file")
         if isinstance(instance, GugpInstance):
             if not args.objective:
                 raise UsageError("solve brute on a GUGP file needs --objective")
             result = brute_force(instance, _objective(args.objective), args.cap)
-        elif isinstance(instance, RelationalInstance):
+        else:
             if args.objective:
                 raise UsageError(
                     "relational instances have a single objective; drop --objective"
                 )
             result = brute_force_relational(instance, args.cap)
-        else:
-            raise UsageError("solve expects a GUGP or REL file")
         print(f"VAL={fmt_fraction(result.value)}")
         print(f"VISITED={result.visited}")
     else:
-        if not isinstance(instance, GugpInstance):
-            raise UsageError("local2 expects a GUGP file")
+        instance = _read(path, GugpInstance, "local2 expects a GUGP file")
         if args.objective and args.objective != Objective.MAX_NWA.value:
             raise UsageError("local2 optimizes max-nwa only")
         result = local_search_half(instance, seed=args.seed)
@@ -230,10 +232,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    instance = _read(getattr(args, "in"))
-    labeling = _read(args.labeling)
-    if not isinstance(labeling, tuple):
-        raise UsageError("--labeling must point at a LAB file")
+    instance = _read(getattr(args, "in"), _GAMES, "eval expects a GUGP or REL file")
+    labeling = _read(args.labeling, tuple, "--labeling must point at a LAB file")
     # compute every value before printing, so a failing input prints nothing
     if isinstance(instance, GugpInstance):
         values = {
@@ -243,28 +243,23 @@ def _cmd_eval(args) -> int:
         if args.objective:
             objective = _objective(args.objective)
             values["VAL"] = labeling_value(instance, labeling, objective)
-    elif isinstance(instance, RelationalInstance):
+    else:
         if args.objective:
             raise UsageError(
                 "relational instances have a single objective; drop --objective"
             )
-        scale, weights = instance.integer_weights
         values = {
             "SAT": satisfied_weight(instance, labeling),
-            "TOTAL": Fraction(sum(weights), scale),
+            "TOTAL": metrics(instance).sigma,
             "VAL": relational_value(instance, labeling),
         }
-    else:
-        raise UsageError("eval expects a GUGP or REL file")
     for key, value in values.items():
         print(f"{key}={fmt_fraction(value)}")
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    instance = _read(getattr(args, "in"))
-    if not isinstance(instance, GugpInstance):
-        raise UsageError("metrics expects a GUGP file")
+    instance = _read(getattr(args, "in"), GugpInstance, "metrics expects a GUGP file")
     m = metrics(instance)
     print(f"WPLUS={fmt_fraction(m.w_plus)}")
     print(f"WMINUS={fmt_fraction(m.w_minus)}")
@@ -274,11 +269,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kind = args.kind
+    path, kind = getattr(args, "in"), args.kind
     if kind == "smoothness":
-        instance = _read(getattr(args, "in"))
-        if not isinstance(instance, RelationalInstance):
-            raise UsageError("smoothness expects a REL file")
+        instance = _read(path, RelationalInstance, "smoothness expects a REL file")
         eta = smoothness(instance)
         skipped = isolated_left_vertices(instance)
         print(f"ETA={fmt_fraction(eta)}")
@@ -288,9 +281,7 @@ def _cmd_verify(args) -> int:
         return 0
 
     if kind in ("gadget-pwt1", "gadget-pwt-half"):
-        gadget = _read(getattr(args, "in"))
-        if not isinstance(gadget, GugpInstance):
-            raise UsageError(f"{kind} expects a GUGP file")
+        gadget = _read(path, GugpInstance, f"{kind} expects a GUGP file")
         # one bundle of gadget.k edges per unit-weight source edge
         if kind == "gadget-pwt1":
             family, param = "pwt1", label_fold(gadget.k)
@@ -310,9 +301,7 @@ def _cmd_verify(args) -> int:
                 raise UsageError(
                     "gadget-pwt-half needs --source (the T22 file the gadget encodes)"
                 )
-            t22 = _read(args.source)
-            if not isinstance(t22, TwoToTwoInstance):
-                raise UsageError("--source must be a T22 file")
+            t22 = _read(args.source, TwoToTwoInstance, "--source must be a T22 file")
             width = 2 * t22.k
             if gadget.k != width:
                 raise UsageError(
@@ -340,20 +329,16 @@ def _cmd_verify(args) -> int:
             print("NOTE=VALUE_TRANSFER=SKIPPED-CAPACITY")
         return _finish_verify(reports)
 
-    instance = _read(getattr(args, "in"))
     if kind == "strip-bounds":
-        if not isinstance(instance, GugpInstance):
-            raise UsageError("strip-bounds expects a GUGP file")
+        instance = _read(path, GugpInstance, "strip-bounds expects a GUGP file")
         return _finish_verify([check_strip_bounds(instance, args.cap)])
     if kind == "half-guarantee":
-        if not isinstance(instance, GugpInstance):
-            raise UsageError("half-guarantee expects a GUGP file")
+        instance = _read(path, GugpInstance, "half-guarantee expects a GUGP file")
         return _finish_verify(
             [check_half_guarantee(instance, args.cap, seed=args.seed)]
         )
     if kind == "tsp-equiv":
-        if not isinstance(instance, TspInstance):
-            raise UsageError("tsp-equiv expects a TSP file")
+        instance = _read(path, TspInstance, "tsp-equiv expects a TSP file")
         return _finish_verify([check_tsp_equivalence(instance, args.cap)])
     raise UsageError(f"unknown verification {kind!r}")  # pragma: no cover
 
@@ -383,10 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     reduce_cmd = sub.add_parser("reduce", help="transform one instance family into another")
-    reduce_cmd.add_argument(
-        "kind",
-        choices=("tsp-nwa", "repeat3cut", "pwt1", "pwt-half", "strip-neg"),
-    )
+    reduce_cmd.add_argument("kind", choices=tuple(_REDUCE_INPUT))
     reduce_cmd.add_argument("--in", required=True)
     reduce_cmd.add_argument("--out", required=True)
     reduce_cmd.add_argument("--l", type=int, default=1, help="fold for repeat3cut")

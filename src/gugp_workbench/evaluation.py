@@ -1,15 +1,15 @@
 """Exact evaluation of labelings under the six normalized objectives.
 
-Objective families and their preconditions:
+Every value is a share of the total weight sigma.  With r the satisfied
+weight over sigma, max-ugp, max-pwt and min-nwa report r, and min-ugp,
+min-pwt and max-nwa report 1 - r, so within each family the max and min
+values of one labeling sum to exactly 1.  The families' preconditions:
 
-* UGP  -- all weights positive; values are satisfied (max) or unsatisfied
-  (min) weight over the total weight, always in [0, 1];
-* PWT  -- mixed signs with positive total; values are satisfied (max) or
-  unsatisfied (min) weight over the total, may be negative or exceed 1;
-* NWA  -- all weights negative; values are |unsatisfied| (max) or
-  |satisfied| (min) weight over |total|, always in [0, 1].
+* UGP  -- all weights positive; values in [0, 1];
+* PWT  -- mixed signs with positive sigma; values may be negative or exceed 1;
+* NWA  -- all weights negative, so sigma < 0 and r = |satisfied| / |sigma|;
+  values in [0, 1].
 
-Within each family the max and min values of one labeling sum to exactly 1.
 Every weight sum runs over the instance's ``integer_weights`` (see ``core``).
 """
 
@@ -103,7 +103,9 @@ def pair_tables(
     return tables
 
 
-def require_objective(instance: GugpInstance, objective: Objective) -> InstanceMetrics:
+def require_objective(
+    instance: GugpInstance | RelationalInstance, objective: Objective
+) -> InstanceMetrics:
     """Raise unless the instance's weight signs fit the objective family;
     return the instance's metrics."""
     m = metrics(instance)
@@ -126,39 +128,31 @@ def require_objective(instance: GugpInstance, objective: Objective) -> InstanceM
 
 
 def objective_normalizer(m: InstanceMetrics, objective: Objective) -> Fraction:
-    """The denominator of the objective's values: |negative weight| for NWA,
-    the total weight otherwise; ``DegenerateInstanceError`` when it is 0."""
-    if objective in (Objective.MAX_NWA, Objective.MIN_NWA):
-        normalizer = abs(m.w_minus)
-    else:
-        normalizer = m.sigma
-    if normalizer == 0:
+    """The denominator of the objective's values: the total weight sigma,
+    negative for NWA; ``DegenerateInstanceError`` when it is 0."""
+    if m.sigma == 0:
         raise DegenerateInstanceError(
             f"{objective.value} value undefined: zero normalizer"
         )
-    return normalizer
+    return m.sigma
+
+
+# the objectives that report the unsatisfied share 1 - r
+_UNSATISFIED_SHARE = (Objective.MIN_UGP, Objective.MIN_PWT, Objective.MAX_NWA)
 
 
 def labeling_value(
-    instance: GugpInstance, labeling: Labeling, objective: Objective
+    instance: GugpInstance | RelationalInstance,
+    labeling: Labeling,
+    objective: Objective,
 ) -> Fraction:
-    m = require_objective(instance, objective)
-    normalizer = objective_normalizer(m, objective)
-    satisfied = satisfied_weight(instance, labeling)
-    if objective is Objective.MAX_UGP or objective is Objective.MAX_PWT:
-        numerator = satisfied
-    elif objective is Objective.MIN_UGP or objective is Objective.MIN_PWT:
-        numerator = m.sigma - satisfied
-    elif objective is Objective.MAX_NWA:
-        numerator = abs(m.sigma - satisfied)
-    else:
-        numerator = abs(satisfied)
-    return numerator / normalizer
+    sigma = objective_normalizer(require_objective(instance, objective), objective)
+    r = satisfied_weight(instance, labeling) / sigma
+    return 1 - r if objective in _UNSATISFIED_SHARE else r
 
 
 def relational_value(instance: RelationalInstance, labeling: Labeling) -> Fraction:
-    """Satisfied-weight fraction of a labeling, in [0, 1]."""
+    """Satisfied-weight fraction of a labeling, in [0, 1]: max-ugp's r."""
     if not instance.edges:
         raise DegenerateInstanceError("relational value undefined: no edges")
-    scale, weights = instance.integer_weights
-    return satisfied_weight(instance, labeling) / Fraction(sum(weights), scale)
+    return labeling_value(instance, labeling, Objective.MAX_UGP)

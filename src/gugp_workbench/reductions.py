@@ -49,6 +49,7 @@ from .errors import (
 
 LABEL_CAP = 729  # 3^l
 VERTEX_CAP = 20_000  # n^l
+REPEAT_SIZE_CAP = 2_000_000  # repeated edges times relation pairs, (2m)^l/2 * 6^l
 
 
 def modplus(m: int, n: int) -> int:
@@ -310,12 +311,15 @@ class RepeatedInstance:
 
 
 def label_fold(k: int) -> int:
-    """The fold l >= 1 with 3^l == k; ``ValidationError`` if there is none."""
+    """The fold l >= 1 with 3^l == k; ``ValidationError`` if there is none,
+    ``CapacityError`` when k exceeds ``LABEL_CAP``."""
     fold = 0
     while 3**fold < k:
         fold += 1
     if 3**fold != k or fold < 1:
         raise ValidationError("label count must be a power of three (at least 3)")
+    if k > LABEL_CAP:
+        raise CapacityError(f"label count 3^{fold} exceeds cap {LABEL_CAP}")
     return fold
 
 
@@ -359,7 +363,9 @@ def repeat_max3cut(
     """Repeat a simple undirected graph's 3-cut game ``fold`` times.
 
     The tuple-pair edge set is generated from ordered choices of one oriented
-    base edge per coordinate, canonicalized and deduplicated.
+    base edge per coordinate, canonicalized and deduplicated.  A simple graph
+    with m edges gives (2m)^fold / 2 edges of 6^fold relation pairs each;
+    ``REPEAT_SIZE_CAP`` bounds that product before the first choice.
     """
     if fold < 1:
         raise ValidationError("fold must be at least 1")
@@ -367,6 +373,12 @@ def repeat_max3cut(
         raise CapacityError(f"label count 3^{fold} exceeds cap {LABEL_CAP}")
     if capped_power_product(((n, fold),), VERTEX_CAP) is None:
         raise CapacityError(f"vertex count {n}^{fold} exceeds cap {VERTEX_CAP}")
+    factors = ((2 * len(edges), fold), (6, fold))
+    if capped_power_product(factors, 2 * REPEAT_SIZE_CAP) is None:
+        raise CapacityError(
+            f"repeated size (2*{len(edges)})^{fold}/2 edges * 6^{fold} pairs "
+            f"exceeds cap {REPEAT_SIZE_CAP}"
+        )
     oriented: list[tuple[int, int]] = []
     for u, v in edges:
         if u == v:

@@ -34,7 +34,6 @@ from .errors import (
     CapacityError,
     DegenerateInstanceError,
     InternalError,
-    ObjectiveMismatchError,
 )
 from .evaluation import (
     Objective,
@@ -219,15 +218,13 @@ def local_search_half(
     """
     if instance.k < 2:
         raise DegenerateInstanceError("local search needs at least two labels")
-    # Integer restated weights |w|; a negative one is a positive edge.
-    weights = [-w for w in instance.integer_weights[1]]
-    if any(w < 0 for w in weights):
-        raise ObjectiveMismatchError("local search requires all weights negative")
-    if not weights:
-        raise DegenerateInstanceError("max-nwa value undefined: no edges")
+    m = require_objective(instance, Objective.MAX_NWA)
+    objective_normalizer(m, Objective.MAX_NWA)  # an edgeless game refuses here
     n, k = instance.n, instance.k
     if n > LOCAL_SEARCH_VERTEX_CAP:
         raise CapacityError(f"vertex count {n} exceeds cap {LOCAL_SEARCH_VERTEX_CAP}")
+    # integer restated weights |w|: require_objective left only negative ones
+    weights = [-w for w in instance.integer_weights[1]]
     if iteration_cap is None:
         iteration_cap = sum(weights)
 

@@ -29,13 +29,14 @@ from .core import (
     metrics,
     scaled_weights,
 )
-from .errors import (
-    CapacityError,
-    ObjectiveMismatchError,
-    UsageError,
-    ValidationError,
+from .errors import CapacityError, UsageError, ValidationError
+from .evaluation import (
+    Objective,
+    Tables,
+    pair_tables,
+    require_objective,
+    satisfied_weight,
 )
-from .evaluation import Objective, Tables, pair_tables, satisfied_weight
 from .fileformat import fmt_fraction
 from .reductions import (
     BundleMap,
@@ -326,12 +327,11 @@ def check_strip_bounds(
     notes: the upper one genuinely fails for instances whose optimum value is
     negative.
     """
+    require_objective(instance, Objective.MIN_PWT)
     scale, weights = instance.integer_weights
     sigma = sum(weights)
     w_plus = sum(w for w in weights if w > 0)
     neg_total = w_plus - sigma
-    if sigma <= 0:
-        raise ObjectiveMismatchError("strip bounds require positive total weight")
     k = instance.k
     # the solvers' rule refuses an over-cap label space before the scan starts
     space = _require_label_space(((k, instance.n),), cap)
@@ -439,7 +439,7 @@ def check_tsp_equivalence(
     encoded, _ = tsp_to_min_nwa(tsp)
     brute = brute_force(encoded, Objective.MIN_NWA, cap)
     opt_weight, opt_tour = exhaustive_tsp_optimum(tsp)
-    neg_total = abs(metrics(encoded).w_minus)
+    neg_total = -metrics(encoded).sigma
     brute_abs = brute.value * neg_total
     witnesses: list[Witness] = []
     notes = [

@@ -153,6 +153,58 @@ def test_eval_prints_nothing_when_a_value_fails(
     assert err == f"error: {message}\n"
 
 
+MIXED_GUGP = "GUGP v1\nk 2\nn 2\ne 0 1 1/1 1 2\ne 0 1 -1/3 2 1\n"
+EDGELESS_GUGP = "GUGP v1\nk 2\nn 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("solve", "local2"), MIXED_GUGP, "max-nwa requires all weights negative"),
+        (
+            ("verify", "half-guarantee"),
+            MIXED_GUGP,
+            "max-nwa requires all weights negative",
+        ),
+        (
+            ("solve", "local2"),
+            EDGELESS_GUGP,
+            "max-nwa value undefined: zero normalizer",
+        ),
+        (
+            ("verify", "half-guarantee"),
+            EDGELESS_GUGP,
+            "max-nwa value undefined: zero normalizer",
+        ),
+        (
+            ("verify", "strip-bounds"),
+            "GUGP v1\nk 2\nn 2\ne 0 1 1/1 1 2\ne 0 1 -1/1 2 1\n",  # sigma = 0
+            "min-pwt requires positive total weight",
+        ),
+        (
+            ("verify", "strip-bounds"),
+            "GUGP v1\nk 2\nn 2\ne 0 1 1/3 1 2\ne 0 1 -1/1 2 1\n",  # sigma < 0
+            "min-pwt requires positive total weight",
+        ),
+    ],
+    ids=[
+        "local2-mixed",
+        "half-guarantee-mixed",
+        "local2-edgeless",
+        "half-guarantee-edgeless",
+        "strip-bounds-zero-sigma",
+        "strip-bounds-negative-sigma",
+    ],
+)
+def test_local_search_and_strip_bounds_refuse_through_the_objective_rule(
+    capsys, tmp_path, argv, text, message
+):
+    # the same sign and normalizer rule as labeling_value, with its messages
+    path = write(tmp_path / "instance.gugp", text)
+    code, out, err = run(capsys, *argv, "--in", path)
+    assert (code, out, err) == (1, [], f"error: {message}\n")
+
+
 def test_solve_brute_needs_objective_for_gugp(capsys, counterexample):
     code, _, err = run(capsys, "solve", "brute", "--in", counterexample)
     assert code == 1
@@ -284,6 +336,92 @@ def test_local_search_refuses_a_huge_vertex_count_before_allocating(tmp_path, ar
         "error: vertex count 1000000000000 exceeds cap 100000\n",
     )
     assert not (tmp_path / "out.lab").exists()
+
+
+BIG = 10**12
+# header bombs: one record under a huge vertex count, or none under a huge
+# label count, in every format; small valid companions fill the other slots
+BOMB_FILES = {
+    "n.gugp": f"GUGP v1\nk 2\nn {BIG}\ne 0 1 -1/1 1 2\n",
+    "k.gugp": f"GUGP v1\nk {BIG}\nn 2\n",
+    "n.rel": f"REL v1\nk1 3\nk2 3\nn {BIG}\nbipartite 0\ne 0 1 1/1 1 1 2\n",
+    "k.rel": f"REL v1\nk1 {BIG}\nk2 {BIG}\nn 2\nbipartite 0\n",
+    "fold25.rel": f"REL v1\nk1 {3**25}\nk2 {3**25}\nn 2\nbipartite 0\n",
+    "n.t22": f"T22 v1\nk 2\nn {BIG}\ne 0 1 1/1 pu 1 2 3 4 pv 1 2 3 4\n",
+    "k.t22": f"T22 v1\nk {BIG}\nn 2\n",
+    "n.tsp": f"TSP v1\nn {BIG}\nw 0 1 1/1\n",
+    "n.lab": f"LAB v1\nn {BIG}\nf 0 1\n",
+    "two.lab": "LAB v1\nn 2\nf 0 1\nf 1 1\n",
+    "two.t22": "T22 v1\nk 2\nn 2\ne 0 1 1/1 pu 1 2 3 4 pv 1 2 3 4\n",
+    "four.gugp": "GUGP v1\nk 4\nn 2\ne 0 1 1/1 1 2 3 4\n",
+}
+
+
+def _bomb_rows():
+    """``(argv, exit code)`` for every subcommand and kind that reads each
+    format; the GUGP and REL rows give the codes for the n and the k bomb."""
+    for argv, n_code, k_code in (
+        (("reduce", "strip-neg", "--out", "out"), 1, 1),
+        (("solve", "brute", "--objective", "max-nwa"), 3, 3),
+        (("solve", "local2"), 3, 1),
+        (("eval", "--labeling", "two.lab"), 1, 0),
+        (("metrics",), 0, 0),
+        (("verify", "gadget-pwt1"), 1, 1),
+        (("verify", "gadget-pwt-half", "--source", "two.t22"), 1, 1),
+        (("verify", "strip-bounds"), 1, 1),
+        (("verify", "half-guarantee"), 3, 1),
+    ):
+        yield (*argv, "--in", "n.gugp"), n_code
+        yield (*argv, "--in", "k.gugp"), k_code
+    for argv, n_code, k_code in (
+        (("reduce", "repeat3cut", "--l", "2", "--out", "out"), 3, 1),
+        (("reduce", "pwt1", "--out", "out"), 1, 1),
+        (("solve", "brute"), 3, 3),
+        (("eval", "--labeling", "two.lab"), 1, 1),
+        (("verify", "smoothness"), 1, 1),
+    ):
+        yield (*argv, "--in", "n.rel"), n_code
+        yield (*argv, "--in", "k.rel"), k_code
+    for bomb in ("n.t22", "k.t22"):
+        yield ("reduce", "pwt-half", "--in", bomb, "--out", "out"), 0
+        yield ("verify", "gadget-pwt-half", "--in", "four.gugp", "--source", bomb), 1
+    yield ("reduce", "tsp-nwa", "--in", "n.tsp", "--out", "out"), 1
+    yield ("verify", "tsp-equiv", "--in", "n.tsp"), 1
+    yield ("eval", "--in", "four.gugp", "--labeling", "n.lab"), 1
+    # 3^25 labels read as fold 25: building that fold's k^2 relation never ended
+    yield ("reduce", "pwt1", "--in", "fold25.rel", "--out", "out"), 3
+    # 4 base edges at fold 5: 16,384 edges of 7,776 pairs each, which ended
+    # in a MemoryError traceback while serializing when nothing refused it
+    yield ("reduce", "repeat3cut", "--in", "base.rel", "--l", "5", "--out", "out"), 3
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    list(_bomb_rows()),
+    ids=lambda value: "-".join(value) if isinstance(value, tuple) else None,
+)
+def test_header_bombs_end_in_their_exit_code_within_a_memory_limit(
+    tmp_path, argv, code
+):
+    # a header count alone never sizes an allocation or a loop: each child
+    # answers within seconds under 512 MiB, with no traceback.  Exit 0 means
+    # the file is valid and the work is proportional to its records.
+    for name, text in BOMB_FILES.items():
+        (tmp_path / name).write_text(text)
+    base = generate(GenSpec(family="planted-3col", seed=1, n=4, m=4)).instance
+    write(tmp_path / "base.rel", base)
+    paths = {*BOMB_FILES, "base.rel", "out"}
+    argv = [str(tmp_path / arg) if arg in paths else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gugp_workbench", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") if code else proc.stderr == ""
 
 
 @pytest.mark.parametrize(
@@ -654,6 +792,62 @@ def test_reduce_rejects_wrong_input_type(capsys, counterexample, tmp_path):
     )
     assert code == 1
     assert "expects a TSP file" in err
+
+
+WRONG_FILES = {
+    "a.lab": "LAB v1\nn 2\nf 0 1\nf 1 1\n",
+    "a.gugp": "GUGP v1\nk 4\nn 2\ne 0 1 1/1 1 2 3 4\n",
+    "a.rel": "REL v1\nk1 2\nk2 2\nn 2\nbipartite 0\ne 0 1 1/1 1 1 2\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("reduce", "tsp-nwa", "--in", "a.lab"), "tsp-nwa expects a TSP file"),
+        (("reduce", "repeat3cut", "--in", "a.lab"), "repeat3cut expects a 3-cut REL file"),
+        (("reduce", "repeat3cut", "--in", "a.rel"), "repeat3cut expects a 3-cut REL file"),
+        (("reduce", "pwt1", "--in", "a.lab"), "pwt1 expects a repeated 3-cut REL file"),
+        (("reduce", "pwt-half", "--in", "a.lab"), "pwt-half expects a T22 file"),
+        (("reduce", "strip-neg", "--in", "a.lab"), "strip-neg expects a GUGP file"),
+        (("solve", "brute", "--in", "a.lab"), "solve expects a GUGP or REL file"),
+        (("solve", "local2", "--in", "a.rel"), "local2 expects a GUGP file"),
+        (
+            ("eval", "--in", "a.lab", "--labeling", "a.lab"),
+            "eval expects a GUGP or REL file",
+        ),
+        (
+            ("eval", "--in", "a.gugp", "--labeling", "a.gugp"),
+            "--labeling must point at a LAB file",
+        ),
+        (("metrics", "--in", "a.rel"), "metrics expects a GUGP file"),
+        (("verify", "smoothness", "--in", "a.gugp"), "smoothness expects a REL file"),
+        (("verify", "gadget-pwt1", "--in", "a.rel"), "gadget-pwt1 expects a GUGP file"),
+        (
+            ("verify", "gadget-pwt-half", "--in", "a.rel"),
+            "gadget-pwt-half expects a GUGP file",
+        ),
+        (
+            ("verify", "gadget-pwt-half", "--in", "a.gugp", "--source", "a.gugp"),
+            "--source must be a T22 file",
+        ),
+        (("verify", "strip-bounds", "--in", "a.lab"), "strip-bounds expects a GUGP file"),
+        (
+            ("verify", "half-guarantee", "--in", "a.lab"),
+            "half-guarantee expects a GUGP file",
+        ),
+        (("verify", "tsp-equiv", "--in", "a.gugp"), "tsp-equiv expects a TSP file"),
+    ],
+)
+def test_each_input_names_the_file_type_it_expects(capsys, tmp_path, argv, message):
+    for name, text in WRONG_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in WRONG_FILES else arg for arg in argv]
+    if argv[0] == "reduce":
+        argv += ["--out", str(tmp_path / "out.txt")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, [], f"error: {message}\n")
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_verify_strip_bounds_and_half_guarantee(capsys, counterexample, tmp_path):

@@ -155,9 +155,14 @@ NWA_OBJECTIVES = (Objective.MAX_NWA, Objective.MIN_NWA)
 
 @pytest.mark.parametrize("objective", list(Objective))
 def test_objective_normalizer_per_objective(objective):
-    # w+ = 3 and w- = -1: NWA divides by |w-| = 1, the others by sigma = 2
-    m = metrics(gugp(2, 2, (0, 1, 3, identity(2)), (0, 1, -1, perm(2, 1))))
-    expected = 1 if objective in NWA_OBJECTIVES else 2
+    # every objective divides by sigma: 3 - 1 = 2 on the mixed game, and the
+    # negative -3 - 1 = -4 on the all-negative game NWA requires
+    if objective in NWA_OBJECTIVES:
+        weights, expected = (-3, -1), -4
+    else:
+        weights, expected = (3, -1), 2
+    edges = ((0, 1, weights[0], identity(2)), (0, 1, weights[1], perm(2, 1)))
+    m = metrics(gugp(2, 2, *edges))
     assert objective_normalizer(m, objective) == expected
 
 

@@ -39,11 +39,13 @@ from gugp_workbench import (
     two2two_to_pwt_half,
     unsatisfied_weight,
 )
+from gugp_workbench import reductions
 from gugp_workbench.reductions import (
     decode_label,
     decode_vertex,
     encode_label_tuple,
     encode_vertex_tuple,
+    label_fold,
 )
 
 from conftest import gugp, identity, perm, permutations
@@ -308,6 +310,36 @@ def test_repeat_caps():
         repeat_max3cut(3, triangle_pairs(), 7)  # 3^7 labels > 729
     with pytest.raises(CapacityError):
         repeat_max3cut(12, ((0, 1),), 4)  # 12^4 vertices > 20000
+
+
+@pytest.mark.parametrize(
+    "n, pairs, fold",
+    [(2, ((0, 1),), 4), (3, triangle_pairs(), 2), (4, ((0, 1), (1, 2), (2, 3)), 3)],
+)
+def test_repeat_size_cap_boundary(monkeypatch, n, pairs, fold):
+    # a simple graph with m edges repeats to (2m)^l / 2 edges, each holding
+    # the 6^l pairs of the all-coordinates-differ relation
+    repeated = repeat_max3cut(n, pairs, fold)
+    assert 2 * len(repeated.edges) == (2 * len(pairs)) ** fold
+    assert len(all_coords_differ_relation(fold).pairs) == 6**fold
+    size = len(repeated.edges) * 6**fold
+    monkeypatch.setattr(reductions, "REPEAT_SIZE_CAP", size)
+    assert repeat_max3cut(n, pairs, fold) == repeated
+    monkeypatch.setattr(reductions, "REPEAT_SIZE_CAP", size - 1)
+    message = rf"\^{fold}/2 edges \* 6\^{fold} pairs exceeds cap {size - 1}$"
+    with pytest.raises(CapacityError, match=message):
+        repeat_max3cut(n, pairs, fold)
+
+
+def test_label_fold_refuses_a_fold_over_the_label_cap():
+    assert label_fold(729) == 6
+    with pytest.raises(CapacityError, match=r"^label count 3\^7 exceeds cap 729$"):
+        label_fold(3**7)
+    # a REL header of 3^25 labels and no edges: the fold-25 relation alone
+    # would take k^2 steps to build
+    huge = RelationalInstance(2, 3**25, 3**25, ())
+    with pytest.raises(CapacityError, match=r"^label count 3\^25 exceeds cap 729$"):
+        repeated_from_relational(huge)
 
 
 @pytest.mark.parametrize(
