@@ -43,6 +43,7 @@ from .reductions import (
     pwt1_gadget,
     repeat_max3cut,
     repeated_from_relational,
+    require_repeat_size,
     strip_negative,
     tsp_to_min_nwa,
     two2two_to_pwt_half,
@@ -148,9 +149,17 @@ def _cmd_gen(args) -> int:
 
 
 def _simple_graph_from_rel(instance: RelationalInstance) -> tuple[int, tuple]:
+    """The base graph of a 3-cut REL file: every edge must carry unit weight
+    and the all-differ relation, as ``repeated_from_relational`` requires
+    of a repeated game, and no vertex pair may repeat."""
+    differ = all_coords_differ_relation(1)
     pairs = []
     seen = set()
     for e in instance.edges:
+        if e.weight != 1:
+            raise ValidationError("3-cut base edges carry unit weight")
+        if e.rel != differ:
+            raise ValidationError("every relation must be the all-differ relation")
         pair = (min(e.u, e.v), max(e.u, e.v))
         if pair in seen:
             raise ValidationError("base graph must be simple (duplicate edge)")
@@ -177,6 +186,8 @@ def _cmd_reduce(args) -> int:
     elif kind == "repeat3cut":
         if source.k1 != 3:
             raise UsageError(_REDUCE_INPUT[kind][1])
+        # the caps read counts alone, so an over-cap file is refused first
+        require_repeat_size(source.n, len(source.edges), args.l)
         repeated = repeat_max3cut(*_simple_graph_from_rel(source), args.l)
         _write(args.out, serialize(repeated.to_relational()))
         print(f"OUT={args.out}")
@@ -196,7 +207,7 @@ def _cmd_reduce(args) -> int:
     _write(args.out, serialize(gadget))
     print(f"OUT={args.out}")
     print(f"BUNDLES={bundles.source_count}")
-    print(f"EDGES={bundles.total_edges}")
+    print(f"EDGES={len(gadget.edges)}")
     return 0
 
 
@@ -289,7 +300,7 @@ def _cmd_verify(args) -> int:
                 raise UsageError(
                     f"gadget edge count must be a positive multiple of {gadget.k}"
                 )
-            predicate = coordinate_collision_predicate(param)
+            relation_of = coordinate_collision_predicate(param)
             differ = all_coords_differ_relation(param)
             source_edges = tuple(
                 RelEdge(first.u, first.v, Fraction(1), differ)
@@ -315,12 +326,12 @@ def _cmd_verify(args) -> int:
                 if (first.u, first.v) != (e.u, e.v):
                     raise UsageError(f"bundle {i} endpoints do not match source edge")
             family, param = "pwt-half", t22.k
-            predicate = pair_block_predicate(t22)
+            relation_of = pair_block_predicate(t22)
             source = t22.to_unit_relational()
         bundles = BundleMap.uniform(len(source.edges), gadget.k)
         reports = [
             check_bundle_exactly_one(gadget, bundles),
-            check_indicator_weights(gadget, bundles, predicate),
+            check_indicator_weights(gadget, bundles, relation_of),
             check_gadget_metrics(gadget, family, param, len(source.edges)),
         ]
         try:

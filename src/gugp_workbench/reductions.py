@@ -355,6 +355,23 @@ def repeated_from_relational(instance: RelationalInstance) -> RepeatedInstance:
     return RepeatedInstance(base, fold, tuple(sorted(pairs)))
 
 
+def require_repeat_size(n: int, m: int, fold: int) -> None:
+    """Refuse a fold below 1, and with ``CapacityError`` a repetition of a
+    base with n vertices and m edges that exceeds the label, vertex or
+    ``REPEAT_SIZE_CAP`` bound; the counts alone decide."""
+    if fold < 1:
+        raise ValidationError("fold must be at least 1")
+    if capped_power_product(((3, fold),), LABEL_CAP) is None:
+        raise CapacityError(f"label count 3^{fold} exceeds cap {LABEL_CAP}")
+    if capped_power_product(((n, fold),), VERTEX_CAP) is None:
+        raise CapacityError(f"vertex count {n}^{fold} exceeds cap {VERTEX_CAP}")
+    if capped_power_product(((2 * m, fold), (6, fold)), 2 * REPEAT_SIZE_CAP) is None:
+        raise CapacityError(
+            f"repeated size (2*{m})^{fold}/2 edges * 6^{fold} pairs "
+            f"exceeds cap {REPEAT_SIZE_CAP}"
+        )
+
+
 def repeat_max3cut(
     n: int,
     edges: tuple[tuple[int, int], ...],
@@ -365,20 +382,9 @@ def repeat_max3cut(
     The tuple-pair edge set is generated from ordered choices of one oriented
     base edge per coordinate, canonicalized and deduplicated.  A simple graph
     with m edges gives (2m)^fold / 2 edges of 6^fold relation pairs each;
-    ``REPEAT_SIZE_CAP`` bounds that product before the first choice.
+    ``require_repeat_size`` bounds that product before the first choice.
     """
-    if fold < 1:
-        raise ValidationError("fold must be at least 1")
-    if capped_power_product(((3, fold),), LABEL_CAP) is None:
-        raise CapacityError(f"label count 3^{fold} exceeds cap {LABEL_CAP}")
-    if capped_power_product(((n, fold),), VERTEX_CAP) is None:
-        raise CapacityError(f"vertex count {n}^{fold} exceeds cap {VERTEX_CAP}")
-    factors = ((2 * len(edges), fold), (6, fold))
-    if capped_power_product(factors, 2 * REPEAT_SIZE_CAP) is None:
-        raise CapacityError(
-            f"repeated size (2*{len(edges)})^{fold}/2 edges * 6^{fold} pairs "
-            f"exceeds cap {REPEAT_SIZE_CAP}"
-        )
+    require_repeat_size(n, len(edges), fold)
     oriented: list[tuple[int, int]] = []
     for u, v in edges:
         if u == v:

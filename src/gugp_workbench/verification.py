@@ -5,11 +5,19 @@ Every check enumerates its claim exhaustively (never sampling), returns a
 number of cases inspected.  Reports are deterministic: witnesses appear in
 scan order (bundle index, then label pair / labeling).
 
-Checks never trust metadata produced by the reductions: indicator predicates
-are the complements of the source game's own relations
+Checks never trust metadata produced by the reductions: the indicator check
+reads each bundle's expected 0/1 weights off the source game's own relation
 (``all_coords_differ_relation``, ``two2two_relation``), which neither gadget
 builder calls, and bundle weights are compared against independently stated
 closed forms.
+
+The two bundle checks build one satisfied-weight table per run of identical
+bundles (the same permutation objects with the same weights, in order, as
+in every pwt1 gadget), compare it row by row, and report the failing cells
+of a reused table under each bundle's own index.  ``CASES=`` still counts
+k^2 label pairs per bundle, and ``case_cap`` is an upper bound on the edge
+looks performed.  At most ``MAX_RECORDED_WITNESSES`` witnesses are ever
+collected.
 """
 
 from __future__ import annotations
@@ -98,12 +106,18 @@ def _report(
 def _bundle_tables(
     gadget: GugpInstance, bundles: BundleMap, weighted: bool, claim: str, case_cap: int
 ) -> Iterator[tuple[int, int, int, list[list[int]]]]:
-    """Yield ``(bundle, scale, total, table)``, building one table at a time.
+    """Yield ``(bundle, scale, total, table)``, holding one table at a time.
 
     ``table[a][b]`` and ``total`` are the bundle's weight satisfied at labels
     (a, b) and its whole weight, both times the gadget's ``scale``;
-    unweighted tables count edges.  The cap bounds the edge looks performed:
-    k per edge to fill a table plus k^2 to read it.
+    unweighted tables count edges.  A bundle whose edges carry the same
+    permutation objects with the same integer weights, in order, as the
+    previous bundle's yields that bundle's table object again: ids are safe
+    keys because the gadget holds every permutation for the whole call.
+    Every bundle's edges must still share one vertex pair.  The cap is an
+    upper bound on the edge looks performed: k per edge to fill a table plus
+    k^2 to read it, counted for every bundle whether its table is reused or
+    not.
     """
     if bundles.total_edges != len(gadget.edges):
         raise ValidationError("bundle ranges do not cover the gadget edge sequence")
@@ -114,12 +128,36 @@ def _bundle_tables(
     scale, weights = (
         gadget.integer_weights if weighted else (1, (1,) * len(gadget.edges))
     )
+    key: tuple = ()
+    table: list[list[int]] = []
     for i, (start, end) in enumerate(bundles.ranges):
-        part = weights[start:end]
-        tables = pair_tables(gadget.edges[start:end], part, k, k)
-        if len(tables) != 1:
+        edges = gadget.edges[start:end]
+        u, v = edges[0].u, edges[0].v
+        if any(e.u != u or e.v != v for e in edges):
             raise ValidationError(f"bundle {i} mixes edges of different vertex pairs")
-        yield i, scale, sum(part), tables.popitem()[1]
+        part = weights[start:end]
+        bundle_key = (part, [id(e.pi) for e in edges])
+        if bundle_key != key:
+            key = bundle_key
+            table = pair_tables(edges, part, k, k)[u, v]
+        yield i, scale, sum(part), table
+
+
+def _differing_cells(
+    table: list[list[int]], expected: list[list[int]], room: int
+) -> list[tuple[int, int]]:
+    """The first ``room`` label pairs (a, b), in scan order, at which two
+    padded tables differ.  Rows are compared whole; only a row that differs
+    is walked cell by cell."""
+    cells: list[tuple[int, int]] = []
+    for a in range(1, len(table)):
+        if table[a] != expected[a]:
+            for b, (got, want) in enumerate(zip(table[a], expected[a])):
+                if got != want:
+                    if len(cells) == room:
+                        return cells
+                    cells.append((a, b))
+    return cells
 
 
 def check_bundle_exactly_one(
@@ -129,80 +167,89 @@ def check_bundle_exactly_one(
 ) -> VerifyReport:
     """Every bundle must satisfy exactly one of its edges per label pair.
 
-    ``case_cap`` bounds the edge looks performed: k * |bundle| + k^2 per bundle.
+    Each table row is compared whole with ``[0] + [1] * k``.  A bundle that
+    reuses the previous bundle's table (see ``_bundle_tables``) reuses its
+    failing cells too, reported under its own index.  ``case_cap`` is an
+    upper bound on the edge looks performed: k * |bundle| + k^2 per bundle.
     """
     k = gadget.k
+    once = [[0] + [1] * k] * (k + 1)
     witnesses: list[Witness] = []
-    cases = 0
+    failing: list[tuple[object, object, object]] = []
+    seen = None
     for i, _, _, table in _bundle_tables(gadget, bundles, False, "exactly-one", case_cap):
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                cases += 1
-                hits = table[a][b]
-                if hits != 1:
-                    witnesses.append((i, (a, b), 1, hits))
-    return _report("bundle-exactly-one", cases, witnesses)
+        room = MAX_RECORDED_WITNESSES - len(witnesses)
+        if table is not seen:
+            seen = table
+            cells = _differing_cells(table, once, room)
+            failing = [((a, b), 1, table[a][b]) for a, b in cells]
+        witnesses.extend((i, *cell) for cell in failing[:room])
+    return _report("bundle-exactly-one", k * k * bundles.source_count, witnesses)
 
 
-def _misses(relation_of: Callable[[int], Relation]) -> Callable[[int, int, int], bool]:
-    """Predicate holding when (a, b) lies outside the bundle's relation;
-    labels outside the relation's ranges raise ``ValidationError``."""
-
-    def predicate(bundle: int, a: int, b: int) -> bool:
-        rel = relation_of(bundle)
-        if not (1 <= a <= rel.k1 and 1 <= b <= rel.k2):
-            raise ValidationError(
-                f"label pair ({a},{b}) out of range [1..{rel.k1}]x[1..{rel.k2}]"
-            )
-        return (a, b) not in rel.pairs
-
-    return predicate
-
-
-def coordinate_collision_predicate(fold: int) -> Callable[[int, int, int], bool]:
-    """Indicator input for shift-gadget bundles: unsatisfied weight should be
-    1 exactly when the two label tuples share a coordinate, i.e. miss the
-    repeated 3-cut game's all-coordinates-differ relation."""
+def coordinate_collision_predicate(fold: int) -> Callable[[int], Relation]:
+    """Indicator input for shift-gadget bundles: every bundle's unsatisfied
+    weight should be 1 exactly when the two label tuples share a coordinate,
+    i.e. off the repeated 3-cut game's all-coordinates-differ relation."""
     differ = all_coords_differ_relation(fold)
-    return _misses(lambda _bundle: differ)
+    return lambda _bundle: differ
 
 
-def pair_block_predicate(
-    source: TwoToTwoInstance,
-) -> Callable[[int, int, int], bool]:
-    """Indicator input for pair-block bundles: unsatisfied weight should be 1
-    exactly when (a, b) misses the source edge's two-to-two relation."""
+def pair_block_predicate(source: TwoToTwoInstance) -> Callable[[int], Relation]:
+    """Indicator input for pair-block bundles: bundle i's unsatisfied weight
+    should be 1 exactly off source edge i's two-to-two relation."""
     relations = [two2two_relation(e.pi_u, e.pi_v) for e in source.edges]
-    return _misses(relations.__getitem__)
+    return relations.__getitem__
 
 
 def check_indicator_weights(
     gadget: GugpInstance,
     bundles: BundleMap,
-    predicate: Callable[[int, int, int], bool],
+    relation_of: Callable[[int], Relation],
     case_cap: int = DEFAULT_CASE_CAP,
 ) -> VerifyReport:
-    """Each bundle's unsatisfied weight must be exactly 1 where the predicate
-    holds and exactly 0 elsewhere.
+    """Each bundle's unsatisfied weight must be exactly 1 off the relation
+    ``relation_of(bundle)`` and exactly 0 on it.
 
-    ``case_cap`` bounds the edge looks performed: k * |bundle| + k^2 per bundle.
+    Labels range over [1..k]; a relation narrower than that raises
+    ``ValidationError`` naming the first label pair out of its range.  Each
+    table row is compared whole with one expected row built from the
+    relation's pairs.  A bundle that reuses the previous bundle's table (see
+    ``_bundle_tables``) under the same relation object reuses its failing
+    cells too, reported under its own index.  ``case_cap`` is an upper bound
+    on the edge looks performed: k * |bundle| + k^2 per bundle.
     """
     k = gadget.k
     witnesses: list[Witness] = []
-    cases = 0
+    failing: list[tuple[object, object, object]] = []
+    seen = seen_rel = None
     for i, scale, total, table in _bundle_tables(
         gadget, bundles, True, "indicator", case_cap
     ):
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                cases += 1
-                expected = scale if predicate(i, a, b) else 0
-                actual = total - table[a][b]
-                if actual != expected:
-                    witnesses.append(
-                        (i, (a, b), Fraction(expected, scale), Fraction(actual, scale))
-                    )
-    return _report("bundle-indicator-weights", cases, witnesses)
+        rel = relation_of(i)
+        if k > rel.k1 or k > rel.k2:
+            a, b = (1, rel.k2 + 1) if k > rel.k2 else (rel.k1 + 1, 1)
+            raise ValidationError(
+                f"label pair ({a},{b}) out of range [1..{rel.k1}]x[1..{rel.k2}]"
+            )
+        room = MAX_RECORDED_WITNESSES - len(witnesses)
+        if table is not seen or rel is not seen_rel:
+            seen, seen_rel = table, rel
+            # satisfied weight: the whole bundle on the relation, one unit less off it
+            expected = [[0] + [total - scale] * k for _ in range(k + 1)]
+            for a, b in rel.pairs:
+                if a <= k and b <= k:
+                    expected[a][b] = total
+            failing = [
+                (
+                    (a, b),
+                    Fraction(total - expected[a][b], scale),
+                    Fraction(total - table[a][b], scale),
+                )
+                for a, b in _differing_cells(table, expected, room)
+            ]
+        witnesses.extend((i, *cell) for cell in failing[:room])
+    return _report("bundle-indicator-weights", k * k * bundles.source_count, witnesses)
 
 
 def check_gadget_metrics(

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gugp_workbench import (
+    BundleMap,
     GenSpec,
     GugpEdge,
     GugpInstance,
@@ -34,6 +35,7 @@ from gugp_workbench import (
     tsp_to_min_nwa,
     two2two_to_pwt_half,
 )
+from gugp_workbench import cli
 from gugp_workbench.cli import main
 from gugp_workbench.generators import FAMILIES
 
@@ -778,6 +780,59 @@ def test_reduce_tsp_pipeline(capsys, tmp_path):
     code, lines, _ = run(capsys, "verify", "tsp-equiv", "--in", str(tsp))
     assert code == 0
     assert lines[-1] == "VERDICT=PASS"
+
+
+def test_reduce_counts_the_edges_of_the_gadget_it_wrote(capsys, tmp_path, monkeypatch):
+    # EDGES= comes from the written gadget, not from the returned bundle map
+    def short_map(tsp):
+        gadget, bundles = tsp_to_min_nwa(tsp)
+        return gadget, BundleMap.uniform(bundles.source_count, 2)
+
+    monkeypatch.setattr(cli, "tsp_to_min_nwa", short_map)
+    tsp = write(tmp_path / "t.tsp", generate(GenSpec("random-tsp", seed=11, n=4)).instance)
+    enc = tmp_path / "t.gugp"
+    code, lines, _ = run(capsys, "reduce", "tsp-nwa", "--in", tsp, "--out", str(enc))
+    assert code == 0
+    assert "EDGES=18" in lines
+    assert len(parse(enc.read_text()).edges) == 18
+
+
+REPEAT3CUT_EDGE = "e {u} {v} {w} {pairs}\n"
+DIFFER_PAIRS = "6 1 2 1 3 2 1 2 3 3 1 3 2"
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # the file repeat3cut once rewrote as two unit-weight all-differ edges
+        (
+            (("5/7", "1 1 1"), ("1/1", "2 1 1 2 2")),
+            "3-cut base edges carry unit weight",
+        ),
+        (
+            (("1/1", DIFFER_PAIRS), ("1/1", "2 1 1 2 2")),
+            "every relation must be the all-differ relation",
+        ),
+        (
+            (("1/1", DIFFER_PAIRS), ("2/1", DIFFER_PAIRS)),
+            "3-cut base edges carry unit weight",
+        ),
+    ],
+)
+def test_repeat3cut_refuses_a_base_that_is_not_a_3_cut_game(
+    capsys, tmp_path, edges, message
+):
+    text = "REL v1\nk1 3\nk2 3\nn 3\nbipartite 0\n" + "".join(
+        REPEAT3CUT_EDGE.format(u=i, v=i + 1, w=w, pairs=pairs)
+        for i, (w, pairs) in enumerate(edges)
+    )
+    rel = write(tmp_path / "base.rel", text)
+    out = tmp_path / "out.rel"
+    code, lines, err = run(
+        capsys, "reduce", "repeat3cut", "--in", rel, "--l", "2", "--out", str(out)
+    )
+    assert (code, lines, err) == (1, [], f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_reduce_rejects_wrong_input_type(capsys, counterexample, tmp_path):

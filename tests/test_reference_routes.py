@@ -11,6 +11,7 @@ the same way: the same instances and the same bytes.
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,7 @@ from gugp_workbench import (
     unsatisfied_weight,
 )
 
+from gugp_workbench import verification
 from gugp_workbench.solvers import BLOCK_LABELINGS, _best_labeling, _prefix_scan
 from gugp_workbench.verification import _strip_scan
 
@@ -328,16 +330,24 @@ def seeded_gugp(seed, n, m, k, nwa=False, max_ratio=None):
 
 @st.composite
 def bundled_gadgets(draw):
-    """Arbitrary bundles (most of them failing both bundle checks)."""
+    """Arbitrary bundles (most of them failing both bundle checks).  A bundle
+    may repeat an earlier bundle's exact ``(pi, weight)`` objects, on any
+    vertex pair, so runs of identical bundles reach the shared-table path."""
     k = draw(st.integers(min_value=1, max_value=4))
-    edges, ranges = [], []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+    edges, ranges, contents = [], [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
         u = draw(st.integers(min_value=0, max_value=2))
         v = (u + draw(st.integers(min_value=1, max_value=2))) % 3
+        if contents and draw(st.booleans()):
+            content = draw(st.sampled_from(contents))
+        else:
+            content = []
+            for _ in range(draw(st.integers(min_value=1, max_value=k + 1))):
+                image = draw(st.permutations(tuple(range(1, k + 1))))
+                content.append((Permutation(tuple(image)), draw(rationals())))
+            contents.append(content)
         start = len(edges)
-        for _ in range(draw(st.integers(min_value=1, max_value=k + 1))):
-            image = draw(st.permutations(tuple(range(1, k + 1))))
-            edges.append(GugpEdge(u, v, draw(rationals()), Permutation(tuple(image))))
+        edges.extend(GugpEdge(u, v, weight, pi) for pi, weight in content)
         ranges.append((start, len(edges)))
     return GugpInstance(3, k, tuple(edges)), BundleMap(tuple(ranges))
 
@@ -425,13 +435,20 @@ def test_exhaustive_tsp_optimum_matches_reference_seeded(n):
 # indicator predicates
 
 
+def misses(relation_of):
+    """The per-cell predicate a relation lookup stands for."""
+    return lambda bundle, a, b: (a, b) not in relation_of(bundle)
+
+
 @pytest.mark.parametrize("fold", [1, 2, 3])
 def test_collision_predicate_matches_reference(fold):
     _, bundles = pwt1_gadget(repeat_max3cut(2, ((0, 1),), fold))
-    predicate = coordinate_collision_predicate(fold)
+    relation_of = coordinate_collision_predicate(fold)
+    predicate = misses(relation_of)
     reference = ref_collision_predicate(fold)
     labels = range(1, 3**fold + 1)
     for i in range(bundles.source_count):
+        assert (relation_of(i).k1, relation_of(i).k2) == (3**fold, 3**fold)
         for a, b in itertools.product(labels, labels):
             assert predicate(i, a, b) == reference(i, a, b)
 
@@ -440,23 +457,33 @@ def test_collision_predicate_matches_reference(fold):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_pair_block_predicate_matches_reference(seed, k):
     source = generate(GenSpec("random-t22", seed=seed, n=4, m=5, k=k)).instance
-    predicate = pair_block_predicate(source)
+    relation_of = pair_block_predicate(source)
+    predicate = misses(relation_of)
     reference = ref_pair_block_predicate(source)
     labels = range(1, 2 * k + 1)
     for i in range(len(source.edges)):
+        assert (relation_of(i).k1, relation_of(i).k2) == (2 * k, 2 * k)
         for a, b in itertools.product(labels, labels):
             assert predicate(i, a, b) == reference(i, a, b)
 
 
 def test_predicates_reject_out_of_range_labels():
+    # a gadget with more labels than the relation: the first pair out of
+    # range in scan order is named, whichever side is too narrow
     source = generate(GenSpec("random-t22", seed=1, n=3, m=2, k=2)).instance
-    for predicate, k in (
-        (coordinate_collision_predicate(2), 9),
-        (pair_block_predicate(source), 4),
+    fold3, fold3_bundles = pwt1_gadget(repeat_max3cut(2, ((0, 1),), 3))
+    wide = generate(GenSpec("random-t22", seed=1, n=3, m=2, k=3)).instance
+    k6, k6_bundles = two2two_to_pwt_half(wide)
+    narrow_left = Relation(2, 6, {(1, 1)})
+    for gadget, bundles, relation_of, pair in (
+        (fold3, fold3_bundles, coordinate_collision_predicate(2), "(1,10)"),
+        (k6, k6_bundles, pair_block_predicate(source), "(1,5)"),
+        (k6, k6_bundles, lambda _bundle: narrow_left, "(3,1)"),
     ):
-        for a, b in ((0, 1), (k + 1, 1), (1, 0), (1, k + 1)):
-            with pytest.raises(ValidationError):
-                predicate(0, a, b)
+        rel = relation_of(0)
+        message = f"label pair {pair} out of range [1..{rel.k1}]x[1..{rel.k2}]"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            check_indicator_weights(gadget, bundles, relation_of)
 
 
 # ---------------------------------------------------------------------------
@@ -763,19 +790,39 @@ def test_strip_bounds_matches_reference_seeded(seed):
 # bundle checks
 
 
-def collision_or_diagonal(bundle, a, b):
-    return (bundle + a + b) % 3 == 0 or a == b
+# one relation per residue: off it, (bundle + a + b) % 3 == 0 or a == b
+RESIDUE_RELATIONS = [
+    Relation(
+        4,
+        4,
+        {
+            (a, b)
+            for a in range(1, 5)
+            for b in range(1, 5)
+            if not ((r + a + b) % 3 == 0 or a == b)
+        },
+    )
+    for r in range(3)
+]
+
+
+def collision_or_diagonal(bundle):
+    return RESIDUE_RELATIONS[bundle % 3]
+
+
+def first_residue(_bundle):
+    return RESIDUE_RELATIONS[0]
 
 
 @settings(max_examples=80, deadline=None)
-@given(bundled_gadgets())
-def test_bundle_checks_match_reference(gadget_and_bundles):
+@given(bundled_gadgets(), st.sampled_from([collision_or_diagonal, first_residue]))
+def test_bundle_checks_match_reference(gadget_and_bundles, relation_of):
     gadget, bundles = gadget_and_bundles
     exactly_one = check_bundle_exactly_one(gadget, bundles)
     cases, witnesses = ref_bundle_exactly_one(gadget, bundles)
     assert (exactly_one.cases, list(exactly_one.witnesses)) == (cases, witnesses[:50])
-    indicator = check_indicator_weights(gadget, bundles, collision_or_diagonal)
-    cases, witnesses = ref_indicator_weights(gadget, bundles, collision_or_diagonal)
+    indicator = check_indicator_weights(gadget, bundles, relation_of)
+    cases, witnesses = ref_indicator_weights(gadget, bundles, misses(relation_of))
     assert (indicator.cases, list(indicator.witnesses)) == (cases, witnesses[:50])
 
 
@@ -783,17 +830,94 @@ def test_bundle_checks_match_reference(gadget_and_bundles):
 def test_bundle_checks_match_reference_on_gadgets(fold):
     pairs = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
     gadget, bundles = pwt1_gadget(repeat_max3cut(4, pairs, fold))
-    predicate = coordinate_collision_predicate(fold)
-    # a wrong predicate makes every bundle fail somewhere
+    relation_of = coordinate_collision_predicate(fold)
+    # a wrong relation makes every bundle fail somewhere
     wrong = coordinate_collision_predicate(fold + 1)
-    for pred in (predicate, wrong):
-        report = check_indicator_weights(gadget, bundles, pred)
-        cases, witnesses = ref_indicator_weights(gadget, bundles, pred)
+    for lookup in (relation_of, wrong):
+        report = check_indicator_weights(gadget, bundles, lookup)
+        cases, witnesses = ref_indicator_weights(gadget, bundles, misses(lookup))
         assert report.cases == cases
         assert list(report.witnesses) == witnesses[:50]
     report = check_bundle_exactly_one(gadget, bundles)
     cases, witnesses = ref_bundle_exactly_one(gadget, bundles)
     assert (report.cases, list(report.witnesses)) == (cases, witnesses[:50])
+
+
+def shared_and_perturbed_gadget():
+    """A fold-2 pwt1 gadget, whose bundles all share one list of
+    ``(pi, weight)`` objects, with middle bundles changed: bundles 3 and 4
+    repeat one permutation the same way (both checks fail), bundle 6
+    carries a different weight (the indicator fails), bundle 9 an equal
+    weight in a distinct ``Fraction`` and bundle 12 equal but distinct
+    ``Permutation`` objects (both pass).  Returns the gadget, its bundles and the number of
+    tables each check builds when it shares them: the weights do not enter
+    the exactly-one check's tables."""
+    pairs = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
+    gadget, bundles = pwt1_gadget(repeat_max3cut(4, pairs, 2))
+    edges = list(gadget.edges)
+
+    def replace(bundle, offset, **fields):
+        j = bundles.ranges[bundle][0] + offset
+        e = edges[j]
+        parts = {"u": e.u, "v": e.v, "weight": e.weight, "pi": e.pi, **fields}
+        edges[j] = GugpEdge(**parts)
+
+    replace(3, 0, pi=edges[1].pi)
+    replace(4, 0, pi=edges[1].pi)
+    replace(6, 4, weight=edges[4].weight + 1)
+    replace(9, 4, weight=Fraction(edges[4].weight.numerator, edges[4].weight.denominator))
+    for offset in range(gadget.k):
+        replace(12, offset, pi=Permutation(tuple(edges[offset].pi.image)))
+    # runs start at bundles 0, 3, 5, 12 and 13, and for the weighted tables
+    # also at 6 and 7; bundle 9 stays in the run of bundle 7
+    return GugpInstance(gadget.n, gadget.k, tuple(edges)), bundles, (5, 7)
+
+
+def count_tables(monkeypatch):
+    built = []
+    real = verification.pair_tables
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verification, "pair_tables", counting)
+    return built
+
+
+def test_bundle_checks_match_reference_on_shared_and_perturbed_bundles(monkeypatch):
+    gadget, bundles, (unweighted_runs, weighted_runs) = shared_and_perturbed_gadget()
+    built = count_tables(monkeypatch)
+    exactly_one = check_bundle_exactly_one(gadget, bundles)
+    cases, witnesses = ref_bundle_exactly_one(gadget, bundles)
+    assert (exactly_one.cases, list(exactly_one.witnesses)) == (cases, witnesses[:50])
+    assert {w[0] for w in exactly_one.witnesses} == {3, 4}
+    assert len(built) == unweighted_runs
+    for fold in (2, 3):
+        built.clear()
+        relation_of = coordinate_collision_predicate(fold)
+        indicator = check_indicator_weights(gadget, bundles, relation_of)
+        cases, witnesses = ref_indicator_weights(gadget, bundles, misses(relation_of))
+        assert (indicator.cases, list(indicator.witnesses)) == (cases, witnesses[:50])
+        assert len(built) == weighted_runs
+    # with the right relation only the perturbed bundles fail
+    _, witnesses = ref_indicator_weights(
+        gadget, bundles, misses(coordinate_collision_predicate(2))
+    )
+    assert {w[0] for w in witnesses} == {3, 4, 6}
+
+
+def test_parsed_gadget_builds_one_table_per_check(monkeypatch):
+    # parsing shares one Permutation per distinct image, so every bundle of
+    # a parsed pwt1 gadget reuses the first bundle's table
+    pairs = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
+    gadget, bundles = pwt1_gadget(repeat_max3cut(4, pairs, 2))
+    parsed = parse(serialize(gadget))
+    built = count_tables(monkeypatch)
+    assert check_bundle_exactly_one(parsed, bundles).passed
+    relation_of = coordinate_collision_predicate(2)
+    assert check_indicator_weights(parsed, bundles, relation_of).passed
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

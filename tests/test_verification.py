@@ -3,6 +3,7 @@ transfer, strip sandwich, local-search guarantee, tour equivalence, and the
 merge-fraction measure."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,45 @@ def test_exactly_one_fits_fold3_readme_gadget_at_default_cap():
     assert report.cases == 864 * 27 * 27
     with pytest.raises(CapacityError, match="needs 1259712 edge looks"):
         check_bundle_exactly_one(gadget, bundles, case_cap=1_259_711)
+
+
+def fold3_readme_gadget():
+    base = generate(GenSpec(family="planted-3col", seed=7, n=5, m=6)).instance
+    pairs = tuple((e.u, e.v) for e in base.edges)
+    return pwt1_gadget(repeat_max3cut(base.n, pairs, 3))
+
+
+def repeat_second_permutation(gadget, bundles):
+    # every bundle's first edge takes the second edge's permutation
+    edges = list(gadget.edges)
+    for start, _ in bundles.ranges:
+        e = edges[start]
+        edges[start] = GugpEdge(e.u, e.v, e.weight, edges[start + 1].pi)
+    return GugpInstance(gadget.n, gadget.k, tuple(edges))
+
+
+def test_failing_bundle_checks_hold_only_the_reported_witnesses():
+    gadget, bundles = fold3_readme_gadget()
+    broken = repeat_second_permutation(gadget, bundles)
+    wrong = coordinate_collision_predicate(4)
+    gadget.integer_weights  # derived outside the measured window
+    for check in (
+        # every one of the 864 bundles fails at 54 label pairs
+        lambda: check_bundle_exactly_one(broken, bundles),
+        # the fold-4 relation is wrong at every one of the 629,856 label pairs
+        lambda: check_indicator_weights(gadget, bundles, wrong),
+    ):
+        tracemalloc.start()
+        try:
+            report = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "FAIL"
+        assert len(report.witnesses) == verification.MAX_RECORDED_WITNESSES
+        assert report.cases == 864 * 27 * 27
+        # a 23,328-edge weight tuple and a few 28 x 28 tables, not every witness
+        assert peak < 2**20
 
 
 def test_bundles_must_match_gadget():
