@@ -17,17 +17,19 @@ Formats:
 ``parse(serialize(x)) == x`` holds for every valid object and serialization
 is deterministic, so files are safe to diff byte-for-byte.
 
-Both directions handle each distinct part once.  Parsing builds one weight,
-permutation or relation per distinct token group and shares it among the
-edges that repeat it; serializing renders each distinct weight, image tuple
-and relation object once and reuses the text for every edge that holds that
-same object.
+Both directions handle each distinct part once.  Parsing splits an edge
+line only up to its constraint fields and keys its caches on the raw
+constraint string: each distinct string is split, converted and validated on
+the line where it first appears, and every later line that repeats it shares
+the object built there.  Weights are cached by their token the same way.
+Serializing renders each distinct weight, image tuple and relation object
+once and reuses the text for every edge that holds that same object.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     GugpEdge,
@@ -70,8 +72,19 @@ def _parse_int(token: str, line: int) -> int:
         raise ParseError(f"expected integer, got {token!r}", line) from None
 
 
-def _parse_permutation(tokens: tuple[str, ...], line: int) -> Permutation:
-    return Permutation(tuple(_parse_int(t, line) for t in tokens))
+def _ints(tokens: Sequence[str], line: int) -> Iterable[int]:
+    """The integers of ``tokens``, converted at once.  If one is not an
+    integer, a generator instead that converts them in order and raises at the
+    first bad token, so a caller that checks as it reads reports what a
+    token-by-token parse would."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        return (_parse_int(t, line) for t in tokens)
+
+
+def _parse_permutation(tokens: Sequence[str], line: int) -> Permutation:
+    return Permutation(tuple(_ints(tokens, line)))
 
 
 def _rendered(cache: dict[int, str], part, render) -> str:
@@ -101,11 +114,15 @@ Records = Iterator[tuple[int, list[str]]]
 
 
 def _records(text: str) -> Records:
-    """The ``(line number, fields)`` of each line that is not blank or a comment."""
+    """The ``(line number, fields)`` of each line that is not blank or a
+    comment.  The header line is split whole; every later line at most four
+    times, so an edge line's constraint fields stay one raw string."""
+    maxsplit = -1
     for number, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
+        fields = raw.split(None, maxsplit)
         if fields and not fields[0].startswith("#"):
             yield number, fields
+            maxsplit = 4
 
 
 def _next(records: Records) -> tuple[int, list[str]]:
@@ -150,14 +167,23 @@ def _parse_gugp(records: Records) -> GugpInstance:
     n = _keyword_int(records, "n")
     edges = []
     weights: dict[str, Fraction] = {}
-    perms: dict[tuple[str, ...], Permutation] = {}
+    perms: dict[str, Permutation] = {}
     for line, fields in records:
-        if k < 1 or fields[0] != "e" or len(fields) != 4 + k:
+        # a string seen before had k images; a new one is split here
+        pi = perms.get(fields[-1])
+        images = fields[4].split() if pi is None and len(fields) == 5 else []
+        if (
+            k < 1
+            or fields[0] != "e"
+            or len(fields) != 5
+            or (pi is None and len(images) != k)
+        ):
             raise ParseError(
                 f"expected 'e <u> <v> <num>/<den> <{k} images>'", line
             )
         u, v, weight = _edge_head(fields, line, weights)
-        pi = _cached(perms, tuple(fields[4:]), line, _parse_permutation)
+        if pi is None:
+            pi = perms[fields[4]] = _parse_permutation(images, line)
         edges.append(GugpEdge(u, v, weight, pi))
     return GugpInstance(n, k, edges)
 
@@ -192,14 +218,16 @@ def serialize_rel(instance: RelationalInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_relation(tokens: tuple[str, ...], line: int, k1: int, k2: int) -> Relation:
-    """A relation from ``<m> <a1> <b1> ... <am> <bm>`` tokens."""
+def _parse_relation(text: str, line: int, k1: int, k2: int) -> Relation:
+    """A relation from its ``<m> <a1> <b1> ... <am> <bm>`` fields."""
+    tokens = text.split()
     m = _parse_int(tokens[0], line)
     if len(tokens) != 1 + 2 * m:
         raise ParseError(f"relation of {m} pairs needs {2 * m} label fields", line)
+    labels = iter(_ints(tokens[1:], line))
     pairs: set[tuple[int, int]] = set()
-    for i in range(1, len(tokens), 2):
-        pair = (_parse_int(tokens[i], line), _parse_int(tokens[i + 1], line))
+    # zip over one iterator pairs consecutive labels
+    for pair in zip(labels, labels):
         if pair in pairs:
             raise ParseError(f"duplicate relation pair ({pair[0]},{pair[1]})", line)
         pairs.add(pair)
@@ -217,7 +245,7 @@ def _parse_rel(records: Records) -> RelationalInstance:
     sides: dict[int, str] = {}
     edges = []
     weights: dict[str, Fraction] = {}
-    relations: dict[tuple[str, ...], Relation] = {}
+    relations: dict[str, Relation] = {}
     for line, fields in records:
         if fields[0] == "s":
             if len(fields) != 3 or fields[2] not in ("V", "W"):
@@ -234,8 +262,7 @@ def _parse_rel(records: Records) -> RelationalInstance:
                     "expected 'e <u> <v> <num>/<den> <m> <a1> <b1> ...'", line
                 )
             u, v, weight = _edge_head(fields, line, weights)
-            key = tuple(fields[4:])
-            rel = _cached(relations, key, line, _parse_relation, k1, k2)
+            rel = _cached(relations, fields[4], line, _parse_relation, k1, k2)
             edges.append(RelEdge(u, v, weight, rel))
         else:
             raise ParseError(f"unknown record {fields[0]!r}", line)
@@ -269,14 +296,25 @@ def _parse_t22(records: Records) -> TwoToTwoInstance:
     width = 2 * k
     edges = []
     weights: dict[str, Fraction] = {}
+    # one (pu, pv) per raw constraint string; each position's images are
+    # shared through perms, so equal pu and pv images give one object
+    pairs: dict[str, tuple[Permutation, Permutation]] = {}
     perms: dict[tuple[str, ...], Permutation] = {}
     for line, fields in records:
+        pair = pairs.get(fields[-1])
+        tokens = fields[4].split() if pair is None and len(fields) == 5 else []
         if (
             k < 1
             or fields[0] != "e"
-            or len(fields) != 6 + 2 * width
-            or fields[4] != "pu"
-            or fields[5 + width] != "pv"
+            or len(fields) != 5
+            or (
+                pair is None
+                and (
+                    len(tokens) != 2 + 2 * width
+                    or tokens[0] != "pu"
+                    or tokens[1 + width] != "pv"
+                )
+            )
         ):
             raise ParseError(
                 f"expected 'e <u> <v> <num>/<den> pu <{width} images> "
@@ -284,9 +322,11 @@ def _parse_t22(records: Records) -> TwoToTwoInstance:
                 line,
             )
         u, v, weight = _edge_head(fields, line, weights)
-        pu = _cached(perms, tuple(fields[5 : 5 + width]), line, _parse_permutation)
-        pv = _cached(perms, tuple(fields[6 + width :]), line, _parse_permutation)
-        edges.append(T22Edge(u, v, weight, pu, pv))
+        if pair is None:
+            pu = _cached(perms, tuple(tokens[1 : 1 + width]), line, _parse_permutation)
+            pv = _cached(perms, tuple(tokens[2 + width :]), line, _parse_permutation)
+            pair = pairs[fields[4]] = (pu, pv)
+        edges.append(T22Edge(u, v, weight, *pair))
     return TwoToTwoInstance(n, k, edges)
 
 

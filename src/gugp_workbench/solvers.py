@@ -193,6 +193,15 @@ def brute_force_relational(
     return SolveResult(best, relational_value(instance, best), space)
 
 
+def _hit_rows(image: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows of a permutation and of its inverse, each padded by a leading
+    0 so that row[label] is that label's image."""
+    inverse = [0] * (len(image) + 1)
+    for label, hit in enumerate(image, start=1):
+        inverse[hit] = label
+    return (0,) + image, tuple(inverse)
+
+
 def local_search_half(
     instance: GugpInstance,
     seed: int | None = None,
@@ -210,6 +219,9 @@ def local_search_half(
     termination each vertex meets the half threshold locally, hence the
     labeling satisfies at least half of the total restated weight, i.e. its
     max-NWA value is at least 1/2.
+
+    Each edge reads the two hit rows of its permutation, the image and its
+    inverse, which are built once per distinct permutation object.
 
     The returned ``visited`` is the number of reassignment steps.  The start
     is the all-1 labeling, or a seeded uniform labeling when ``seed`` is
@@ -235,11 +247,17 @@ def local_search_half(
         labels = [1 + stream.below(k) for _ in range(n)]
 
     # incident[x] holds (y, hit, w) per edge at x: the edge is unsatisfied
-    # in restated form exactly when f(x) = hit[f(y)].
+    # in restated form exactly when f(x) = hit[f(y)].  rows is keyed by
+    # id(pi), which is safe because the instance holds every permutation for
+    # the whole call.
     incident: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
+    rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for e, w in zip(instance.edges, weights):
-        incident[e.u].append((e.v, (0,) + e.pi.invert().image, w))
-        incident[e.v].append((e.u, (0,) + e.pi.image, w))
+        pair = rows.get(id(e.pi))
+        if pair is None:
+            pair = rows[id(e.pi)] = _hit_rows(e.pi.image)
+        incident[e.u].append((e.v, pair[1], w))
+        incident[e.v].append((e.u, pair[0], w))
     total = [sum(w for _, _, w in edges) for edges in incident]
     # unsat[x]: restated weight at x left unsatisfied; x is below the half
     # threshold exactly when 2 * unsat[x] > total[x]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Sized
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -195,11 +196,26 @@ def coordinate_collision_predicate(fold: int) -> Callable[[int], Relation]:
     return lambda _bundle: differ
 
 
+@dataclass(frozen=True)
+class _SourceRelations:
+    """One relation per source edge, looked up by bundle index; its length,
+    the source's edge count, is checked against the gadget's bundle count."""
+
+    relations: tuple[Relation, ...]
+
+    def __call__(self, bundle: int) -> Relation:
+        return self.relations[bundle]
+
+    def __len__(self) -> int:
+        return len(self.relations)
+
+
 def pair_block_predicate(source: TwoToTwoInstance) -> Callable[[int], Relation]:
     """Indicator input for pair-block bundles: bundle i's unsatisfied weight
     should be 1 exactly off source edge i's two-to-two relation."""
-    relations = [two2two_relation(e.pi_u, e.pi_v) for e in source.edges]
-    return relations.__getitem__
+    return _SourceRelations(
+        tuple(two2two_relation(e.pi_u, e.pi_v) for e in source.edges)
+    )
 
 
 def check_indicator_weights(
@@ -211,6 +227,9 @@ def check_indicator_weights(
     """Each bundle's unsatisfied weight must be exactly 1 off the relation
     ``relation_of(bundle)`` and exactly 0 on it.
 
+    A lookup with a length, such as ``pair_block_predicate``'s, holds one
+    relation per source edge; a gadget with another number of bundles raises
+    ``ValidationError`` naming both counts before any bundle is read.
     Labels range over [1..k]; a relation narrower than that raises
     ``ValidationError`` naming the first label pair out of its range.  Each
     table row is compared whole with one expected row built from the
@@ -219,6 +238,11 @@ def check_indicator_weights(
     cells too, reported under its own index.  ``case_cap`` is an upper bound
     on the edge looks performed: k * |bundle| + k^2 per bundle.
     """
+    if isinstance(relation_of, Sized) and len(relation_of) != bundles.source_count:
+        raise ValidationError(
+            f"gadget has {bundles.source_count} bundles but the source has "
+            f"{len(relation_of)} edges"
+        )
     k = gadget.k
     witnesses: list[Witness] = []
     failing: list[tuple[object, object, object]] = []

@@ -77,8 +77,17 @@ def gugp_instances(
         bump = draw(st.integers(min_value=1, max_value=n - 1))
         v = (u + bump) % n
         w = draw(rationals(signs))
-        image = draw(st.permutations(tuple(range(1, k + 1))))
-        edges.append(GugpEdge(u, v, w, Permutation(tuple(image))))
+        # an edge may take an earlier edge's permutation object, or an equal
+        # but distinct copy of it, as parsed and generated games do
+        share = draw(st.sampled_from(["fresh", "same", "copy"])) if edges else "fresh"
+        if share == "fresh":
+            image = draw(st.permutations(tuple(range(1, k + 1))))
+            pi = Permutation(tuple(image))
+        else:
+            pi = draw(st.sampled_from(edges)).pi
+            if share == "copy":
+                pi = Permutation(pi.image)
+        edges.append(GugpEdge(u, v, w, pi))
     return GugpInstance(n, k, tuple(edges))
 
 

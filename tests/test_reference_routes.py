@@ -6,7 +6,10 @@ predicate.  The package's integer and relation-built routes must match it
 exactly: the same values, labelings, work counts, notes, and witnesses in
 scan order.  The generator and the serializers, which build or render each
 distinct weight, permutation and relation once, are held to per-edge copies
-the same way: the same instances and the same bytes.
+the same way: the same instances and the same bytes.  The parser, which
+splits an edge line only up to its constraint string, is held to a parser
+that splits every line whole: the same objects, or the same error on the
+same line.
 """
 
 import itertools
@@ -28,6 +31,7 @@ from gugp_workbench import (
     InstanceMetrics,
     Objective,
     ObjectiveMismatchError,
+    ParseError,
     Permutation,
     RelEdge,
     Relation,
@@ -62,7 +66,8 @@ from gugp_workbench import (
     unsatisfied_weight,
 )
 
-from gugp_workbench import verification
+from gugp_workbench import solvers, verification
+from gugp_workbench.fileformat import parse_fraction
 from gugp_workbench.solvers import BLOCK_LABELINGS, _best_labeling, _prefix_scan
 from gugp_workbench.verification import _strip_scan
 
@@ -942,6 +947,26 @@ def test_local_search_matches_reference_seeded(seed, k):
     assert (result.labeling, result.visited) == ref_local_search(inst, seed)
 
 
+def test_local_search_builds_one_pair_of_rows_per_permutation(monkeypatch):
+    generated = seeded_gugp(12, n=40, m=200, k=5, nwa=True)
+    # every third edge holds an equal copy: a distinct object with its own rows
+    inst = GugpInstance(generated.n, generated.k, tuple(
+        GugpEdge(e.u, e.v, e.weight, Permutation(e.pi.image) if i % 3 == 0 else e.pi)
+        for i, e in enumerate(generated.edges)
+    ))
+    built = []
+    hit_rows = solvers._hit_rows
+    monkeypatch.setattr(solvers, "_hit_rows", lambda image: built.append(image) or hit_rows(image))
+
+    def no_invert(_pi):
+        raise AssertionError("local search inverted a Permutation")
+
+    monkeypatch.setattr(Permutation, "invert", no_invert)
+    result = local_search_half(inst)
+    assert (result.labeling, result.visited) == ref_local_search(inst)
+    assert len(built) == len({id(e.pi) for e in inst.edges}) < len(inst.edges)
+
+
 # ---------------------------------------------------------------------------
 # generation and serialization
 
@@ -1196,3 +1221,219 @@ def test_serialize_gadgets_matches_the_per_edge_reference(fold):
     half, _ = two2two_to_pwt_half(t22.instance)
     for inst in (gadget, half):
         assert serialize(inst) == ref_serialize(inst)
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+
+def ref_parse(text):
+    """The whole-line parser for GUGP, REL and T22 files: every line is split
+    into all its tokens, each token converted on its own, and each constraint
+    cached on its token tuple."""
+    lines = ((number, raw.split()) for number, raw in enumerate(text.splitlines(), start=1))
+    records = (
+        (number, fields) for number, fields in lines
+        if fields and not fields[0].startswith("#")
+    )
+
+    def record():
+        found = next(records, None)
+        if found is None:
+            raise ParseError("unexpected end of file")
+        return found
+
+    def integer(token, line):
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"expected integer, got {token!r}", line) from None
+
+    def keyword(name):
+        line, fields = record()
+        if len(fields) != 2 or fields[0] != name:
+            raise ParseError(f"expected '{name} <int>'", line)
+        return integer(fields[1], line)
+
+    def cached(cache, key, build):
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
+    weights, constraints = {}, {}
+
+    def head(fields, line):
+        u, v = integer(fields[1], line), integer(fields[2], line)
+        return u, v, cached(weights, fields[3], lambda: parse_fraction(fields[3], line))
+
+    def permutation(tokens, line):
+        def build():
+            return Permutation(tuple(integer(t, line) for t in tokens))
+
+        return cached(constraints, tokens, build)
+
+    def relation(tokens, line, k1, k2):
+        m = integer(tokens[0], line)
+        if len(tokens) != 1 + 2 * m:
+            raise ParseError(f"relation of {m} pairs needs {2 * m} label fields", line)
+        pairs = set()
+        for i in range(1, len(tokens), 2):
+            pair = (integer(tokens[i], line), integer(tokens[i + 1], line))
+            if pair in pairs:
+                raise ParseError(f"duplicate relation pair ({pair[0]},{pair[1]})", line)
+            pairs.add(pair)
+        return Relation(k1, k2, frozenset(pairs))
+
+    _, header = record()
+    if header[0] == "GUGP":
+        k, n = keyword("k"), keyword("n")
+        edges = []
+        for line, fields in records:
+            if k < 1 or fields[0] != "e" or len(fields) != 4 + k:
+                raise ParseError(f"expected 'e <u> <v> <num>/<den> <{k} images>'", line)
+            u, v, weight = head(fields, line)
+            edges.append(GugpEdge(u, v, weight, permutation(tuple(fields[4:]), line)))
+        return GugpInstance(n, k, edges)
+    if header[0] == "T22":
+        k, n = keyword("k"), keyword("n")
+        width = 2 * k
+        edges = []
+        for line, fields in records:
+            if (
+                k < 1 or fields[0] != "e" or len(fields) != 6 + 2 * width
+                or fields[4] != "pu" or fields[5 + width] != "pv"
+            ):
+                raise ParseError(
+                    f"expected 'e <u> <v> <num>/<den> pu <{width} images> pv <{width} images>'",
+                    line,
+                )
+            u, v, weight = head(fields, line)
+            pu = permutation(tuple(fields[5 : 5 + width]), line)
+            pv = permutation(tuple(fields[6 + width :]), line)
+            edges.append(T22Edge(u, v, weight, pu, pv))
+        return TwoToTwoInstance(n, k, edges)
+    k1, k2, n = keyword("k1"), keyword("k2"), keyword("n")
+    line, fields = record()
+    if len(fields) != 2 or fields[0] != "bipartite" or fields[1] not in ("0", "1"):
+        raise ParseError("expected 'bipartite <0|1>'", line)
+    bipartite = fields[1] == "1"
+    sides, edges = {}, []
+    for line, fields in records:
+        if fields[0] == "s":
+            if len(fields) != 3 or fields[2] not in ("V", "W"):
+                raise ParseError("expected 's <v> <V|W>'", line)
+            if not bipartite:
+                raise ParseError("side line in a non-bipartite file", line)
+            v = integer(fields[1], line)
+            if v in sides:
+                raise ParseError(f"duplicate side line for vertex {v}", line)
+            sides[v] = fields[2]
+        elif fields[0] == "e":
+            if len(fields) < 5:
+                raise ParseError("expected 'e <u> <v> <num>/<den> <m> <a1> <b1> ...'", line)
+            u, v, weight = head(fields, line)
+            tokens = tuple(fields[4:])
+            rel = cached(constraints, tokens, lambda: relation(tokens, line, k1, k2))
+            edges.append(RelEdge(u, v, weight, rel))
+        else:
+            raise ParseError(f"unknown record {fields[0]!r}", line)
+    side_tuple = None
+    if bipartite:
+        if len(sides) != n or sorted(sides) != list(range(n)):
+            raise ParseError("bipartite file must assign a side to every vertex")
+        side_tuple = tuple(sides[v] for v in range(n))
+    return RelationalInstance(n, k1, k2, edges, side_tuple)
+
+
+def outcome(parser, text):
+    """The parsed object, or the error's class, message and line number."""
+    try:
+        return parser(text)
+    except (ParseError, ValidationError, DegenerateInstanceError) as error:
+        return type(error), str(error), getattr(error, "line", None)
+
+
+# tokens that reach the deeper checks when swapped into a line
+_JUNK = st.sampled_from(
+    ["x", "0", "1", "2", "3", "-1", "1/1", "1/0", "e", "s", "pu", "pv", "V", "W", "#"]
+)
+_SPACES = st.sampled_from([" ", "  ", "\t", " \t", "\xa0"])
+
+
+@st.composite
+def noisy_texts(draw):
+    """A canonical GUGP, REL or T22 file rewritten with runs of spaces and
+    tabs between fields, leading and trailing whitespace, and comment and
+    blank lines; some rewrites also replace, drop or insert one token of a
+    line after the header."""
+    kind = draw(st.sampled_from(["gugp", "rel", "t22"]))
+    if kind == "gugp":
+        inst = draw(gugp_instances(max_k=5, max_m=10))
+    elif kind == "rel":
+        inst = draw(relational_instances())
+    else:
+        inst = draw(st.builds(
+            lambda seed, k, m: generate(GenSpec("random-t22", seed, n=4, m=m, k=k)).instance,
+            st.integers(min_value=0, max_value=2**64 - 1),
+            st.integers(min_value=2, max_value=3),
+            st.integers(min_value=1, max_value=6),
+        ))
+    lines = serialize(inst).splitlines()
+    if draw(st.booleans()):
+        # mostly an edge line, where the constraint string is cached
+        edge_lines = [i for i, raw in enumerate(lines) if raw.startswith("e ")]
+        if draw(st.booleans()):
+            i = draw(st.sampled_from(edge_lines))
+        else:
+            i = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+        tokens = lines[i].split()
+        spot = draw(st.integers(min_value=0, max_value=len(tokens)))
+        action = draw(st.sampled_from(["replace", "drop", "insert"]))
+        if action == "insert" or spot == len(tokens):
+            tokens.insert(spot, draw(_JUNK))
+        elif action == "drop":
+            del tokens[spot]
+        else:
+            tokens[spot] = draw(_JUNK)
+        lines[i] = " ".join(tokens)
+    out = []
+    for raw in lines:
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            out.append(draw(st.sampled_from(["", "  ", "# note", "\t# e 0 1 x"])))
+        fields = raw.split()
+        text = "".join(f + draw(_SPACES) for f in fields[:-1]) + (fields[-1] if fields else "")
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        out.append(lead + text + draw(st.sampled_from(["", " ", " \t"])))
+    return "\n".join(out) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(noisy_texts())
+def test_parse_matches_the_whole_line_reference(text):
+    assert outcome(parse, text) == outcome(ref_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a short line after a line whose images were split
+        "GUGP v1\nk 2\nn 3\ne 0 1 1/1 1 2\ne 1 2 1/1\n",
+        # a repeated image string with a bad weight, then a new bad one
+        "GUGP v1\nk 2\nn 3\ne 0 1 1/1 2 1\ne 1 2 x 2 1\n",
+        "GUGP v1\nk 2\nn 3\ne 0 1 1/1 2 1\ne 1 2 1/1 2 x\n",
+        # a bad vertex before a bad image, and a count error before both
+        "GUGP v1\nk 2\nn 3\ne x 1 1/1 1 y\n",
+        "GUGP v1\nk 2\nn 3\ne x 1 1/1 1 y 3\n",
+        # a duplicate pair before a later non-integer label
+        "REL v1\nk1 2\nk2 2\nn 2\nbipartite 0\ne 0 1 1/1 3 1 1 1 1 x 2\n",
+        "REL v1\nk1 2\nk2 2\nn 2\nbipartite 0\ne 0 1 1/1 2 1 x 1 1\n",
+        # T22 markers and counts, first seen and repeated
+        "T22 v1\nk 2\nn 3\ne 0 1 1/1 pu 1 2 3 4 pv 4 3 2 1\ne 1 2 1/1 pu 1 2 3 4 pv 4 3 2\n",
+        "T22 v1\nk 2\nn 3\ne 0 1 1/1 pu 1 2 3 4 pq 4 3 2 1\n",
+        "T22 v1\nk 2\nn 3\ne 0 1 1/1 pu 1 2 3 4 pv 4 3 2 1\ne x 2 1/1 pu 1 2 3 4 pv 4 3 2 1\n",
+        "T22 v1\nk 2\nn 3\ne 0 1 1/1 pu 1 2 3 x pv 4 3 2 y\n",
+    ],
+)
+def test_parse_errors_match_the_whole_line_reference(text):
+    found = outcome(parse, text)
+    assert isinstance(found, tuple) and found == outcome(ref_parse, text)

@@ -250,6 +250,38 @@ def test_vertex_cap_refuses_before_any_per_vertex_list(monkeypatch):
         local_search_half(GugpInstance(6, 1, (GugpEdge(0, 1, -1, identity(1)),)))
 
 
+def test_non_improving_step_signals_internal_error(monkeypatch):
+    from gugp_workbench import solvers
+
+    # the move choice keeps the mover's label 1, which cannot improve
+    monkeypatch.setattr(solvers, "min", lambda labels, key: 1, raising=False)
+    inst = gugp(2, 2, (0, 1, -1, identity(2)))
+    with pytest.raises(
+        InternalError, match=r"^local search step failed to improve globally$"
+    ):
+        local_search_half(inst)
+
+
+def test_value_below_half_signals_internal_error(monkeypatch):
+    from gugp_workbench import solvers
+
+    monkeypatch.setattr(solvers, "labeling_value", lambda *args: Fraction(1, 3))
+    inst = gugp(2, 2, (0, 1, -1, identity(2)))
+    with pytest.raises(
+        InternalError, match=r"^local search ended below the 1/2 guarantee: 1/3$"
+    ):
+        local_search_half(inst)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_value_of_exactly_half_is_accepted(seed):
+    # whatever the labels, one of the two parallel edges holds: every start
+    # is already locally happy and ends at exactly 1/2
+    inst = gugp(2, 2, (0, 1, -1, identity(2)), (0, 1, -1, perm(2, 1)))
+    result = local_search_half(inst, seed=seed)
+    assert (result.value, result.visited) == (Fraction(1, 2), 0)
+
+
 def test_seeded_start_is_reproducible():
     inst = gugp(
         4,

@@ -254,6 +254,21 @@ def test_indicator_block_gadget(seed):
     assert report.passed
 
 
+def test_indicator_refuses_a_source_of_another_edge_count():
+    source = generate(GenSpec("random-t22", seed=2, n=4, m=3, k=2)).instance
+    first_two = TwoToTwoInstance(source.n, source.k, source.edges[:2])
+    gadget, bundles = two2two_to_pwt_half(source)
+    with pytest.raises(
+        ValidationError, match=r"^gadget has 3 bundles but the source has 2 edges$"
+    ):
+        check_indicator_weights(gadget, bundles, pair_block_predicate(first_two))
+    gadget, bundles = two2two_to_pwt_half(first_two)
+    with pytest.raises(
+        ValidationError, match=r"^gadget has 2 bundles but the source has 3 edges$"
+    ):
+        check_indicator_weights(gadget, bundles, pair_block_predicate(source))
+
+
 def test_indicator_fails_on_perturbed_weight():
     gadget, bundles = triangle_gadget()
     edges = list(gadget.edges)
