@@ -328,7 +328,7 @@ def _cmd_verify(args) -> int:
             family, param = "pwt-half", t22.k
             relation_of = pair_block_predicate(t22)
             source = t22.to_unit_relational()
-        bundles = BundleMap.uniform(len(source.edges), gadget.k)
+        bundles = BundleMap(len(source.edges), gadget.k)
         reports = [
             check_bundle_exactly_one(gadget, bundles),
             check_indicator_weights(gadget, bundles, relation_of),

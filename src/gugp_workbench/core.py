@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ValidationError
 
@@ -254,6 +254,16 @@ def capped_power_product(factors: Sequence[tuple[int, int]], cap: int) -> int | 
         return None
     product = math.prod(k**e for k, e in factors)
     return product if product <= cap else None
+
+
+def built_once(cache: dict, key, build: Callable, *args):
+    """``cache[key]``, made by ``build(*args)`` the first time ``key`` is
+    asked for; every later call shares that one object.  Built values are
+    never None."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build(*args)
+    return value
 
 
 def metrics(instance: GugpInstance) -> InstanceMetrics:

@@ -23,7 +23,10 @@ constraint string: each distinct string is split, converted and validated on
 the line where it first appears, and every later line that repeats it shares
 the object built there.  Weights are cached by their token the same way.
 Serializing renders each distinct weight, image tuple and relation object
-once and reuses the text for every edge that holds that same object.
+once and reuses the text for every edge that holds that same object.  Its
+caches are keyed by ``id``, which is safe while the instance being
+serialized holds the object, as it does for the whole call.  Both directions
+share ``core.built_once``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .core import (
     RelEdge,
     Relation,
     RelationalInstance,
+    built_once,
 )
 from .errors import ParseError
 from .reductions import T22Edge, TspInstance, TwoToTwoInstance
@@ -87,27 +91,8 @@ def _parse_permutation(tokens: Sequence[str], line: int) -> Permutation:
     return Permutation(tuple(_ints(tokens, line)))
 
 
-def _rendered(cache: dict[int, str], part, render) -> str:
-    """``render(part)``, computed once per object: ``cache`` is keyed by
-    ``id(part)``, which is safe while the instance being serialized holds
-    ``part``, as it does for the whole call."""
-    text = cache.get(id(part))
-    if text is None:
-        text = cache[id(part)] = render(part)
-    return text
-
-
 def _images(pi: Permutation) -> str:
     return " ".join(map(str, pi.image))
-
-
-def _cached(cache: dict, key, line: int, build, *args):
-    """``cache[key]``, built (and so validated) by ``build(key, line, *args)``
-    on the line where ``key`` first appears; later lines share that object."""
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = build(key, line, *args)
-    return value
 
 
 Records = Iterator[tuple[int, list[str]]]
@@ -145,7 +130,7 @@ def _edge_head(
     """The ``<u> <v> <num>/<den>`` after a record's keyword, in that order."""
     u = _parse_int(fields[1], line)
     v = _parse_int(fields[2], line)
-    return u, v, _cached(weights, fields[3], line, parse_fraction)
+    return u, v, built_once(weights, fields[3], parse_fraction, fields[3], line)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +142,9 @@ def serialize_gugp(instance: GugpInstance) -> str:
     weights: dict[int, str] = {}
     perms: dict[int, str] = {}
     for e in instance.edges:
-        weight = _rendered(weights, e.weight, fmt_fraction)
-        lines.append(f"e {e.u} {e.v} {weight} {_rendered(perms, e.pi, _images)}")
+        weight = built_once(weights, id(e.weight), fmt_fraction, e.weight)
+        images = built_once(perms, id(e.pi), _images, e.pi)
+        lines.append(f"e {e.u} {e.v} {weight} {images}")
     return "\n".join(lines) + "\n"
 
 
@@ -212,8 +198,8 @@ def serialize_rel(instance: RelationalInstance) -> str:
     weights: dict[int, str] = {}
     relations: dict[int, str] = {}
     for e in instance.edges:
-        weight = _rendered(weights, e.weight, fmt_fraction)
-        rel = _rendered(relations, e.rel, _relation_fields)
+        weight = built_once(weights, id(e.weight), fmt_fraction, e.weight)
+        rel = built_once(relations, id(e.rel), _relation_fields, e.rel)
         lines.append(f"e {e.u} {e.v} {weight} {rel}")
     return "\n".join(lines) + "\n"
 
@@ -262,7 +248,9 @@ def _parse_rel(records: Records) -> RelationalInstance:
                     "expected 'e <u> <v> <num>/<den> <m> <a1> <b1> ...'", line
                 )
             u, v, weight = _edge_head(fields, line, weights)
-            rel = _cached(relations, fields[4], line, _parse_relation, k1, k2)
+            rel = built_once(
+                relations, fields[4], _parse_relation, fields[4], line, k1, k2
+            )
             edges.append(RelEdge(u, v, weight, rel))
         else:
             raise ParseError(f"unknown record {fields[0]!r}", line)
@@ -283,9 +271,9 @@ def serialize_t22(instance: TwoToTwoInstance) -> str:
     weights: dict[int, str] = {}
     perms: dict[int, str] = {}
     for e in instance.edges:
-        weight = _rendered(weights, e.weight, fmt_fraction)
-        pu = _rendered(perms, e.pi_u, _images)
-        pv = _rendered(perms, e.pi_v, _images)
+        weight = built_once(weights, id(e.weight), fmt_fraction, e.weight)
+        pu = built_once(perms, id(e.pi_u), _images, e.pi_u)
+        pv = built_once(perms, id(e.pi_v), _images, e.pi_v)
         lines.append(f"e {e.u} {e.v} {weight} pu {pu} pv {pv}")
     return "\n".join(lines) + "\n"
 
@@ -323,8 +311,10 @@ def _parse_t22(records: Records) -> TwoToTwoInstance:
             )
         u, v, weight = _edge_head(fields, line, weights)
         if pair is None:
-            pu = _cached(perms, tuple(tokens[1 : 1 + width]), line, _parse_permutation)
-            pv = _cached(perms, tuple(tokens[2 + width :]), line, _parse_permutation)
+            pu_images = tuple(tokens[1 : 1 + width])
+            pv_images = tuple(tokens[2 + width :])
+            pu = built_once(perms, pu_images, _parse_permutation, pu_images, line)
+            pv = built_once(perms, pv_images, _parse_permutation, pv_images, line)
             pair = pairs[fields[4]] = (pu, pv)
         edges.append(T22Edge(u, v, weight, *pair))
     return TwoToTwoInstance(n, k, edges)

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GugpEdge, GugpInstance, Labeling, Permutation, metrics
+from .core import GugpEdge, GugpInstance, Labeling, Permutation, built_once, metrics
 from .errors import CapacityError, UsageError
 from .reductions import (
     T22Edge,
@@ -116,18 +116,10 @@ def _pair(stream: SplitMix64, n: int) -> tuple[int, int]:
 Perms = dict[tuple[int, ...], Permutation]
 
 
-def _shared(perms: Perms, image: tuple[int, ...]) -> Permutation:
-    """The one ``Permutation`` of ``image`` in ``perms``, built on first use."""
-    pi = perms.get(image)
-    if pi is None:
-        pi = perms[image] = Permutation(image)
-    return pi
-
-
 def _permutation(stream: SplitMix64, k: int, perms: Perms) -> Permutation:
     image = list(range(1, k + 1))
     stream.shuffle(image)
-    return _shared(perms, tuple(image))
+    return built_once(perms, tuple(image), Permutation, image)
 
 
 def _weight_index(stream: SplitMix64) -> int:
@@ -249,7 +241,7 @@ def _random_t22(spec: GenSpec, stream: SplitMix64) -> GenResult:
                 image = list(pi_u.image)
                 spot = image.index(target)
                 image[planted[u] - 1], image[spot] = target, hit
-                pi_u = _shared(perms, tuple(image))
+                pi_u = built_once(perms, tuple(image), Permutation, image)
         edges.append(T22Edge(u, v, one, pi_u, pi_v))
     return GenResult(TwoToTwoInstance(spec.n, spec.k, tuple(edges)), planted)
 

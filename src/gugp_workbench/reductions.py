@@ -68,35 +68,22 @@ def rotation(k: int, shift: int) -> Permutation:
 
 @dataclass(frozen=True)
 class BundleMap:
-    """Contiguous half-open ranges mapping source edges to gadget edges.
+    """How a gadget's edges replace its source's edges.
 
-    Range i covers the gadget edges that replace source edge i; together the
-    ranges partition the gadget's edge sequence.
+    Every source edge becomes ``size`` consecutive gadget edges, in source
+    order: bundle i is ``gadget.edges[i * size:(i + 1) * size]``, and the
+    ``source_count`` bundles together are the whole edge sequence.
     """
 
-    ranges: tuple[tuple[int, int], ...]
+    source_count: int
+    size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ranges", tuple(tuple(r) for r in self.ranges))
-        position = 0
-        for start, end in self.ranges:
-            if start != position or end <= start:
-                raise ValidationError(
-                    "bundle ranges must be contiguous, non-empty, and start at 0"
-                )
-            position = end
-
-    @classmethod
-    def uniform(cls, count: int, size: int) -> "BundleMap":
-        return cls(tuple((i * size, (i + 1) * size) for i in range(count)))
-
-    @property
-    def source_count(self) -> int:
-        return len(self.ranges)
-
-    @property
-    def total_edges(self) -> int:
-        return self.ranges[-1][1] if self.ranges else 0
+        if self.source_count < 0 or self.size < 1:
+            raise ValidationError(
+                f"bundle map needs a count >= 0 and a size >= 1, "
+                f"got ({self.source_count}, {self.size})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +148,7 @@ def tsp_to_min_nwa(tsp: TspInstance) -> tuple[GugpInstance, BundleMap]:
         edges.append(GugpEdge(u, v, -w, ahead))
         edges.append(GugpEdge(u, v, -w, behind))
     instance = GugpInstance(n, n, tuple(edges))
-    return instance, BundleMap.uniform(len(tsp.weights), 3)
+    return instance, BundleMap(len(tsp.weights), 3)
 
 
 def tour_to_labeling(tsp: TspInstance, tour: tuple[int, ...]) -> Labeling:
@@ -456,7 +443,7 @@ def pwt1_gadget(repeated: RepeatedInstance) -> tuple[GugpInstance, BundleMap]:
         for pi, weight in shifts
     )
     instance = GugpInstance(repeated.n, k, edges)
-    return instance, BundleMap.uniform(len(repeated.edges), k)
+    return instance, BundleMap(len(repeated.edges), k)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +562,7 @@ def two2two_to_pwt_half(
             weight = w_hit if m <= 2 else w_miss
             edges.append(GugpEdge(e.u, e.v, weight, Permutation(image)))
     gadget = GugpInstance(instance.n, k2, tuple(edges))
-    return gadget, BundleMap.uniform(len(instance.edges), k2)
+    return gadget, BundleMap(len(instance.edges), k2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ reads each bundle's expected 0/1 weights off the source game's own relation
 builder calls, and bundle weights are compared against independently stated
 closed forms.
 
-The two bundle checks build one satisfied-weight table per run of identical
-bundles (the same permutation objects with the same weights, in order, as
-in every pwt1 gadget), compare it row by row, and report the failing cells
-of a reused table under each bundle's own index.  ``CASES=`` still counts
-k^2 label pairs per bundle, and ``case_cap`` is an upper bound on the edge
-looks performed.  At most ``MAX_RECORDED_WITNESSES`` witnesses are ever
+A gadget's bundles are its ``BundleMap``: ``source_count`` runs of ``size``
+consecutive edges, one run per source edge, in source order.  The two bundle
+checks build one satisfied-weight table per run of identical bundles (the
+same permutation objects with the same weights, in order, as in every pwt1
+gadget), compare it row by row, and report the failing cells of a reused
+table under each bundle's own index.  ``CASES=`` still counts k^2 label
+pairs per bundle, and ``case_cap`` is an upper bound on the edge looks
+performed.  At most ``MAX_RECORDED_WITNESSES`` witnesses are ever
 collected.
 """
 
@@ -109,6 +111,10 @@ def _bundle_tables(
 ) -> Iterator[tuple[int, int, int, list[list[int]]]]:
     """Yield ``(bundle, scale, total, table)``, holding one table at a time.
 
+    This is the one reader of the ``BundleMap`` layout: bundle i is
+    ``gadget.edges[i * size:(i + 1) * size]``, and ``source_count * size``
+    must equal the gadget's edge count.
+
     ``table[a][b]`` and ``total`` are the bundle's weight satisfied at labels
     (a, b) and its whole weight, both times the gadget's ``scale``;
     unweighted tables count edges.  A bundle whose edges carry the same
@@ -118,12 +124,16 @@ def _bundle_tables(
     Every bundle's edges must still share one vertex pair.  The cap is an
     upper bound on the edge looks performed: k per edge to fill a table plus
     k^2 to read it, counted for every bundle whether its table is reused or
-    not.
+    not: ``source_count * (k * size + k^2)``.
     """
-    if bundles.total_edges != len(gadget.edges):
-        raise ValidationError("bundle ranges do not cover the gadget edge sequence")
+    count, size = bundles.source_count, bundles.size
+    if count * size != len(gadget.edges):
+        raise ValidationError(
+            f"{count} bundles of {size} edges do not cover the gadget's "
+            f"{len(gadget.edges)} edges"
+        )
     k = gadget.k
-    looks = sum(k * (end - start) + k * k for start, end in bundles.ranges)
+    looks = count * (k * size + k * k)
     if looks > case_cap:
         raise CapacityError(f"{claim} check needs {looks} edge looks > cap {case_cap}")
     scale, weights = (
@@ -131,7 +141,8 @@ def _bundle_tables(
     )
     key: tuple = ()
     table: list[list[int]] = []
-    for i, (start, end) in enumerate(bundles.ranges):
+    for i in range(count):
+        start, end = i * size, (i + 1) * size
         edges = gadget.edges[start:end]
         u, v = edges[0].u, edges[0].v
         if any(e.u != u or e.v != v for e in edges):

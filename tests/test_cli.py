@@ -786,7 +786,7 @@ def test_reduce_counts_the_edges_of_the_gadget_it_wrote(capsys, tmp_path, monkey
     # EDGES= comes from the written gadget, not from the returned bundle map
     def short_map(tsp):
         gadget, bundles = tsp_to_min_nwa(tsp)
-        return gadget, BundleMap.uniform(bundles.source_count, 2)
+        return gadget, BundleMap(bundles.source_count, 2)
 
     monkeypatch.setattr(cli, "tsp_to_min_nwa", short_map)
     tsp = write(tmp_path / "t.tsp", generate(GenSpec("random-tsp", seed=11, n=4)).instance)

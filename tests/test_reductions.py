@@ -1,6 +1,7 @@
 """Every instance transformation: tour encoding, repetition,
 parallel-edge gadgets, and negative-edge stripping."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -138,10 +139,10 @@ def test_encoding_structure():
     encoded, bundles = tsp_to_min_nwa(unit_triangle())
     assert encoded.k == 3
     assert len(encoded.edges) == 9
-    assert bundles.source_count == 3
+    assert bundles == BundleMap(3, 3)
     big = Fraction(3)  # n * max weight
     for i in range(3):
-        block = [encoded.edges[j] for j in range(*bundles.ranges[i])]
+        block = encoded.edges[3 * i : 3 * i + 3]
         assert block[0].weight == -big
         assert block[0].pi == identity(3)
         assert block[1].weight == -1 and block[1].pi == rotation(3, 1)
@@ -403,8 +404,8 @@ def test_unit_gadget_l2_weights():
     # the doubled base edge repeats into 2 tuple edges, so take one bundle
     gadget, bundles = pwt1_gadget(repeat_max3cut(2, ((0, 1),), 2))
     assert gadget.k == 9
-    assert bundles.source_count == 2
-    block = [gadget.edges[j] for j in range(*bundles.ranges[0])]
+    assert bundles == BundleMap(2, 9)
+    block = gadget.edges[:9]
     negatives = [e for e in block if e.weight < 0]
     positives = [e for e in block if e.weight > 0]
     assert len(negatives) == 5 and len(positives) == 4
@@ -417,7 +418,7 @@ def test_unit_gadget_offsets_order_and_meaning():
     # coordinate j of the label by i_j - 1 mod 3
     gadget, bundles = pwt1_gadget(repeat_max3cut(2, ((0, 1),), 2))
     offsets = list(itertools.product((1, 2, 3), repeat=2))
-    block = [gadget.edges[j] for j in range(*bundles.ranges[0])]
+    block = gadget.edges[: bundles.size]
     assert len(block) == 9
     for offset, e in zip(offsets, block):
         has_fixed_coord = 1 in offset
@@ -443,9 +444,9 @@ def test_gadget_ratio_closed_form(fold):
 
 def test_gadget_bundles_share_weight_layout():
     gadget, bundles = pwt1_gadget(repeat_max3cut(3, triangle_pairs(), 1))
-    assert bundles.source_count == 3
+    assert bundles == BundleMap(3, 3)
     for i in range(3):
-        block = [gadget.edges[j] for j in range(*bundles.ranges[i])]
+        block = gadget.edges[3 * i : 3 * i + 3]
         assert [e.weight for e in block] == [
             Fraction(-1, 2),
             Fraction(1, 2),
@@ -616,17 +617,11 @@ def test_strip_requires_a_positive_edge():
 # bundle bookkeeping
 
 
-def test_uniform_bundles():
-    bundles = BundleMap.uniform(3, 4)
-    assert bundles.source_count == 3
-    assert bundles.total_edges == 12
-    assert bundles.ranges[1] == (4, 8)
-
-
-def test_bundles_must_be_contiguous():
-    with pytest.raises(ValidationError):
-        BundleMap(((0, 2), (3, 5)))  # gap between 2 and 3
-    with pytest.raises(ValidationError):
-        BundleMap(((0, 2), (1, 4)))  # overlap
-    with pytest.raises(ValidationError):
-        BundleMap(((0, 0),))  # empty bundle
+def test_bundle_map_is_a_count_and_a_size():
+    bundles = BundleMap(3, 4)
+    assert (bundles.source_count, bundles.size) == (3, 4)
+    assert [f.name for f in dataclasses.fields(BundleMap)] == ["source_count", "size"]
+    assert BundleMap(0, 1).source_count == 0  # a source without edges
+    for count, size in ((-1, 2), (2, 0), (0, 0)):
+        with pytest.raises(ValidationError, match="count >= 0 and a size >= 1"):
+            BundleMap(count, size)

@@ -241,7 +241,8 @@ def ref_bundle_exactly_one(gadget, bundles):
     k = gadget.k
     witnesses, cases = [], 0
     for i in range(bundles.source_count):
-        images = [(0,) + gadget.edges[j].pi.image for j in range(*bundles.ranges[i])]
+        bundle = gadget.edges[i * bundles.size : (i + 1) * bundles.size]
+        images = [(0,) + e.pi.image for e in bundle]
         for a in range(1, k + 1):
             for b in range(1, k + 1):
                 cases += 1
@@ -255,7 +256,7 @@ def ref_indicator_weights(gadget, bundles, predicate):
     k = gadget.k
     witnesses, cases = [], 0
     for i in range(bundles.source_count):
-        edges = [gadget.edges[j] for j in range(*bundles.ranges[i])]
+        edges = gadget.edges[i * bundles.size : (i + 1) * bundles.size]
         bundle_total = sum((e.weight for e in edges), Fraction(0))
         for a in range(1, k + 1):
             for b in range(1, k + 1):
@@ -335,26 +336,27 @@ def seeded_gugp(seed, n, m, k, nwa=False, max_ratio=None):
 
 @st.composite
 def bundled_gadgets(draw):
-    """Arbitrary bundles (most of them failing both bundle checks).  A bundle
-    may repeat an earlier bundle's exact ``(pi, weight)`` objects, on any
-    vertex pair, so runs of identical bundles reach the shared-table path."""
+    """Arbitrary bundles of one drawn size (most of them failing both bundle
+    checks).  A bundle may repeat an earlier bundle's exact ``(pi, weight)``
+    objects, on any vertex pair, so runs of identical bundles reach the
+    shared-table path."""
     k = draw(st.integers(min_value=1, max_value=4))
-    edges, ranges, contents = [], [], []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+    size = draw(st.integers(min_value=1, max_value=k + 1))
+    count = draw(st.integers(min_value=1, max_value=6))
+    edges, contents = [], []
+    for _ in range(count):
         u = draw(st.integers(min_value=0, max_value=2))
         v = (u + draw(st.integers(min_value=1, max_value=2))) % 3
         if contents and draw(st.booleans()):
             content = draw(st.sampled_from(contents))
         else:
             content = []
-            for _ in range(draw(st.integers(min_value=1, max_value=k + 1))):
+            for _ in range(size):
                 image = draw(st.permutations(tuple(range(1, k + 1))))
                 content.append((Permutation(tuple(image)), draw(rationals())))
             contents.append(content)
-        start = len(edges)
         edges.extend(GugpEdge(u, v, weight, pi) for pi, weight in content)
-        ranges.append((start, len(edges)))
-    return GugpInstance(3, k, tuple(edges)), BundleMap(tuple(ranges))
+    return GugpInstance(3, k, tuple(edges)), BundleMap(count, size)
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +864,7 @@ def shared_and_perturbed_gadget():
     edges = list(gadget.edges)
 
     def replace(bundle, offset, **fields):
-        j = bundles.ranges[bundle][0] + offset
+        j = bundle * bundles.size + offset
         e = edges[j]
         parts = {"u": e.u, "v": e.v, "weight": e.weight, "pi": e.pi, **fields}
         edges[j] = GugpEdge(**parts)

@@ -118,7 +118,7 @@ def test_exactly_one_block_gadget(pu, pv):
 
 def test_exactly_one_fails_on_duplicate_identity_edges():
     inst = gugp(2, 2, (0, 1, 1, identity(2)), (0, 1, 1, identity(2)))
-    report = check_bundle_exactly_one(inst, BundleMap.uniform(1, 2))
+    report = check_bundle_exactly_one(inst, BundleMap(1, 2))
     assert report.verdict == "FAIL"
     # diagonal pairs are satisfied twice, off-diagonal zero times
     assert len(report.witnesses) == 4
@@ -135,7 +135,7 @@ def test_exactly_one_witnesses_are_sorted():
         (0, 1, 1, perm(2, 1)),
         (0, 1, 1, perm(2, 1)),
     )
-    report = check_bundle_exactly_one(inst, BundleMap.uniform(2, 2))
+    report = check_bundle_exactly_one(inst, BundleMap(2, 2))
     assert report.verdict == "FAIL"
     assert list(report.witnesses) == sorted(report.witnesses, key=lambda w: (w[0], w[1]))
 
@@ -189,7 +189,7 @@ def fold3_readme_gadget():
 def repeat_second_permutation(gadget, bundles):
     # every bundle's first edge takes the second edge's permutation
     edges = list(gadget.edges)
-    for start, _ in bundles.ranges:
+    for start in range(0, len(edges), bundles.size):
         e = edges[start]
         edges[start] = GugpEdge(e.u, e.v, e.weight, edges[start + 1].pi)
     return GugpInstance(gadget.n, gadget.k, tuple(edges))
@@ -222,7 +222,29 @@ def test_failing_bundle_checks_hold_only_the_reported_witnesses():
 def test_bundles_must_match_gadget():
     gadget, _ = triangle_gadget()
     with pytest.raises(ValidationError, match="cover"):
-        check_bundle_exactly_one(gadget, BundleMap.uniform(2, 3))
+        check_bundle_exactly_one(gadget, BundleMap(2, 3))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_bundle_exactly_one,
+        lambda g, b: check_indicator_weights(g, b, coordinate_collision_predicate(1)),
+    ],
+)
+def test_bundle_of_two_vertex_pairs_is_refused(check):
+    # bundle 0 is sound; bundle 1 holds an edge (1,2) and an edge (2,1)
+    inst = gugp(
+        3,
+        2,
+        (0, 1, 1, identity(2)),
+        (0, 1, 1, perm(2, 1)),
+        (1, 2, 1, identity(2)),
+        (2, 1, 1, perm(2, 1)),
+    )
+    with pytest.raises(ValidationError) as refused:
+        check(inst, BundleMap(2, 2))
+    assert str(refused.value) == "bundle 1 mixes edges of different vertex pairs"
 
 
 # ---------------------------------------------------------------------------
