@@ -7,14 +7,19 @@ Conventions used throughout the workbench:
   not;
 * all numeric quantities are exact ``fractions.Fraction`` values -- no
   floating point exists anywhere in this package;
-* every type is immutable once constructed.
+* every type is immutable once constructed;
+* the edge types (``GugpEdge``, ``RelEdge`` and ``reductions.T22Edge``) are
+  slotted and validated once, in a hand-written ``__init__`` that checks its
+  arguments before it stores them; equality, hashing and ``repr`` are the
+  generated ones, and ``dataclasses.replace`` validates through that
+  ``__init__``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -80,16 +85,27 @@ class Relation:
         return pair in self.pairs
 
 
-def check_edge(edge) -> None:
+def edge_weight(u: int, v: int, weight: Fraction | int) -> Fraction:
     """The rule every edge type (``GugpEdge``, ``RelEdge``, ``T22Edge``)
-    shares: the weight is stored as a ``Fraction``, vertex ids are
-    non-negative and the endpoints differ."""
-    if not isinstance(edge.weight, Fraction):
-        object.__setattr__(edge, "weight", Fraction(edge.weight))
-    if edge.u < 0 or edge.v < 0:
+    shares, checked before its own sign rule: the weight is stored as a
+    ``Fraction``, vertex ids are non-negative and the endpoints differ.
+    Returns the weight to store; the sign rules read its ``numerator``,
+    whose sign is the weight's."""
+    if not isinstance(weight, Fraction):
+        weight = Fraction(weight)
+    if u < 0 or v < 0:
         raise ValidationError("vertex ids must be non-negative")
-    if edge.u == edge.v:
-        raise ValidationError(f"self-loop at vertex {edge.u}")
+    if u == v:
+        raise ValidationError(f"self-loop at vertex {u}")
+    return weight
+
+
+def slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order.  An
+    edge's ``__init__`` stores through these: one C call per field, where a
+    frozen dataclass's generated ``__init__`` makes one
+    ``object.__setattr__`` call per field."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 def check_instance(instance) -> None:
@@ -106,7 +122,7 @@ def check_instance(instance) -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GugpEdge:
     """Oriented edge carrying a permutation constraint and a signed weight.
 
@@ -118,10 +134,19 @@ class GugpEdge:
     weight: Fraction
     pi: Permutation
 
-    def __post_init__(self):
-        check_edge(self)
-        if self.weight == 0:
-            raise ValidationError(f"zero-weight edge ({self.u},{self.v})")
+    def __init__(self, u: int, v: int, weight: Fraction, pi: Permutation):
+        weight = edge_weight(u, v, weight)
+        if weight.numerator == 0:
+            raise ValidationError(f"zero-weight edge ({u},{v})")
+        # slot descriptors store with one C call each, not object.__setattr__
+        set_u, set_v, set_weight, set_pi = _GUGP_SETTERS
+        set_u(self, u)
+        set_v(self, v)
+        set_weight(self, weight)
+        set_pi(self, pi)
+
+
+_GUGP_SETTERS = slot_setters(GugpEdge)
 
 
 @dataclass(frozen=True)
@@ -151,7 +176,7 @@ class GugpInstance:
         return self.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RelEdge:
     """Oriented edge carrying an arbitrary relation and a positive weight.
 
@@ -163,12 +188,19 @@ class RelEdge:
     weight: Fraction
     rel: Relation
 
-    def __post_init__(self):
-        check_edge(self)
-        if self.weight <= 0:
-            raise ValidationError(
-                f"relational edge ({self.u},{self.v}) needs positive weight"
-            )
+    def __init__(self, u: int, v: int, weight: Fraction, rel: Relation):
+        weight = edge_weight(u, v, weight)
+        if weight.numerator <= 0:
+            raise ValidationError(f"relational edge ({u},{v}) needs positive weight")
+        # slot descriptors store with one C call each, not object.__setattr__
+        set_u, set_v, set_weight, set_rel = _REL_SETTERS
+        set_u(self, u)
+        set_v(self, v)
+        set_weight(self, weight)
+        set_rel(self, rel)
+
+
+_REL_SETTERS = slot_setters(RelEdge)
 
 
 @dataclass(frozen=True)
@@ -240,10 +272,16 @@ def scaled_weights(weights: Sequence[Fraction | int]) -> tuple[int, tuple[int, .
 
     ``scale`` is the least common denominator, so integer sums and
     comparisons stand in for exact ``Fraction`` ones and
-    ``Fraction(x, scale)`` converts a result back.
+    ``Fraction(x, scale)`` converts a result back.  Each distinct weight
+    object is scaled once, keyed by ``id``, which is safe because ``weights``
+    holds every weight for the whole call.
     """
-    scale = math.lcm(*(w.denominator for w in weights))
-    return scale, tuple(w.numerator * (scale // w.denominator) for w in weights)
+    distinct = dict(zip(map(id, weights), weights))
+    scale = math.lcm(*(w.denominator for w in distinct.values()))
+    scaled = {
+        key: w.numerator * (scale // w.denominator) for key, w in distinct.items()
+    }
+    return scale, tuple(map(scaled.__getitem__, map(id, weights)))
 
 
 def capped_power_product(factors: Sequence[tuple[int, int]], cap: int) -> int | None:

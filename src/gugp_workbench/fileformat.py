@@ -22,6 +22,12 @@ line only up to its constraint fields and keys its caches on the raw
 constraint string: each distinct string is split, converted and validated on
 the line where it first appears, and every later line that repeats it shares
 the object built there.  Weights are cached by their token the same way.
+A line that repeats a seen constraint string and weight token costs one
+bounded split, one guarded ``int`` pair for ``u v``, one dict lookup per
+cached part and the edge constructor, and calls no parsing helper.  A line
+with a new string or weight token calls one helper per new part, and a bad
+token sends the line down the per-token route, so every message and line
+number is the one a token-by-token parse reports.
 Serializing renders each distinct weight, image tuple and relation object
 once and reuses the text for every edge that holds that same object.  Its
 caches are keyed by ``id``, which is safe while the instance being
@@ -127,7 +133,11 @@ def _keyword_int(records: Records, keyword: str) -> int:
 def _edge_head(
     fields: list[str], line: int, weights: dict[str, Fraction]
 ) -> tuple[int, int, Fraction]:
-    """The ``<u> <v> <num>/<den>`` after a record's keyword, in that order."""
+    """The ``<u> <v> <num>/<den>`` after a record's keyword, token by token
+    in that order, so the first bad token is the one reported.  Each edge
+    parser converts ``u v`` with one guarded ``int`` pair and looks its
+    weight token up inline, and comes here only when that fails: on a bad
+    token, or on the first line of each distinct weight token."""
     u = _parse_int(fields[1], line)
     v = _parse_int(fields[2], line)
     return u, v, built_once(weights, fields[3], parse_fraction, fields[3], line)
@@ -167,7 +177,11 @@ def _parse_gugp(records: Records) -> GugpInstance:
             raise ParseError(
                 f"expected 'e <u> <v> <num>/<den> <{k} images>'", line
             )
-        u, v, weight = _edge_head(fields, line, weights)
+        try:
+            u, v = int(fields[1]), int(fields[2])
+            weight = weights[fields[3]]
+        except (ValueError, KeyError):
+            u, v, weight = _edge_head(fields, line, weights)
         if pi is None:
             pi = perms[fields[4]] = _parse_permutation(images, line)
         edges.append(GugpEdge(u, v, weight, pi))
@@ -247,10 +261,14 @@ def _parse_rel(records: Records) -> RelationalInstance:
                 raise ParseError(
                     "expected 'e <u> <v> <num>/<den> <m> <a1> <b1> ...'", line
                 )
-            u, v, weight = _edge_head(fields, line, weights)
-            rel = built_once(
-                relations, fields[4], _parse_relation, fields[4], line, k1, k2
-            )
+            try:
+                u, v = int(fields[1]), int(fields[2])
+                weight = weights[fields[3]]
+            except (ValueError, KeyError):
+                u, v, weight = _edge_head(fields, line, weights)
+            rel = relations.get(fields[4])
+            if rel is None:
+                rel = relations[fields[4]] = _parse_relation(fields[4], line, k1, k2)
             edges.append(RelEdge(u, v, weight, rel))
         else:
             raise ParseError(f"unknown record {fields[0]!r}", line)
@@ -309,7 +327,11 @@ def _parse_t22(records: Records) -> TwoToTwoInstance:
                 f"pv <{width} images>'",
                 line,
             )
-        u, v, weight = _edge_head(fields, line, weights)
+        try:
+            u, v = int(fields[1]), int(fields[2])
+            weight = weights[fields[3]]
+        except (ValueError, KeyError):
+            u, v, weight = _edge_head(fields, line, weights)
         if pair is None:
             pu_images = tuple(tokens[1 : 1 + width])
             pv_images = tuple(tokens[2 + width :])
@@ -338,7 +360,11 @@ def _parse_tsp(records: Records) -> TspInstance:
     for line, fields in records:
         if fields[0] != "w" or len(fields) != 4:
             raise ParseError("expected 'w <u> <v> <num>/<den>'", line)
-        u, v, weight = _edge_head(fields, line, cache)
+        try:
+            u, v = int(fields[1]), int(fields[2])
+            weight = cache[fields[3]]
+        except (ValueError, KeyError):
+            u, v, weight = _edge_head(fields, line, cache)
         if u >= v:
             raise ParseError("pair weights require u < v", line)
         weights.append((u, v, weight))

@@ -37,9 +37,10 @@ from .core import (
     Relation,
     RelationalInstance,
     capped_power_product,
-    check_edge,
     check_instance,
+    edge_weight,
     scaled_weights,
+    slot_setters,
 )
 from .errors import (
     CapacityError,
@@ -473,7 +474,7 @@ def two2two_relation(pi_u: Permutation, pi_v: Permutation) -> Relation:
     return Relation(k2, k2, pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class T22Edge:
     """Edge of a two-to-two game: endpoint permutations on [2k] plus weight."""
 
@@ -483,12 +484,24 @@ class T22Edge:
     pi_u: Permutation
     pi_v: Permutation
 
-    def __post_init__(self):
-        check_edge(self)
-        if self.weight <= 0:
+    def __init__(
+        self, u: int, v: int, weight: Fraction, pi_u: Permutation, pi_v: Permutation
+    ):
+        weight = edge_weight(u, v, weight)
+        if weight.numerator <= 0:
             raise ValidationError("two-to-two edges need positive weight")
-        if self.pi_u.size != self.pi_v.size:
+        if pi_u.size != pi_v.size:
             raise ValidationError("endpoint permutations must have equal size")
+        # slot descriptors store with one C call each, not object.__setattr__
+        set_u, set_v, set_weight, set_pi_u, set_pi_v = _T22_SETTERS
+        set_u(self, u)
+        set_v(self, v)
+        set_weight(self, weight)
+        set_pi_u(self, pi_u)
+        set_pi_v(self, pi_v)
+
+
+_T22_SETTERS = slot_setters(T22Edge)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Permutations, relations, instances, metrics."""
 
+import copy
 import dataclasses
+import pickle
 import sys
 from fractions import Fraction
 
@@ -131,6 +133,48 @@ def test_permutation_size_mismatch_rejected():
     e = GugpEdge(0, 1, Fraction(1), identity(3))
     with pytest.raises(ValidationError):
         GugpInstance(2, 2, (e,))
+
+
+EDGES = [
+    GugpEdge(0, 1, Fraction(-2, 3), perm(2, 1, 3)),
+    RelEdge(2, 0, Fraction(5), Relation(2, 3, frozenset({(1, 3), (2, 1)}))),
+    T22Edge(1, 3, Fraction(1, 2), perm(2, 1, 3, 4), perm(1, 2, 4, 3)),
+]
+EDGE_FIELDS = {
+    GugpEdge: ("u", "v", "weight", "pi"),
+    RelEdge: ("u", "v", "weight", "rel"),
+    T22Edge: ("u", "v", "weight", "pi_u", "pi_v"),
+}
+
+
+@pytest.mark.parametrize("edge", EDGES, ids=lambda e: type(e).__name__)
+def test_slotted_edges_keep_the_frozen_dataclass_protocol(edge):
+    cls = type(edge)
+    names = EDGE_FIELDS[cls]
+    assert tuple(f.name for f in dataclasses.fields(edge)) == names
+    assert not hasattr(edge, "__dict__")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(edge, name, getattr(edge, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(edge, name)
+    values = tuple(getattr(edge, name) for name in names)
+    assert cls(*values) == edge and hash(cls(*values)) == hash(edge)
+    assert dataclasses.replace(edge) == edge
+    assert dataclasses.replace(edge, u=4).u == 4
+    with pytest.raises(ValidationError, match="self-loop at vertex 1"):
+        dataclasses.replace(edge, u=1, v=1)
+    plain = dataclasses.asdict(edge)
+    assert list(plain) == list(names)
+    nested = {
+        name: type(value)(**plain[name])
+        for name, value in zip(names, values)
+        if dataclasses.is_dataclass(value)
+    }
+    assert cls(**{**plain, **nested}) == edge
+    for copied in (copy.deepcopy(edge), pickle.loads(pickle.dumps(edge))):
+        assert type(copied) is cls and copied == edge
+        assert hash(copied) == hash(edge) and repr(copied) == repr(edge)
 
 
 def test_parallel_edges_allowed():

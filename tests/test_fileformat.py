@@ -396,6 +396,27 @@ def test_tsp_requires_sorted_pairs():
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # u, then v, then the weight are read before the pair order is checked
+        ("TSP v1\nn 3\nw 1 0 x\n", "line 3: expected <num>/<den>, got 'x'"),
+        ("TSP v1\nn 3\nw 1 x 1/1\n", "line 3: expected integer, got 'x'"),
+        ("TSP v1\nn 3\nw x y z\n", "line 3: expected integer, got 'x'"),
+        ("TSP v1\nn 3\nw 1 1 1/0\n", "line 3: denominator must be positive in '1/0'"),
+        ("TSP v1\nn 3\nw 1 1 1/1\n", "line 3: pair weights require u < v"),
+        # the same with the weight token cached on an earlier line
+        ("TSP v1\nn 3\nw 0 1 1/1\nw 2 1 1/1\n", "line 4: pair weights require u < v"),
+        ("TSP v1\nn 3\nw 0 1 1/1\nw 2 x 1/1\n", "line 4: expected integer, got 'x'"),
+        ("TSP v1\nn 3\nw 0 1 1/1\nw +2 0_1 1/1\n", "line 4: pair weights require u < v"),
+    ],
+)
+def test_tsp_reads_every_token_before_the_pair_order(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message
+
+
 def test_tsp_missing_pair_is_rejected():
     text = "TSP v1\nn 3\nw 0 1 1/1\nw 0 2 1/1\n"
     with pytest.raises((ParseError, ValidationError)):

@@ -9,16 +9,21 @@ distinct weight, permutation and relation once, are held to per-edge copies
 the same way: the same instances and the same bytes.  The parser, which
 splits an edge line only up to its constraint string, is held to a parser
 that splits every line whole: the same objects, or the same error on the
-same line.
+same line.  The edge types, which check their arguments in a hand-written
+``__init__``, are held to the same rules run as ``__post_init__`` steps of
+plain frozen dataclasses: the same fields, hash and repr, or the same error.
+``scaled_weights``, which scales each distinct weight object once, is held
+to a per-element loop.
 """
 
+import dataclasses
 import itertools
 import math
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gugp_workbench import (
@@ -67,6 +72,7 @@ from gugp_workbench import (
 )
 
 from gugp_workbench import solvers, verification
+from gugp_workbench.core import scaled_weights
 from gugp_workbench.fileformat import parse_fraction
 from gugp_workbench.solvers import BLOCK_LABELINGS, _best_labeling, _prefix_scan
 from gugp_workbench.verification import _strip_scan
@@ -76,6 +82,7 @@ from conftest import (
     gugp_instances,
     labelings_for,
     perm,
+    permutations,
     rationals,
     relational_instances,
 )
@@ -1226,6 +1233,141 @@ def test_serialize_gadgets_matches_the_per_edge_reference(fold):
 
 
 # ---------------------------------------------------------------------------
+# edge constructors and weight scaling
+
+
+def ref_check_edge(edge):
+    """The shared edge rule as a ``__post_init__`` step on a plain frozen
+    dataclass: convert the weight, then the ids, then the self-loop."""
+    if not isinstance(edge.weight, Fraction):
+        object.__setattr__(edge, "weight", Fraction(edge.weight))
+    if edge.u < 0 or edge.v < 0:
+        raise ValidationError("vertex ids must be non-negative")
+    if edge.u == edge.v:
+        raise ValidationError(f"self-loop at vertex {edge.u}")
+
+
+def ref_gugp_rule(edge):
+    if edge.weight == 0:
+        raise ValidationError(f"zero-weight edge ({edge.u},{edge.v})")
+
+
+def ref_rel_rule(edge):
+    if edge.weight <= 0:
+        raise ValidationError(f"relational edge ({edge.u},{edge.v}) needs positive weight")
+
+
+def ref_t22_rule(edge):
+    if edge.weight <= 0:
+        raise ValidationError("two-to-two edges need positive weight")
+    if edge.pi_u.size != edge.pi_v.size:
+        raise ValidationError("endpoint permutations must have equal size")
+
+
+def ref_edge_type(cls, rule):
+    """A frozen, unslotted dataclass with ``cls``'s name and fields whose
+    ``__post_init__`` runs the shared rule, then ``rule``."""
+
+    def post_init(self):
+        ref_check_edge(self)
+        rule(self)
+
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type) for f in dataclasses.fields(cls)],
+        frozen=True,
+        namespace={"__post_init__": post_init},
+    )
+
+
+REF_EDGE_TYPES = {
+    GugpEdge: ref_edge_type(GugpEdge, ref_gugp_rule),
+    RelEdge: ref_edge_type(RelEdge, ref_rel_rule),
+    T22Edge: ref_edge_type(T22Edge, ref_t22_rule),
+}
+
+
+def built(cls, args):
+    """The edge, or the error's class and message."""
+    try:
+        return cls(*args)
+    except ValidationError as error:
+        return type(error), str(error)
+
+
+small_weights = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=1, max_value=4),
+    ),
+)
+
+
+@st.composite
+def edge_arguments(draw):
+    cls = draw(st.sampled_from(list(REF_EDGE_TYPES)))
+    ids = st.integers(min_value=-2, max_value=4)
+    head = (draw(ids), draw(ids), draw(small_weights))
+    if cls is GugpEdge:
+        return cls, head + (draw(permutations(max_k=3)),)
+    if cls is RelEdge:
+        pairs = draw(st.frozensets(st.tuples(*[st.integers(1, 2)] * 2), max_size=4))
+        return cls, head + (Relation(2, 2, pairs),)
+    # sizes 2 and 4, so about half the pairs differ in size
+    pi_u, pi_v = (draw(permutations(k=draw(st.sampled_from([2, 4])))) for _ in "uv")
+    return cls, head + (pi_u, pi_v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_arguments())
+def test_edge_constructors_match_the_post_init_reference(cls_and_args):
+    cls, args = cls_and_args
+    found, expected = built(cls, args), built(REF_EDGE_TYPES[cls], args)
+    if isinstance(expected, tuple):
+        assert found == expected
+        return
+    assert type(found) is cls
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [getattr(found, name) for name in names]
+    assert values == [getattr(expected, name) for name in names]
+    assert [type(x) for x in values] == [type(getattr(expected, n)) for n in names]
+    assert found == cls(*values) and found == cls(*args)
+    assert hash(found) == hash(expected) and repr(found) == repr(expected)
+
+
+def ref_scaled_weights(weights):
+    """Element by element: the lcm of the denominators, then each weight
+    times it as an exact ``Fraction``, which must be an integer."""
+    scale = 1
+    for w in weights:
+        scale = math.lcm(scale, Fraction(w).denominator)
+    products = [Fraction(w) * scale for w in weights]
+    assert all(p.denominator == 1 for p in products)
+    return scale, tuple(p.numerator for p in products)
+
+
+@st.composite
+def shared_weight_lists(draw):
+    """Weight lists that repeat some objects, hold equal but distinct
+    ``Fraction`` objects, and mix in ``int`` values."""
+    pool = draw(st.lists(small_weights.filter(bool), min_size=1, max_size=5))
+    # Fraction(w) of a Fraction is a new object equal to it
+    pool += [Fraction(w) for w in pool[: draw(st.integers(0, len(pool)))]]
+    return draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+@given(shared_weight_lists())
+@example([])
+@example([Fraction(1, 6), Fraction(1, 6), 2, Fraction(-3, 4), Fraction(1, 6)])
+def test_scaled_weights_matches_the_per_element_reference(weights):
+    scale, ints = scaled_weights(weights)
+    assert (scale, ints) == ref_scaled_weights(weights)
+    assert type(ints) is tuple and all(type(x) is int for x in ints)
+
+
+# ---------------------------------------------------------------------------
 # parsing
 
 
@@ -1434,6 +1576,31 @@ def test_parse_matches_the_whole_line_reference(text):
         "T22 v1\nk 2\nn 3\ne 0 1 1/1 pu 1 2 3 4 pq 4 3 2 1\n",
         "T22 v1\nk 2\nn 3\ne 0 1 1/1 pu 1 2 3 4 pv 4 3 2 1\ne x 2 1/1 pu 1 2 3 4 pv 4 3 2 1\n",
         "T22 v1\nk 2\nn 3\ne 0 1 1/1 pu 1 2 3 x pv 4 3 2 y\n",
+        # the head's tokens in order, then the edge's own checks in order,
+        # on a line whose weight token is new and on one whose token is cached
+        "GUGP v1\nk 2\nn 3\ne 0 x 1/1 2 1\n",
+        "GUGP v1\nk 2\nn 3\ne 0 1 1/1 2 1\ne 1 x 1/1 2 1\n",
+        "GUGP v1\nk 2\nn 3\ne x y 1/1 2 1\n",
+        "GUGP v1\nk 2\nn 3\ne -1 1 0/1 2 1\n",
+        "GUGP v1\nk 2\nn 3\ne -1 -1 0/1 2 1\n",
+        "GUGP v1\nk 2\nn 3\ne 0 1 -1/1 2 1\ne 1 -1 0/1 1 2\n",
+        "GUGP v1\nk 2\nn 3\ne 1 1 0/1 2 1\n",
+        "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\ne 0 x 1/1 1 1 1\n",
+        "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\ne 0 1 1/1 1 1 1\ne 1 x 1/1 1 1 1\n",
+        "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\ne x y 1/1 1 1 1\n",
+        "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\ne -1 1 0/1 1 1 1\n",
+        "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\ne 0 1 1/1 1 1 1\ne 2 2 1/1 1 1 1\n",
+        "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\ne 1 1 0/1 1 1 1\n",
+        "T22 v1\nk 2\nn 3\ne 0 x 1/1 pu 1 2 3 4 pv 4 3 2 1\n",
+        "T22 v1\nk 2\nn 3\ne 0 1 1/1 pu 1 2 3 4 pv 4 3 2 1\ne 1 x 1/1 pu 1 2 3 4 pv 4 3 2 1\n",
+        "T22 v1\nk 2\nn 3\ne x y 1/1 pu 1 2 3 4 pv 4 3 2 1\n",
+        "T22 v1\nk 2\nn 3\ne -1 1 0/1 pu 1 2 3 4 pv 4 3 2 1\n",
+        "T22 v1\nk 2\nn 3\ne 1 1 0/1 pu 1 2 3 4 pv 4 3 2 1\n",
+        # vertex tokens that int() reads but that are not canonical
+        "GUGP v1\nk 2\nn 3\ne +1 0_1 1/1 2 1\n",
+        "GUGP v1\nk 2\nn 3\ne +0 0_2 1/1 2 1\ne 0 1 1/1 2 x\n",
+        "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\ne +2 0_2 1/1 1 1 1\n",
+        "T22 v1\nk 2\nn 3\ne 0_1 +1 1/1 pu 1 2 3 4 pv 4 3 2 1\n",
     ],
 )
 def test_parse_errors_match_the_whole_line_reference(text):
