@@ -161,10 +161,12 @@ class GugpInstance:
         check_instance(self)
         if self.k < 1:
             raise ValidationError("instance needs at least one label")
+        k = self.k
         for e in self.edges:
-            if e.pi.size != self.k:
+            # the image's length, not the ``size`` property: one call less per edge
+            if len(e.pi.image) != k:
                 raise ValidationError(
-                    f"edge ({e.u},{e.v}) permutation size {e.pi.size} != k={self.k}"
+                    f"edge ({e.u},{e.v}) permutation size {e.pi.size} != k={k}"
                 )
 
     @functools.cached_property

@@ -6,9 +6,11 @@ whose joint label count is at most ``BLOCK_LABELINGS``.  The tables inside
 the block are summed once into a vector over the block's labelings in
 lexicographic order; the tables from a prefix vertex into the block give one
 such vector per label of that vertex.  The prefix is walked depth-first with
-one partial sum per depth, and each prefix leaf scores all its block
-labelings as one sum of vectors.  Every one of the k^n labelings is still
-scored.
+one partial sum per depth, and the block vector is carried down the walk: a
+prefix vertex with tables into the block adds its label's vector once for
+all the leaves below it, so each leaf costs at most one vector add.  Every
+one of the k^n labelings is still scored.  Sibling leaves may share one row;
+consumers only read the rows.
 
 Brute force is deterministic: it takes the first maximum within a leaf's
 vector and lets a later leaf replace the incumbent only when strictly
@@ -81,6 +83,11 @@ def _prefix_scan(
     ``prefix + block[j]`` scores ``base + row[j]``.  The split depends only
     on the domain sizes, so two scans over the same domains yield the same
     prefixes in the same order.
+
+    ``row`` is the block vector carried down the walk, not a fresh list per
+    leaf: a prefix vertex without tables into the block hands its own row to
+    every child, so sibling leaves may share one list.  Consumers only read
+    the rows.
     """
     split, size = len(domains), 1
     while split and size * len(domains[split - 1]) <= BLOCK_LABELINGS:
@@ -109,25 +116,30 @@ def _prefix_scan(
             for a, parts in by_label.items():
                 parts.append(map(table[a].__getitem__, columns[v]))
     block_row = list(map(sum, zip(*internal))) if internal else [0] * len(block)
-    crossers = [
-        (x, {a: list(map(sum, zip(*parts))) for a, parts in by_label.items()})
+    # cross[x][a]: the block vector of every table from x, at label a
+    cross = {
+        x: {a: list(map(sum, zip(*parts))) for a, parts in by_label.items()}
         for x, by_label in crossing.items()
-    ]
+    }
     labels = [0] * split
 
-    def walk(x: int, base: int) -> Iterator[Leaf]:
-        """Label vertex x onward; ``base`` scores the labels before x."""
+    def walk(x: int, base: int, row: list[int]) -> Iterator[Leaf]:
+        """Label vertex x onward; ``base`` scores the labels before x and
+        ``row`` the block under them."""
         if x == split:
-            rows = [by_label[labels[y]] for y, by_label in crossers]
-            rows.append(block_row)
-            yield tuple(labels), base, list(map(sum, zip(*rows)))
+            yield tuple(labels), base, row
             return
         gain = list(map(sum, zip(*(t[labels[y]] for y, t in later[x]))))
+        by_label = cross.get(x)
         for a in domains[x]:
             labels[x] = a
-            yield from walk(x + 1, base + gain[a] if gain else base)
+            yield from walk(
+                x + 1,
+                base + gain[a] if gain else base,
+                row if by_label is None else list(map(operator.add, row, by_label[a])),
+            )
 
-    return block, walk(0, 0)
+    return block, walk(0, 0, block_row)
 
 
 def _best_labeling(domains: list[range], tables: Tables) -> Labeling:

@@ -360,8 +360,8 @@ def _strip_scan(
 
     Returns the cases, the sandwich witnesses in scan order, and the first
     minimum unsatisfied weight with its labeling for each table set.  A
-    leaf's whole row is checked at once; only a failing row is walked
-    labeling by labeling to record its witnesses.
+    leaf's whole row is checked at once on the raw rows; only a failing row
+    is walked labeling by labeling to record its witnesses.
     """
     neg_total = w_plus - sigma
     block, leaves_all = _prefix_scan(domains, tables_all)
@@ -372,13 +372,14 @@ def _strip_scan(
     cases = 0
     for (prefix, base, row), (_, base_pos, row_pos) in zip(leaves_all, leaves_pos):
         cases += len(row)
-        unsat = list(map((sigma - base).__sub__, row))
-        unsat_pos = list(map((w_plus - base_pos).__sub__, row_pos))
-        # per-labeling sandwich W(f) <= W'(f) <= W(f) + |W-|
-        if not (
-            all(map(operator.le, unsat, unsat_pos))
-            and all(map(operator.le, unsat_pos, map(neg_total.__add__, unsat)))
-        ):
+        # W'(f) - W(f) = c - gap(f), so the per-labeling sandwich
+        # W(f) <= W'(f) <= W(f) + |W-| holds for the whole row exactly when
+        # every gap lies in [c - |W-|, c]
+        c = (w_plus - base_pos) - (sigma - base)
+        gaps = list(map(operator.sub, row_pos, row))
+        if max(gaps) > c or min(gaps) < c - neg_total:
+            unsat = map((sigma - base).__sub__, row)
+            unsat_pos = map((w_plus - base_pos).__sub__, row_pos)
             for t, u_all, u_pos in zip(block, unsat, unsat_pos):
                 if not u_all <= u_pos:
                     pair = (Fraction(u_all, scale), Fraction(u_pos, scale))
@@ -386,11 +387,13 @@ def _strip_scan(
                 if not u_pos <= u_all + neg_total:
                     pair = (Fraction(u_pos, scale), Fraction(u_all, scale))
                     witnesses.append((None, prefix + t, "W'(f) <= W(f) + |W-|", pair))
-        low, low_pos = min(unsat), min(unsat_pos)
+        # the minimum unsatisfied weight sits at the row's first maximum
+        top, top_pos = max(row), max(row_pos)
+        low, low_pos = sigma - base - top, w_plus - base_pos - top_pos
         if best_orig is None or low < best_orig[0]:
-            best_orig = (low, prefix + block[unsat.index(low)])
+            best_orig = (low, prefix + block[row.index(top)])
         if best_stripped is None or low_pos < best_stripped[0]:
-            best_stripped = (low_pos, prefix + block[unsat_pos.index(low_pos)])
+            best_stripped = (low_pos, prefix + block[row_pos.index(top_pos)])
     assert best_orig is not None and best_stripped is not None
     return cases, witnesses, best_orig, best_stripped
 

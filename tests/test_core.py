@@ -135,6 +135,27 @@ def test_permutation_size_mismatch_rejected():
         GugpInstance(2, 2, (e,))
 
 
+def test_permutation_size_check_names_the_first_bad_edge_between_shared_ones():
+    # one good permutation object before and after the bad edge, and a second
+    # bad object later: the first edge in order that carries a bad one is named
+    good, bad, worse = identity(2), identity(3), identity(4)
+    edges = [
+        GugpEdge(0, 1, Fraction(1), good),
+        GugpEdge(1, 2, Fraction(1), good),
+        GugpEdge(2, 0, Fraction(-1), bad),
+        GugpEdge(0, 2, Fraction(1), good),
+        GugpEdge(1, 0, Fraction(1), worse),
+        GugpEdge(2, 1, Fraction(1), bad),
+    ]
+    with pytest.raises(ValidationError) as excinfo:
+        GugpInstance(3, 2, edges)
+    assert str(excinfo.value) == "edge (2,0) permutation size 3 != k=2"
+    with pytest.raises(ValidationError) as excinfo:
+        GugpInstance(3, 2, edges[:2] + edges[3:])
+    assert str(excinfo.value) == "edge (1,0) permutation size 4 != k=2"
+    assert GugpInstance(3, 2, [e for e in edges if e.pi is good]).k == 2
+
+
 EDGES = [
     GugpEdge(0, 1, Fraction(-2, 3), perm(2, 1, 3)),
     RelEdge(2, 0, Fraction(5), Relation(2, 3, frozenset({(1, 3), (2, 1)}))),

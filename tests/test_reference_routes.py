@@ -643,6 +643,56 @@ def test_prefix_scan_split_depends_on_label_counts_only(sizes, prefix_len, leaf_
     assert kernel_scores(domains, tables) == ref_scores(domains, tables)
 
 
+def eager_kernel_scores(domains, tables):
+    """``kernel_scores`` with every leaf collected before any row is read."""
+    block, leaves = _prefix_scan(domains, tables)
+    leaves = list(leaves)
+    return [
+        (prefix + t, base + score)
+        for prefix, base, row in leaves
+        for t, score in zip(block, row)
+    ]
+
+
+def mod5_table(a_size, b_size, shift):
+    return [[PAD] * (b_size + 1)] + [
+        [PAD] + [(2 * a + 3 * b + shift) % 5 - 2 for b in range(1, b_size + 1)]
+        for a in range(1, a_size + 1)
+    ]
+
+
+# seven 3-label vertices: the prefix is 0, 1 and the block 2..6.  Vertex 1 has
+# no table into the block, so the three leaves under each label of vertex 0
+# share one row.
+SHARED_ROW_DOMAINS = [range(1, 4)] * 7
+SHARED_ROW_TABLES = {
+    (0, 6): mod5_table(3, 3, 0),
+    (3, 0): mod5_table(3, 3, 1),
+    (0, 1): mod5_table(3, 3, 2),
+    (2, 5): mod5_table(3, 3, 3),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_domains().flatmap(lambda d: st.tuples(st.just(d), scan_tables(d))))
+@example((SHARED_ROW_DOMAINS, SHARED_ROW_TABLES))
+@example((SHARED_ROW_DOMAINS, {**SHARED_ROW_TABLES, (1, 4): mod5_table(3, 3, 4)}))
+def test_prefix_scan_rows_hold_their_scores_after_the_walk(domains_and_tables):
+    # a kernel that added into a row in place, or refilled one buffer per
+    # leaf, would pass a lazy consumer and fail here
+    domains, tables = domains_and_tables
+    assert eager_kernel_scores(domains, tables) == ref_scores(domains, tables)
+
+
+def test_prefix_scan_siblings_without_crossing_tables_share_one_row():
+    _, leaves = _prefix_scan(SHARED_ROW_DOMAINS, SHARED_ROW_TABLES)
+    leaves = list(leaves)
+    assert [len(prefix) for prefix, _, _ in leaves] == [2] * 9
+    rows = [row for _, _, row in leaves]
+    assert all(rows[i] is rows[i - i % 3] for i in range(9))
+    assert rows[0] is not rows[3] is not rows[6]
+
+
 def test_prefix_scan_without_tables_ties_at_all_ones():
     domains = [range(1, 4)] * 7
     assert _best_labeling(domains, {}) == (1,) * 7
@@ -767,6 +817,79 @@ def test_strip_scan_walks_only_the_failing_rows():
     )
     assert best_orig == (5, (2, 1, 1, 1, 1, 1, 3))
     assert best_stripped == (10, (1,) * 7)
+
+
+class WalkedBlock(list):
+    """A block list that counts how often it is iterated: ``_strip_scan``
+    iterates the block only to walk a failing row labeling by labeling."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def walked_strip_scan(monkeypatch, args):
+    """``_strip_scan(*args)`` and the number of rows it walked."""
+    blocks = []
+
+    def scan(domains, tables):
+        block, leaves = _prefix_scan(domains, tables)
+        blocks.append(WalkedBlock(block))
+        return blocks[-1], leaves
+
+    monkeypatch.setattr(verification, "_prefix_scan", scan)
+    result = _strip_scan(*args)
+    return result, blocks[0].walks
+
+
+def pair_table(entries):
+    """A (0, 1) table on two 2-label vertices, padded in row and column 0."""
+    return {(0, 1): [[PAD] * 3] + [[PAD, *row] for row in entries]}
+
+
+# sigma 4 and W+ 6, so |W-| = 2 and c = 2 on the single leaf: W(f) = 4 for
+# every f and W'(f) = 6 - gap(f).  The gaps 2, 0, 1, 2 put W'(f) = W(f) at
+# f = (1, 1), (2, 2) and W'(f) = W(f) + |W-| at f = (1, 2).
+BOUNDARY_ALL = [[0, 0], [0, 0]]
+BOUNDARY_POS = [[2, 0], [1, 2]]
+
+
+def boundary_args(entries_all, entries_pos):
+    return [range(1, 3)] * 2, pair_table(entries_all), pair_table(entries_pos), 4, 6, 1
+
+
+def test_strip_scan_boundary_row_has_no_witness_and_is_not_walked(monkeypatch):
+    args = boundary_args(BOUNDARY_ALL, BOUNDARY_POS)
+    (cases, witnesses, best_orig, best_stripped), walks = walked_strip_scan(
+        monkeypatch, args
+    )
+    assert (cases, witnesses, best_orig, best_stripped) == ref_strip_scan(*args)
+    assert witnesses == [] and walks == 0
+    assert best_orig == (4, (1, 1)) and best_stripped == (4, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "side, label, entry, bound",
+    [
+        ("pos", (2, 1), 3, "W(f) <= W'(f)"),  # gap 3 = c + 1
+        ("all", (1, 1), -1, "W(f) <= W'(f)"),  # gap 3 = c + 1
+        ("pos", (1, 2), -1, "W'(f) <= W(f) + |W-|"),  # gap -1 = c - |W-| - 1
+        ("all", (2, 2), 3, "W'(f) <= W(f) + |W-|"),  # gap -1 = c - |W-| - 1
+    ],
+)
+def test_strip_scan_one_unit_past_each_bound_gives_the_reference_witness(
+    monkeypatch, side, label, entry, bound
+):
+    entries = {"all": BOUNDARY_ALL, "pos": BOUNDARY_POS}
+    entries[side] = [row[:] for row in entries[side]]
+    entries[side][label[0] - 1][label[1] - 1] = entry
+    args = boundary_args(entries["all"], entries["pos"])
+    result, walks = walked_strip_scan(monkeypatch, args)
+    assert result == ref_strip_scan(*args)
+    assert [(f, rule) for _, f, rule, _ in result[1]] == [(label, bound)]
+    assert walks == 1
 
 
 # ---------------------------------------------------------------------------
