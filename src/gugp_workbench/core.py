@@ -9,10 +9,11 @@ Conventions used throughout the workbench:
   floating point exists anywhere in this package;
 * every type is immutable once constructed;
 * the edge types (``GugpEdge``, ``RelEdge`` and ``reductions.T22Edge``) are
-  slotted and validated once, in a hand-written ``__init__`` that checks its
-  arguments before it stores them; equality, hashing and ``repr`` are the
-  generated ones, and ``dataclasses.replace`` validates through that
-  ``__init__``.
+  slotted frozen dataclasses with the generated equality, hashing and
+  ``repr``.  ``GugpEdge`` and ``RelEdge``, built once per edge line of large
+  files, check their arguments in a hand-written ``__init__`` before they
+  store them; ``T22Edge`` checks them in a ``__post_init__``.  Either way
+  ``dataclasses.replace`` validates the new edge.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ def edge_weight(u: int, v: int, weight: Fraction | int) -> Fraction:
 
 
 def slot_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot descriptor, in field order.  An
-    edge's ``__init__`` stores through these: one C call per field, where a
-    frozen dataclass's generated ``__init__`` makes one
-    ``object.__setattr__`` call per field."""
+    """The ``__set__`` of each field's slot descriptor, in field order.  The
+    hand-written ``__init__`` of ``GugpEdge`` and ``RelEdge`` stores through
+    these: one C call per field, where a frozen dataclass's generated
+    ``__init__`` makes one ``object.__setattr__`` call per field."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 

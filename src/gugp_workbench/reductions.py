@@ -40,7 +40,6 @@ from .core import (
     check_instance,
     edge_weight,
     scaled_weights,
-    slot_setters,
 )
 from .errors import (
     CapacityError,
@@ -474,7 +473,7 @@ def two2two_relation(pi_u: Permutation, pi_v: Permutation) -> Relation:
     return Relation(k2, k2, pairs)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class T22Edge:
     """Edge of a two-to-two game: endpoint permutations on [2k] plus weight."""
 
@@ -484,24 +483,13 @@ class T22Edge:
     pi_u: Permutation
     pi_v: Permutation
 
-    def __init__(
-        self, u: int, v: int, weight: Fraction, pi_u: Permutation, pi_v: Permutation
-    ):
-        weight = edge_weight(u, v, weight)
+    def __post_init__(self):
+        weight = edge_weight(self.u, self.v, self.weight)
         if weight.numerator <= 0:
             raise ValidationError("two-to-two edges need positive weight")
-        if pi_u.size != pi_v.size:
+        if self.pi_u.size != self.pi_v.size:
             raise ValidationError("endpoint permutations must have equal size")
-        # slot descriptors store with one C call each, not object.__setattr__
-        set_u, set_v, set_weight, set_pi_u, set_pi_v = _T22_SETTERS
-        set_u(self, u)
-        set_v(self, v)
-        set_weight(self, weight)
-        set_pi_u(self, pi_u)
-        set_pi_v(self, pi_v)
-
-
-_T22_SETTERS = slot_setters(T22Edge)
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)
@@ -540,12 +528,11 @@ def _pair_shift(a: int, m: int, k2: int) -> int:
     # Bundle edge m (1-based) moves position a by a shift that depends only
     # on m and a's parity; across m = 1..2k the images of any fixed a sweep
     # all of [2k], which is why the 2k permutation graphs tile [2k] x [2k].
-    j = (m + 1) // 2
-    if m % 2 == 1:  # m = 2j - 1: uniform even shift
-        return modplus(a + 2 * j - 2, k2)
-    if a % 2 == 1:  # m = 2j: odd positions move one further,
-        return modplus(a + 2 * j - 1, k2)
-    return modplus(a + 2 * j - 3, k2)  # even positions one less
+    # Edge 2j - 1 shifts every position by 2j - 2; edge 2j first swaps a
+    # with its pair partner (1 <-> 2, 3 <-> 4, ...), then shifts by the same.
+    if m % 2 == 0:
+        a += 1 if a % 2 else -1
+    return modplus(a + m - 2 + m % 2, k2)
 
 
 def two2two_to_pwt_half(

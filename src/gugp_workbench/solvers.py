@@ -72,17 +72,16 @@ class SolveResult:
 Leaf = tuple[Labeling, int, list[int]]
 
 
-def _prefix_scan(
-    domains: list[range], tables: Tables
-) -> tuple[list[Labeling], Iterator[Leaf]]:
-    """Score every labeling of ``domains`` under ``tables`` (as built by
-    ``pair_tables``), one prefix leaf at a time.
+def _prefix_scan(domains: list[range], *table_sets: Tables) -> tuple:
+    """Score every labeling of ``domains`` under each of ``table_sets`` (as
+    built by ``pair_tables``), one prefix leaf at a time.
 
-    Returns the block labelings in lexicographic order and a generator of
-    ``(prefix, base, row)`` in lexicographic prefix order: labeling
-    ``prefix + block[j]`` scores ``base + row[j]``.  The split depends only
-    on the domain sizes, so two scans over the same domains yield the same
-    prefixes in the same order.
+    Returns the block labelings in lexicographic order, then one generator
+    per table set of ``(prefix, base, row)`` in lexicographic prefix order:
+    labeling ``prefix + block[j]`` scores ``base + row[j]``.  The split and
+    the block are laid out once, from the domain sizes alone, so every
+    generator yields the same prefixes in the same order and they can be
+    zipped; each table set is oriented and summed on its own.
 
     ``row`` is the block vector carried down the walk, not a fresh list per
     leaf: a prefix vertex without tables into the block hands its own row to
@@ -98,48 +97,54 @@ def _prefix_scan(
         block = [t + (a,) for t in block for a in dom]
     # column x: the label of vertex x in each block labeling
     columns = dict(zip(range(split, len(domains)), zip(*block)))
-    internal: list[Iterator[int]] = []
-    # later[x]: (y, table[label of y][label of x]) for prefix tables, y < x
-    later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
-    # crossing[x][a]: per table from x into the block, its scores at label a
-    crossing: dict[int, dict[int, list[Iterator[int]]]] = {}
-    for (u, v), table in tables.items():
-        if u > v:
-            u, v, table = v, u, [list(col) for col in zip(*table)]
-        if v < split:
-            later[v].append((u, table))
-        elif u >= split:
-            rows = map(table.__getitem__, columns[u])
-            internal.append(map(operator.getitem, rows, columns[v]))
-        else:
-            by_label = crossing.setdefault(u, {a: [] for a in domains[u]})
-            for a, parts in by_label.items():
-                parts.append(map(table[a].__getitem__, columns[v]))
-    block_row = list(map(sum, zip(*internal))) if internal else [0] * len(block)
-    # cross[x][a]: the block vector of every table from x, at label a
-    cross = {
-        x: {a: list(map(sum, zip(*parts))) for a, parts in by_label.items()}
-        for x, by_label in crossing.items()
-    }
-    labels = [0] * split
 
-    def walk(x: int, base: int, row: list[int]) -> Iterator[Leaf]:
-        """Label vertex x onward; ``base`` scores the labels before x and
-        ``row`` the block under them."""
-        if x == split:
-            yield tuple(labels), base, row
-            return
-        gain = list(map(sum, zip(*(t[labels[y]] for y, t in later[x]))))
-        by_label = cross.get(x)
-        for a in domains[x]:
-            labels[x] = a
-            yield from walk(
-                x + 1,
-                base + gain[a] if gain else base,
-                row if by_label is None else list(map(operator.add, row, by_label[a])),
-            )
+    def leaves(tables: Tables) -> Iterator[Leaf]:
+        internal: list[Iterator[int]] = []
+        # later[x]: (y, table[label of y][label of x]) for prefix tables, y < x
+        later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
+        # crossing[x][a]: per table from x into the block, its scores at label a
+        crossing: dict[int, dict[int, list[Iterator[int]]]] = {}
+        for (u, v), table in tables.items():
+            if u > v:
+                u, v, table = v, u, [list(col) for col in zip(*table)]
+            if v < split:
+                later[v].append((u, table))
+            elif u >= split:
+                rows = map(table.__getitem__, columns[u])
+                internal.append(map(operator.getitem, rows, columns[v]))
+            else:
+                by_label = crossing.setdefault(u, {a: [] for a in domains[u]})
+                for a, parts in by_label.items():
+                    parts.append(map(table[a].__getitem__, columns[v]))
+        block_row = list(map(sum, zip(*internal))) if internal else [0] * len(block)
+        # cross[x][a]: the block vector of every table from x, at label a
+        cross = {
+            x: {a: list(map(sum, zip(*parts))) for a, parts in by_label.items()}
+            for x, by_label in crossing.items()
+        }
+        labels = [0] * split
 
-    return block, walk(0, 0, block_row)
+        def walk(x: int, base: int, row: list[int]) -> Iterator[Leaf]:
+            """Label vertex x onward; ``base`` scores the labels before x and
+            ``row`` the block under them."""
+            if x == split:
+                yield tuple(labels), base, row
+                return
+            gain = list(map(sum, zip(*(t[labels[y]] for y, t in later[x]))))
+            by_label = cross.get(x)
+            for a in domains[x]:
+                labels[x] = a
+                yield from walk(
+                    x + 1,
+                    base + gain[a] if gain else base,
+                    row
+                    if by_label is None
+                    else list(map(operator.add, row, by_label[a])),
+                )
+
+        return walk(0, 0, block_row)
+
+    return (block, *map(leaves, table_sets))
 
 
 def _best_labeling(domains: list[range], tables: Tables) -> Labeling:

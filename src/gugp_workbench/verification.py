@@ -207,26 +207,17 @@ def coordinate_collision_predicate(fold: int) -> Callable[[int], Relation]:
     return lambda _bundle: differ
 
 
-@dataclass(frozen=True)
-class _SourceRelations:
+class _SourceRelations(tuple):
     """One relation per source edge, looked up by bundle index; its length,
     the source's edge count, is checked against the gadget's bundle count."""
 
-    relations: tuple[Relation, ...]
-
-    def __call__(self, bundle: int) -> Relation:
-        return self.relations[bundle]
-
-    def __len__(self) -> int:
-        return len(self.relations)
+    __call__ = tuple.__getitem__
 
 
 def pair_block_predicate(source: TwoToTwoInstance) -> Callable[[int], Relation]:
     """Indicator input for pair-block bundles: bundle i's unsatisfied weight
     should be 1 exactly off source edge i's two-to-two relation."""
-    return _SourceRelations(
-        tuple(two2two_relation(e.pi_u, e.pi_v) for e in source.edges)
-    )
+    return _SourceRelations(two2two_relation(e.pi_u, e.pi_v) for e in source.edges)
 
 
 def check_indicator_weights(
@@ -364,8 +355,7 @@ def _strip_scan(
     is walked labeling by labeling to record its witnesses.
     """
     neg_total = w_plus - sigma
-    block, leaves_all = _prefix_scan(domains, tables_all)
-    _, leaves_pos = _prefix_scan(domains, tables_pos)
+    block, leaves_all, leaves_pos = _prefix_scan(domains, tables_all, tables_pos)
     best_orig: tuple[int, Labeling] | None = None
     best_stripped: tuple[int, Labeling] | None = None
     witnesses: list[Witness] = []

@@ -4,16 +4,19 @@ Each reference below is the direct per-edge ``Fraction`` loop for one
 weight sum, solver or verifier, or the label-decoding form of one indicator
 predicate.  The package's integer and relation-built routes must match it
 exactly: the same values, labelings, work counts, notes, and witnesses in
-scan order.  The generator and the serializers, which build or render each
-distinct weight, permutation and relation once, are held to per-edge copies
-the same way: the same instances and the same bytes.  The parser, which
-splits an edge line only up to its constraint string, is held to a parser
-that splits every line whole: the same objects, or the same error on the
-same line.  The edge types, which check their arguments in a hand-written
-``__init__``, are held to the same rules run as ``__post_init__`` steps of
-plain frozen dataclasses: the same fields, hash and repr, or the same error.
-``scaled_weights``, which scales each distinct weight object once, is held
-to a per-element loop.
+scan order.  The generator and the serializers are held to per-edge copies
+the same way: the same instances and the same bytes; the generator and the
+GUGP and REL serializers build or render each distinct weight, permutation
+and relation once.  The parser, which splits GUGP and REL edge lines only
+up to their constraint string, is held to a parser that splits every line
+whole: the same objects, or the same error on the same line.  The edge
+types, slotted dataclasses that check their arguments in a hand-written
+``__init__`` (``GugpEdge``, ``RelEdge``) or in a ``__post_init__``
+(``T22Edge``), are held to the same rules run as ``__post_init__`` steps of
+plain frozen dataclasses: the same fields, hash and repr, or the same
+error.  ``scaled_weights``, which scales each distinct weight object once,
+is held to a per-element loop, and ``_pair_shift`` to its three-branch
+form.
 """
 
 import dataclasses
@@ -59,6 +62,7 @@ from gugp_workbench import (
     labeling_value,
     local_search_half,
     metrics,
+    modplus,
     pair_block_predicate,
     parse,
     pwt1_gadget,
@@ -74,6 +78,7 @@ from gugp_workbench import (
 from gugp_workbench import solvers, verification
 from gugp_workbench.core import scaled_weights
 from gugp_workbench.fileformat import parse_fraction
+from gugp_workbench.reductions import _pair_shift
 from gugp_workbench.solvers import BLOCK_LABELINGS, _best_labeling, _prefix_scan
 from gugp_workbench.verification import _strip_scan
 
@@ -169,6 +174,18 @@ def ref_pair_block_predicate(source):
         return not t_contains(e.pi_u.apply(a), e.pi_v.apply(b))
 
     return predicate
+
+
+def ref_pair_shift(a, m, k2):
+    """Where pair-block bundle edge m (1-based) moves position a: edge
+    2j - 1 shifts every position by 2j - 2, edge 2j shifts odd positions by
+    2j - 1 and even positions by 2j - 3."""
+    j = (m + 1) // 2
+    if m % 2 == 1:
+        return modplus(a + 2 * j - 2, k2)
+    if a % 2 == 1:
+        return modplus(a + 2 * j - 1, k2)
+    return modplus(a + 2 * j - 3, k2)
 
 
 def ref_brute_force(instance):
@@ -498,6 +515,15 @@ def test_predicates_reject_out_of_range_labels():
         message = f"label pair {pair} out of range [1..{rel.k1}]x[1..{rel.k2}]"
         with pytest.raises(ValidationError, match=re.escape(message)):
             check_indicator_weights(gadget, bundles, relation_of)
+
+
+def test_pair_shift_matches_the_three_branch_reference():
+    for k2 in range(2, 41, 2):
+        labels = range(1, k2 + 1)
+        for a in labels:
+            images = [_pair_shift(a, m, k2) for m in labels]
+            assert images == [ref_pair_shift(a, m, k2) for m in labels]
+            assert sorted(images) == list(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -834,10 +860,10 @@ def walked_strip_scan(monkeypatch, args):
     """``_strip_scan(*args)`` and the number of rows it walked."""
     blocks = []
 
-    def scan(domains, tables):
-        block, leaves = _prefix_scan(domains, tables)
+    def scan(domains, *table_sets):
+        block, *leaves = _prefix_scan(domains, *table_sets)
         blocks.append(WalkedBlock(block))
-        return blocks[-1], leaves
+        return (blocks[-1], *leaves)
 
     monkeypatch.setattr(verification, "_prefix_scan", scan)
     result = _strip_scan(*args)
