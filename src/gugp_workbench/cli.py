@@ -38,7 +38,6 @@ from .reductions import (
     RelEdge,
     TspInstance,
     TwoToTwoInstance,
-    all_coords_differ_relation,
     label_fold,
     pwt1_gadget,
     repeat_max3cut,
@@ -148,26 +147,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _simple_graph_from_rel(instance: RelationalInstance) -> tuple[int, tuple]:
-    """The base graph of a 3-cut REL file: every edge must carry unit weight
-    and the all-differ relation, as ``repeated_from_relational`` requires
-    of a repeated game, and no vertex pair may repeat."""
-    differ = all_coords_differ_relation(1)
-    pairs = []
-    seen = set()
-    for e in instance.edges:
-        if e.weight != 1:
-            raise ValidationError("3-cut base edges carry unit weight")
-        if e.rel != differ:
-            raise ValidationError("every relation must be the all-differ relation")
-        pair = (min(e.u, e.v), max(e.u, e.v))
-        if pair in seen:
-            raise ValidationError("base graph must be simple (duplicate edge)")
-        seen.add(pair)
-        pairs.append(pair)
-    return instance.n, tuple(pairs)
-
-
 # the input type each reduction accepts, and the message for any other file
 _REDUCE_INPUT = {
     "tsp-nwa": (TspInstance, "tsp-nwa expects a TSP file"),
@@ -188,7 +167,8 @@ def _cmd_reduce(args) -> int:
             raise UsageError(_REDUCE_INPUT[kind][1])
         # the caps read counts alone, so an over-cap file is refused first
         require_repeat_size(source.n, len(source.edges), args.l)
-        repeated = repeat_max3cut(*_simple_graph_from_rel(source), args.l)
+        base = repeated_from_relational(source)
+        repeated = repeat_max3cut(base.base_n, base.edges, args.l)
         _write(args.out, serialize(repeated.to_relational()))
         print(f"OUT={args.out}")
         print(f"VERTICES={repeated.n}")
@@ -301,7 +281,7 @@ def _cmd_verify(args) -> int:
                     f"gadget edge count must be a positive multiple of {gadget.k}"
                 )
             relation_of = coordinate_collision_predicate(param)
-            differ = all_coords_differ_relation(param)
+            differ = relation_of(0)
             source_edges = tuple(
                 RelEdge(first.u, first.v, Fraction(1), differ)
                 for first in gadget.edges[:: gadget.k]

@@ -1,11 +1,12 @@
 """Exact solvers: exhaustive enumeration and a factor-2 local search.
 
-Every exhaustive scan runs on one kernel, ``_prefix_scan``.  It splits the
-vertices into a depth-first prefix and a trailing block: the longest suffix
-whose joint label count is at most ``BLOCK_LABELINGS``.  The tables inside
-the block are summed once into a vector over the block's labelings in
-lexicographic order; the tables from a prefix vertex into the block give one
-such vector per label of that vertex.  The prefix is walked depth-first with
+Every exhaustive scan passes one gate, ``_scan_domains``, which refuses an
+over-cap label space or vertex count, and runs on one kernel,
+``_prefix_scan``.  It splits the vertices into a depth-first prefix and a
+trailing block: the longest suffix whose joint label count is at most
+``BLOCK_LABELINGS``.  The tables inside the block are summed once into a
+vector over the block's labelings in lexicographic order; the tables from a
+prefix vertex into the block give one such vector per label of that vertex.  The prefix is walked depth-first with
 one partial sum per depth, and the block vector is carried down the walk: a
 prefix vertex with tables into the block adds its label's vector once for
 all the leaves below it, so each leaf costs at most one vector add.  Every
@@ -21,6 +22,7 @@ optimal labeling, as in a plain lexicographic scan.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,9 +94,7 @@ def _prefix_scan(domains: list[range], *table_sets: Tables) -> tuple:
     while split and size * len(domains[split - 1]) <= BLOCK_LABELINGS:
         split -= 1
         size *= len(domains[split])
-    block: list[Labeling] = [()]
-    for dom in domains[split:]:
-        block = [t + (a,) for t in block for a in dom]
+    block: list[Labeling] = list(itertools.product(*domains[split:]))
     # column x: the label of vertex x in each block labeling
     columns = dict(zip(range(split, len(domains)), zip(*block)))
 
@@ -161,13 +161,31 @@ def _best_labeling(domains: list[range], tables: Tables) -> Labeling:
     return best
 
 
-def _require_label_space(factors: tuple[tuple[int, int], ...], cap: int) -> int:
-    """The label space, a product of ``k**e``; ``CapacityError`` over ``cap``."""
+def _scan_domains(
+    instance: GugpInstance | RelationalInstance, cap: int
+) -> tuple[int, list[range]]:
+    """The gate in front of every exhaustive scan: the label space, a product
+    of ``k**e`` per side, and each vertex's label range.
+
+    ``CapacityError`` refuses a label space over ``cap``, then a vertex count
+    over ``cap``, before any per-vertex list is built.  For k >= 2 the first
+    rule implies the second; the second bounds one-label scans.
+    """
+    n = instance.n
+    if isinstance(instance, GugpInstance):
+        factors: tuple[tuple[int, int], ...] = ((instance.k, n),)
+    elif instance.sides is None:
+        factors = ((instance.k1, n),)
+    else:
+        left = instance.sides.count("V")
+        factors = ((instance.k1, left), (instance.k2, n - left))
     space = capped_power_product(factors, cap)
     if space is None:
         shown = " * ".join(f"{k}^{e}" for k, e in factors)
         raise CapacityError(f"label space {shown} exceeds cap {cap}")
-    return space
+    if n > cap:
+        raise CapacityError(f"vertex count {n} exceeds cap {cap}")
+    return space, [range(1, instance.label_count(v) + 1) for v in range(n)]
 
 
 def brute_force(
@@ -183,11 +201,11 @@ def brute_force(
     scan direction serves every objective and ties break identically.
     """
     m = require_objective(instance, objective)
-    space = _require_label_space(((instance.k, instance.n),), cap)
+    space, domains = _scan_domains(instance, cap)
     objective_normalizer(m, objective)  # a zero normalizer refuses before the scan
     weights = instance.integer_weights[1]
     tables = pair_tables(instance.edges, weights, instance.k, instance.k)
-    best = _best_labeling([range(1, instance.k + 1)] * instance.n, tables)
+    best = _best_labeling(domains, tables)
     return SolveResult(best, labeling_value(instance, best, objective), space)
 
 
@@ -196,14 +214,9 @@ def brute_force_relational(
     cap: int = DEFAULT_BRUTE_CAP,
 ) -> SolveResult:
     """Enumerate all labelings and return the maximum satisfied-weight fraction."""
-    factors = ((instance.k1, instance.n),)
-    if instance.sides is not None:
-        left = instance.sides.count("V")
-        factors = ((instance.k1, left), (instance.k2, instance.n - left))
-    space = _require_label_space(factors, cap)
+    space, domains = _scan_domains(instance, cap)
     if not instance.edges:
         raise DegenerateInstanceError("relational value undefined: no edges")
-    domains = [range(1, instance.label_count(v) + 1) for v in range(instance.n)]
     weights = instance.integer_weights[1]
     tables = pair_tables(instance.edges, weights, instance.k1, instance.k2)
     best = _best_labeling(domains, tables)
@@ -219,11 +232,7 @@ def _hit_rows(image: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]
     return (0,) + image, tuple(inverse)
 
 
-def local_search_half(
-    instance: GugpInstance,
-    seed: int | None = None,
-    iteration_cap: int | None = None,
-) -> SolveResult:
+def local_search_half(instance: GugpInstance, seed: int | None = None) -> SolveResult:
     """Local search for all-negative instances with a guaranteed value >= 1/2.
 
     The instance is viewed in restated form: each edge demands
@@ -232,7 +241,7 @@ def local_search_half(
     vertex is reassigned to its locally best label different from the current
     one (smallest label on ties).  Every step strictly increases the global
     restated satisfied weight, by at least 1 on integer-scaled weights, so
-    their sum bounds the steps (the default ``iteration_cap``).  At
+    their sum bounds the steps; a run past it raises ``InternalError``.  At
     termination each vertex meets the half threshold locally, hence the
     labeling satisfies at least half of the total restated weight, i.e. its
     max-NWA value is at least 1/2.
@@ -254,8 +263,7 @@ def local_search_half(
         raise CapacityError(f"vertex count {n} exceeds cap {LOCAL_SEARCH_VERTEX_CAP}")
     # integer restated weights |w|: require_objective left only negative ones
     weights = [-w for w in instance.integer_weights[1]]
-    if iteration_cap is None:
-        iteration_cap = sum(weights)
+    iteration_cap = sum(weights)
 
     if seed is None:
         labels = [1] * n

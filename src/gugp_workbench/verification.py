@@ -63,7 +63,7 @@ from .reductions import (
 from .solvers import (
     DEFAULT_BRUTE_CAP,
     _prefix_scan,
-    _require_label_space,
+    _scan_domains,
     brute_force,
     brute_force_relational,
     local_search_half,
@@ -408,10 +408,9 @@ def check_strip_bounds(
     w_plus = sum(w for w in weights if w > 0)
     neg_total = w_plus - sigma
     k = instance.k
-    # the solvers' rule refuses an over-cap label space before the scan starts
-    space = _require_label_space(((k, instance.n),), cap)
+    # the solvers' gate refuses an over-cap scan before it starts
+    space, domains = _scan_domains(instance, cap)
     # every edge in one table, positive edges in another
-    domains = [range(1, k + 1)] * instance.n
     tables_all = pair_tables(instance.edges, weights, k, k)
     tables_pos = pair_tables(instance.edges, [max(w, 0) for w in weights], k, k)
     cases, witnesses, orig, stripped = _strip_scan(

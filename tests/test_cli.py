@@ -346,8 +346,10 @@ BIG = 10**12
 BOMB_FILES = {
     "n.gugp": f"GUGP v1\nk 2\nn {BIG}\ne 0 1 -1/1 1 2\n",
     "k.gugp": f"GUGP v1\nk {BIG}\nn 2\n",
+    "one.gugp": f"GUGP v1\nk 1\nn {BIG}\ne 0 1 1/1 1\n",
     "n.rel": f"REL v1\nk1 3\nk2 3\nn {BIG}\nbipartite 0\ne 0 1 1/1 1 1 2\n",
     "k.rel": f"REL v1\nk1 {BIG}\nk2 {BIG}\nn 2\nbipartite 0\n",
+    "one.rel": f"REL v1\nk1 1\nk2 1\nn {BIG}\nbipartite 0\ne 0 1 1/1 1 1 1\n",
     "fold25.rel": f"REL v1\nk1 {3**25}\nk2 {3**25}\nn 2\nbipartite 0\n",
     "n.t22": f"T22 v1\nk 2\nn {BIG}\ne 0 1 1/1 pu 1 2 3 4 pv 1 2 3 4\n",
     "k.t22": f"T22 v1\nk {BIG}\nn 2\n",
@@ -384,6 +386,11 @@ def _bomb_rows():
     ):
         yield (*argv, "--in", "n.rel"), n_code
         yield (*argv, "--in", "k.rel"), k_code
+    # one label: a label space of 1 under any n, so the scans' vertex rule
+    # refuses; each ended in a MemoryError traceback while nothing counted n
+    yield ("solve", "brute", "--objective", "max-ugp", "--in", "one.gugp"), 3
+    yield ("verify", "strip-bounds", "--in", "one.gugp"), 3
+    yield ("solve", "brute", "--in", "one.rel"), 3
     for bomb in ("n.t22", "k.t22"):
         yield ("reduce", "pwt-half", "--in", bomb, "--out", "out"), 0
         yield ("verify", "gadget-pwt-half", "--in", "four.gugp", "--source", bomb), 1
@@ -797,42 +804,113 @@ def test_reduce_counts_the_edges_of_the_gadget_it_wrote(capsys, tmp_path, monkey
     assert len(parse(enc.read_text()).edges) == 18
 
 
-REPEAT3CUT_EDGE = "e {u} {v} {w} {pairs}\n"
 DIFFER_PAIRS = "6 1 2 1 3 2 1 2 3 3 1 3 2"
 
 
+@pytest.mark.parametrize("kind", ["repeat3cut", "pwt1"])
 @pytest.mark.parametrize(
     "edges, message",
     [
         # the file repeat3cut once rewrote as two unit-weight all-differ edges
         (
-            (("5/7", "1 1 1"), ("1/1", "2 1 1 2 2")),
-            "3-cut base edges carry unit weight",
+            ((0, 1, "5/7", "1 1 1"), (1, 2, "1/1", "2 1 1 2 2")),
+            "repeated 3-cut edges carry unit weight",
         ),
         (
-            (("1/1", DIFFER_PAIRS), ("1/1", "2 1 1 2 2")),
-            "every relation must be the all-differ relation",
+            ((0, 1, "1/1", DIFFER_PAIRS), (1, 2, "1/1", "2 1 1 2 2")),
+            "every relation must be the all-coordinates-differ relation",
         ),
         (
-            (("1/1", DIFFER_PAIRS), ("2/1", DIFFER_PAIRS)),
-            "3-cut base edges carry unit weight",
+            ((0, 1, "1/1", DIFFER_PAIRS), (1, 2, "2/1", DIFFER_PAIRS)),
+            "repeated 3-cut edges carry unit weight",
+        ),
+        (
+            ((0, 1, "1/1", DIFFER_PAIRS), (1, 0, "1/1", DIFFER_PAIRS)),
+            "duplicate repeated edge (0,1)",
         ),
     ],
 )
 def test_repeat3cut_refuses_a_base_that_is_not_a_3_cut_game(
-    capsys, tmp_path, edges, message
+    capsys, tmp_path, kind, edges, message
 ):
+    # repeat3cut and pwt1 read the same file through one rule, so they
+    # refuse it with the same message
     text = "REL v1\nk1 3\nk2 3\nn 3\nbipartite 0\n" + "".join(
-        REPEAT3CUT_EDGE.format(u=i, v=i + 1, w=w, pairs=pairs)
-        for i, (w, pairs) in enumerate(edges)
+        f"e {u} {v} {w} {pairs}\n" for u, v, w, pairs in edges
     )
     rel = write(tmp_path / "base.rel", text)
     out = tmp_path / "out.rel"
+    argv = ("--l", "2") if kind == "repeat3cut" else ()
     code, lines, err = run(
-        capsys, "reduce", "repeat3cut", "--in", rel, "--l", "2", "--out", str(out)
+        capsys, "reduce", kind, "--in", rel, *argv, "--out", str(out)
     )
     assert (code, lines, err) == (1, [], f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["repeat3cut", "pwt1"])
+def test_3cut_reductions_refuse_a_bipartite_file_off_three_labels(
+    capsys, tmp_path, kind
+):
+    # edgeless, so no relation shows the W side's two labels; repeat3cut once
+    # wrote this file's repetition as a 3-cut game
+    rel = write(
+        tmp_path / "base.rel",
+        "REL v1\nk1 3\nk2 2\nn 2\nbipartite 1\ns 0 V\ns 1 W\n",
+    )
+    out = tmp_path / "out.rel"
+    code, lines, err = run(capsys, "reduce", kind, "--in", rel, "--out", str(out))
+    message = "label count must be a power of three (at least 3)"
+    assert (code, lines, err) == (1, [], f"error: {message}\n")
+    assert not out.exists()
+
+
+T22_TWO_EDGES = (
+    "T22 v1\nk 2\nn 3\n"
+    "e 0 1 1/1 pu 1 2 3 4 pv 1 2 3 4\n"
+    "e 1 2 1/1 pu 2 1 3 4 pv 1 2 4 3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "kind, shape, message",
+    [
+        ("gadget-pwt1", "short", "gadget edge count must be a positive multiple of 3"),
+        ("gadget-pwt1", "edgeless", "gadget edge count must be a positive multiple of 3"),
+        ("gadget-pwt-half", "labels", "gadget has 3 labels but source expects 4"),
+        (
+            "gadget-pwt-half",
+            "short",
+            "gadget edge count does not match source edges times bundle size",
+        ),
+        ("gadget-pwt-half", "flipped", "bundle 1 endpoints do not match source edge"),
+    ],
+)
+def test_verify_gadget_refuses_a_gadget_of_the_wrong_shape(
+    capsys, tmp_path, kind, shape, message
+):
+    source = write(tmp_path / "source.t22", T22_TWO_EDGES)
+    if kind == "gadget-pwt1":
+        gadget, _ = pwt1_gadget(repeat_max3cut(3, ((0, 1), (1, 2)), 1))
+    else:
+        gadget, _ = two2two_to_pwt_half(parse(T22_TWO_EDGES))
+    if shape == "short":
+        gadget = GugpInstance(gadget.n, gadget.k, gadget.edges[:-1])
+    elif shape == "edgeless":
+        gadget = GugpInstance(gadget.n, gadget.k, ())
+    elif shape == "labels":
+        gadget = gugp(3, 3, (0, 1, 1, identity(3)))
+    else:  # bundle 1 runs from v to u
+        k = gadget.k
+        edges = tuple(
+            GugpEdge(e.v, e.u, e.weight, e.pi) if k <= i < 2 * k else e
+            for i, e in enumerate(gadget.edges)
+        )
+        gadget = GugpInstance(gadget.n, k, edges)
+    path = write(tmp_path / "gadget.gugp", gadget)
+    argv = ("--source", source) if kind == "gadget-pwt-half" else ()
+    code, lines, err = run(capsys, "verify", kind, "--in", path, *argv)
+    assert (code, lines, err) == (1, [], f"error: {message}\n")
 
 
 def test_reduce_rejects_wrong_input_type(capsys, counterexample, tmp_path):

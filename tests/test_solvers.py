@@ -10,11 +10,17 @@ from hypothesis import strategies as st
 from gugp_workbench import (
     CapacityError,
     DegenerateInstanceError,
+    GugpEdge,
+    GugpInstance,
     InternalError,
     Objective,
     ObjectiveMismatchError,
+    RelationalInstance,
+    RelEdge,
+    Relation,
     brute_force,
     brute_force_relational,
+    check_strip_bounds,
     labeling_value,
     local_search_half,
     max3cut_instance,
@@ -178,6 +184,33 @@ def test_relational_capacity_message():
         brute_force_relational(inst, cap=2)
 
 
+def _one_label_scans():
+    """Each exhaustive scan over six vertices whose label space is at most 2,
+    so a cap of 5 is exceeded by the vertex count alone."""
+    one = GugpInstance(6, 1, (GugpEdge(0, 1, Fraction(1), identity(1)),))
+    yield pytest.param(lambda cap: brute_force(one, Objective.MAX_UGP, cap), id="gugp")
+    yield pytest.param(lambda cap: check_strip_bounds(one, cap), id="strip-bounds")
+    edge = RelEdge(0, 1, Fraction(1), Relation(1, 1, ((1, 1),)))
+    shared = RelationalInstance(6, 1, 1, (edge,))
+    yield pytest.param(lambda cap: brute_force_relational(shared, cap), id="rel")
+    # bipartite: one label on the five V vertices, two on the W vertex
+    edge = RelEdge(0, 5, Fraction(1), Relation(1, 2, ((1, 2),)))
+    bipartite = RelationalInstance(6, 1, 2, (edge,), ("V",) * 5 + ("W",))
+    yield pytest.param(
+        lambda cap: brute_force_relational(bipartite, cap), id="rel-bipartite"
+    )
+
+
+@pytest.mark.parametrize("scan", list(_one_label_scans()))
+def test_one_label_scans_run_up_to_a_vertex_count_equal_to_the_cap(scan):
+    scan(6)  # n = cap completes
+    with pytest.raises(CapacityError, match=r"^vertex count 6 exceeds cap 5$"):
+        scan(5)
+    # the label space is refused first, with its own message
+    with pytest.raises(CapacityError, match=r"^label space .* exceeds cap 0$"):
+        scan(0)
+
+
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_relational_brute_tiebreak_is_lexicographic(seed):
@@ -232,9 +265,12 @@ def test_edgeless_rejected():
 
 
 def test_iteration_cap_signals_internal_error():
-    inst = gugp(2, 2, (0, 1, -1, identity(2)))
-    with pytest.raises(InternalError):
-        local_search_half(inst, iteration_cap=0)
+    # the path needs two moves; weights of -1/2 break the integer premise and
+    # bound the steps by their sum, 1
+    inst = gugp(3, 2, (0, 1, -1, identity(2)), (1, 2, -1, identity(2)))
+    inst.__dict__["integer_weights"] = (1, (Fraction(-1, 2),) * 2)
+    with pytest.raises(InternalError, match=r"^local search exceeded iteration cap 1;"):
+        local_search_half(inst)
 
 
 def test_vertex_cap_refuses_before_any_per_vertex_list(monkeypatch):
