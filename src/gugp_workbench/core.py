@@ -175,6 +175,11 @@ class GugpInstance:
         """``scaled_weights`` over the edge weights in edge order, derived once."""
         return scaled_weights([e.weight for e in self.edges])
 
+    @functools.cached_property
+    def compiled_scans(self) -> dict:
+        """The scan layout and plans ``solvers`` compiles on a first scan."""
+        return {}
+
     def label_count(self, vertex: int) -> int:
         return self.k
 
@@ -248,6 +253,7 @@ class RelationalInstance:
                 )
 
     integer_weights = GugpInstance.integer_weights  # the same derivation
+    compiled_scans = GugpInstance.compiled_scans
 
     @property
     def bipartite(self) -> bool:

@@ -1,16 +1,15 @@
 """Exact solvers: exhaustive enumeration and a factor-2 local search.
 
 Every exhaustive scan passes one gate, ``_scan_domains``, which refuses an
-over-cap label space or vertex count, and runs on one kernel,
-``_prefix_scan``.  It splits the vertices into a depth-first prefix and a
-trailing block: the longest suffix whose joint label count is at most
-``BLOCK_LABELINGS``.  The tables inside the block are summed once into a
-vector over the block's labelings in lexicographic order; the tables from a
-prefix vertex into the block give one such vector per label of that vertex.  The prefix is walked depth-first with
-one partial sum per depth, and the block vector is carried down the walk: a
-prefix vertex with tables into the block adds its label's vector once for
-all the leaves below it, so each leaf costs at most one vector add.  Every
-one of the k^n labelings is still scored.  Sibling leaves may share one row;
+over-cap label space or vertex count, then walks the game's compiled scan,
+``_scan``, held in the instance's ``compiled_scans`` from its first scan.
+The layout splits the vertices into a depth-first prefix and a trailing
+block, the longest suffix of at most ``BLOCK_LABELINGS`` joint labelings.  A
+table set's plan scores the block's labelings in lexicographic order as one
+vector, plus one vector per label of each prefix vertex with tables into
+the block, which the walk adds once for all the leaves below it: a leaf
+costs at most one vector add, and every one of the k^n labelings is still
+scored.  Sibling leaves, and every scan of one game, may share rows;
 consumers only read the rows.
 
 Brute force is deterministic: it takes the first maximum within a leaf's
@@ -32,6 +31,7 @@ from .core import (
     GugpInstance,
     Labeling,
     RelationalInstance,
+    built_once,
     capped_power_product,
 )
 from .errors import (
@@ -70,87 +70,114 @@ class SolveResult:
     visited: int
 
 
+# (domains, prefix length, block labelings, per block vertex its labels in them)
+Layout = tuple[list[range], int, list[Labeling], dict[int, tuple[int, ...]]]
+Plan = tuple[list, list[int], dict]  # (later, block_row, cross): see ``_plan``
 # (prefix labels, prefix score, score of each block labeling)
 Leaf = tuple[Labeling, int, list[int]]
 
 
-def _prefix_scan(domains: list[range], *table_sets: Tables) -> tuple:
-    """Score every labeling of ``domains`` under each of ``table_sets`` (as
-    built by ``pair_tables``), one prefix leaf at a time.
-
-    Returns the block labelings in lexicographic order, then one generator
-    per table set of ``(prefix, base, row)`` in lexicographic prefix order:
-    labeling ``prefix + block[j]`` scores ``base + row[j]``.  The split and
-    the block are laid out once, from the domain sizes alone, so every
-    generator yields the same prefixes in the same order and they can be
-    zipped; each table set is oriented and summed on its own.
-
-    ``row`` is the block vector carried down the walk, not a fresh list per
-    leaf: a prefix vertex without tables into the block hands its own row to
-    every child, so sibling leaves may share one list.  Consumers only read
-    the rows.
-    """
+def _layout(domains: list[range]) -> Layout:
+    """Split ``domains`` into the prefix and the block, from the sizes alone."""
     split, size = len(domains), 1
     while split and size * len(domains[split - 1]) <= BLOCK_LABELINGS:
         split -= 1
         size *= len(domains[split])
     block: list[Labeling] = list(itertools.product(*domains[split:]))
-    # column x: the label of vertex x in each block labeling
-    columns = dict(zip(range(split, len(domains)), zip(*block)))
+    return domains, split, block, dict(zip(range(split, len(domains)), zip(*block)))
 
-    def leaves(tables: Tables) -> Iterator[Leaf]:
-        internal: list[Iterator[int]] = []
-        # later[x]: (y, table[label of y][label of x]) for prefix tables, y < x
-        later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
-        # crossing[x][a]: per table from x into the block, its scores at label a
-        crossing: dict[int, dict[int, list[Iterator[int]]]] = {}
-        for (u, v), table in tables.items():
-            if u > v:
-                u, v, table = v, u, [list(col) for col in zip(*table)]
-            if v < split:
-                later[v].append((u, table))
-            elif u >= split:
-                rows = map(table.__getitem__, columns[u])
-                internal.append(map(operator.getitem, rows, columns[v]))
-            else:
-                by_label = crossing.setdefault(u, {a: [] for a in domains[u]})
-                for a, parts in by_label.items():
-                    parts.append(map(table[a].__getitem__, columns[v]))
-        block_row = list(map(sum, zip(*internal))) if internal else [0] * len(block)
-        # cross[x][a]: the block vector of every table from x, at label a
-        cross = {
-            x: {a: list(map(sum, zip(*parts))) for a, parts in by_label.items()}
-            for x, by_label in crossing.items()
-        }
-        labels = [0] * split
 
-        def walk(x: int, base: int, row: list[int]) -> Iterator[Leaf]:
-            """Label vertex x onward; ``base`` scores the labels before x and
-            ``row`` the block under them."""
-            if x == split:
-                yield tuple(labels), base, row
-                return
-            gain = list(map(sum, zip(*(t[labels[y]] for y, t in later[x]))))
-            by_label = cross.get(x)
-            for a in domains[x]:
-                labels[x] = a
-                yield from walk(
-                    x + 1,
-                    base + gain[a] if gain else base,
-                    row
-                    if by_label is None
-                    else list(map(operator.add, row, by_label[a])),
+def _plan(layout: Layout, tables: Tables) -> Plan:
+    """Orient and sum one table set, as built by ``pair_tables``.
+
+    ``later[x]`` holds (y, table[label of y][label of x]) per table between
+    prefix vertices y < x, ``block_row`` scores the tables inside the block,
+    and ``cross[x][a]`` the tables from prefix vertex x into the block at
+    label a: per block vertex its row of k numbers, expanded to the block in
+    one pass over their product, so no row or column 0 is read.
+    """
+    domains, split, block, columns = layout
+    later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
+    internal: list[Iterator[int]] = []
+    zeros = [[0] * len(labels) for labels in domains[split:]]
+    # crossing[x][a][y - split]: the tables from x to block vertex y, at label a
+    crossing: dict[int, dict[int, list[list[int]]]] = {}
+    for (u, v), table in tables.items():
+        if u > v:
+            u, v, table = v, u, [list(col) for col in zip(*table)]
+        if v < split:
+            later[v].append((u, table))
+        elif u >= split:
+            rows = map(table.__getitem__, columns[u])
+            internal.append(map(operator.getitem, rows, columns[v]))
+        else:
+            by_label = crossing.setdefault(u, {a: zeros[:] for a in domains[u]})
+            for a, rows_at in by_label.items():
+                rows_at[v - split] = list(
+                    map(operator.add, rows_at[v - split], table[a][1:])
                 )
+    block_row = list(map(sum, zip(*internal))) if internal else [0] * len(block)
+    cross = {
+        x: {a: list(map(sum, itertools.product(*rows))) for a, rows in by_label.items()}
+        for x, by_label in crossing.items()
+    }
+    return later, block_row, cross
 
-        return walk(0, 0, block_row)
 
-    return (block, *map(leaves, table_sets))
+def _leaves(layout: Layout, plan: Plan) -> Iterator[Leaf]:
+    """One ``(prefix, base, row)`` per prefix labeling, in lexicographic
+    order: labeling ``prefix + block[j]`` scores ``base + row[j]``.
+
+    ``row`` is the block vector carried down the walk, not a fresh list per
+    leaf: a prefix vertex without tables into the block hands its own row to
+    every child, and the plan's ``block_row`` starts every scan.
+    """
+    domains, split, _, _ = layout
+    later, block_row, cross = plan
+    labels = [0] * split
+
+    def walk(x: int, base: int, row: list[int]) -> Iterator[Leaf]:
+        """Label vertex x onward; ``base`` scores the labels before x and
+        ``row`` the block under them."""
+        if x == split:
+            yield tuple(labels), base, row
+            return
+        gain = list(map(sum, zip(*(t[labels[y]] for y, t in later[x]))))
+        by_label = cross.get(x)
+        for a in domains[x]:
+            labels[x] = a
+            yield from walk(
+                x + 1,
+                base + gain[a] if gain else base,
+                row if by_label is None else list(map(operator.add, row, by_label[a])),
+            )
+
+    return walk(0, 0, block_row)
 
 
-def _best_labeling(domains: list[range], tables: Tables) -> Labeling:
+def _scan(
+    instance: GugpInstance | RelationalInstance,
+    domains: list[range],
+    positive: bool = False,
+) -> tuple[list[Labeling], Iterator[Leaf]]:
+    """The block labelings and the leaves of the scan over the ``domains``
+    that the gate returned, under every edge weight or the positive ones;
+    the layout and each plan are compiled once per instance."""
+    scans = instance.compiled_scans
+    layout = built_once(scans, "layout", _layout, domains)
+    plan = scans.get(positive)
+    if plan is None:
+        weights = [max(w, 0) if positive else w for w in instance.integer_weights[1]]
+        gugp = isinstance(instance, GugpInstance)
+        k1, k2 = (instance.k, instance.k) if gugp else (instance.k1, instance.k2)
+        tables = pair_tables(instance.edges, weights, k1, k2)
+        plan = scans[positive] = _plan(layout, tables)
+    return layout[2], _leaves(layout, plan)
+
+
+def _best_labeling(block: list[Labeling], leaves: Iterator[Leaf]) -> Labeling:
     """The lexicographically first labeling with the largest total table
     weight: the first maximum of each row, replaced only on strict gains."""
-    block, leaves = _prefix_scan(domains, tables)
     best: Labeling | None = None
     best_sat: int | None = None
     for prefix, base, row in leaves:
@@ -203,9 +230,7 @@ def brute_force(
     m = require_objective(instance, objective)
     space, domains = _scan_domains(instance, cap)
     objective_normalizer(m, objective)  # a zero normalizer refuses before the scan
-    weights = instance.integer_weights[1]
-    tables = pair_tables(instance.edges, weights, instance.k, instance.k)
-    best = _best_labeling(domains, tables)
+    best = _best_labeling(*_scan(instance, domains))
     return SolveResult(best, labeling_value(instance, best, objective), space)
 
 
@@ -217,9 +242,7 @@ def brute_force_relational(
     space, domains = _scan_domains(instance, cap)
     if not instance.edges:
         raise DegenerateInstanceError("relational value undefined: no edges")
-    weights = instance.integer_weights[1]
-    tables = pair_tables(instance.edges, weights, instance.k1, instance.k2)
-    best = _best_labeling(domains, tables)
+    best = _best_labeling(*_scan(instance, domains))
     return SolveResult(best, relational_value(instance, best), space)
 
 

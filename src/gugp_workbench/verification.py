@@ -43,7 +43,6 @@ from .core import (
 from .errors import CapacityError, UsageError, ValidationError
 from .evaluation import (
     Objective,
-    Tables,
     pair_tables,
     require_objective,
     satisfied_weight,
@@ -62,7 +61,8 @@ from .reductions import (
 )
 from .solvers import (
     DEFAULT_BRUTE_CAP,
-    _prefix_scan,
+    Leaf,
+    _scan,
     _scan_domains,
     brute_force,
     brute_force_relational,
@@ -340,22 +340,22 @@ def check_value_transfer(
 
 
 def _strip_scan(
-    domains: list[range],
-    tables_all: Tables,
-    tables_pos: Tables,
+    block: list[Labeling],
+    leaves_all: Iterator[Leaf],
+    leaves_pos: Iterator[Leaf],
     sigma: int,
     w_plus: int,
     scale: int,
 ) -> tuple[int, list[Witness], tuple[int, Labeling], tuple[int, Labeling]]:
-    """One joint scan over the all-edges and positive-edges tables.
+    """One joint walk over the all-edges and positive-edges leaves of one
+    compiled layout, whose rows it reads and never writes.
 
     Returns the cases, the sandwich witnesses in scan order, and the first
     minimum unsatisfied weight with its labeling for each table set.  A
-    leaf's whole row is checked at once on the raw rows; only a failing row
-    is walked labeling by labeling to record its witnesses.
+    leaf's whole row is checked at once; only a failing row is walked
+    labeling by labeling to record its witnesses.
     """
     neg_total = w_plus - sigma
-    block, leaves_all, leaves_pos = _prefix_scan(domains, tables_all, tables_pos)
     best_orig: tuple[int, Labeling] | None = None
     best_stripped: tuple[int, Labeling] | None = None
     witnesses: list[Witness] = []
@@ -407,14 +407,13 @@ def check_strip_bounds(
     sigma = sum(weights)
     w_plus = sum(w for w in weights if w > 0)
     neg_total = w_plus - sigma
-    k = instance.k
     # the solvers' gate refuses an over-cap scan before it starts
     space, domains = _scan_domains(instance, cap)
-    # every edge in one table, positive edges in another
-    tables_all = pair_tables(instance.edges, weights, k, k)
-    tables_pos = pair_tables(instance.edges, [max(w, 0) for w in weights], k, k)
+    # every edge in one table set, positive edges in another, on one layout
+    block, leaves_all = _scan(instance, domains)
+    _, leaves_pos = _scan(instance, domains, positive=True)
     cases, witnesses, orig, stripped = _strip_scan(
-        domains, tables_all, tables_pos, sigma, w_plus, scale
+        block, leaves_all, leaves_pos, sigma, w_plus, scale
     )
     (best_orig, best_orig_label), (best_stripped, best_stripped_label) = orig, stripped
     min_orig, min_stripped = Fraction(best_orig, scale), Fraction(best_stripped, scale)

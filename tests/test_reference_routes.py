@@ -16,12 +16,14 @@ types, slotted dataclasses that check their arguments in a hand-written
 plain frozen dataclasses: the same fields, hash and repr, or the same
 error.  ``scaled_weights``, which scales each distinct weight object once,
 is held to a per-element loop, and ``_pair_shift`` to its three-branch
-form.
+form.  The exhaustive scan, compiled once per game, is held to the same
+kernel built afresh per call: the same blocks, prefixes, bases and rows.
 """
 
 import dataclasses
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -77,9 +79,18 @@ from gugp_workbench import (
 
 from gugp_workbench import solvers, verification
 from gugp_workbench.core import scaled_weights
+from gugp_workbench.evaluation import pair_tables
 from gugp_workbench.fileformat import parse_fraction
 from gugp_workbench.reductions import _pair_shift
-from gugp_workbench.solvers import BLOCK_LABELINGS, _best_labeling, _prefix_scan
+from gugp_workbench.solvers import (
+    BLOCK_LABELINGS,
+    _best_labeling,
+    _layout,
+    _leaves,
+    _plan,
+    _scan,
+    _scan_domains,
+)
 from gugp_workbench.verification import _strip_scan
 
 from conftest import (
@@ -571,8 +582,74 @@ def ref_scores(domains, tables):
     ]
 
 
+def ref_prefix_scan(domains, *table_sets):
+    """The kernel's ``(block, leaves, ...)`` built per call: each table set
+    oriented on its own, its crossing vectors zipped per label from one lazy
+    column map per table, and ``block_row`` from zipped internal maps."""
+    split, size = len(domains), 1
+    while split and size * len(domains[split - 1]) <= BLOCK_LABELINGS:
+        split -= 1
+        size *= len(domains[split])
+    block = list(itertools.product(*domains[split:]))
+    columns = dict(zip(range(split, len(domains)), zip(*block)))
+
+    def leaves(tables):
+        internal = []
+        later = [[] for _ in range(split)]
+        crossing = {}
+        for (u, v), table in tables.items():
+            if u > v:
+                u, v, table = v, u, [list(col) for col in zip(*table)]
+            if v < split:
+                later[v].append((u, table))
+            elif u >= split:
+                rows = map(table.__getitem__, columns[u])
+                internal.append(map(operator.getitem, rows, columns[v]))
+            else:
+                by_label = crossing.setdefault(u, {a: [] for a in domains[u]})
+                for a, parts in by_label.items():
+                    parts.append(map(table[a].__getitem__, columns[v]))
+        block_row = list(map(sum, zip(*internal))) if internal else [0] * len(block)
+        cross = {
+            x: {a: list(map(sum, zip(*parts))) for a, parts in by_label.items()}
+            for x, by_label in crossing.items()
+        }
+        labels = [0] * split
+
+        def walk(x, base, row):
+            if x == split:
+                yield tuple(labels), base, row
+                return
+            gain = list(map(sum, zip(*(t[labels[y]] for y, t in later[x]))))
+            by_label = cross.get(x)
+            for a in domains[x]:
+                labels[x] = a
+                yield from walk(
+                    x + 1,
+                    base + gain[a] if gain else base,
+                    row if by_label is None else list(map(operator.add, row, by_label[a])),
+                )
+
+        return walk(0, 0, block_row)
+
+    return (block, *map(leaves, table_sets))
+
+
+def compiled_scan(domains, *table_sets):
+    """``ref_prefix_scan``'s result through the compiled route: one layout,
+    one plan per table set."""
+    layout = _layout(domains)
+    return (layout[2], *(_leaves(layout, _plan(layout, t)) for t in table_sets))
+
+
+def strip_scan(domains, tables_all, tables_pos, sigma, w_plus, scale):
+    """``_strip_scan`` on the compiled scans of two bare table sets."""
+    scans = compiled_scan(domains, tables_all, tables_pos)
+    return _strip_scan(*scans, sigma, w_plus, scale)
+
+
 def kernel_scores(domains, tables):
-    block, leaves = _prefix_scan(domains, tables)
+    block, leaves = compiled_scan(domains, tables)
     return [
         (prefix + t, base + score)
         for prefix, base, row in leaves
@@ -634,7 +711,7 @@ def test_prefix_scan_scores_every_labeling_in_order(domains_and_tables):
     assert kernel_scores(domains, tables) == reference
     top = max(score for _, score in reference)
     first = next(f for f, score in reference if score == top)
-    assert _best_labeling(domains, tables) == first
+    assert _best_labeling(*compiled_scan(domains, tables)) == first
 
 
 @pytest.mark.parametrize(
@@ -658,7 +735,7 @@ def test_prefix_scan_split_depends_on_label_counts_only(sizes, prefix_len, leaf_
             [PAD] + [(3 * a + 5 * b + u) % 7 - 3 for b in domains[v]]
             for a in domains[u]
         ]
-    block, leaves = _prefix_scan(domains, tables)
+    block, leaves = compiled_scan(domains, tables)
     leaves = list(leaves)
     assert len(leaves) == leaf_count
     assert all(len(prefix) == prefix_len for prefix, _, _ in leaves)
@@ -671,7 +748,7 @@ def test_prefix_scan_split_depends_on_label_counts_only(sizes, prefix_len, leaf_
 
 def eager_kernel_scores(domains, tables):
     """``kernel_scores`` with every leaf collected before any row is read."""
-    block, leaves = _prefix_scan(domains, tables)
+    block, leaves = compiled_scan(domains, tables)
     leaves = list(leaves)
     return [
         (prefix + t, base + score)
@@ -711,7 +788,7 @@ def test_prefix_scan_rows_hold_their_scores_after_the_walk(domains_and_tables):
 
 
 def test_prefix_scan_siblings_without_crossing_tables_share_one_row():
-    _, leaves = _prefix_scan(SHARED_ROW_DOMAINS, SHARED_ROW_TABLES)
+    _, leaves = compiled_scan(SHARED_ROW_DOMAINS, SHARED_ROW_TABLES)
     leaves = list(leaves)
     assert [len(prefix) for prefix, _, _ in leaves] == [2] * 9
     rows = [row for _, _, row in leaves]
@@ -721,8 +798,52 @@ def test_prefix_scan_siblings_without_crossing_tables_share_one_row():
 
 def test_prefix_scan_without_tables_ties_at_all_ones():
     domains = [range(1, 4)] * 7
-    assert _best_labeling(domains, {}) == (1,) * 7
-    assert _best_labeling([range(1, 6)], {}) == (1,)
+    assert _best_labeling(*compiled_scan(domains, {})) == (1,) * 7
+    assert _best_labeling(*compiled_scan([range(1, 6)], {})) == (1,)
+
+
+def scan_stream(scan):
+    """``[block, leaves, ...]`` with every leaf of each table set collected."""
+    block, *leaves = scan
+    return [block, *map(list, leaves)]
+
+
+# a bipartite game's domains, W side 2 labels and V side 3: vertices 0 (W)
+# and 1 (V) form the prefix, 2..6 the block; every table runs V -> W, so the
+# ones from a later V vertex reach the walk as (v, u)
+BIPARTITE_DOMAINS = [range(1, size + 1) for size in (2, 3, 2, 3, 3, 2, 3)]
+BIPARTITE_TABLES = {
+    (1, 0): mod5_table(3, 2, 0),
+    (1, 2): mod5_table(3, 2, 1),
+    (1, 5): mod5_table(3, 2, 2),
+    (3, 0): mod5_table(3, 2, 3),
+    (4, 5): mod5_table(3, 2, 4),
+    (6, 2): mod5_table(3, 2, 0),
+}
+# one-label vertices in the prefix (0) and the block (7, 8)
+ONE_LABEL_DOMAINS = [range(1, size + 1) for size in (1, 3, 3, 3, 3, 3, 3, 1, 1)]
+ONE_LABEL_TABLES = {
+    (0, 8): mod5_table(1, 1, 0),
+    (7, 1): mod5_table(1, 3, 1),
+    (0, 1): mod5_table(1, 3, 2),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scan_domains().flatmap(
+        lambda d: st.tuples(
+            st.just(d), st.lists(scan_tables(d), min_size=1, max_size=2)
+        )
+    )
+)
+@example((SHARED_ROW_DOMAINS, [SHARED_ROW_TABLES, {}]))
+@example((BIPARTITE_DOMAINS, [BIPARTITE_TABLES, {}]))
+@example((ONE_LABEL_DOMAINS, [ONE_LABEL_TABLES]))
+def test_compiled_plan_yields_the_reference_stream(domains_and_table_sets):
+    domains, table_sets = domains_and_table_sets
+    expected = scan_stream(ref_prefix_scan(domains, *table_sets))
+    assert scan_stream(compiled_scan(domains, *table_sets)) == expected
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -811,6 +932,26 @@ def test_bipartite_relational_over_the_block_matches_reference(inst):
     assert (result.labeling, result.visited) == ref_brute_force_relational(inst)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(gugp_instances(), relational_instances(), bipartite_over_the_block()),
+    st.booleans(),
+)
+def test_compiled_scan_of_a_game_yields_the_reference_stream(inst, positive):
+    _, domains = _scan_domains(inst, 10**6)
+    weights = inst.integer_weights[1]
+    if positive:
+        weights = [max(w, 0) for w in weights]
+    if isinstance(inst, GugpInstance):
+        tables = pair_tables(inst.edges, weights, inst.k, inst.k)
+    else:
+        tables = pair_tables(inst.edges, weights, inst.k1, inst.k2)
+    expected = scan_stream(ref_prefix_scan(domains, tables))
+    # the first scan compiles the plan, the second reads the held one
+    assert scan_stream(_scan(inst, domains, positive)) == expected
+    assert scan_stream(_scan(inst, domains, positive)) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     scan_domains().flatmap(
@@ -825,7 +966,7 @@ def test_strip_scan_matches_reference_on_mismatched_tables(
 ):
     domains, tables_all, tables_pos = domains_and_tables
     args = (domains, tables_all, tables_pos, sigma, w_plus, scale)
-    assert _strip_scan(*args) == ref_strip_scan(*args)
+    assert strip_scan(*args) == ref_strip_scan(*args)
 
 
 def test_strip_scan_walks_only_the_failing_rows():
@@ -835,7 +976,7 @@ def test_strip_scan_walks_only_the_failing_rows():
     table = [[PAD] * 4] + [[PAD, 0, 0, 0] for _ in range(3)]
     table[2][3] = 5
     args = (domains, {(0, 6): table}, {}, 10, 10, 2)
-    cases, witnesses, best_orig, best_stripped = _strip_scan(*args)
+    cases, witnesses, best_orig, best_stripped = strip_scan(*args)
     assert (cases, witnesses, best_orig, best_stripped) == ref_strip_scan(*args)
     assert len(witnesses) == 3 * 3**4
     assert witnesses[0] == (
@@ -856,18 +997,12 @@ class WalkedBlock(list):
         return super().__iter__()
 
 
-def walked_strip_scan(monkeypatch, args):
-    """``_strip_scan(*args)`` and the number of rows it walked."""
-    blocks = []
-
-    def scan(domains, *table_sets):
-        block, *leaves = _prefix_scan(domains, *table_sets)
-        blocks.append(WalkedBlock(block))
-        return (blocks[-1], *leaves)
-
-    monkeypatch.setattr(verification, "_prefix_scan", scan)
-    result = _strip_scan(*args)
-    return result, blocks[0].walks
+def walked_strip_scan(args):
+    """``strip_scan(*args)`` and the number of rows it walked."""
+    domains, tables_all, tables_pos, *totals = args
+    block, *leaves = compiled_scan(domains, tables_all, tables_pos)
+    block = WalkedBlock(block)
+    return _strip_scan(block, *leaves, *totals), block.walks
 
 
 def pair_table(entries):
@@ -886,11 +1021,9 @@ def boundary_args(entries_all, entries_pos):
     return [range(1, 3)] * 2, pair_table(entries_all), pair_table(entries_pos), 4, 6, 1
 
 
-def test_strip_scan_boundary_row_has_no_witness_and_is_not_walked(monkeypatch):
+def test_strip_scan_boundary_row_has_no_witness_and_is_not_walked():
     args = boundary_args(BOUNDARY_ALL, BOUNDARY_POS)
-    (cases, witnesses, best_orig, best_stripped), walks = walked_strip_scan(
-        monkeypatch, args
-    )
+    (cases, witnesses, best_orig, best_stripped), walks = walked_strip_scan(args)
     assert (cases, witnesses, best_orig, best_stripped) == ref_strip_scan(*args)
     assert witnesses == [] and walks == 0
     assert best_orig == (4, (1, 1)) and best_stripped == (4, (1, 1))
@@ -906,13 +1039,13 @@ def test_strip_scan_boundary_row_has_no_witness_and_is_not_walked(monkeypatch):
     ],
 )
 def test_strip_scan_one_unit_past_each_bound_gives_the_reference_witness(
-    monkeypatch, side, label, entry, bound
+    side, label, entry, bound
 ):
     entries = {"all": BOUNDARY_ALL, "pos": BOUNDARY_POS}
     entries[side] = [row[:] for row in entries[side]]
     entries[side][label[0] - 1][label[1] - 1] = entry
     args = boundary_args(entries["all"], entries["pos"])
-    result, walks = walked_strip_scan(monkeypatch, args)
+    result, walks = walked_strip_scan(args)
     assert result == ref_strip_scan(*args)
     assert [(f, rule) for _, f, rule, _ in result[1]] == [(label, bound)]
     assert walks == 1

@@ -1,5 +1,6 @@
 """Exhaustive solvers against independent oracles, and the local search."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gugp_workbench import (
     CapacityError,
     DegenerateInstanceError,
+    GenSpec,
     GugpEdge,
     GugpInstance,
     InternalError,
@@ -20,13 +22,21 @@ from gugp_workbench import (
     Relation,
     brute_force,
     brute_force_relational,
+    check_half_guarantee,
     check_strip_bounds,
+    check_value_transfer,
+    generate,
     labeling_value,
     local_search_half,
     max3cut_instance,
+    metrics,
+    parse,
     product_coloring,
+    pwt1_gadget,
     relational_value,
     repeat_max3cut,
+    serialize,
+    solvers,
 )
 
 from conftest import gugp, gugp_instances, identity, perm
@@ -109,9 +119,9 @@ def test_edgeless_brute_force_refuses_before_it_scans(monkeypatch, objective):
     from gugp_workbench import GugpInstance, solvers
 
     def no_scan(*args):
-        raise AssertionError("the edgeless instance was scanned")
+        raise AssertionError("the edgeless instance was compiled")
 
-    monkeypatch.setattr(solvers, "_prefix_scan", no_scan)
+    monkeypatch.setattr(solvers, "_layout", no_scan)
     message = f"^{objective.value} value undefined: zero normalizer$"
     with pytest.raises(DegenerateInstanceError, match=message):
         brute_force(GugpInstance(6, 10, ()), objective)
@@ -348,3 +358,102 @@ def test_local_search_guarantee_and_termination(inst):
     optimum = brute_force(inst, Objective.MAX_NWA)
     assert result.value <= optimum.value
     assert result.value >= optimum.value / 2
+
+
+# ---------------------------------------------------------------------------
+# the compiled scan: built once per game and table set, then only read
+
+
+def count_compiles(monkeypatch):
+    """Record each layout and each table set's weights that ``solvers``
+    compiles."""
+    built = []
+    real_layout, real_tables = solvers._layout, solvers.pair_tables
+
+    def layout(domains):
+        built.append("layout")
+        return real_layout(domains)
+
+    def tables(edges, weights, k1, k2):
+        built.append(tuple(weights))
+        return real_tables(edges, weights, k1, k2)
+
+    monkeypatch.setattr(solvers, "_layout", layout)
+    monkeypatch.setattr(solvers, "pair_tables", tables)
+    return built
+
+
+def random_game(seed, **signs):
+    """A 6-vertex, 3-label game: 729 labelings, past one block."""
+    spec = GenSpec(family="random-gugp", seed=seed, n=6, m=12, k=3, **signs)
+    return generate(spec).instance
+
+
+def test_strip_bounds_reuses_the_brute_force_scan(monkeypatch):
+    instance = random_game(5, max_ratio=Fraction(1, 2))
+    built = count_compiles(monkeypatch)
+    first = brute_force(instance, Objective.MIN_PWT)
+    assert check_strip_bounds(instance).passed
+    assert brute_force(instance, Objective.MIN_PWT) == first
+    weights = instance.integer_weights[1]
+    assert min(weights) < 0
+    assert built == ["layout", weights, tuple(max(w, 0) for w in weights)]
+
+
+def test_value_transfer_compiles_the_source_and_the_gadget_once_each(monkeypatch):
+    repeated = repeat_max3cut(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)), 1)
+    source = repeated.to_relational()
+    gadget, _ = pwt1_gadget(repeated)
+    built = count_compiles(monkeypatch)
+    first = brute_force_relational(source)
+    assert brute_force_relational(source) == first
+    assert check_value_transfer(source, gadget).passed
+    weights = (source.integer_weights[1], gadget.integer_weights[1])
+    assert built == ["layout", weights[0], "layout", weights[1]]
+
+
+def test_parse_metrics_values_and_local_search_compile_no_scan(monkeypatch):
+    spec = GenSpec(family="random-gugp", seed=3, n=30, m=90, k=3, nwa=True)
+    text = serialize(generate(spec).instance)
+    built = count_compiles(monkeypatch)
+    instance = parse(text)
+    result = local_search_half(instance)
+    labeling_value(instance, result.labeling, Objective.MAX_NWA)
+    metrics(instance)
+    assert built == [] and "compiled_scans" not in vars(instance)
+
+
+@pytest.mark.parametrize(
+    "signs, scans",
+    [
+        (
+            {"max_ratio": Fraction(0)},
+            [Objective.MAX_UGP, Objective.MIN_PWT, check_strip_bounds]
+            + [Objective.MIN_UGP, Objective.MAX_PWT],
+        ),
+        (
+            {"max_ratio": Fraction(1, 2)},
+            [Objective.MAX_PWT, check_strip_bounds, Objective.MIN_PWT],
+        ),
+        ({"nwa": True}, [Objective.MIN_NWA, check_half_guarantee, Objective.MAX_NWA]),
+    ],
+)
+def test_a_held_scan_is_only_read(signs, scans):
+    text = serialize(random_game(7, **signs))
+
+    def run(scan, instance):
+        if isinstance(scan, Objective):
+            return brute_force(instance, scan)
+        return scan(instance)
+
+    instance = parse(text)
+    shown = hash(instance), repr(instance)
+    # each scan twice, in both orders, against a game that never scanned
+    for scan in scans + scans[::-1]:
+        assert run(scan, instance) == run(scan, parse(text))
+    assert instance.compiled_scans
+    assert instance == parse(text)
+    assert (hash(instance), repr(instance)) == shown
+    copy = dataclasses.replace(instance, edges=instance.edges[1:])
+    assert run(scans[0], copy) == run(scans[0], parse(serialize(copy)))
+    assert copy.compiled_scans is not instance.compiled_scans
