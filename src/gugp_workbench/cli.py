@@ -27,7 +27,6 @@ from .errors import (
 from .evaluation import (
     Objective,
     labeling_value,
-    relational_value,
     satisfied_weight,
     unsatisfied_weight,
 )
@@ -47,7 +46,7 @@ from .reductions import (
     tsp_to_min_nwa,
     two2two_to_pwt_half,
 )
-from .solvers import DEFAULT_BRUTE_CAP, brute_force, brute_force_relational, local_search_half
+from .solvers import DEFAULT_BRUTE_CAP, brute_force, local_search_half
 from .verification import (
     VerifyReport,
     check_bundle_exactly_one,
@@ -198,13 +197,14 @@ def _cmd_solve(args) -> int:
         if isinstance(instance, GugpInstance):
             if not args.objective:
                 raise UsageError("solve brute on a GUGP file needs --objective")
-            result = brute_force(instance, _objective(args.objective), args.cap)
+            objective = _objective(args.objective)
         else:
             if args.objective:
                 raise UsageError(
                     "relational instances have a single objective; drop --objective"
                 )
-            result = brute_force_relational(instance, args.cap)
+            objective = Objective.MAX_UGP
+        result = brute_force(instance, objective, args.cap)
         print(f"VAL={fmt_fraction(result.value)}")
         print(f"VISITED={result.visited}")
     else:
@@ -242,7 +242,7 @@ def _cmd_eval(args) -> int:
         values = {
             "SAT": satisfied_weight(instance, labeling),
             "TOTAL": metrics(instance).sigma,
-            "VAL": relational_value(instance, labeling),
+            "VAL": labeling_value(instance, labeling, Objective.MAX_UGP),
         }
     for key, value in values.items():
         print(f"{key}={fmt_fraction(value)}")

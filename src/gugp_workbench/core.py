@@ -7,7 +7,9 @@ Conventions used throughout the workbench:
   not;
 * all numeric quantities are exact ``fractions.Fraction`` values -- no
   floating point exists anywhere in this package;
-* every type is immutable once constructed;
+* every type is immutable once constructed; what is derived from it (an
+  instance's ``integer_weights``, a permutation's padded ``rows``) is cached
+  on the object at first use and touches no equality, hash or ``repr``;
 * the edge types (``GugpEdge``, ``RelEdge`` and ``reductions.T22Edge``) are
   slotted frozen dataclasses with the generated equality, hashing and
   ``repr``.  ``GugpEdge`` and ``RelEdge``, built once per edge line of large
@@ -57,11 +59,17 @@ class Permutation:
             raise ValidationError(f"label {i} out of range [1..{len(self.image)}]")
         return self.image[i - 1]
 
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The image and the inverse, each padded by a leading 0 so that
+        ``row[label]`` is that label's image; derived once per object."""
+        inverse = [0] * (len(self.image) + 1)
+        for label, hit in enumerate(self.image, start=1):
+            inverse[hit] = label
+        return (0,) + self.image, tuple(inverse)
+
     def invert(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, img in enumerate(self.image, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation(self.rows[1][1:])
 
 
 @dataclass(frozen=True)

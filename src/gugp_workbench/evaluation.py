@@ -150,9 +150,3 @@ def labeling_value(
     r = satisfied_weight(instance, labeling) / sigma
     return 1 - r if objective in _UNSATISFIED_SHARE else r
 
-
-def relational_value(instance: RelationalInstance, labeling: Labeling) -> Fraction:
-    """Satisfied-weight fraction of a labeling, in [0, 1]: max-ugp's r."""
-    if not instance.edges:
-        raise DegenerateInstanceError("relational value undefined: no edges")
-    return labeling_value(instance, labeling, Objective.MAX_UGP)

@@ -49,7 +49,8 @@ from .errors import (
 
 LABEL_CAP = 729  # 3^l
 VERTEX_CAP = 20_000  # n^l
-REPEAT_SIZE_CAP = 2_000_000  # repeated edges times relation pairs, (2m)^l/2 * 6^l
+# what a reduction writes: (2m)^l/2 edges * 6^l pairs, or m * (2k)^2 entries
+REPEAT_SIZE_CAP = 2_000_000
 
 
 def modplus(m: int, n: int) -> int:
@@ -464,11 +465,12 @@ def two2two_relation(pi_u: Permutation, pi_v: Permutation) -> Relation:
     if pi_u.size % 2 != 0:
         raise ValidationError("two-to-two relations need an even label count")
     k2 = pi_u.size
+    image_u, image_v = pi_u.rows[0], pi_v.rows[0]
     pairs = frozenset(
         (i, j)
         for i in range(1, k2 + 1)
         for j in range(1, k2 + 1)
-        if t_contains(pi_u.apply(i), pi_v.apply(j))
+        if t_contains(image_u[i], image_v[j])
     )
     return Relation(k2, k2, pairs)
 
@@ -546,19 +548,22 @@ def two2two_to_pwt_half(
     precisely the source relation) weigh (2k-2)/(2k-1) each; the remaining
     2k-2 edges weigh -1/(2k-1).  The bundle's unsatisfied weight is then
     exactly 0 when the source constraint holds and exactly 1 when it does
-    not.
+    not.  ``CapacityError`` refuses a gadget of more than ``REPEAT_SIZE_CAP``
+    image entries, m * (2k)^2, before any edge is built.
     """
     k2 = 2 * instance.k
+    if len(instance.edges) * k2**2 > REPEAT_SIZE_CAP:
+        raise CapacityError(
+            f"gadget size {len(instance.edges)} * {k2}^2 image entries "
+            f"exceeds cap {REPEAT_SIZE_CAP}"
+        )
     w_hit = Fraction(2 * instance.k - 2, 2 * instance.k - 1)
     w_miss = Fraction(-1, 2 * instance.k - 1)
     edges: list[GugpEdge] = []
     for e in instance.edges:
-        inv_v = e.pi_v.invert()
+        inverse = e.pi_v.rows[1]
         for m in range(1, k2 + 1):
-            image = tuple(
-                inv_v.apply(_pair_shift(e.pi_u.apply(x), m, k2))
-                for x in range(1, k2 + 1)
-            )
+            image = tuple(inverse[_pair_shift(a, m, k2)] for a in e.pi_u.image)
             weight = w_hit if m <= 2 else w_miss
             edges.append(GugpEdge(e.u, e.v, weight, Permutation(image)))
     gadget = GugpInstance(instance.n, k2, tuple(edges))

@@ -45,7 +45,6 @@ from .evaluation import (
     labeling_value,
     objective_normalizer,
     pair_tables,
-    relational_value,
     require_objective,
 )
 from .rng import SplitMix64
@@ -216,7 +215,7 @@ def _scan_domains(
 
 
 def brute_force(
-    instance: GugpInstance,
+    instance: GugpInstance | RelationalInstance,
     objective: Objective,
     cap: int = DEFAULT_BRUTE_CAP,
 ) -> SolveResult:
@@ -225,7 +224,8 @@ def brute_force(
     All six objectives are optimized by the labeling that maximizes the
     signed satisfied weight (the families differ only in normalization and
     in whether the satisfied or unsatisfied share is reported), so a single
-    scan direction serves every objective and ties break identically.
+    scan direction serves every objective and ties break identically.  A
+    relational game's weights are all positive, so it solves under max-ugp.
     """
     m = require_objective(instance, objective)
     space, domains = _scan_domains(instance, cap)
@@ -238,21 +238,8 @@ def brute_force_relational(
     instance: RelationalInstance,
     cap: int = DEFAULT_BRUTE_CAP,
 ) -> SolveResult:
-    """Enumerate all labelings and return the maximum satisfied-weight fraction."""
-    space, domains = _scan_domains(instance, cap)
-    if not instance.edges:
-        raise DegenerateInstanceError("relational value undefined: no edges")
-    best = _best_labeling(*_scan(instance, domains))
-    return SolveResult(best, relational_value(instance, best), space)
-
-
-def _hit_rows(image: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The rows of a permutation and of its inverse, each padded by a leading
-    0 so that row[label] is that label's image."""
-    inverse = [0] * (len(image) + 1)
-    for label, hit in enumerate(image, start=1):
-        inverse[hit] = label
-    return (0,) + image, tuple(inverse)
+    """Brute force under max-ugp, a relational game's one objective."""
+    return brute_force(instance, Objective.MAX_UGP, cap)
 
 
 def local_search_half(instance: GugpInstance, seed: int | None = None) -> SolveResult:
@@ -269,8 +256,8 @@ def local_search_half(instance: GugpInstance, seed: int | None = None) -> SolveR
     labeling satisfies at least half of the total restated weight, i.e. its
     max-NWA value is at least 1/2.
 
-    Each edge reads the two hit rows of its permutation, the image and its
-    inverse, which are built once per distinct permutation object.
+    Each edge reads its permutation's ``rows``, the padded image and
+    inverse, which each permutation object derives once.
 
     The returned ``visited`` is the number of reassignment steps.  The start
     is the all-1 labeling, or a seeded uniform labeling when ``seed`` is
@@ -295,17 +282,12 @@ def local_search_half(instance: GugpInstance, seed: int | None = None) -> SolveR
         labels = [1 + stream.below(k) for _ in range(n)]
 
     # incident[x] holds (y, hit, w) per edge at x: the edge is unsatisfied
-    # in restated form exactly when f(x) = hit[f(y)].  rows is keyed by
-    # id(pi), which is safe because the instance holds every permutation for
-    # the whole call.
+    # in restated form exactly when f(x) = hit[f(y)]
     incident: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
-    rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for e, w in zip(instance.edges, weights):
-        pair = rows.get(id(e.pi))
-        if pair is None:
-            pair = rows[id(e.pi)] = _hit_rows(e.pi.image)
-        incident[e.u].append((e.v, pair[1], w))
-        incident[e.v].append((e.u, pair[0], w))
+        image, inverse = e.pi.rows
+        incident[e.u].append((e.v, inverse, w))
+        incident[e.v].append((e.u, image, w))
     total = [sum(w for _, _, w in edges) for edges in incident]
     # unsat[x]: restated weight at x left unsatisfied; x is below the half
     # threshold exactly when 2 * unsat[x] > total[x]

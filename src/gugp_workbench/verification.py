@@ -558,10 +558,20 @@ def smoothness(instance: RelationalInstance) -> Fraction:
     left label relates to exactly one right label).  Edges count by
     multiplicity and weights are ignored.  Bijective projections merge
     nothing, so unique-game style instances measure exactly 0.
+
+    Each edge is looked at once per label pair, C(k1, 2) times;
+    ``CapacityError`` refuses more than ``DEFAULT_CASE_CAP`` looks, from the
+    counts alone.
     """
     if not instance.bipartite:
         raise ValidationError("smoothness applies to bipartite instances")
-    projections: list[tuple[int, tuple[int, ...]]] = []
+    looks = len(instance.edges) * math.comb(instance.k1, 2)
+    if looks > DEFAULT_CASE_CAP:
+        raise CapacityError(
+            f"smoothness needs {looks} pair looks > cap {DEFAULT_CASE_CAP}"
+        )
+    # by_vertex[u]: the image tuple of each edge at u, in edge order
+    by_vertex: dict[int, list[tuple[int, ...]]] = {}
     for e in instance.edges:
         image = [0] * instance.k1
         for a, b in e.rel.pairs:
@@ -576,15 +586,11 @@ def smoothness(instance: RelationalInstance) -> Fraction:
                 f"edge ({e.u},{e.v}) relation is not a projection: "
                 "some left label has no image"
             )
-        projections.append((e.u, tuple(image)))
-    by_vertex: dict[int, list[tuple[int, ...]]] = {}
-    for u, image in projections:
-        by_vertex.setdefault(u, []).append(image)
+        by_vertex.setdefault(e.u, []).append(tuple(image))
     eta = Fraction(0)
-    for u, images in by_vertex.items():
-        degree = len(images)
-        for i in range(1, instance.k1 + 1):
-            for j in range(i + 1, instance.k1 + 1):
-                merged = sum(1 for image in images if image[i - 1] == image[j - 1])
-                eta = max(eta, Fraction(merged, degree))
+    for images in by_vertex.values():
+        # pairs of label columns: two labels' images under each edge at u
+        pairs = itertools.combinations(zip(*images), 2)
+        merged = max((sum(map(operator.eq, c, d)) for c, d in pairs), default=0)
+        eta = max(eta, Fraction(merged, len(images)))
     return eta

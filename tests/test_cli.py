@@ -134,7 +134,7 @@ def test_solve_brute_and_eval_agree(capsys, counterexample, tmp_path):
         (
             "REL v1\nk1 2\nk2 2\nn 2\nbipartite 0\n",
             (),
-            "relational value undefined: no edges",
+            "max-ugp value undefined: zero normalizer",
         ),
         (
             "GUGP v1\nk 2\nn 2\ne 0 1 1/1 1 2\ne 0 1 -1/3 2 1\n",
@@ -342,7 +342,8 @@ def test_local_search_refuses_a_huge_vertex_count_before_allocating(tmp_path, ar
 
 BIG = 10**12
 # header bombs: one record under a huge vertex count, or none under a huge
-# label count, in every format; small valid companions fill the other slots
+# label count, in every format; small valid companions fill the other slots,
+# and the wide files hold one edge whose label count sizes the work
 BOMB_FILES = {
     "n.gugp": f"GUGP v1\nk 2\nn {BIG}\ne 0 1 -1/1 1 2\n",
     "k.gugp": f"GUGP v1\nk {BIG}\nn 2\n",
@@ -352,6 +353,11 @@ BOMB_FILES = {
     "one.rel": f"REL v1\nk1 1\nk2 1\nn {BIG}\nbipartite 0\ne 0 1 1/1 1 1 1\n",
     "fold25.rel": f"REL v1\nk1 {3**25}\nk2 {3**25}\nn 2\nbipartite 0\n",
     "n.t22": f"T22 v1\nk 2\nn {BIG}\ne 0 1 1/1 pu 1 2 3 4 pv 1 2 3 4\n",
+    "wide.t22": "T22 v1\nk 2000\nn 2\ne 0 1 1/1 pu {0} pv {0}\n".format(
+        " ".join(map(str, range(1, 4001)))
+    ),
+    "wide.rel": "REL v1\nk1 5000\nk2 1\nn 2\nbipartite 1\ns 0 V\ns 1 W\n"
+    + "e 0 1 1/1 5000 " + " ".join(f"{a} 1" for a in range(1, 5001)) + "\n",
     "k.t22": f"T22 v1\nk {BIG}\nn 2\n",
     "n.tsp": f"TSP v1\nn {BIG}\nw 0 1 1/1\n",
     "n.lab": f"LAB v1\nn {BIG}\nf 0 1\n",
@@ -402,6 +408,12 @@ def _bomb_rows():
     # 4 base edges at fold 5: 16,384 edges of 7,776 pairs each, which ended
     # in a MemoryError traceback while serializing when nothing refused it
     yield ("reduce", "repeat3cut", "--in", "base.rel", "--l", "5", "--out", "out"), 3
+    # one projection edge on 5,000 left labels: 12.5M label-pair looks, which
+    # ran past the time limit when each pair built a generator and a Fraction
+    yield ("verify", "smoothness", "--in", "wide.rel"), 3
+    # one edge on 4,000 labels: a gadget of 4,000 edges of 4,000 image entries
+    # each, which ran past the limits while nothing sized it first
+    yield ("reduce", "pwt-half", "--in", "wide.t22", "--out", "out"), 3
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,36 @@ def test_apply_then_invert_roundtrip(p, data):
     assert p.invert().apply(p.apply(i)) == i
 
 
+@given(permutations(), st.data())
+def test_rows_pad_the_image_and_its_inverse(p, data):
+    image, inverse = p.rows
+    assert image == (0,) + p.image and len(inverse) == p.size + 1
+    a = data.draw(st.integers(min_value=1, max_value=p.size))
+    assert image[a] == p.apply(a) and inverse[image[a]] == a
+    assert p.invert() == Permutation(inverse[1:])
+
+
+def test_rows_are_derived_once_per_object():
+    p = perm(3, 1, 4, 2)
+    copy_ = Permutation(p.image)
+    assert p.rows is p.rows
+    assert copy_.rows == p.rows and copy_.rows is not p.rows
+    assert p.rows == ((0, 3, 1, 4, 2), (0, 2, 4, 1, 3))
+
+
+@given(permutations())
+def test_rows_change_no_identity_and_survive_a_pickle(p):
+    instance = GugpInstance(2, p.size, (GugpEdge(0, 1, Fraction(1), p),))
+    before = (hash(p), repr(p), hash(instance), repr(instance))
+    rows = p.rows
+    assert (hash(p), repr(p), hash(instance), repr(instance)) == before
+    assert p == Permutation(p.image) and instance == parse(serialize(instance))
+    copied_p = pickle.loads(pickle.dumps(p))
+    copied = pickle.loads(pickle.dumps(instance))
+    assert (copied_p, copied) == (p, instance)
+    assert copied_p.rows == copied.edges[0].pi.rows == rows
+
+
 def test_non_bijection_rejected():
     with pytest.raises(ValidationError, match="not a bijection"):
         Permutation((2, 2, 1))

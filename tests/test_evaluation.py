@@ -21,7 +21,6 @@ from gugp_workbench import (
     max3cut_instance,
     metrics,
     pwt1_gadget,
-    relational_value,
     repeat_max3cut,
     satisfied_weight,
     unsatisfied_weight,
@@ -206,7 +205,7 @@ def test_pwt_max_plus_min_is_one(inst, data):
 def test_max3cut_triangle_proper_coloring():
     inst = max3cut_instance(3, ((0, 1), (1, 2), (2, 0)))
     assert satisfied_weight(inst, (1, 2, 3)) == 3
-    assert relational_value(inst, (1, 2, 3)) == 1
+    assert labeling_value(inst, (1, 2, 3), Objective.MAX_UGP) == 1
 
 
 def test_max3cut_constant_coloring():

@@ -584,6 +584,23 @@ def test_bundle_unsat_indicates_source_violation(pu, pv, data):
     assert unsatisfied_weight(gadget, (a, b)) == expected
 
 
+def test_pwt_half_size_cap_boundary(monkeypatch):
+    # three source edges at k = 2: 3 bundles of 4 edges, each with 4 image
+    # entries, so the gadget writes 3 * 4^2 = 48 entries
+    source = TwoToTwoInstance(3, 2, tuple(
+        T22Edge(u, v, Fraction(1), identity(4), perm(2, 1, 4, 3))
+        for u, v in ((0, 1), (1, 2), (2, 0))
+    ))
+    gadget = two2two_to_pwt_half(source)
+    assert sum(e.pi.size for e in gadget[0].edges) == 48
+    monkeypatch.setattr(reductions, "REPEAT_SIZE_CAP", 48)
+    assert two2two_to_pwt_half(source) == gadget
+    monkeypatch.setattr(reductions, "REPEAT_SIZE_CAP", 47)
+    message = r"^gadget size 3 \* 4\^2 image entries exceeds cap 47$"
+    with pytest.raises(CapacityError, match=message):
+        two2two_to_pwt_half(source)
+
+
 # ---------------------------------------------------------------------------
 # stripping
 

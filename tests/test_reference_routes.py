@@ -18,9 +18,12 @@ error.  ``scaled_weights``, which scales each distinct weight object once,
 is held to a per-element loop, and ``_pair_shift`` to its three-branch
 form.  The exhaustive scan, compiled once per game, is held to the same
 kernel built afresh per call: the same blocks, prefixes, bases and rows.
+``smoothness``, which compares label columns per vertex, is held to the
+per-pair loop over each vertex's edges.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -68,16 +71,16 @@ from gugp_workbench import (
     pair_block_predicate,
     parse,
     pwt1_gadget,
-    relational_value,
     repeat_max3cut,
     satisfied_weight,
     serialize,
+    smoothness,
     t_contains,
     two2two_to_pwt_half,
     unsatisfied_weight,
 )
 
-from gugp_workbench import solvers, verification
+from gugp_workbench import verification
 from gugp_workbench.core import scaled_weights
 from gugp_workbench.evaluation import pair_tables
 from gugp_workbench.fileformat import parse_fraction
@@ -358,6 +361,21 @@ def ref_local_search(instance, seed=None):
         current = new
 
 
+def ref_smoothness(instance):
+    """The pair loop: per V vertex and label pair i < j, the share of the
+    vertex's edges whose projection sends i and j to one right label."""
+    by_vertex = {}
+    for e in instance.edges:
+        by_vertex.setdefault(e.u, []).append(dict(e.rel.pairs))
+    eta = Fraction(0)
+    for images in by_vertex.values():
+        for i in range(1, instance.k1 + 1):
+            for j in range(i + 1, instance.k1 + 1):
+                merged = sum(1 for image in images if image[i] == image[j])
+                eta = max(eta, Fraction(merged, len(images)))
+    return eta
+
+
 # ---------------------------------------------------------------------------
 # instances
 
@@ -441,14 +459,14 @@ def test_relational_sums_match_reference(inst, data):
     sat = ref_relational_satisfied_weight(inst, labeling)
     assert satisfied_weight(inst, labeling) == sat
     total = sum((e.weight for e in inst.edges), Fraction(0))
-    assert relational_value(inst, labeling) == sat / total
+    assert labeling_value(inst, labeling, Objective.MAX_UGP) == sat / total
 
 
 def test_relational_sums_on_edgeless_instance():
     inst = RelationalInstance(2, 2, 2, ())
     assert satisfied_weight(inst, (1, 2)) == 0
     with pytest.raises(DegenerateInstanceError):
-        relational_value(inst, (1, 2))
+        labeling_value(inst, (1, 2), Objective.MAX_UGP)
 
 
 @st.composite
@@ -563,8 +581,12 @@ def test_brute_force_matches_reference_seeded(seed):
 @settings(max_examples=60, deadline=None)
 @given(relational_instances())
 def test_brute_force_relational_matches_reference(inst):
-    result = brute_force_relational(inst)
-    assert (result.labeling, result.visited) == ref_brute_force_relational(inst)
+    labeling, visited = ref_brute_force_relational(inst)
+    total = sum((e.weight for e in inst.edges), Fraction(0))
+    expected = (labeling, ref_relational_satisfied_weight(inst, labeling) / total, visited)
+    # the game path under max-ugp and its relational name agree with the reference
+    for result in (brute_force(inst, Objective.MAX_UGP), brute_force_relational(inst)):
+        assert (result.labeling, result.value, result.visited) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1217,6 +1239,33 @@ def test_parsed_gadget_builds_one_table_per_check(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# smoothness
+
+
+@st.composite
+def projection_games(draw):
+    """Bipartite games whose every relation is a projection of [k1] onto
+    [k2], with parallel edges and isolated vertices allowed."""
+    k1, k2 = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    left, right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        u = draw(st.integers(0, left - 1))
+        v = draw(st.integers(left, left + right - 1))
+        images = draw(st.lists(st.integers(1, k2), min_size=k1, max_size=k1))
+        rel = Relation(k1, k2, frozenset(enumerate(images, 1)))
+        edges.append(RelEdge(u, v, Fraction(1), rel))
+    sides = ("V",) * left + ("W",) * right
+    return RelationalInstance(left + right, k1, k2, tuple(edges), sides)
+
+
+@settings(max_examples=80, deadline=None)
+@given(projection_games())
+def test_smoothness_matches_reference(inst):
+    assert smoothness(inst) == ref_smoothness(inst)
+
+
+# ---------------------------------------------------------------------------
 # local search
 
 
@@ -1238,7 +1287,7 @@ def test_local_search_matches_reference_seeded(seed, k):
     assert (result.labeling, result.visited) == ref_local_search(inst, seed)
 
 
-def test_local_search_builds_one_pair_of_rows_per_permutation(monkeypatch):
+def test_local_search_reads_the_rows_each_permutation_derives_once(monkeypatch):
     generated = seeded_gugp(12, n=40, m=200, k=5, nwa=True)
     # every third edge holds an equal copy: a distinct object with its own rows
     inst = GugpInstance(generated.n, generated.k, tuple(
@@ -1246,8 +1295,10 @@ def test_local_search_builds_one_pair_of_rows_per_permutation(monkeypatch):
         for i, e in enumerate(generated.edges)
     ))
     built = []
-    hit_rows = solvers._hit_rows
-    monkeypatch.setattr(solvers, "_hit_rows", lambda image: built.append(image) or hit_rows(image))
+    derive = Permutation.rows.func
+    rows = functools.cached_property(lambda pi: built.append(pi.image) or derive(pi))
+    rows.__set_name__(Permutation, "rows")
+    monkeypatch.setattr(Permutation, "rows", rows)
 
     def no_invert(_pi):
         raise AssertionError("local search inverted a Permutation")
@@ -1255,7 +1306,10 @@ def test_local_search_builds_one_pair_of_rows_per_permutation(monkeypatch):
     monkeypatch.setattr(Permutation, "invert", no_invert)
     result = local_search_half(inst)
     assert (result.labeling, result.visited) == ref_local_search(inst)
-    assert len(built) == len({id(e.pi) for e in inst.edges}) < len(inst.edges)
+    distinct = len({id(e.pi) for e in inst.edges})
+    assert len(built) == distinct < len(inst.edges)
+    # a second pass reads the rows the first one derived
+    assert local_search_half(inst) == result and len(built) == distinct
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from gugp_workbench import (
     parse,
     product_coloring,
     pwt1_gadget,
-    relational_value,
     repeat_max3cut,
     serialize,
     solvers,
@@ -183,7 +182,7 @@ def test_repeated_k3_proper_coloring_is_optimal():
     repeated = repeat_max3cut(3, ((0, 1), (1, 2), (2, 0)), 2)
     inst = repeated.to_relational()
     witness = product_coloring((1, 2, 3), 2)
-    assert relational_value(inst, witness) == 1
+    assert labeling_value(inst, witness, Objective.MAX_UGP) == 1
     with pytest.raises(CapacityError):
         brute_force_relational(inst)
 

@@ -673,6 +673,18 @@ def test_smoothness_rejects_non_bipartite():
         smoothness(inst)
 
 
+def test_smoothness_cap_boundary(monkeypatch):
+    # three edges at one V vertex on 4 left labels: 3 * C(4, 2) = 18 looks
+    merge = projection(4, 2, {1: 1, 2: 1, 3: 2, 4: 2})
+    edges = tuple(RelEdge(0, w, Fraction(1), merge) for w in (1, 2, 1))
+    inst = RelationalInstance(3, 4, 2, edges, sides=("V", "W", "W"))
+    monkeypatch.setattr(verification, "DEFAULT_CASE_CAP", 18)
+    assert smoothness(inst) == 1
+    monkeypatch.setattr(verification, "DEFAULT_CASE_CAP", 17)
+    with pytest.raises(CapacityError, match=r"^smoothness needs 18 pair looks > cap 17$"):
+        smoothness(inst)
+
+
 def test_isolated_left_vertices_reported():
     rel = projection(2, 2, {1: 1, 2: 2})
     inst = RelationalInstance(
