@@ -15,15 +15,24 @@ Conventions used throughout the workbench:
   ``repr``.  ``GugpEdge`` and ``RelEdge``, built once per edge line of large
   files, check their arguments in a hand-written ``__init__`` before they
   store them; ``T22Edge`` checks them in a ``__post_init__``.  Either way
-  ``dataclasses.replace`` validates the new edge.
+  ``dataclasses.replace`` validates the new edge;
+* ``gugp_edges`` builds many ``GugpEdge`` objects from columns: it checks
+  the constructor's rules in whole-column passes, stores through the slot
+  setters, and on a failed rule replays the constructor, so the first error
+  is the constructor's own;
+* the instance types check their edges in whole-column passes too, and walk
+  the edges one by one only to name the first offender.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .errors import ValidationError
@@ -117,18 +126,25 @@ def slot_setters(cls) -> tuple:
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
+# endpoint and image columns, read in whole-column passes
+_U, _V = operator.attrgetter("u"), operator.attrgetter("v")
+_IMAGE = operator.attrgetter("pi.image")
+
+
 def check_instance(instance) -> None:
     """The rule every instance type (``GugpInstance``, ``RelationalInstance``,
     ``TwoToTwoInstance``) shares: ``edges`` is stored as a tuple, there is at
-    least one vertex and every endpoint is below ``n``."""
-    object.__setattr__(instance, "edges", tuple(instance.edges))
-    if instance.n < 1:
+    least one vertex and every endpoint is below ``n``.  The endpoints are
+    checked in two ``max`` passes; the loop only names the first offender."""
+    edges = tuple(instance.edges)
+    object.__setattr__(instance, "edges", edges)
+    n = instance.n
+    if n < 1:
         raise ValidationError("instance needs at least one vertex")
-    for e in instance.edges:
-        if e.u >= instance.n or e.v >= instance.n:
-            raise ValidationError(
-                f"edge ({e.u},{e.v}) references vertex >= n={instance.n}"
-            )
+    if max(map(_U, edges), default=0) >= n or max(map(_V, edges), default=0) >= n:
+        for e in edges:
+            if e.u >= n or e.v >= n:
+                raise ValidationError(f"edge ({e.u},{e.v}) references vertex >= n={n}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -158,6 +174,32 @@ class GugpEdge:
 _GUGP_SETTERS = slot_setters(GugpEdge)
 
 
+def gugp_edges(
+    us: Sequence[int],
+    vs: Sequence[int],
+    weights: Sequence[Fraction],
+    pis: Sequence[Permutation],
+) -> list[GugpEdge]:
+    """``[GugpEdge(*args) for args in zip(us, vs, weights, pis)]`` for
+    columns of equal length, with the constructor's rules checked in
+    whole-column passes (the weight rules once per distinct weight object)
+    and the edges stored through the slot setters.  If any rule fails, or a
+    weight is not a ``Fraction``, the constructor runs over the columns in
+    order, so the first error and its message are its own."""
+    distinct = dict(zip(map(id, weights), weights)).values()
+    if (
+        min(us, default=0) < 0
+        or min(vs, default=0) < 0
+        or any(map(operator.eq, us, vs))
+        or not all(isinstance(w, Fraction) and w.numerator for w in distinct)
+    ):
+        return list(map(GugpEdge, us, vs, weights, pis))
+    edges = list(map(object.__new__, repeat(GugpEdge, len(us))))
+    for setter, column in zip(_GUGP_SETTERS, (us, vs, weights, pis)):
+        deque(map(setter, edges, column), maxlen=0)
+    return edges
+
+
 @dataclass(frozen=True)
 class GugpInstance:
     """A unique-game instance: multigraph with permutation-constrained edges."""
@@ -171,12 +213,12 @@ class GugpInstance:
         if self.k < 1:
             raise ValidationError("instance needs at least one label")
         k = self.k
-        for e in self.edges:
-            # the image's length, not the ``size`` property: one call less per edge
-            if len(e.pi.image) != k:
-                raise ValidationError(
-                    f"edge ({e.u},{e.v}) permutation size {e.pi.size} != k={k}"
-                )
+        if {*map(len, map(_IMAGE, self.edges))} - {k}:
+            for e in self.edges:
+                if len(e.pi.image) != k:
+                    raise ValidationError(
+                        f"edge ({e.u},{e.v}) permutation size {e.pi.size} != k={k}"
+                    )
 
     @functools.cached_property
     def integer_weights(self) -> tuple[int, tuple[int, ...]]:

@@ -30,6 +30,18 @@ cached part and the edge constructor, and calls no parsing helper.  A line
 with a new string or weight token calls one helper per new part, and a bad
 token sends the line down the per-token route, so every message and line
 number is the one a token-by-token parse reports.
+
+A GUGP file in the serializer's exact form (the header ``GUGP v1``,
+``k <k>``, ``n <n>``, then lines ``e <u> <v> <num>/<den> <k images>`` with
+single spaces, a final line feed and no other characters than the
+serializer writes) skips that loop: ``_bulk_gugp`` splits its lines into
+the same five fields a few hundred lines per pass, transposes them into
+columns, converts ``u`` and ``v`` a column at a time and each distinct
+weight token and image string once, and builds the edges with
+``core.gugp_edges``.  It raises nothing: any other file, and every file
+with an error, goes to the per-line route from the top, so messages and
+line numbers do not change.
+
 Serializing renders each distinct weight, image tuple and relation object
 once and reuses the text for every edge that holds that same object.  Its
 caches are keyed by ``id``, which is safe while the instance being
@@ -46,6 +58,7 @@ each is read through ``_edge_head`` and rendered on its own.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import methodcaller
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -56,6 +69,7 @@ from .core import (
     Relation,
     RelationalInstance,
     built_once,
+    gugp_edges,
 )
 from .errors import ParseError
 from .reductions import T22Edge, TspInstance, TwoToTwoInstance
@@ -165,6 +179,67 @@ def serialize_gugp(instance: GugpInstance) -> str:
         images = built_once(perms, id(e.pi), _images, e.pi)
         lines.append(f"e {e.u} {e.v} {weight} {images}")
     return "\n".join(lines) + "\n"
+
+
+# every character a serialized GUGP body holds
+_GUGP_BODY_BYTES = b"0123456789-/e \n"
+_EDGE_FIELDS = methodcaller("split", " ", 4)
+# Lines split per pass: a pass's rows and zip's iterators over them die
+# before the cyclic GC's first generation (700 allocations by default) fills;
+# with every row of a 50,000-line file alive at once, the collections it set
+# off made the bulk route slower than the per-line one.
+_PASS_LINES = 256
+
+
+def _bulk_gugp(text: str) -> GugpInstance | None:
+    """A GUGP file in the serializer's exact form, parsed in whole-column
+    passes, or None for any other file, including every file with an error,
+    which ``_parse_gugp`` then reads from the top.
+
+    The body may hold only the serializer's characters, so a single space
+    and a line feed are its only separators: each line then splits into the
+    same five fields as in ``_parse_gugp``, and the edges share weights and
+    permutations exactly as there."""
+    try:
+        _, k_line, n_line, body = text.split("\n", 3)
+        k, n = int(k_line[2:]), int(n_line[2:])
+        if (
+            (k_line, n_line) != (f"k {k}", f"n {n}")
+            or k < 1
+            or body.encode("ascii").translate(None, _GUGP_BODY_BYTES)
+            or not body.endswith("\n")
+        ):
+            return None
+        lines = body.split("\n")
+        del lines[-1]  # the empty string after the last line feed
+        us, vs, weight_tokens, image_strings = [], [], [], []
+        for start in range(0, len(lines), _PASS_LINES):
+            # a short row leaves fewer than five columns, which the
+            # unpacking refuses
+            tags, u, v, w, images = zip(
+                *map(_EDGE_FIELDS, lines[start : start + _PASS_LINES])
+            )
+            if tags.count("e") != len(tags):
+                return None
+            us += map(int, u)
+            vs += map(int, v)
+            weight_tokens += w
+            image_strings += images
+        del lines
+        weights = {t: parse_fraction(t, None) for t in dict.fromkeys(weight_tokens)}
+        perms = {
+            s: Permutation(tuple(map(int, s.split(" "))))
+            for s in dict.fromkeys(image_strings)
+        }
+        if any(len(pi.image) != k for pi in perms.values()):
+            return None
+        weight_column = list(map(weights.__getitem__, weight_tokens))
+        pi_column = list(map(perms.__getitem__, image_strings))
+        # the tokens go before the edges are built
+        del weight_tokens, image_strings
+        return GugpInstance(n, k, gugp_edges(us, vs, weight_column, pi_column))
+    except ValueError:  # ParseError, ValidationError and UnicodeError included
+        return None
 
 
 def _parse_gugp(records: Records) -> GugpInstance:
@@ -403,6 +478,10 @@ _HEADERS = {
 
 
 def parse(text: str) -> Parsed:
+    if text.startswith("GUGP v1\n"):
+        instance = _bulk_gugp(text)
+        if instance is not None:
+            return instance
     records = _records(text)
     line, fields = _next(records)
     if len(fields) != 2 or fields[1] != "v1" or fields[0] not in _HEADERS:

@@ -25,6 +25,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterator
 
 from .core import (
@@ -249,12 +250,14 @@ def local_search_half(instance: GugpInstance, seed: int | None = None) -> SolveR
     pi(f(u)) != f(v) and counts with weight |w|.  While some vertex sees less
     than half of its incident restated weight satisfied, the smallest such
     vertex is reassigned to its locally best label different from the current
-    one (smallest label on ties).  Every step strictly increases the global
-    restated satisfied weight, by at least 1 on integer-scaled weights, so
-    their sum bounds the steps; a run past it raises ``InternalError``.  At
-    termination each vertex meets the half threshold locally, hence the
-    labeling satisfies at least half of the total restated weight, i.e. its
-    max-NWA value is at least 1/2.
+    one (smallest label on ties); a min-heap of the vertices below the
+    threshold finds it, so a step costs O(deg log n), not a scan of all n
+    vertices.  Every step strictly increases the global restated satisfied
+    weight, by at least 1 on integer-scaled weights, so their sum bounds
+    the steps; a run past it raises ``InternalError``.  At termination each
+    vertex meets the half threshold locally, hence the labeling satisfies at
+    least half of the total restated weight, i.e. its max-NWA value is at
+    least 1/2.
 
     Each edge reads its permutation's ``rows``, the padded image and
     inverse, which each permutation object derives once.
@@ -296,11 +299,16 @@ def local_search_half(instance: GugpInstance, seed: int | None = None) -> SolveR
         for x in range(n)
     ]
 
+    # a min-heap (a sorted list to start) holding every vertex below the
+    # threshold, and stale entries dropped when they reach the top, so its
+    # top is the mover
+    heap = [x for x in range(n) if 2 * unsat[x] > total[x]]
     iterations = 0
-    while True:
-        mover = next((x for x in range(n) if 2 * unsat[x] > total[x]), None)
-        if mover is None:
-            break
+    while heap:
+        mover = heap[0]
+        if 2 * unsat[mover] <= total[mover]:
+            heappop(heap)
+            continue
         if iterations >= iteration_cap:
             raise InternalError(
                 f"local search exceeded iteration cap {iteration_cap}; "
@@ -316,7 +324,13 @@ def local_search_half(instance: GugpInstance, seed: int | None = None) -> SolveR
             raise InternalError("local search step failed to improve globally")
         for y, hit, w in incident[mover]:
             h = hit[labels[y]]
-            unsat[y] += w * ((h == new) - (h == old))
+            if h == new:
+                unsat[y] += w
+                # only a rise can take y below the threshold
+                if 2 * unsat[y] > total[y]:
+                    heappush(heap, y)
+            elif h == old:
+                unsat[y] -= w
         unsat[mover] = unsat_at[new]
         labels[mover] = new
         iterations += 1

@@ -1132,7 +1132,12 @@ _IN = st.sampled_from(["f0"] * 4 + ["f1", "f2", "missing", "."])
 _LABELING_IN = st.sampled_from(["f2"] * 3 + ["f0", "f1", "missing"])
 _SOURCE_IN = st.sampled_from(["f1"] * 3 + ["f0", "f2", "missing"])
 _OUT = st.sampled_from(["out"] * 4 + ["missing/out", "."])
-_INT = st.sampled_from([str(i) for i in range(-1, 7)] * 2 + ["x", "", "1/2", "9" * 25])
+_INT_VALUES = [str(i) for i in range(-1, 7)] * 2 + ["x", "", "1/2"]
+_INT = st.sampled_from(_INT_VALUES + ["9" * 25])
+# a cap past every scan the fuzzed files allow would enumerate the fold-2
+# pwt1 gadget's 9^16 labelings; test_a_huge_cap_parses_and_runs covers the
+# huge integer
+_CAP = st.sampled_from(_INT_VALUES + ["2000000"])
 _OBJECTIVES = st.sampled_from([o.value for o in Objective] + ["max"])
 # subcommand -> (positional choices, required flags, optional flags), each
 # flag with its values; None marks a bare switch
@@ -1162,7 +1167,7 @@ _COMMANDS = {
     "solve": (
         ("brute", "local2"),
         {"--in": _IN},
-        {"--objective": _OBJECTIVES, "--cap": _INT, "--seed": _INT, "--labeling": _OUT},
+        {"--objective": _OBJECTIVES, "--cap": _CAP, "--seed": _INT, "--labeling": _OUT},
     ),
     "eval": (
         (),
@@ -1174,7 +1179,7 @@ _COMMANDS = {
         ("gadget-pwt1", "gadget-pwt-half", "strip-bounds", "half-guarantee",
          "tsp-equiv", "smoothness"),
         {"--in": _IN},
-        {"--source": _SOURCE_IN, "--cap": _INT, "--seed": _INT},
+        {"--source": _SOURCE_IN, "--cap": _CAP, "--seed": _INT},
     ),
 }
 
@@ -1192,6 +1197,14 @@ def _invocations(draw, command):
         if draw(st.booleans()):
             argv += [flag] if values is None else [flag, draw(values)]
     return argv
+
+
+def test_a_huge_cap_parses_and_runs(tmp_path, capsys):
+    path = tmp_path / "two.gugp"
+    path.write_text("GUGP v1\nk 2\nn 2\ne 0 1 1/1 2 1\n", encoding="utf-8")
+    cap = "9" * 25
+    assert main(["solve", "brute", "--in", str(path), "--objective", "max-ugp", "--cap", cap]) == 0
+    assert "VISITED=4" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))

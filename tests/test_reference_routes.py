@@ -19,15 +19,24 @@ is held to a per-element loop, and ``_pair_shift`` to its three-branch
 form.  The exhaustive scan, compiled once per game, is held to the same
 kernel built afresh per call: the same blocks, prefixes, bases and rows.
 ``smoothness``, which compares label columns per vertex, is held to the
-per-pair loop over each vertex's edges.
+per-pair loop over each vertex's edges.  The local search, which finds its
+mover from a heap, is held to the loop that rescans from vertex 0 after
+every move.  The bulk GUGP parse is held to the per-line route, sharing
+included, the bulk edge builder to a constructor loop, and the instance
+checks, made in whole-column passes, to their edge-by-edge loops.
 """
 
+import collections
 import dataclasses
 import functools
+import heapq
 import itertools
 import math
 import operator
+import pickle
 import re
+import types
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -83,6 +92,8 @@ from gugp_workbench import (
 from gugp_workbench import verification
 from gugp_workbench.core import scaled_weights
 from gugp_workbench.evaluation import pair_tables
+from gugp_workbench import fileformat
+from gugp_workbench.core import gugp_edges
 from gugp_workbench.fileformat import parse_fraction
 from gugp_workbench.reductions import _pair_shift
 from gugp_workbench.solvers import (
@@ -359,6 +370,45 @@ def ref_local_search(instance, seed=None):
         new = global_sat()
         assert new > current
         current = new
+
+
+def rescan_local_search(instance, seed=None):
+    """The integer local search that rescans from vertex 0 for its mover
+    after every move; returns (labeling, steps)."""
+    n, k = instance.n, instance.k
+    weights = [-w for w in instance.integer_weights[1]]
+    if seed is None:
+        labels = [1] * n
+    else:
+        stream = SplitMix64(seed)
+        labels = [1 + stream.below(k) for _ in range(n)]
+    incident = [[] for _ in range(n)]
+    for e, w in zip(instance.edges, weights):
+        image, inverse = e.pi.rows
+        incident[e.u].append((e.v, inverse, w))
+        incident[e.v].append((e.u, image, w))
+    total = [sum(w for _, _, w in edges) for edges in incident]
+    unsat = [
+        sum(w for y, hit, w in incident[x] if hit[labels[y]] == labels[x])
+        for x in range(n)
+    ]
+    steps = 0
+    while True:
+        mover = next((x for x in range(n) if 2 * unsat[x] > total[x]), None)
+        if mover is None:
+            return tuple(labels), steps
+        old = labels[mover]
+        unsat_at = [0] * (k + 1)
+        for y, hit, w in incident[mover]:
+            unsat_at[hit[labels[y]]] += w
+        new = min((c for c in range(1, k + 1) if c != old), key=unsat_at.__getitem__)
+        assert unsat_at[new] < unsat[mover]
+        for y, hit, w in incident[mover]:
+            h = hit[labels[y]]
+            unsat[y] += w * ((h == new) - (h == old))
+        unsat[mover] = unsat_at[new]
+        labels[mover] = new
+        steps += 1
 
 
 def ref_smoothness(instance):
@@ -1287,6 +1337,91 @@ def test_local_search_matches_reference_seeded(seed, k):
     assert (result.labeling, result.visited) == ref_local_search(inst, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    gugp_instances(signs="negative", max_n=8, max_k=4, max_m=16, min_k=2),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=2**64 - 1)),
+)
+def test_local_search_matches_the_rescan_loop(inst, seed):
+    result = local_search_half(inst, seed=seed)
+    assert (result.labeling, result.visited) == rescan_local_search(inst, seed)
+
+
+@pytest.mark.parametrize(
+    "seed, n, m, k",
+    [
+        (None, 300, 1500, 5),
+        (1, 300, 1500, 5),
+        (None, 3000, 6000, 2),
+        (1, 3000, 6000, 2),
+        (2, 10000, 20000, 3),
+    ],
+)
+def test_local_search_matches_the_rescan_loop_seeded(seed, n, m, k):
+    inst = seeded_gugp(n + k, n=n, m=m, k=k, nwa=True)
+    result = local_search_half(inst, seed=seed)
+    assert (result.labeling, result.visited) == rescan_local_search(inst, seed)
+
+
+class CountedInt(int):
+    """An int whose order comparisons are counted; arithmetic on it, from
+    either side, keeps the type."""
+
+    comparisons = 0
+
+
+def _keep_counted(name):
+    op = getattr(int, name)
+    return lambda a, *b: CountedInt(op(a, *b))
+
+
+def _count_comparison(name):
+    op = getattr(int, name)
+
+    def compare(a, b):
+        CountedInt.comparisons += 1
+        return op(a, b)
+
+    return compare
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+    setattr(CountedInt, _name, _keep_counted(_name))
+for _name in ("__lt__", "__le__", "__gt__", "__ge__"):
+    setattr(CountedInt, _name, _count_comparison(_name))
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_local_search_work_stays_within_n_plus_the_movers_degrees(monkeypatch, seed):
+    """Every threshold test compares integer weights, so with counted weights
+    the comparisons count the threshold tests, plus at most k + 1 per move
+    (the step's guards and its choice of label) and 4m outside the search
+    (the two ``metrics`` passes).  With the heap pushes they stay within
+    2n + 4m + moves * (3 * max_deg + k + 2); a rescan from vertex 0 costs
+    up to n threshold tests per move."""
+    from gugp_workbench import solvers
+
+    inst = seeded_gugp(5, n=3000, m=6000, k=2, nwa=True)
+    expected = rescan_local_search(inst, seed)
+    scale, weights = inst.integer_weights
+    vars(inst)["integer_weights"] = (scale, tuple(map(CountedInt, weights)))
+    pushes = []
+    monkeypatch.setattr(
+        solvers, "heappush", lambda heap, x: pushes.append(x) or heapq.heappush(heap, x)
+    )
+    CountedInt.comparisons = 0
+    result = local_search_half(inst, seed=seed)
+    assert (result.labeling, result.visited) == expected
+    n, m, k, moves = inst.n, len(inst.edges), inst.k, result.visited
+    degrees = collections.Counter(itertools.chain(*((e.u, e.v) for e in inst.edges)))
+    max_deg = max(degrees.values())
+    bound = 2 * n + 4 * m + moves * (3 * max_deg + k + 2)
+    work = CountedInt.comparisons + len(pushes)
+    assert 0 < len(pushes) and work <= bound
+    # the instance is one where a rescan's cost is far above the bound
+    assert moves * n > 10 * bound
+
+
 def test_local_search_reads_the_rows_each_permutation_derives_once(monkeypatch):
     generated = seeded_gugp(12, n=40, m=200, k=5, nwa=True)
     # every third edge holds an equal copy: a distinct object with its own rows
@@ -1833,6 +1968,25 @@ def outcome(parser, text):
         return type(error), str(error), getattr(error, "line", None)
 
 
+def per_line_parse(text):
+    """``parse`` with the bulk GUGP route refusing every file."""
+    with mock.patch.object(fileformat, "_bulk_gugp", lambda _text: None):
+        return parse(text)
+
+
+def sharing(instance):
+    """The partitions of the edge indices by the ``id`` of each edge's
+    weight and of its permutation."""
+
+    def blocks(objects):
+        groups = {}
+        for i, obj in enumerate(objects):
+            groups.setdefault(id(obj), []).append(i)
+        return sorted(groups.values())
+
+    return blocks([e.weight for e in instance.edges]), blocks([e.pi for e in instance.edges])
+
+
 # tokens that reach the deeper checks when swapped into a line
 _JUNK = st.sampled_from(
     ["x", "0", "1", "2", "3", "-1", "1/1", "1/0", "e", "s", "pu", "pv", "V", "W", "#"]
@@ -1889,8 +2043,14 @@ def noisy_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(noisy_texts())
+# serializer output, which the bulk route parses, and a near miss
+@example("GUGP v1\nk 2\nn 3\ne 0 1 1/2 2 1\ne 1 2 1/2 2 1\ne 2 0 -1/3 1 2\n")
+@example("GUGP v1\nk 2\nn 3\ne 0 1 1/2 2 1\ne 1 2 1/2  2 1\ne 2 0 1/2 2 1\n")
 def test_parse_matches_the_whole_line_reference(text):
-    assert outcome(parse, text) == outcome(ref_parse, text)
+    found = outcome(parse, text)
+    assert found == outcome(ref_parse, text)
+    if fileformat._bulk_gugp(text) is not None:
+        assert sharing(found) == sharing(per_line_parse(text))
 
 
 @pytest.mark.parametrize(
@@ -1942,3 +2102,205 @@ def test_parse_matches_the_whole_line_reference(text):
 def test_parse_errors_match_the_whole_line_reference(text):
     found = outcome(parse, text)
     assert isinstance(found, tuple) and found == outcome(ref_parse, text)
+
+
+# ---------------------------------------------------------------------------
+# the bulk GUGP route
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mixed_sharing_gugp(), gugp_instances(max_k=5, max_m=10)))
+def test_serializer_form_gugp_takes_the_bulk_route(inst):
+    text = serialize(inst)
+    calls = collections.Counter()
+    bulk, per_line = fileformat._bulk_gugp, fileformat._HEADERS["GUGP"]
+
+    def counted_bulk(text):
+        found = bulk(text)
+        calls["bulk" if found is not None else "refused"] += 1
+        return found
+
+    def counted_per_line(records):
+        calls["per-line"] += 1
+        return per_line(records)
+
+    with mock.patch.object(fileformat, "_bulk_gugp", counted_bulk), mock.patch.dict(
+        fileformat._HEADERS, GUGP=counted_per_line
+    ):
+        parsed = parse(text)
+    # a header-only file is the one serializer output the bulk route refuses
+    assert calls == ({"bulk": 1} if inst.edges else {"refused": 1, "per-line": 1})
+    reference = per_line_parse(text)
+    for other in (ref_parse(text), reference, inst):
+        assert parsed == other and repr(parsed) == repr(other) and hash(parsed) == hash(other)
+    assert sharing(parsed) == sharing(reference)
+    assert serialize(parsed) == text
+    copied = pickle.loads(pickle.dumps(parsed))
+    assert copied == parsed and repr(copied) == repr(parsed)
+
+
+_BASE = "GUGP v1\nk 2\nn 3\ne 0 1 1/2 2 1\ne 1 2 -1/3 1 2\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # layout: comments, blank lines, tabs, runs of spaces, line breaks
+        "# note\n" + _BASE,
+        _BASE.replace("e 1 2", "# e 1 2"),
+        _BASE.replace("\ne 1", "\n\ne 1"),
+        _BASE + "\n",
+        _BASE.replace("e 0 1 ", "e\t0 1 "),
+        _BASE.replace("1/2 2 1", "1/2\t2 1"),
+        _BASE.replace("e 0 1 ", "e 0  1 "),
+        _BASE.replace("e 0 1 ", " e 0 1 "),
+        _BASE.replace("2 1\n", "2 1 \n"),
+        _BASE.replace("\n", "\r\n"),
+        _BASE.replace("2 1\ne", "2 1\re"),
+        _BASE.replace("e 1 2 ", "e 1\xa02 "),
+        _BASE.replace("e 1 2 ", "e 1 2\x0b"),
+        _BASE[:-1],
+        # short and long lines, a wrong tag, tokens shifted across lines
+        _BASE.replace("1/2 2 1", "1/2 2"),
+        _BASE.replace("1/2 2 1", "1/2 2 1 3"),
+        _BASE.replace("e 0 1", "f 0 1"),
+        _BASE.replace("1/2 2 1\ne 1", "1/2 2 1 e\n1"),
+        _BASE.replace("1/2 2 1\ne 1 2", "1/2 2 1 e 1\n2"),
+        # tokens int or parse_fraction refuse, or that are not canonical
+        _BASE.replace("e 0 1", "e x 1"),
+        _BASE.replace("e 0 1", "e 0 +1"),
+        _BASE.replace("e 0 1", "e 0_0 1"),
+        _BASE.replace("1/2 2 1", "x 2 1"),
+        _BASE.replace("1/2 2 1", "1/0 2 1"),
+        _BASE.replace("1/2 2 1", "1/2 2 x"),
+        _BASE.replace("1/2 2 1", "1/2 1 1"),
+        _BASE.replace("1/2 2 1", "1/2 2 e"),
+        # headers
+        _BASE.replace("k 2", "k 0"),
+        _BASE.replace("k 2", "k 02"),
+        _BASE.replace("k 2", "k  2"),
+        _BASE.replace("n 3", "n 0"),
+        _BASE.replace("n 3", "n3"),
+        "GUGP v1\nk 2\nn 3\n",
+        "GUGP v1\nk 2\n",
+        # the edge and instance rules
+        _BASE.replace("1/2 2 1", "0/1 2 1"),
+        _BASE.replace("e 1 2", "e 1 1"),
+        _BASE.replace("e 1 2", "e -1 2"),
+        _BASE.replace("e 1 2", "e 1 3"),
+        _BASE.replace("e 0 1", "e 5 1"),
+    ],
+)
+def test_bulk_route_refuses_and_the_per_line_route_decides(text):
+    assert fileformat._bulk_gugp(text) is None
+    assert outcome(parse, text) == outcome(ref_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # tokens the serializer never writes but int and parse_fraction read
+        _BASE.replace("1/2 2 1", "2/4 2 1"),
+        _BASE.replace("1/2 2 1", "1/2 02 1"),
+        _BASE.replace("e 0 1", "e 00 01"),
+        _BASE.replace("-1/3 1 2", "-02/6 1 2\ne 2 0 1/2 2 1"),
+    ],
+)
+def test_bulk_route_reads_other_tokens_as_the_per_line_route(text):
+    found = fileformat._bulk_gugp(text)
+    reference = per_line_parse(text)
+    assert found is not None and found == reference == ref_parse(text)
+    assert sharing(found) == sharing(reference)
+
+
+_BAD_WEIGHTS = [Fraction(0), 0, 2]
+
+
+@st.composite
+def edge_columns(draw):
+    """Columns of edge arguments, mostly valid, with now and then a planted
+    negative id, self-loop, zero weight or integer weight."""
+    size = draw(st.integers(min_value=0, max_value=8))
+    weights = [Fraction(1, 2), Fraction(-3), Fraction(2, 7)]
+    pis = [Permutation((1, 2)), Permutation((2, 1))]
+    us = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=size, max_size=size))
+    vs = [u + draw(st.integers(min_value=1, max_value=3)) for u in us]
+    ws = [draw(st.sampled_from(weights)) for _ in us]
+    ps = [draw(st.sampled_from(pis)) for _ in us]
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if size else 0):
+        i = draw(st.integers(min_value=0, max_value=size - 1))
+        how = draw(st.sampled_from(["u", "v", "loop", "weight"]))
+        if how == "u":
+            us[i] = -1
+        elif how == "v":
+            vs[i] = -2
+        elif how == "loop":
+            vs[i] = us[i]
+        else:
+            ws[i] = draw(st.sampled_from(_BAD_WEIGHTS))
+    return us, vs, ws, ps
+
+
+def edge_outcome(build, columns):
+    try:
+        edges = build(*columns)
+    except ValidationError as error:
+        return type(error), str(error)
+    # a Fraction argument is stored as that same object
+    stored = [e.weight is w for e, w in zip(edges, columns[2]) if isinstance(w, Fraction)]
+    return edges, stored
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_columns())
+def test_bulk_edge_builder_matches_the_constructor_loop(columns):
+    def constructor_loop(us, vs, ws, ps):
+        return [GugpEdge(*args) for args in zip(us, vs, ws, ps)]
+
+    assert edge_outcome(gugp_edges, columns) == edge_outcome(constructor_loop, columns)
+
+
+def ref_check_instance(instance):
+    """The endpoint rule, checked edge by edge."""
+    if instance.n < 1:
+        raise ValidationError("instance needs at least one vertex")
+    for e in instance.edges:
+        if e.u >= instance.n or e.v >= instance.n:
+            raise ValidationError(f"edge ({e.u},{e.v}) references vertex >= n={instance.n}")
+
+
+def ref_gugp_instance(n, k, edges):
+    """``GugpInstance``'s checks, edge by edge, with the same messages."""
+    instance = types.SimpleNamespace(n=n, edges=tuple(edges))
+    ref_check_instance(instance)
+    if k < 1:
+        raise ValidationError("instance needs at least one label")
+    for e in edges:
+        if len(e.pi.image) != k:
+            raise ValidationError(f"edge ({e.u},{e.v}) permutation size {e.pi.size} != k={k}")
+    return GugpInstance(n, k, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=4),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=1, max_value=4).flatmap(permutations),
+        ),
+        max_size=6,
+    ),
+)
+def test_instance_checks_name_the_first_offender_as_the_edge_loops(n, k, triples):
+    edges = [GugpEdge(u, u + bump, Fraction(1), pi) for u, bump, pi in triples]
+
+    def checked(build):
+        try:
+            return build(n, k, edges)
+        except ValidationError as error:
+            return str(error)
+
+    assert checked(GugpInstance) == checked(ref_gugp_instance)
