@@ -77,9 +77,6 @@ class Permutation:
             inverse[hit] = label
         return (0,) + self.image, tuple(inverse)
 
-    def invert(self) -> "Permutation":
-        return Permutation(self.rows[1][1:])
-
 
 @dataclass(frozen=True)
 class Relation:

@@ -6,7 +6,8 @@ Contents:
   all-negative unique game whose minimum |satisfied weight| is the optimal
   tour length;
 * ``repeat_max3cut`` / ``product_coloring`` -- coordinate-wise repetition of
-  a 3-cut game on a graph;
+  a 3-cut game on a graph; its relation, ``all_coords_differ_relation``, is
+  the l-fold product of the 3-cut relation;
 * ``pwt1_gadget`` -- expand each repeated edge into a bundle of coordinate
   shift edges whose unsatisfied weight is an exact 0/1 indicator of a
   coordinate collision; the resulting instances have mixed signs, positive
@@ -18,13 +19,18 @@ Contents:
 
 Mixed-radix encodings (base n for tuple vertices, base 3 for tuple labels,
 most-significant coordinate first) are part of the interchange contract and
-exposed via the encode/decode helpers.
+exposed via the encode/decode helpers.  The builders extend such codes one
+coordinate at a time (``a * base + digit``), so each table costs time in
+proportion to its size.  What depends on the fold alone (the relation and
+the pwt1 weight and shift bundle) is built once per fold and shared; the
+pwt-half pair-shift rows are built once per call.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +45,7 @@ from .core import (
     capped_power_product,
     check_instance,
     edge_weight,
+    gugp_edges,
     scaled_weights,
 )
 from .errors import (
@@ -189,8 +196,8 @@ def max3cut_instance(
     n: int, edges: tuple[tuple[int, int], ...]
 ) -> RelationalInstance:
     """A 3-cut game: every edge demands different labels from {1, 2, 3}."""
-    differ = all_coords_differ_relation(1)
-    rel_edges = tuple(RelEdge(u, v, Fraction(1), differ) for u, v in edges)
+    differ, one = all_coords_differ_relation(1), Fraction(1)
+    rel_edges = tuple(RelEdge(u, v, one, differ) for u, v in edges)
     return RelationalInstance(n, 3, 3, rel_edges)
 
 
@@ -233,16 +240,16 @@ def decode_label(label: int, fold: int) -> tuple[int, ...]:
     return tuple(reversed(colors))
 
 
+@functools.cache
 def all_coords_differ_relation(fold: int) -> Relation:
-    """Relation on [3^fold] holding label pairs that differ in every coordinate."""
-    k = 3**fold
-    pairs = frozenset(
-        (a, b)
-        for a in range(1, k + 1)
-        for b in range(1, k + 1)
-        if all(x != y for x, y in zip(decode_label(a, fold), decode_label(b, fold)))
-    )
-    return Relation(k, k, pairs)
+    """Relation on [3^fold] holding label pairs that differ in every
+    coordinate: the product of ``fold`` copies of the 3-cut relation, built
+    by extending each pair one coordinate at a time; one object per fold."""
+    cut = [(x, y) for x in (1, 2, 3) for y in (1, 2, 3) if x != y]
+    pairs = [(1, 1)]  # the one pair of fold 0
+    for _ in range(fold):
+        pairs = [(3 * a + x - 3, 3 * b + y - 3) for a, b in pairs for x, y in cut]
+    return Relation(3**fold, 3**fold, frozenset(pairs))
 
 
 @dataclass(frozen=True)
@@ -265,6 +272,8 @@ class RepeatedInstance:
         if self.base_n < 1 or self.fold < 1:
             raise ValidationError("base size and fold must be positive")
         seen = set()
+        base_n, fold = self.base_n, self.fold  # each vertex is decoded once
+        decode = functools.cache(lambda vertex: decode_vertex(vertex, base_n, fold))
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValidationError(f"edge ({u},{v}) out of vertex range")
@@ -273,9 +282,7 @@ class RepeatedInstance:
             if (u, v) in seen:
                 raise ValidationError(f"duplicate repeated edge ({u},{v})")
             seen.add((u, v))
-            cu = decode_vertex(u, self.base_n, self.fold)
-            cv = decode_vertex(v, self.base_n, self.fold)
-            if any(a == b for a, b in zip(cu, cv)):
+            if any(map(operator.eq, decode(u), decode(v))):
                 raise ValidationError(
                     f"edge ({u},{v}) has a colliding coordinate pair"
                 )
@@ -291,10 +298,8 @@ class RepeatedInstance:
         return 3**self.fold
 
     def to_relational(self) -> RelationalInstance:
-        differ = all_coords_differ_relation(self.fold)
-        rel_edges = tuple(
-            RelEdge(u, v, Fraction(1), differ) for u, v in self.edges
-        )
+        differ, one = all_coords_differ_relation(self.fold), Fraction(1)
+        rel_edges = tuple(RelEdge(u, v, one, differ) for u, v in self.edges)
         return RelationalInstance(self.n, self.label_count, self.label_count, rel_edges)
 
 
@@ -367,10 +372,13 @@ def repeat_max3cut(
 ) -> RepeatedInstance:
     """Repeat a simple undirected graph's 3-cut game ``fold`` times.
 
-    The tuple-pair edge set is generated from ordered choices of one oriented
-    base edge per coordinate, canonicalized and deduplicated.  A simple graph
-    with m edges gives (2m)^fold / 2 edges of 6^fold relation pairs each;
-    ``require_repeat_size`` bounds that product before the first choice.
+    The tuple-pair edges are the codes of one oriented base edge per
+    coordinate, extended one coordinate at a time (``a * n + x``).  The first
+    coordinate takes each base edge as (min, max) and the others take both
+    orientations, so every code is already an edge's (min, max) form.  A
+    simple graph with m edges gives (2m)^fold / 2 edges of 6^fold relation
+    pairs each; ``require_repeat_size`` bounds that product before the
+    first code.
     """
     require_repeat_size(n, len(edges), fold)
     oriented: list[tuple[int, int]] = []
@@ -381,12 +389,10 @@ def repeat_max3cut(
             raise ValidationError(f"edge ({u},{v}) out of vertex range")
         oriented.append((u, v))
         oriented.append((v, u))
-    pair_set: set[tuple[int, int]] = set()
-    for combo in itertools.product(oriented, repeat=fold):
-        a = encode_vertex_tuple(tuple(c[0] for c in combo), n)
-        b = encode_vertex_tuple(tuple(c[1] for c in combo), n)
-        pair_set.add((min(a, b), max(a, b)))
-    return RepeatedInstance(n, fold, tuple(sorted(pair_set)))
+    codes = [(min(e), max(e)) for e in edges]
+    for _ in range(fold - 1):
+        codes = [(a * n + x, b * n + y) for a, b in codes for x, y in oriented]
+    return RepeatedInstance(n, fold, tuple(sorted(set(codes))))
 
 
 def product_coloring(chi: tuple[int, ...], fold: int) -> Labeling:
@@ -423,28 +429,36 @@ def pwt1_gadget(repeated: RepeatedInstance) -> tuple[GugpInstance, BundleMap]:
     the bundle's unsatisfied weight exactly 1 when the endpoint labels share
     a coordinate and exactly 0 otherwise.
     """
-    fold = repeated.fold
-    k = 3**fold
+    weights, shifts = _shift_bundle(repeated.fold)
+    k, m = len(shifts), len(repeated.edges)
+    us, vs = zip(*repeated.edges) if m else ((), ())
+    edges = gugp_edges(_bundled(us, k), _bundled(vs, k), weights * m, shifts * m)
+    return GugpInstance(repeated.n, k, edges), BundleMap(m, k)
+
+
+@functools.cache
+def _shift_bundle(fold: int) -> tuple[tuple[Fraction, ...], tuple[Permutation, ...]]:
+    """The weights and shift permutations of one pwt1 bundle, in offset
+    order; each image is extended one label coordinate at a time by the
+    rotation row of that coordinate's offset.  One object per fold."""
     w_fixed = Fraction(-(2**fold - 1), 3**fold - 1)
     w_moving = Fraction(3**fold - 2**fold, 3**fold - 1)
-    shifts: list[tuple[Permutation, Fraction]] = []
-    for offsets in itertools.product((1, 2, 3), repeat=fold):
-        image = []
-        for label in range(1, k + 1):
-            digits = decode_label(label, fold)
-            moved = tuple(
-                modplus(d + off - 1, 3) for d, off in zip(digits, offsets)
-            )
-            image.append(encode_label_tuple(moved))
-        weight = w_fixed if 1 in offsets else w_moving
-        shifts.append((Permutation(tuple(image)), weight))
-    edges = tuple(
-        GugpEdge(u, v, weight, pi)
-        for u, v in repeated.edges
-        for pi, weight in shifts
-    )
-    instance = GugpInstance(repeated.n, k, edges)
-    return instance, BundleMap(len(repeated.edges), k)
+    rotations = {1: (1, 2, 3), 2: (2, 3, 1), 3: (3, 1, 2)}  # offset o: + o - 1
+    bundle = [((), (1,))]  # the one offset and image of fold 0
+    for _ in range(fold):
+        bundle = [
+            (offsets + (offset,), tuple(3 * a + r - 3 for a in image for r in row))
+            for offsets, image in bundle
+            for offset, row in rotations.items()
+        ]
+    weights = tuple(w_fixed if 1 in offsets else w_moving for offsets, _ in bundle)
+    return weights, tuple(Permutation(image) for _, image in bundle)
+
+
+def _bundled(column, size: int) -> list:
+    """Each entry of ``column`` repeated ``size`` times in place, in order."""
+    runs = map(itertools.repeat, column, itertools.repeat(size))
+    return list(itertools.chain.from_iterable(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +478,14 @@ def two2two_relation(pi_u: Permutation, pi_v: Permutation) -> Relation:
         raise ValidationError("endpoint permutations must have equal size")
     if pi_u.size % 2 != 0:
         raise ValidationError("two-to-two relations need an even label count")
-    k2 = pi_u.size
-    image_u, image_v = pi_u.rows[0], pi_v.rows[0]
+    # i pairs with the preimage under pi_v of each label in pi_u(i)'s block
+    inverse_v = pi_v.rows[1]
     pairs = frozenset(
-        (i, j)
-        for i in range(1, k2 + 1)
-        for j in range(1, k2 + 1)
-        if t_contains(image_u[i], image_v[j])
+        (i, inverse_v[b])
+        for i, a in enumerate(pi_u.image, start=1)
+        for b in (a, a + 1 if a % 2 else a - 1)
     )
-    return Relation(k2, k2, pairs)
+    return Relation(pi_u.size, pi_u.size, pairs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -519,8 +532,9 @@ class TwoToTwoInstance:
 
     def to_unit_relational(self) -> RelationalInstance:
         """Same constraints with every weight forced to 1 (edge counting)."""
+        one = Fraction(1)
         edges = tuple(
-            RelEdge(e.u, e.v, Fraction(1), two2two_relation(e.pi_u, e.pi_v))
+            RelEdge(e.u, e.v, one, two2two_relation(e.pi_u, e.pi_v))
             for e in self.edges
         )
         return RelationalInstance(self.n, 2 * self.k, 2 * self.k, edges)
@@ -549,25 +563,32 @@ def two2two_to_pwt_half(
     2k-2 edges weigh -1/(2k-1).  The bundle's unsatisfied weight is then
     exactly 0 when the source constraint holds and exactly 1 when it does
     not.  ``CapacityError`` refuses a gadget of more than ``REPEAT_SIZE_CAP``
-    image entries, m * (2k)^2, before any edge is built.
+    image entries, m * (2k)^2, before any edge is built.  The 2k shift rows
+    are built once per call, and only when there is an edge to expand.
     """
-    k2 = 2 * instance.k
-    if len(instance.edges) * k2**2 > REPEAT_SIZE_CAP:
+    k2, m = 2 * instance.k, len(instance.edges)
+    if m * k2**2 > REPEAT_SIZE_CAP:
         raise CapacityError(
-            f"gadget size {len(instance.edges)} * {k2}^2 image entries "
-            f"exceeds cap {REPEAT_SIZE_CAP}"
+            f"gadget size {m} * {k2}^2 image entries exceeds cap {REPEAT_SIZE_CAP}"
         )
+    if not m:  # the header's k alone sizes no row
+        return GugpInstance(instance.n, k2, ()), BundleMap(0, k2)
     w_hit = Fraction(2 * instance.k - 2, 2 * instance.k - 1)
     w_miss = Fraction(-1, 2 * instance.k - 1)
-    edges: list[GugpEdge] = []
+    labels = range(1, k2 + 1)
+    shifts = [(0, *(_pair_shift(a, s, k2) for a in labels)) for s in labels]
+    pis: list[Permutation] = []
     for e in instance.edges:
-        inverse = e.pi_v.rows[1]
-        for m in range(1, k2 + 1):
-            image = tuple(inverse[_pair_shift(a, m, k2)] for a in e.pi_u.image)
-            weight = w_hit if m <= 2 else w_miss
-            edges.append(GugpEdge(e.u, e.v, weight, Permutation(image)))
-    gadget = GugpInstance(instance.n, k2, tuple(edges))
-    return gadget, BundleMap(len(instance.edges), k2)
+        inverse, image = e.pi_v.rows[1].__getitem__, e.pi_u.image
+        pis.extend(
+            Permutation(tuple(map(inverse, map(shift.__getitem__, image))))
+            for shift in shifts
+        )
+    us = _bundled(map(operator.attrgetter("u"), instance.edges), k2)
+    vs = _bundled(map(operator.attrgetter("v"), instance.edges), k2)
+    weights = ((w_hit, w_hit) + (w_miss,) * (k2 - 2)) * m
+    gadget = GugpInstance(instance.n, k2, gugp_edges(us, vs, weights, pis))
+    return gadget, BundleMap(m, k2)
 
 
 # ---------------------------------------------------------------------------

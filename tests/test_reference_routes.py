@@ -23,7 +23,14 @@ per-pair loop over each vertex's edges.  The local search, which finds its
 mover from a heap, is held to the loop that rescans from vertex 0 after
 every move.  The bulk GUGP parse is held to the per-line route, sharing
 included, the bulk edge builder to a constructor loop, and the instance
-checks, made in whole-column passes, to their edge-by-edge loops.
+checks, made in whole-column passes, to their edge-by-edge loops.  The
+gadget builders, which extend their tables one coordinate at a time and
+build per fold or per call what depends on nothing else, are held to the
+definitions: the all-coordinates-differ relation to the label-decoding
+filter over every pair, the two-to-two relation to the ``t_contains``
+filter, the repeated edges to ``itertools.product`` over oriented base
+edges, the pwt1 shifts to decode, ``modplus`` and encode per label, and the
+pwt-half images to per-label ``_pair_shift`` composition.
 """
 
 import collections
@@ -63,6 +70,7 @@ from gugp_workbench import (
     TspInstance,
     TwoToTwoInstance,
     ValidationError,
+    all_coords_differ_relation,
     brute_force,
     brute_force_relational,
     check_bundle_exactly_one,
@@ -70,6 +78,8 @@ from gugp_workbench import (
     check_strip_bounds,
     coordinate_collision_predicate,
     decode_label,
+    encode_label_tuple,
+    encode_vertex_tuple,
     exhaustive_tsp_optimum,
     fmt_fraction,
     generate,
@@ -85,11 +95,12 @@ from gugp_workbench import (
     serialize,
     smoothness,
     t_contains,
+    two2two_relation,
     two2two_to_pwt_half,
     unsatisfied_weight,
 )
 
-from gugp_workbench import verification
+from gugp_workbench import reductions, verification
 from gugp_workbench.core import scaled_weights
 from gugp_workbench.evaluation import pair_tables
 from gugp_workbench import fileformat
@@ -1434,11 +1445,6 @@ def test_local_search_reads_the_rows_each_permutation_derives_once(monkeypatch):
     rows = functools.cached_property(lambda pi: built.append(pi.image) or derive(pi))
     rows.__set_name__(Permutation, "rows")
     monkeypatch.setattr(Permutation, "rows", rows)
-
-    def no_invert(_pi):
-        raise AssertionError("local search inverted a Permutation")
-
-    monkeypatch.setattr(Permutation, "invert", no_invert)
     result = local_search_half(inst)
     assert (result.labeling, result.visited) == ref_local_search(inst)
     distinct = len({id(e.pi) for e in inst.edges})
@@ -2304,3 +2310,258 @@ def test_instance_checks_name_the_first_offender_as_the_edge_loops(n, k, triples
             return str(error)
 
     assert checked(GugpInstance) == checked(ref_gugp_instance)
+
+
+# ---------------------------------------------------------------------------
+# gadget builders: tables made once per fold or per call
+
+
+def ref_all_coords_differ_relation(fold):
+    """Every label pair of [3^fold]^2, kept when its decoded digits differ
+    in every coordinate."""
+    k = 3**fold
+    pairs = frozenset(
+        (a, b)
+        for a in range(1, k + 1)
+        for b in range(1, k + 1)
+        if all(x != y for x, y in zip(decode_label(a, fold), decode_label(b, fold)))
+    )
+    return Relation(k, k, pairs)
+
+
+def ref_two2two_relation(pi_u, pi_v):
+    """Every label pair of [2k]^2 whose images land in one pair block."""
+    k2 = pi_u.size
+    pairs = frozenset(
+        (i, j)
+        for i in range(1, k2 + 1)
+        for j in range(1, k2 + 1)
+        if t_contains(pi_u.apply(i), pi_v.apply(j))
+    )
+    return Relation(k2, k2, pairs)
+
+
+def ref_repeat_edges(n, edges, fold):
+    """Every ordered choice of one oriented base edge per coordinate,
+    encoded, canonicalized to (min, max) and deduplicated."""
+    oriented = [o for u, v in edges for o in ((u, v), (v, u))]
+    pair_set = set()
+    for combo in itertools.product(oriented, repeat=fold):
+        a = encode_vertex_tuple(tuple(c[0] for c in combo), n)
+        b = encode_vertex_tuple(tuple(c[1] for c in combo), n)
+        pair_set.add((min(a, b), max(a, b)))
+    return tuple(sorted(pair_set))
+
+
+def ref_shift_images(fold):
+    """The pwt1 bundle's images in offset order: decode each label, shift
+    digit j by offset j - 1 (mod 3), encode."""
+    return [
+        tuple(
+            encode_label_tuple(
+                tuple(
+                    modplus(d + off - 1, 3)
+                    for d, off in zip(decode_label(label, fold), offsets)
+                )
+            )
+            for label in range(1, 3**fold + 1)
+        )
+        for offsets in itertools.product((1, 2, 3), repeat=fold)
+    ]
+
+
+def ref_pwt1_gadget(repeated):
+    """One ``GugpEdge`` per edge and offset, the images decoded per label;
+    one permutation and one weight object per offset, shared by every
+    bundle."""
+    fold = repeated.fold
+    w_fixed = Fraction(-(2**fold - 1), 3**fold - 1)
+    w_moving = Fraction(3**fold - 2**fold, 3**fold - 1)
+    offsets = itertools.product((1, 2, 3), repeat=fold)
+    shifts = [
+        (Permutation(image), w_fixed if 1 in offs else w_moving)
+        for offs, image in zip(offsets, ref_shift_images(fold))
+    ]
+    edges = tuple(
+        GugpEdge(u, v, w, pi) for u, v in repeated.edges for pi, w in shifts
+    )
+    return GugpInstance(repeated.n, 3**fold, edges)
+
+
+def ref_pwt_half_gadget(instance):
+    """One ``GugpEdge`` per edge and shift, each image composed label by
+    label through ``_pair_shift``."""
+    k2 = 2 * instance.k
+    w_hit = Fraction(2 * instance.k - 2, 2 * instance.k - 1)
+    w_miss = Fraction(-1, 2 * instance.k - 1)
+    edges = []
+    for e in instance.edges:
+        inverse = e.pi_v.rows[1]
+        for m in range(1, k2 + 1):
+            image = tuple(inverse[_pair_shift(a, m, k2)] for a in e.pi_u.image)
+            edges.append(
+                GugpEdge(e.u, e.v, w_hit if m <= 2 else w_miss, Permutation(image))
+            )
+    return GugpInstance(instance.n, k2, tuple(edges))
+
+
+def shared_objects(instance):
+    """The partition of edges by the ``id`` of their permutation and of their
+    weight, each as first-occurrence indices."""
+    firsts = ({}, {})
+    return tuple(
+        tuple(
+            first.setdefault(id(getattr(e, name)), i)
+            for i, e in enumerate(instance.edges)
+        )
+        for first, name in zip(firsts, ("pi", "weight"))
+    )
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3, 4])
+def test_all_coords_differ_relation_matches_the_decoding_filter(fold):
+    relation = all_coords_differ_relation(fold)
+    assert relation == ref_all_coords_differ_relation(fold)
+    assert len(relation.pairs) == 6**fold
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_all_coords_differ_relation_is_one_object_per_fold(fold):
+    assert all_coords_differ_relation(fold) is all_coords_differ_relation(fold)
+    base = repeat_max3cut(3, ((0, 1), (1, 2), (0, 2)), fold)
+    # the repeated game, its recovery and the verifier's lookup share it
+    rel = base.to_relational()
+    assert {id(e.rel) for e in rel.edges} == {id(all_coords_differ_relation(fold))}
+    assert coordinate_collision_predicate(fold)(0) is all_coords_differ_relation(fold)
+    assert len({id(e.weight) for e in rel.edges}) == 1
+
+
+@st.composite
+def permutation_pairs(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    return draw(permutations(k=2 * k)), draw(permutations(k=2 * k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_pairs())
+def test_two2two_relation_matches_the_block_filter(pair):
+    pi_u, pi_v = pair
+    relation = two2two_relation(pi_u, pi_v)
+    assert relation == ref_two2two_relation(pi_u, pi_v)
+    assert len(relation.pairs) == 2 * pi_u.size
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k2", [2, 4, 6, 8, 10, 12])
+def test_two2two_relation_matches_the_block_filter_seeded(seed, k2):
+    stream = SplitMix64(seed * 100 + k2)
+    images = [list(range(1, k2 + 1)), list(range(1, k2 + 1))]
+    for image in images:
+        stream.shuffle(image)
+    pi_u, pi_v = map(Permutation, map(tuple, images))
+    assert two2two_relation(pi_u, pi_v) == ref_two2two_relation(pi_u, pi_v)
+
+
+def test_unit_relational_shares_one_unit_weight():
+    source = generate(GenSpec(family="random-t22", seed=3, n=5, m=6, k=3)).instance
+    unit = source.to_unit_relational()
+    assert [e.rel for e in unit.edges] == [
+        ref_two2two_relation(e.pi_u, e.pi_v) for e in source.edges
+    ]
+    assert {e.weight for e in unit.edges} == {1}
+    assert len({id(e.weight) for e in unit.edges}) == 1
+
+
+@st.composite
+def t22_sources(draw):
+    k = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=4))
+    edges = []
+    for _ in range(m):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda x: x != u))
+        weight = draw(rationals(signs="positive"))
+        pi_u, pi_v = draw(permutations(k=2 * k)), draw(permutations(k=2 * k))
+        edges.append(T22Edge(u, v, weight, pi_u, pi_v))
+    return TwoToTwoInstance(n, k, tuple(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t22_sources())
+def test_pwt_half_gadget_matches_the_per_label_composition(source):
+    gadget, bundles = two2two_to_pwt_half(source)
+    reference = ref_pwt_half_gadget(source)
+    assert gadget == reference and bundles == BundleMap(len(source.edges), 2 * source.k)
+    assert shared_objects(gadget)[1] == shared_objects(reference)[1]
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_pwt_half_gadget_matches_the_per_label_composition_seeded(seed, k):
+    spec = GenSpec(family="random-t22", seed=seed, n=6, m=8, k=k)
+    source = generate(spec).instance
+    gadget, _ = two2two_to_pwt_half(source)
+    assert gadget == ref_pwt_half_gadget(source)
+    assert serialize(gadget) == serialize(ref_pwt_half_gadget(source))
+
+
+def test_pwt_half_gadget_of_no_edges_builds_no_row(monkeypatch):
+    # a header's k alone: the rows would hold 4 * 10^24 entries, so a first
+    # shift entry fails the test before it can allocate
+    def no_row(*_args):
+        raise AssertionError("a shift row was built for a source with no edges")
+
+    monkeypatch.setattr(reductions, "_pair_shift", no_row)
+    source = TwoToTwoInstance(3, 10**12, ())
+    gadget, bundles = two2two_to_pwt_half(source)
+    assert gadget == GugpInstance(3, 2 * 10**12, ())
+    assert bundles == BundleMap(0, 2 * 10**12)
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3, 4])
+def test_pwt1_shift_images_match_decode_shift_encode(fold):
+    repeated = repeat_max3cut(2, ((0, 1),), fold)
+    gadget, _ = pwt1_gadget(repeated)
+    bundle = gadget.edges[: 3**fold]
+    assert [e.pi.image for e in bundle] == ref_shift_images(fold)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_pwt1_gadget_matches_the_per_label_reference(seed, fold):
+    base = generate(GenSpec(family="planted-3col", seed=seed, n=4, m=3)).instance
+    repeated = repeat_max3cut(base.n, tuple((e.u, e.v) for e in base.edges), fold)
+    gadget, bundles = pwt1_gadget(repeated)
+    reference = ref_pwt1_gadget(repeated)
+    assert gadget == reference and bundles == BundleMap(len(repeated.edges), 3**fold)
+    # every bundle holds the same permutation and weight objects, in order
+    assert shared_objects(gadget) == shared_objects(reference)
+    assert serialize(gadget) == serialize(reference)
+
+
+@st.composite
+def base_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+    fold = draw(st.integers(min_value=1, max_value=3))
+    return n, tuple(edges), fold
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_graphs())
+def test_repeat_max3cut_matches_the_product_reference(graph):
+    # edges may repeat, in either orientation
+    n, edges, fold = graph
+    repeated = repeat_max3cut(n, edges, fold)
+    assert repeated.edges == ref_repeat_edges(n, edges, fold)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_repeat_max3cut_matches_the_product_reference_seeded(seed, fold):
+    base = generate(GenSpec(family="planted-3col", seed=seed, n=5, m=4)).instance
+    edges = tuple((e.u, e.v) for e in base.edges)
+    repeated = repeat_max3cut(base.n, edges, fold)
+    assert repeated.edges == ref_repeat_edges(base.n, edges, fold)
