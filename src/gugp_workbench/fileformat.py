@@ -21,15 +21,15 @@ GUGP and REL handle each distinct part once in both directions, because
 their lines repeat: across the benchmark's local-search files a GUGP line
 repeats an earlier constraint string 94% of the time.  Parsing splits an
 edge line only up to its constraint fields and keys its caches on the raw
-constraint string: each distinct string is split, converted and validated on
-the line where it first appears, and every later line that repeats it shares
+constraint string: each distinct string is converted and validated on the
+line where it first appears, and every later line that repeats it shares
 the object built there.  Weights are cached by their token the same way.
-A line that repeats a seen constraint string and weight token costs one
-bounded split, one guarded ``int`` pair for ``u v``, one dict lookup per
-cached part and the edge constructor, and calls no parsing helper.  A line
-with a new string or weight token calls one helper per new part, and a bad
-token sends the line down the per-token route, so every message and line
-number is the one a token-by-token parse reports.
+A REL or T22 line whose weight token was seen converts ``u v`` with one
+guarded ``int`` pair and looks its weight up inline; a new or bad token
+sends the line down the per-token route, so every message and line number
+is the one a token-by-token parse reports.  The per-line GUGP route, which
+only hand-written or faulty files reach, is plain: each line reads
+``u v w`` through ``_edge_head`` and splits its images to count them.
 
 A GUGP file in the serializer's exact form (the header ``GUGP v1``,
 ``k <k>``, ``n <n>``, then lines ``e <u> <v> <num>/<den> <k images>`` with
@@ -156,11 +156,11 @@ def _edge_head(
     fields: list[str], line: int, weights: dict[str, Fraction]
 ) -> tuple[int, int, Fraction]:
     """The ``<u> <v> <num>/<den>`` after a record's keyword, token by token
-    in that order, so the first bad token is the one reported.  The GUGP,
-    REL and T22 parsers convert ``u v`` with one guarded ``int`` pair and
-    look the weight token up inline, and come here only when that fails: on
-    a bad token, or on the first line of each distinct weight token.  The
-    TSP parser reads every line here."""
+    in that order, so the first bad token is the one reported.  The REL and
+    T22 parsers convert ``u v`` with one guarded ``int`` pair and look the
+    weight token up inline, and come here only when that fails: on a bad
+    token, or on the first line of each distinct weight token.  The
+    per-line GUGP and the TSP parsers read every line here."""
     u = _parse_int(fields[1], line)
     v = _parse_int(fields[2], line)
     return u, v, built_once(weights, fields[3], parse_fraction, fields[3], line)
@@ -249,25 +249,11 @@ def _parse_gugp(records: Records) -> GugpInstance:
     weights: dict[str, Fraction] = {}
     perms: dict[str, Permutation] = {}
     for line, fields in records:
-        # a string seen before had k images; a new one is split here
-        pi = perms.get(fields[-1])
-        images = fields[4].split() if pi is None and len(fields) == 5 else []
-        if (
-            k < 1
-            or fields[0] != "e"
-            or len(fields) != 5
-            or (pi is None and len(images) != k)
-        ):
-            raise ParseError(
-                f"expected 'e <u> <v> <num>/<den> <{k} images>'", line
-            )
-        try:
-            u, v = int(fields[1]), int(fields[2])
-            weight = weights[fields[3]]
-        except (ValueError, KeyError):
-            u, v, weight = _edge_head(fields, line, weights)
-        if pi is None:
-            pi = perms[fields[4]] = _parse_permutation(images, line)
+        images = fields[4].split() if len(fields) == 5 else []
+        if k < 1 or fields[0] != "e" or len(images) != k:
+            raise ParseError(f"expected 'e <u> <v> <num>/<den> <{k} images>'", line)
+        u, v, weight = _edge_head(fields, line, weights)
+        pi = built_once(perms, fields[4], _parse_permutation, images, line)
         edges.append(GugpEdge(u, v, weight, pi))
     return GugpInstance(n, k, edges)
 

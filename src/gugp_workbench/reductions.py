@@ -19,8 +19,9 @@ Contents:
 
 Mixed-radix encodings (base n for tuple vertices, base 3 for tuple labels,
 most-significant coordinate first) are part of the interchange contract and
-exposed via the encode/decode helpers.  The builders extend such codes one
-coordinate at a time (``a * base + digit``), so each table costs time in
+exposed via the encode/decode helpers, kept public as the reference oracles
+that the tests hold the builders' tables to.  The builders extend such codes
+one coordinate at a time (``a * base + digit``), so each table costs time in
 proportion to its size.  What depends on the fold alone (the relation and
 the pwt1 weight and shift bundle) is built once per fold and shared; the
 pwt-half pair-shift rows are built once per call.
@@ -42,6 +43,7 @@ from .core import (
     RelEdge,
     Relation,
     RelationalInstance,
+    built_once,
     capped_power_product,
     check_instance,
     edge_weight,
@@ -328,10 +330,12 @@ def repeated_from_relational(instance: RelationalInstance) -> RepeatedInstance:
     fold = label_fold(instance.k1)
     differ = all_coords_differ_relation(fold)
     pairs = []
+    # one comparison per relation object, keyed by id: the instance holds them
+    differs: dict[int, bool] = {}
     for e in instance.edges:
         if e.weight != 1:
             raise ValidationError("repeated 3-cut edges carry unit weight")
-        if e.rel != differ:
+        if built_once(differs, id(e.rel), operator.ne, e.rel, differ):
             raise ValidationError(
                 "every relation must be the all-coordinates-differ relation"
             )

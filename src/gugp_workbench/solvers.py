@@ -1,13 +1,15 @@
 """Exact solvers: exhaustive enumeration and a factor-2 local search.
 
-Every exhaustive scan passes one gate, ``_scan_domains``, which refuses an
-over-cap label space or vertex count, then walks the game's compiled scan,
-``_scan``, held in the instance's ``compiled_scans`` from its first scan.
-The layout splits the vertices into a depth-first prefix and a trailing
-block, the longest suffix of at most ``BLOCK_LABELINGS`` joint labelings.  A
-table set's plan scores the block's labelings in lexicographic order as one
+The exact-search substrate, public to the verifiers too: every exhaustive
+scan passes one gate, ``label_space``, which refuses an over-cap label
+space or vertex count, then walks the game's compiled ``scan``, whose
+``Layout`` and ``Plan`` per table set are held in the instance's
+``compiled_scans`` under ``"layout"``, ``"all"`` and ``"positive"``.  The
+layout splits the vertices into a depth-first prefix and a trailing block,
+the longest suffix of at most ``BLOCK_LABELINGS`` joint labelings.  A table
+set's plan scores the block's labelings in lexicographic order as one
 vector, plus one vector per label of each prefix vertex with tables into
-the block, which the walk adds once for all the leaves below it: a leaf
+the block, which the walk adds once for all the leaves below it: a ``Leaf``
 costs at most one vector add, and every one of the k^n labelings is still
 scored.  Sibling leaves, and every scan of one game, may share rows;
 consumers only read the rows.
@@ -26,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     GugpInstance,
@@ -70,9 +72,22 @@ class SolveResult:
     visited: int
 
 
-# (domains, prefix length, block labelings, per block vertex its labels in them)
-Layout = tuple[list[range], int, list[Labeling], dict[int, tuple[int, ...]]]
-Plan = tuple[list, list[int], dict]  # (later, block_row, cross): see ``_plan``
+class Layout(NamedTuple):
+    """A scan's ``domains``, its prefix length ``split``, the ``block``'s joint
+    labelings, and ``columns``: per block vertex, its labels in them."""
+    domains: list[range]
+    split: int
+    block: list[Labeling]
+    columns: dict[int, tuple[int, ...]]
+
+
+class Plan(NamedTuple):
+    """One table set oriented and summed on a layout: see ``_plan``."""
+    later: list[list[tuple[int, list[list[int]]]]]
+    block_row: list[int]
+    cross: dict[int, dict[int, list[int]]]
+
+
 # (prefix labels, prefix score, score of each block labeling)
 Leaf = tuple[Labeling, int, list[int]]
 
@@ -84,7 +99,8 @@ def _layout(domains: list[range]) -> Layout:
         split -= 1
         size *= len(domains[split])
     block: list[Labeling] = list(itertools.product(*domains[split:]))
-    return domains, split, block, dict(zip(range(split, len(domains)), zip(*block)))
+    columns = dict(zip(range(split, len(domains)), zip(*block)))
+    return Layout(domains, split, block, columns)
 
 
 def _plan(layout: Layout, tables: Tables) -> Plan:
@@ -121,7 +137,7 @@ def _plan(layout: Layout, tables: Tables) -> Plan:
         x: {a: list(map(sum, itertools.product(*rows))) for a, rows in by_label.items()}
         for x, by_label in crossing.items()
     }
-    return later, block_row, cross
+    return Plan(later, block_row, cross)
 
 
 def _leaves(layout: Layout, plan: Plan) -> Iterator[Leaf]:
@@ -155,40 +171,34 @@ def _leaves(layout: Layout, plan: Plan) -> Iterator[Leaf]:
     return walk(0, 0, block_row)
 
 
-def _scan(
+def scan(
     instance: GugpInstance | RelationalInstance,
     domains: list[range],
     positive: bool = False,
 ) -> tuple[list[Labeling], Iterator[Leaf]]:
     """The block labelings and the leaves of the scan over the ``domains``
-    that the gate returned, under every edge weight or the positive ones;
-    the layout and each plan are compiled once per instance."""
+    that ``label_space`` returned, under every edge weight or the positive
+    ones; the layout and each plan are compiled once per instance."""
     scans = instance.compiled_scans
     layout = built_once(scans, "layout", _layout, domains)
-    plan = scans.get(positive)
-    if plan is None:
+    key = "positive" if positive else "all"
+    if key not in scans:
         weights = [max(w, 0) if positive else w for w in instance.integer_weights[1]]
         gugp = isinstance(instance, GugpInstance)
         k1, k2 = (instance.k, instance.k) if gugp else (instance.k1, instance.k2)
         tables = pair_tables(instance.edges, weights, k1, k2)
-        plan = scans[positive] = _plan(layout, tables)
-    return layout[2], _leaves(layout, plan)
+        scans[key] = _plan(layout, tables)
+    return layout.block, _leaves(layout, scans[key])
 
 
 def _best_labeling(block: list[Labeling], leaves: Iterator[Leaf]) -> Labeling:
     """The lexicographically first labeling with the largest total table
-    weight: the first maximum of each row, replaced only on strict gains."""
-    best: Labeling | None = None
-    best_sat: int | None = None
-    for prefix, base, row in leaves:
-        top = max(row)
-        if best_sat is None or base + top > best_sat:
-            best, best_sat = prefix + block[row.index(top)], base + top
-    assert best is not None
-    return best
+    weight: ``max`` and ``index`` each keep the first of equal maxima."""
+    prefix, _, row = max(leaves, key=lambda leaf: leaf[1] + max(leaf[2]))
+    return prefix + block[row.index(max(row))]
 
 
-def _scan_domains(
+def label_space(
     instance: GugpInstance | RelationalInstance, cap: int
 ) -> tuple[int, list[range]]:
     """The gate in front of every exhaustive scan: the label space, a product
@@ -229,9 +239,9 @@ def brute_force(
     relational game's weights are all positive, so it solves under max-ugp.
     """
     m = require_objective(instance, objective)
-    space, domains = _scan_domains(instance, cap)
+    space, domains = label_space(instance, cap)
     objective_normalizer(m, objective)  # a zero normalizer refuses before the scan
-    best = _best_labeling(*_scan(instance, domains))
+    best = _best_labeling(*scan(instance, domains))
     return SolveResult(best, labeling_value(instance, best, objective), space)
 
 

@@ -62,11 +62,11 @@ from .reductions import (
 from .solvers import (
     DEFAULT_BRUTE_CAP,
     Leaf,
-    _scan,
-    _scan_domains,
     brute_force,
     brute_force_relational,
+    label_space,
     local_search_half,
+    scan,
 )
 
 DEFAULT_CASE_CAP = 10_000_000
@@ -408,10 +408,10 @@ def check_strip_bounds(
     w_plus = sum(w for w in weights if w > 0)
     neg_total = w_plus - sigma
     # the solvers' gate refuses an over-cap scan before it starts
-    space, domains = _scan_domains(instance, cap)
+    space, domains = label_space(instance, cap)
     # every edge in one table set, positive edges in another, on one layout
-    block, leaves_all = _scan(instance, domains)
-    _, leaves_pos = _scan(instance, domains, positive=True)
+    block, leaves_all = scan(instance, domains)
+    _, leaves_pos = scan(instance, domains, positive=True)
     cases, witnesses, orig, stripped = _strip_scan(
         block, leaves_all, leaves_pos, sigma, w_plus, scale
     )

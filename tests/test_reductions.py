@@ -15,6 +15,8 @@ from gugp_workbench import (
     DegenerateInstanceError,
     GugpInstance,
     Permutation,
+    RelEdge,
+    Relation,
     RelationalInstance,
     T22Edge,
     TspInstance,
@@ -365,6 +367,39 @@ def test_repeated_base_is_the_exact_integer_root(n, fold, base):
 def test_repeated_round_trip_through_relational():
     repeated = repeat_max3cut(3, triangle_pairs(), 2)
     assert repeated_from_relational(repeated.to_relational()) == repeated
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (("weight", "relation"), "^repeated 3-cut edges carry unit weight$"),
+        (("relation", "weight"), "^every relation must be the all-coordinates-differ"),
+        (("both", "relation"), "^repeated 3-cut edges carry unit weight$"),
+    ],
+    ids=["weight-first", "relation-first", "one-edge"],
+)
+def test_repeated_from_relational_reports_the_first_bad_edge(shared, bad, message):
+    # each relation object is compared once, so a relation met before, as
+    # the same object or an equal copy, must neither hide nor reorder errors
+    good = repeat_max3cut(3, triangle_pairs(), 2).to_relational()
+    differ = all_coords_differ_relation(2)
+    near = Relation(9, 9, differ.pairs - {min(differ.pairs)})
+
+    def edge(e, weight, like):
+        rel = like if shared else Relation(9, 9, frozenset(like.pairs))
+        return RelEdge(e.u, e.v, weight, rel)
+
+    edges = [edge(e, e.weight, differ) for e in good.edges]
+    clean = dataclasses.replace(good, edges=tuple(edges))
+    assert repeated_from_relational(clean) == repeated_from_relational(good)
+    # edges 5 and 11 go bad in the given order, and edge 12 repeats the bad
+    # relation
+    for i, kind in zip((5, 11, 12), bad + ("relation",)):
+        weight = Fraction(2 if kind in ("weight", "both") else 1)
+        edges[i] = edge(good.edges[i], weight, differ if kind == "weight" else near)
+    with pytest.raises(ValidationError, match=message):
+        repeated_from_relational(dataclasses.replace(good, edges=tuple(edges)))
 
 
 def test_product_coloring_l1_is_base():

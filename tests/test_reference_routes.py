@@ -113,8 +113,8 @@ from gugp_workbench.solvers import (
     _layout,
     _leaves,
     _plan,
-    _scan,
-    _scan_domains,
+    label_space,
+    scan,
 )
 from gugp_workbench.verification import _strip_scan
 
@@ -722,7 +722,7 @@ def compiled_scan(domains, *table_sets):
     """``ref_prefix_scan``'s result through the compiled route: one layout,
     one plan per table set."""
     layout = _layout(domains)
-    return (layout[2], *(_leaves(layout, _plan(layout, t)) for t in table_sets))
+    return (layout.block, *(_leaves(layout, _plan(layout, t)) for t in table_sets))
 
 
 def strip_scan(domains, tables_all, tables_pos, sigma, w_plus, scale):
@@ -885,9 +885,9 @@ def test_prefix_scan_without_tables_ties_at_all_ones():
     assert _best_labeling(*compiled_scan([range(1, 6)], {})) == (1,)
 
 
-def scan_stream(scan):
+def scan_stream(scanned):
     """``[block, leaves, ...]`` with every leaf of each table set collected."""
-    block, *leaves = scan
+    block, *leaves = scanned
     return [block, *map(list, leaves)]
 
 
@@ -1021,7 +1021,7 @@ def test_bipartite_relational_over_the_block_matches_reference(inst):
     st.booleans(),
 )
 def test_compiled_scan_of_a_game_yields_the_reference_stream(inst, positive):
-    _, domains = _scan_domains(inst, 10**6)
+    _, domains = label_space(inst, 10**6)
     weights = inst.integer_weights[1]
     if positive:
         weights = [max(w, 0) for w in weights]
@@ -1031,8 +1031,8 @@ def test_compiled_scan_of_a_game_yields_the_reference_stream(inst, positive):
         tables = pair_tables(inst.edges, weights, inst.k1, inst.k2)
     expected = scan_stream(ref_prefix_scan(domains, tables))
     # the first scan compiles the plan, the second reads the held one
-    assert scan_stream(_scan(inst, domains, positive)) == expected
-    assert scan_stream(_scan(inst, domains, positive)) == expected
+    assert scan_stream(scan(inst, domains, positive)) == expected
+    assert scan_stream(scan(inst, domains, positive)) == expected
 
 
 @settings(max_examples=100, deadline=None)

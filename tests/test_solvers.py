@@ -450,7 +450,11 @@ def test_a_held_scan_is_only_read(signs, scans):
     # each scan twice, in both orders, against a game that never scanned
     for scan in scans + scans[::-1]:
         assert run(scan, instance) == run(scan, parse(text))
-    assert instance.compiled_scans
+    # one layout and one plan per table set, each under its named key
+    held = {"layout": solvers.Layout, "all": solvers.Plan}
+    if check_strip_bounds in scans:
+        held["positive"] = solvers.Plan
+    assert {key: type(value) for key, value in instance.compiled_scans.items()} == held
     assert instance == parse(text)
     assert (hash(instance), repr(instance)) == shown
     copy = dataclasses.replace(instance, edges=instance.edges[1:])
