@@ -8,8 +8,9 @@ Conventions used throughout the workbench:
 * all numeric quantities are exact ``fractions.Fraction`` values -- no
   floating point exists anywhere in this package;
 * every type is immutable once constructed; what is derived from it (an
-  instance's ``integer_weights``, a permutation's padded ``rows``) is cached
-  on the object at first use and touches no equality, hash or ``repr``;
+  instance's ``integer_weights`` and ``metrics``, a permutation's padded
+  ``rows``) is cached on the object at first use and touches no equality,
+  hash or ``repr``;
 * the edge types (``GugpEdge``, ``RelEdge`` and ``reductions.T22Edge``) are
   slotted frozen dataclasses with the generated equality, hashing and
   ``repr``.  ``GugpEdge`` and ``RelEdge``, built once per edge line of large
@@ -223,6 +224,16 @@ class GugpInstance:
         return scaled_weights([e.weight for e in self.edges])
 
     @functools.cached_property
+    def metrics(self) -> "InstanceMetrics":
+        """``core.metrics`` of the instance, derived once."""
+        scale, weights = self.integer_weights
+        plus = sum(w for w in weights if w > 0)
+        minus = sum(w for w in weights if w < 0)
+        ratio = None if plus == 0 else Fraction(-minus, plus)
+        w_plus, w_minus = Fraction(plus, scale), Fraction(minus, scale)
+        return InstanceMetrics(w_plus, w_minus, Fraction(plus + minus, scale), ratio)
+
+    @functools.cached_property
     def compiled_scans(self) -> dict:
         """The scan layout and plans ``solvers`` compiles on a first scan."""
         return {}
@@ -299,7 +310,8 @@ class RelationalInstance:
                     f"edge ({e.u},{e.v}) must run from side V to side W"
                 )
 
-    integer_weights = GugpInstance.integer_weights  # the same derivation
+    integer_weights = GugpInstance.integer_weights  # the same derivations
+    metrics = GugpInstance.metrics
     compiled_scans = GugpInstance.compiled_scans
 
     @property
@@ -360,10 +372,6 @@ def built_once(cache: dict, key, build: Callable, *args):
     return value
 
 
-def metrics(instance: GugpInstance) -> InstanceMetrics:
-    scale, weights = instance.integer_weights
-    plus = sum(w for w in weights if w > 0)
-    minus = sum(w for w in weights if w < 0)
-    ratio = None if plus == 0 else Fraction(-minus, plus)
-    w_plus, w_minus = Fraction(plus, scale), Fraction(minus, scale)
-    return InstanceMetrics(w_plus, w_minus, Fraction(plus + minus, scale), ratio)
+def metrics(instance: GugpInstance | RelationalInstance) -> InstanceMetrics:
+    """The instance's weight aggregates, one object derived per instance."""
+    return instance.metrics

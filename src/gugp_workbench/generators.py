@@ -2,8 +2,9 @@
 
 Each family consumes a single splitmix64 stream seeded with ``GenSpec.seed``.
 The draw orders documented per family are normative: a given spec must yield
-byte-identical files in any implementation.  All draws use ``below``: raw
-64-bit output reduced by modulo.
+byte-identical files in any implementation.  All draws are ``below``'s, raw
+64-bit output reduced by modulo, made with ``below_each`` a bounded pass of
+edges at a time and read back as columns, in the unchanged order.
 
 Families:
 
@@ -34,8 +35,9 @@ A weight draw is num = 1 + below(9), then den = 1 + below(9); it picks an
 entry of one module-level table of the 81 ``Fraction(num, den)`` values (and
 of a second table of their negations), so no ``Fraction`` is built per edge.
 Within one ``generate`` call every distinct permutation image is built, and
-so validated, once and shared by the edges that draw it.  Neither changes
-what is drawn or in which order.
+so validated, once and shared by the edges that draw it: a permutation is
+keyed by its k - 1 shuffle draws, which Fisher-Yates maps one-to-one to
+images.  Neither changes what is drawn or in which order.
 
 Before any draw, a size above ``GEN_SIZE_CAP`` raises ``CapacityError``:
 m*k (random-gugp), n(n-1)/2 (random-tsp), n + m (planted-3col), or 4*m*k
@@ -44,10 +46,12 @@ m*k (random-gugp), n(n-1)/2 (random-tsp), n + m (planted-3col), or 4*m*k
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
-from .core import GugpEdge, GugpInstance, Labeling, Permutation, built_once, metrics
+from .core import GugpInstance, Labeling, Permutation, built_once, gugp_edges, metrics
 from .errors import CapacityError, UsageError
 from .reductions import (
     T22Edge,
@@ -56,7 +60,7 @@ from .reductions import (
     max3cut_instance,
     t_contains,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, fisher_yates
 
 FAMILIES = ("random-gugp", "random-tsp", "planted-3col", "random-t22")
 _RESAMPLE_BUDGET = 10_000
@@ -68,6 +72,10 @@ _RESAMPLE_WORK = 10
 # entry 9 * (num - 1) + (den - 1) is num/den, for num and den in [1..9]
 _WEIGHTS = tuple(Fraction(num, den) for num in range(1, 10) for den in range(1, 10))
 _NEGATED_WEIGHTS = tuple(-w for w in _WEIGHTS)
+# the table a sign draw in [0..3] picks, negative on 0; nwa picks 0, no draw 1
+_SIGNED_WEIGHTS = (_NEGATED_WEIGHTS, _WEIGHTS, _WEIGHTS, _WEIGHTS)
+# edges drawn per pass, so a pass's draw columns stay small whatever m is
+_PASS_EDGES = 64
 
 
 @dataclass(frozen=True)
@@ -105,27 +113,28 @@ def _require_size(spec: GenSpec, size: int) -> None:
         raise CapacityError(f"{spec.family} size {size} exceeds cap {GEN_SIZE_CAP}")
 
 
-def _pair(stream: SplitMix64, n: int) -> tuple[int, int]:
-    u = stream.below(n)
-    v = stream.below(n - 1)
-    if v >= u:
-        v += 1
-    return u, v
+def _edge_passes(stream: SplitMix64, m: int, edge_bounds: list[int]):
+    """Per pass of up to ``_PASS_EDGES`` edges, each drawing ``edge_bounds``:
+    the u and v columns, v bumped by one when v >= u, and the other columns."""
+    step = len(edge_bounds)
+    for start in range(0, m, _PASS_EDGES):
+        draws = stream.below_each(edge_bounds * min(_PASS_EDGES, m - start))
+        us, vs, *columns = (draws[t::step] for t in range(step))
+        yield us, list(map(operator.add, vs, map(operator.ge, vs, us))), columns
 
 
 Perms = dict[tuple[int, ...], Permutation]
 
 
-def _permutation(stream: SplitMix64, k: int, perms: Perms) -> Permutation:
-    image = list(range(1, k + 1))
-    stream.shuffle(image)
-    return built_once(perms, tuple(image), Permutation, image)
-
-
-def _weight_index(stream: SplitMix64) -> int:
-    """Draw num, then den, in [1..9]; return num/den's index in ``_WEIGHTS``."""
-    num = stream.below(9)
-    return 9 * num + stream.below(9)
+def _permutations(columns: list, rows: int, k: int, perms: Perms) -> list[Permutation]:
+    """Per row, the permutation that its k - 1 shuffle draws, the first k - 1
+    ``columns``, make; ``perms`` is keyed by those draws and by the image
+    (k - 1 and k long), so each image is built and checked once."""
+    keys = list(zip(*columns[: k - 1])) if k > 1 else [()] * rows
+    for key in set(keys).difference(perms):
+        image = fisher_yates(list(range(1, k + 1)), key)
+        perms[key] = built_once(perms, tuple(image), Permutation, image)
+    return list(map(perms.__getitem__, keys))
 
 
 def _random_gugp(spec: GenSpec, stream: SplitMix64) -> GenResult:
@@ -139,20 +148,20 @@ def _random_gugp(spec: GenSpec, stream: SplitMix64) -> GenResult:
     size = spec.m * spec.k
     _require_size(spec, size)
     draw_signs = not spec.nwa and spec.max_ratio != 0
+    n, k = spec.n, spec.k
+    edge_bounds = [n, n - 1, *range(k, 1, -1), 9, 9] + ([4] if draw_signs else [])
     perms: Perms = {}
     drawn = 0
     while drawn < _RESAMPLE_BUDGET and drawn * size <= _RESAMPLE_WORK * GEN_SIZE_CAP:
         drawn += 1
         edges = []
-        for _ in range(spec.m):
-            u, v = _pair(stream, spec.n)
-            pi = _permutation(stream, spec.k, perms)
-            i = _weight_index(stream)
-            if spec.nwa or (draw_signs and stream.below(4) == 0):
-                w = _NEGATED_WEIGHTS[i]
-            else:
-                w = _WEIGHTS[i]
-            edges.append(GugpEdge(u, v, w, pi))
+        for us, vs, columns in _edge_passes(stream, spec.m, edge_bounds):
+            pis = _permutations(columns, len(us), k, perms)
+            index = map(operator.add, map((9).__mul__, columns[k - 1]), columns[k])
+            signs = columns[k + 1] if draw_signs else repeat(int(not spec.nwa))
+            tables = map(_SIGNED_WEIGHTS.__getitem__, signs)
+            weights = list(map(tuple.__getitem__, tables, index))
+            edges += gugp_edges(us, vs, weights, pis)
         instance = GugpInstance(spec.n, spec.k, tuple(edges))
         if spec.max_ratio is None:
             return GenResult(instance)
@@ -168,11 +177,10 @@ def _random_tsp(spec: GenSpec, stream: SplitMix64) -> GenResult:
     if spec.n < 3:
         raise UsageError("random-tsp needs n >= 3")
     _require_size(spec, spec.n * (spec.n - 1) // 2)
-    weights = tuple(
-        (u, v, _WEIGHTS[_weight_index(stream)])
-        for u in range(spec.n)
-        for v in range(u + 1, spec.n)
-    )
+    pairs = [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
+    draws = stream.below_each([9, 9] * len(pairs))
+    index = map(operator.add, map((9).__mul__, draws[0::2]), draws[1::2])
+    weights = tuple((u, v, _WEIGHTS[i]) for (u, v), i in zip(pairs, index))
     return GenResult(TspInstance(spec.n, weights))
 
 
@@ -190,7 +198,7 @@ def _planted_3col(spec: GenSpec, stream: SplitMix64) -> GenResult:
             f"bichromatic edges, {spec.m} requested"
         )
     for _ in range(_RESAMPLE_BUDGET):
-        chi = tuple(1 + stream.below(3) for _ in range(spec.n))
+        chi = tuple(1 + c for c in stream.below_each([3] * spec.n))
         s1, s2, s3 = (chi.count(c) for c in (1, 2, 3))
         bichromatic = s1 * s2 + s1 * s3 + s2 * s3
         if spec.m <= bichromatic:
@@ -206,8 +214,9 @@ def _planted_3col(spec: GenSpec, stream: SplitMix64) -> GenResult:
         budget -= 1
         if budget < 0:  # pragma: no cover - same remark as above
             raise UsageError("could not collect enough bichromatic edges")
-        u, v = _pair(stream, spec.n)
-        pair = (min(u, v), max(u, v))
+        u = stream.below(spec.n)
+        v = stream.below(spec.n - 1)
+        pair = (u, v + 1) if v >= u else (v, u)
         if chi[pair[0]] == chi[pair[1]] or pair in seen:
             continue
         seen.add(pair)
@@ -219,30 +228,29 @@ def _random_t22(spec: GenSpec, stream: SplitMix64) -> GenResult:
     if spec.n < 2 or not spec.m or spec.m < 1 or not spec.k or spec.k < 2:
         raise UsageError("random-t22 needs n >= 2, m >= 1, k >= 2")
     _require_size(spec, 4 * spec.m * spec.k + (spec.n if spec.satisfiable else 0))
-    width = 2 * spec.k
-    planted = (
-        tuple(1 + stream.below(width) for _ in range(spec.n))
-        if spec.satisfiable
-        else None
-    )
+    n, width = spec.n, 2 * spec.k
+    planted = None
+    if spec.satisfiable:
+        planted = tuple(1 + label for label in stream.below_each([width] * n))
+    edge_bounds = [n, n - 1, *range(width, 1, -1), *range(width, 1, -1)]
     edges = []
     perms: Perms = {}
     one = Fraction(1)
-    for _ in range(spec.m):
-        u, v = _pair(stream, spec.n)
-        pi_u = _permutation(stream, width, perms)
-        pi_v = _permutation(stream, width, perms)
-        if planted is not None:
-            # swap pi_u's value at the planted left label with the block
-            # partner of pi_v's value at the planted right label
-            hit = pi_u.apply(planted[u])
-            target = pi_v.apply(planted[v])
-            if not t_contains(hit, target):
-                image = list(pi_u.image)
-                spot = image.index(target)
-                image[planted[u] - 1], image[spot] = target, hit
-                pi_u = built_once(perms, tuple(image), Permutation, image)
-        edges.append(T22Edge(u, v, one, pi_u, pi_v))
+    for us, vs, columns in _edge_passes(stream, spec.m, edge_bounds):
+        pis_u = _permutations(columns, len(us), width, perms)
+        pis_v = _permutations(columns[width - 1 :], len(us), width, perms)
+        for u, v, pi_u, pi_v in zip(us, vs, pis_u, pis_v):
+            if planted is not None:
+                # swap pi_u's value at the planted left label with the block
+                # partner of pi_v's value at the planted right label
+                hit = pi_u.apply(planted[u])
+                target = pi_v.apply(planted[v])
+                if not t_contains(hit, target):
+                    image = list(pi_u.image)
+                    spot = image.index(target)
+                    image[planted[u] - 1], image[spot] = target, hit
+                    pi_u = built_once(perms, tuple(image), Permutation, image)
+            edges.append(T22Edge(u, v, one, pi_u, pi_v))
     return GenResult(TwoToTwoInstance(spec.n, spec.k, tuple(edges)), planted)
 
 

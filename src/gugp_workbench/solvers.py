@@ -288,11 +288,8 @@ def local_search_half(instance: GugpInstance, seed: int | None = None) -> SolveR
     weights = [-w for w in instance.integer_weights[1]]
     iteration_cap = sum(weights)
 
-    if seed is None:
-        labels = [1] * n
-    else:
-        stream = SplitMix64(seed)
-        labels = [1 + stream.below(k) for _ in range(n)]
+    draws = [0] * n if seed is None else SplitMix64(seed).below_each([k] * n)
+    labels = [1 + label for label in draws]
 
     # incident[x] holds (y, hit, w) per edge at x: the edge is unsatisfied
     # in restated form exactly when f(x) = hit[f(y)]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gugp_workbench import (
     GugpEdge,
     GugpInstance,
+    InstanceMetrics,
     Permutation,
     RelEdge,
     Relation,
@@ -33,6 +34,19 @@ def gugp(n: int, k: int, *edges: tuple) -> GugpInstance:
     return GugpInstance(
         n, k, tuple(GugpEdge(u, v, Fraction(w), p) for u, v, w, p in edges)
     )
+
+
+def ref_metrics(instance):
+    """The per-edge ``Fraction`` sums ``core.metrics`` is held to."""
+    w_plus = Fraction(0)
+    w_minus = Fraction(0)
+    for e in instance.edges:
+        if e.weight > 0:
+            w_plus += e.weight
+        else:
+            w_minus += e.weight
+    ratio = None if w_plus == 0 else abs(w_minus) / w_plus
+    return InstanceMetrics(w_plus, w_minus, w_plus + w_minus, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from gugp_workbench import (
     GenSpec,
     GugpEdge,
     GugpInstance,
+    InstanceMetrics,
     Permutation,
     RelEdge,
     Relation,
@@ -33,6 +34,7 @@ from gugp_workbench import (
     satisfied_weight,
     serialize,
 )
+from gugp_workbench import core
 from gugp_workbench.core import scaled_weights
 
 from conftest import (
@@ -41,6 +43,7 @@ from conftest import (
     identity,
     perm,
     permutations,
+    ref_metrics,
     relational_instances,
 )
 
@@ -479,6 +482,30 @@ def test_metrics_additive_over_disjoint_union(left, right):
     assert mu.w_plus == ma.w_plus + mb.w_plus
     assert mu.w_minus == ma.w_minus + mb.w_minus
     assert mu.sigma == ma.sigma + mb.sigma
+
+
+@given(st.one_of(gugp_instances(min_m=0), relational_instances(min_m=0)))
+def test_metrics_is_one_object_per_instance_equal_to_the_reference(instance):
+    m = metrics(instance)
+    assert m == ref_metrics(instance)
+    assert metrics(instance) is m
+    assert metrics(parse(serialize(instance))) == m
+
+
+def test_a_local_search_job_derives_its_metrics_once(monkeypatch):
+    spec = GenSpec(family="random-gugp", seed=3, n=30, m=90, k=3, nwa=True)
+    instance = parse(serialize(generate(spec).instance))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return InstanceMetrics(*args)
+
+    monkeypatch.setattr(core, "InstanceMetrics", counting)
+    result = local_search_half(instance, seed=1)
+    labeling_value(instance, result.labeling, Objective.MAX_NWA)
+    assert metrics(instance) is metrics(instance)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

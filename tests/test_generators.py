@@ -23,7 +23,7 @@ from gugp_workbench import (
     satisfied_weight,
     serialize,
 )
-from gugp_workbench import generators
+from gugp_workbench import generators, rng
 
 # first outputs of the reference algorithm for two fixed seeds; any
 # re-implementation of the generator contract must reproduce these
@@ -87,6 +87,41 @@ def test_shuffle_is_descending_fisher_yates():
         j = rng.below(i + 1)
         expected[i], expected[j] = expected[j], expected[i]
     assert items == expected
+
+
+LANES = rng._LANES
+
+
+def assert_below_each_is_below(seed, bounds):
+    packed, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert packed.below_each(bounds) == [scalar.below(b) for b in bounds]
+    assert packed.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("bound", [1, 9, 2**64 + 3])
+@pytest.mark.parametrize("length", [0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 5])
+@pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1, -1, 2**70])
+def test_below_each_is_below_per_bound(seed, length, bound):
+    assert_below_each_is_below(seed, [bound] * length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.lists(
+        st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=1)),
+        max_size=3 * LANES + 5,
+    ),
+)
+def test_below_each_is_below_on_random_bound_lists(seed, bounds):
+    assert_below_each_is_below(seed, bounds)
+
+
+def test_below_each_refuses_a_bound_of_zero_before_any_draw():
+    stream, untouched = SplitMix64(7), SplitMix64(7)
+    with pytest.raises(ValueError):
+        stream.below_each([3] * LANES + [0] + [3])
+    assert stream.next_u64() == untouched.next_u64()
 
 
 # ---------------------------------------------------------------------------

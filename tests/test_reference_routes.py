@@ -57,7 +57,6 @@ from gugp_workbench import (
     GenSpec,
     GugpEdge,
     GugpInstance,
-    InstanceMetrics,
     Objective,
     ObjectiveMismatchError,
     ParseError,
@@ -125,23 +124,12 @@ from conftest import (
     perm,
     permutations,
     rationals,
+    ref_metrics,
     relational_instances,
 )
 
 # ---------------------------------------------------------------------------
 # references
-
-
-def ref_metrics(instance):
-    w_plus = Fraction(0)
-    w_minus = Fraction(0)
-    for e in instance.edges:
-        if e.weight > 0:
-            w_plus += e.weight
-        else:
-            w_minus += e.weight
-    ratio = None if w_plus == 0 else abs(w_minus) / w_plus
-    return InstanceMetrics(w_plus, w_minus, w_plus + w_minus, ratio)
 
 
 def ref_satisfied_weight(instance, labeling):
@@ -1460,7 +1448,8 @@ def test_local_search_reads_the_rows_each_permutation_derives_once(monkeypatch):
 def ref_generate(spec):
     """The per-edge generator: each edge builds its own ``Fraction(num, den)``
     (negated by ``-``) and its own ``Permutation``, in the documented draw
-    order.  Returns the instance and the planted labeling (or None)."""
+    order, one ``below`` call per draw.  Returns the instance and the planted
+    labeling (or None)."""
     stream = SplitMix64(spec.seed)
 
     def pair():
@@ -1469,8 +1458,11 @@ def ref_generate(spec):
         return u, v + 1 if v >= u else v
 
     def permutation(k):
+        # descending Fisher-Yates, one ``below`` per swap
         image = list(range(1, k + 1))
-        stream.shuffle(image)
+        for i in range(k - 1, 0, -1):
+            j = stream.below(i + 1)
+            image[i], image[j] = image[j], image[i]
         return Permutation(tuple(image))
 
     def weight():
@@ -1564,6 +1556,15 @@ def ref_serialize(instance):
     return "\n".join(lines) + "\n"
 
 
+def small_or_past_a_lane_pass(low, high, past):
+    """Sizes from [low..high], or from [high..past], where the draws of one
+    request straddle one or several ``below_each`` lane passes."""
+    return st.one_of(
+        st.integers(min_value=low, max_value=high),
+        st.integers(min_value=high, max_value=past),
+    )
+
+
 @st.composite
 def gen_specs(draw, families=FAMILIES):
     family = draw(st.sampled_from(families))
@@ -1574,23 +1575,24 @@ def gen_specs(draw, families=FAMILIES):
         return GenSpec(
             family, seed,
             n=draw(st.integers(min_value=2, max_value=8)),
-            m=draw(st.integers(min_value=1, max_value=12)),
+            m=draw(small_or_past_a_lane_pass(1, 12, 120)),
             k=draw(st.integers(min_value=1, max_value=5)),
             nwa=flag == "nwa",
             max_ratio=bound if flag == "max_ratio" else None,
         )
     if family == "random-tsp":
-        return GenSpec(family, seed, n=draw(st.integers(min_value=3, max_value=8)))
+        return GenSpec(family, seed, n=draw(small_or_past_a_lane_pass(3, 8, 40)))
     if family == "planted-3col":
-        n = draw(st.integers(min_value=2, max_value=9))
+        n = draw(small_or_past_a_lane_pass(2, 9, 600))
         base, extra = divmod(n, 3)
         sizes = [base + (1 if i < extra else 0) for i in range(3)]
         ceiling = sizes[0] * sizes[1] + sizes[0] * sizes[2] + sizes[1] * sizes[2]
-        return GenSpec(family, seed, n=n, m=draw(st.integers(min_value=1, max_value=ceiling)))
+        m = draw(st.integers(min_value=1, max_value=min(ceiling, 40)))
+        return GenSpec(family, seed, n=n, m=m)
     return GenSpec(
         family, seed,
-        n=draw(st.integers(min_value=2, max_value=7)),
-        m=draw(st.integers(min_value=1, max_value=10)),
+        n=draw(small_or_past_a_lane_pass(2, 7, 300)),
+        m=draw(small_or_past_a_lane_pass(1, 10, 60)),
         k=draw(st.integers(min_value=2, max_value=4)),
         satisfiable=draw(st.booleans()),
     )
@@ -1614,6 +1616,7 @@ def test_generate_matches_the_per_edge_reference(spec):
         GenSpec("random-gugp", seed=3, n=300, m=1500, k=5, nwa=True),
         GenSpec("random-gugp", seed=4, n=20, m=40, k=2, max_ratio=Fraction(1, 4)),
         GenSpec("random-t22", seed=5, n=30, m=58, k=3, satisfiable=True),
+        GenSpec("random-t22", seed=6, n=400, m=1100, k=2, satisfiable=True),
     ],
     ids=lambda spec: spec.family,
 )
@@ -1621,6 +1624,14 @@ def test_generate_matches_the_per_edge_reference_seeded(spec):
     instance, planted = ref_generate(spec)
     result = generate(spec)
     assert (serialize(result.instance), result.planted) == (ref_serialize(instance), planted)
+
+
+def test_a_ratio_redraw_continues_the_stream_as_the_per_edge_reference():
+    spec = GenSpec("random-gugp", seed=9173, n=40, m=300, k=3, max_ratio=Fraction(1, 4))
+    first, _ = ref_generate(dataclasses.replace(spec, max_ratio=None))
+    assert ref_metrics(first).ratio > spec.max_ratio  # so the spec redraws
+    instance, _ = ref_generate(spec)
+    assert serialize(generate(spec).instance) == ref_serialize(instance)
 
 
 @st.composite
