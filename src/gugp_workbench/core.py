@@ -13,14 +13,15 @@ Conventions used throughout the workbench:
   hash or ``repr``;
 * the edge types (``GugpEdge``, ``RelEdge`` and ``reductions.T22Edge``) are
   slotted frozen dataclasses with the generated equality, hashing and
-  ``repr``.  ``GugpEdge`` and ``RelEdge``, built once per edge line of large
-  files, check their arguments in a hand-written ``__init__`` before they
-  store them; ``T22Edge`` checks them in a ``__post_init__``.  Either way
-  ``dataclasses.replace`` validates the new edge;
-* ``gugp_edges`` builds many ``GugpEdge`` objects from columns: it checks
-  the constructor's rules in whole-column passes, stores through the slot
-  setters, and on a failed rule replays the constructor, so the first error
-  is the constructor's own;
+  ``repr``.  ``RelEdge``, which REL files and the reductions' relational
+  games build one edge at a time, checks its arguments in a hand-written
+  ``__init__`` before it stores them; ``GugpEdge`` and ``T22Edge`` check
+  theirs in a ``__post_init__``.  Either way ``dataclasses.replace``
+  validates the new edge;
+* every bulk ``GugpEdge`` build goes through ``gugp_edges``, which takes
+  columns: it checks the constructor's rules in whole-column passes, stores
+  through the slot setters, and on a failed rule replays the constructor,
+  so the first error is the constructor's own;
 * the instance types check their edges in whole-column passes too, and walk
   the edges one by one only to name the first offender.
 """
@@ -117,8 +118,8 @@ def edge_weight(u: int, v: int, weight: Fraction | int) -> Fraction:
 
 
 def slot_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot descriptor, in field order.  The
-    hand-written ``__init__`` of ``GugpEdge`` and ``RelEdge`` stores through
+    """The ``__set__`` of each field's slot descriptor, in field order.
+    ``RelEdge``'s hand-written ``__init__`` and ``gugp_edges`` store through
     these: one C call per field, where a frozen dataclass's generated
     ``__init__`` makes one ``object.__setattr__`` call per field."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
@@ -145,7 +146,7 @@ def check_instance(instance) -> None:
                 raise ValidationError(f"edge ({e.u},{e.v}) references vertex >= n={n}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class GugpEdge:
     """Oriented edge carrying a permutation constraint and a signed weight.
 
@@ -157,16 +158,11 @@ class GugpEdge:
     weight: Fraction
     pi: Permutation
 
-    def __init__(self, u: int, v: int, weight: Fraction, pi: Permutation):
-        weight = edge_weight(u, v, weight)
+    def __post_init__(self):
+        weight = edge_weight(self.u, self.v, self.weight)
         if weight.numerator == 0:
-            raise ValidationError(f"zero-weight edge ({u},{v})")
-        # slot descriptors store with one C call each, not object.__setattr__
-        set_u, set_v, set_weight, set_pi = _GUGP_SETTERS
-        set_u(self, u)
-        set_v(self, v)
-        set_weight(self, weight)
-        set_pi(self, pi)
+            raise ValidationError(f"zero-weight edge ({self.u},{self.v})")
+        object.__setattr__(self, "weight", weight)
 
 
 _GUGP_SETTERS = slot_setters(GugpEdge)
@@ -181,9 +177,10 @@ def gugp_edges(
     """``[GugpEdge(*args) for args in zip(us, vs, weights, pis)]`` for
     columns of equal length, with the constructor's rules checked in
     whole-column passes (the weight rules once per distinct weight object)
-    and the edges stored through the slot setters.  If any rule fails, or a
-    weight is not a ``Fraction``, the constructor runs over the columns in
-    order, so the first error and its message are its own."""
+    and the edges stored through the slot setters, with no ``__post_init__``
+    call.  If any rule fails, or a weight is not a ``Fraction``, the
+    constructor runs over the columns in order, so the first error and its
+    message are its own."""
     distinct = dict(zip(map(id, weights), weights)).values()
     if (
         min(us, default=0) < 0

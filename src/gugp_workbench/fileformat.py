@@ -24,12 +24,12 @@ edge line only up to its constraint fields and keys its caches on the raw
 constraint string: each distinct string is converted and validated on the
 line where it first appears, and every later line that repeats it shares
 the object built there.  Weights are cached by their token the same way.
-A REL or T22 line whose weight token was seen converts ``u v`` with one
-guarded ``int`` pair and looks its weight up inline; a new or bad token
-sends the line down the per-token route, so every message and line number
-is the one a token-by-token parse reports.  The per-line GUGP route, which
-only hand-written or faulty files reach, is plain: each line reads
-``u v w`` through ``_edge_head`` and splits its images to count them.
+Every edge line of every format reads ``u v w`` through ``_edge_head``:
+one guarded ``int`` pair and a lookup of a weight token seen before, or,
+on a new or bad token, the per-token route, so every message and line
+number is the one a token-by-token parse reports.  The per-line GUGP
+route, which only hand-written or faulty files reach, then splits each
+line's images to count them and builds its edge with the constructor.
 
 A GUGP file in the serializer's exact form (the header ``GUGP v1``,
 ``k <k>``, ``n <n>``, then lines ``e <u> <v> <num>/<den> <k images>`` with
@@ -51,8 +51,7 @@ share ``core.built_once``.
 T22 lines repeat a constraint string under 1.2% of the time, so each T22
 line is split and checked whole; it shares weights by token and
 permutations by image tuple, so equal images parse to one object, and it
-renders each edge on its own.  TSP files hold at most a few dozen lines:
-each is read through ``_edge_head`` and rendered on its own.
+renders each edge on its own, as TSP renders each pair.
 """
 
 from __future__ import annotations
@@ -155,15 +154,18 @@ def _keyword_int(records: Records, keyword: str) -> int:
 def _edge_head(
     fields: list[str], line: int, weights: dict[str, Fraction]
 ) -> tuple[int, int, Fraction]:
-    """The ``<u> <v> <num>/<den>`` after a record's keyword, token by token
-    in that order, so the first bad token is the one reported.  The REL and
-    T22 parsers convert ``u v`` with one guarded ``int`` pair and look the
-    weight token up inline, and come here only when that fails: on a bad
-    token, or on the first line of each distinct weight token.  The
-    per-line GUGP and the TSP parsers read every line here."""
-    u = _parse_int(fields[1], line)
-    v = _parse_int(fields[2], line)
-    return u, v, built_once(weights, fields[3], parse_fraction, fields[3], line)
+    """The ``<u> <v> <num>/<den>`` after a record's keyword.  ``u v`` are
+    converted with one guarded ``int`` pair and a weight token seen before
+    is looked up in ``weights``; on a bad token, or on the first line of
+    each distinct weight token, the three are read token by token in that
+    order, so the first bad token is the one reported.  Every edge line of
+    the per-line GUGP, REL, T22 and TSP parsers is read here."""
+    try:
+        return int(fields[1]), int(fields[2]), weights[fields[3]]
+    except (ValueError, KeyError):
+        u = _parse_int(fields[1], line)
+        v = _parse_int(fields[2], line)
+        return u, v, built_once(weights, fields[3], parse_fraction, fields[3], line)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +333,10 @@ def _parse_rel(records: Records) -> RelationalInstance:
                 raise ParseError(
                     "expected 'e <u> <v> <num>/<den> <m> <a1> <b1> ...'", line
                 )
-            try:
-                u, v = int(fields[1]), int(fields[2])
-                weight = weights[fields[3]]
-            except (ValueError, KeyError):
-                u, v, weight = _edge_head(fields, line, weights)
-            rel = relations.get(fields[4])
-            if rel is None:
-                rel = relations[fields[4]] = _parse_relation(fields[4], line, k1, k2)
+            u, v, weight = _edge_head(fields, line, weights)
+            rel = built_once(
+                relations, fields[4], _parse_relation, fields[4], line, k1, k2
+            )
             edges.append(RelEdge(u, v, weight, rel))
         else:
             raise ParseError(f"unknown record {fields[0]!r}", line)
@@ -384,11 +382,7 @@ def _parse_t22(records: Records) -> TwoToTwoInstance:
                 f"pv <{width} images>'",
                 line,
             )
-        try:
-            u, v = int(fields[1]), int(fields[2])
-            weight = weights[fields[3]]
-        except (ValueError, KeyError):
-            u, v, weight = _edge_head(fields, line, weights)
+        u, v, weight = _edge_head(fields, line, weights)
         pu_images = tuple(tokens[1 : 1 + width])
         pv_images = tuple(tokens[2 + width :])
         pu = built_once(perms, pu_images, _parse_permutation, pu_images, line)

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    GugpEdge,
     GugpInstance,
     Labeling,
     Permutation,
@@ -147,18 +146,13 @@ def tsp_to_min_nwa(tsp: TspInstance) -> tuple[GugpInstance, BundleMap]:
     length, and any labeling that repeats a label is pinned to
     |satisfied| >= M, which no tour exceeds.
     """
-    n = tsp.n
-    big = n * max(w for _, _, w in tsp.weights)
-    identity = Permutation.identity(n)
-    ahead = rotation(n, 1)
-    behind = rotation(n, -1)
-    edges: list[GugpEdge] = []
-    for u, v, w in tsp.weights:
-        edges.append(GugpEdge(u, v, -big, identity))
-        edges.append(GugpEdge(u, v, -w, ahead))
-        edges.append(GugpEdge(u, v, -w, behind))
-    instance = GugpInstance(n, n, tuple(edges))
-    return instance, BundleMap(len(tsp.weights), 3)
+    n, m = tsp.n, len(tsp.weights)
+    us, vs, ws = zip(*tsp.weights)
+    minus_big = -n * max(ws)
+    weights = [x for w in ws for x in (minus_big, -w, -w)]
+    pis = (Permutation.identity(n), rotation(n, 1), rotation(n, -1)) * m
+    edges = gugp_edges(_bundled(us, 3), _bundled(vs, 3), weights, pis)
+    return GugpInstance(n, n, edges), BundleMap(m, 3)
 
 
 def tour_to_labeling(tsp: TspInstance, tour: tuple[int, ...]) -> Labeling:

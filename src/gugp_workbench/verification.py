@@ -350,10 +350,11 @@ def _strip_scan(
     """One joint walk over the all-edges and positive-edges leaves of one
     compiled layout, whose rows it reads and never writes.
 
-    Returns the cases, the sandwich witnesses in scan order, and the first
-    minimum unsatisfied weight with its labeling for each table set.  A
-    leaf's whole row is checked at once; only a failing row is walked
-    labeling by labeling to record its witnesses.
+    Returns the cases, the first ``MAX_RECORDED_WITNESSES`` sandwich
+    witnesses in scan order, and the first minimum unsatisfied weight with
+    its labeling for each table set.  A leaf's whole row is checked at once;
+    only a failing row met while there is room is walked labeling by
+    labeling to record its witnesses.
     """
     neg_total = w_plus - sigma
     best_orig: tuple[int, Labeling] | None = None
@@ -367,7 +368,8 @@ def _strip_scan(
         # every gap lies in [c - |W-|, c]
         c = (w_plus - base_pos) - (sigma - base)
         gaps = list(map(operator.sub, row_pos, row))
-        if max(gaps) > c or min(gaps) < c - neg_total:
+        room = MAX_RECORDED_WITNESSES - len(witnesses)
+        if room and (max(gaps) > c or min(gaps) < c - neg_total):
             unsat = map((sigma - base).__sub__, row)
             unsat_pos = map((w_plus - base_pos).__sub__, row_pos)
             for t, u_all, u_pos in zip(block, unsat, unsat_pos):
@@ -377,6 +379,9 @@ def _strip_scan(
                 if not u_pos <= u_all + neg_total:
                     pair = (Fraction(u_pos, scale), Fraction(u_all, scale))
                     witnesses.append((None, prefix + t, "W'(f) <= W(f) + |W-|", pair))
+                if len(witnesses) >= MAX_RECORDED_WITNESSES:
+                    del witnesses[MAX_RECORDED_WITNESSES:]
+                    break
         # the minimum unsatisfied weight sits at the row's first maximum
         top, top_pos = max(row), max(row_pos)
         low, low_pos = sigma - base - top, w_plus - base_pos - top_pos

@@ -8,29 +8,33 @@ scan order.  The generator and the serializers are held to per-edge copies
 the same way: the same instances and the same bytes; the generator and the
 GUGP and REL serializers build or render each distinct weight, permutation
 and relation once.  The parser, which splits GUGP and REL edge lines only
-up to their constraint string, is held to a parser that splits every line
-whole: the same objects, or the same error on the same line.  The edge
-types, slotted dataclasses that check their arguments in a hand-written
-``__init__`` (``GugpEdge``, ``RelEdge``) or in a ``__post_init__``
-(``T22Edge``), are held to the same rules run as ``__post_init__`` steps of
-plain frozen dataclasses: the same fields, hash and repr, or the same
-error.  ``scaled_weights``, which scales each distinct weight object once,
-is held to a per-element loop, and ``_pair_shift`` to its three-branch
-form.  The exhaustive scan, compiled once per game, is held to the same
-kernel built afresh per call: the same blocks, prefixes, bases and rows.
-``smoothness``, which compares label columns per vertex, is held to the
-per-pair loop over each vertex's edges.  The local search, which finds its
-mover from a heap, is held to the loop that rescans from vertex 0 after
-every move.  The bulk GUGP parse is held to the per-line route, sharing
-included, the bulk edge builder to a constructor loop, and the instance
-checks, made in whole-column passes, to their edge-by-edge loops.  The
-gadget builders, which extend their tables one coordinate at a time and
-build per fold or per call what depends on nothing else, are held to the
-definitions: the all-coordinates-differ relation to the label-decoding
-filter over every pair, the two-to-two relation to the ``t_contains``
-filter, the repeated edges to ``itertools.product`` over oriented base
-edges, the pwt1 shifts to decode, ``modplus`` and encode per label, and the
-pwt-half images to per-label ``_pair_shift`` composition.
+up to their constraint string and reads every edge line's ``u v w`` with
+one guarded conversion, is held to a parser that splits every GUGP, REL,
+T22 and TSP line whole and converts each token on its own: the same
+objects, or the same error on the same line.  The edge types, slotted
+dataclasses that check their arguments in a hand-written ``__init__``
+(``RelEdge``) or in a ``__post_init__`` (``GugpEdge``, ``T22Edge``), are
+held to the same rules run as ``__post_init__`` steps of plain frozen
+dataclasses: the same fields, hash and repr, or the same error.
+``scaled_weights``, which scales each distinct weight object once, is held
+to a per-element loop, and ``_pair_shift`` to its three-branch form.  The
+exhaustive scan, compiled once per game, is held to the same kernel built
+afresh per call: the same blocks, prefixes, bases and rows.  ``smoothness``,
+which compares label columns per vertex, is held to the per-pair loop over
+each vertex's edges.  The local search, which finds its mover from a heap,
+is held to the loop that rescans from vertex 0 after every move.  The bulk
+GUGP parse is held to the per-line route, sharing included, the bulk edge
+builder to a constructor loop, and the instance checks, made in
+whole-column passes, to their edge-by-edge loops; every bulk GUGP build
+(generation, both gadgets, the TSP encoding and the bulk parse) makes no
+edge through the constructor.  The gadget builders, which extend their
+tables one coordinate at a time and build per fold or per call what depends
+on nothing else, are held to the definitions: the all-coordinates-differ
+relation to the label-decoding filter over every pair, the two-to-two
+relation to the ``t_contains`` filter, the repeated edges to
+``itertools.product`` over oriented base edges, the pwt1 shifts to decode,
+``modplus`` and encode per label, and the pwt-half images to per-label
+``_pair_shift`` composition.
 """
 
 import collections
@@ -115,7 +119,7 @@ from gugp_workbench.solvers import (
     label_space,
     scan,
 )
-from gugp_workbench.verification import _strip_scan
+from gugp_workbench.verification import MAX_RECORDED_WITNESSES, _strip_scan
 
 from conftest import (
     gugp,
@@ -729,7 +733,9 @@ def kernel_scores(domains, tables):
 
 
 def ref_strip_scan(domains, tables_all, tables_pos, sigma, w_plus, scale):
-    """The strip-bounds joint scan as one plain loop over all labelings."""
+    """The strip-bounds joint scan as one plain loop over all labelings,
+    which records every witness and keeps the first
+    ``MAX_RECORDED_WITNESSES``, as many as a report holds."""
     neg_total = w_plus - sigma
     best_orig = best_stripped = None
     witnesses = []
@@ -746,6 +752,7 @@ def ref_strip_scan(domains, tables_all, tables_pos, sigma, w_plus, scale):
             best_orig = (unsat, f)
         if best_stripped is None or unsat_pos < best_stripped[0]:
             best_stripped = (unsat_pos, f)
+    witnesses = witnesses[:MAX_RECORDED_WITNESSES]
     return len(scores_pos), witnesses, best_orig, best_stripped
 
 
@@ -1047,9 +1054,11 @@ def test_strip_scan_walks_only_the_failing_rows():
     table = [[PAD] * 4] + [[PAD, 0, 0, 0] for _ in range(3)]
     table[2][3] = 5
     args = (domains, {(0, 6): table}, {}, 10, 10, 2)
-    cases, witnesses, best_orig, best_stripped = strip_scan(*args)
+    (cases, witnesses, best_orig, best_stripped), walks = walked_strip_scan(args)
     assert (cases, witnesses, best_orig, best_stripped) == ref_strip_scan(*args)
-    assert len(witnesses) == 3 * 3**4
+    # 3 * 3^4 labelings fail; the first failing row fills the record
+    assert len(witnesses) == MAX_RECORDED_WITNESSES < 3 * 3**4
+    assert walks == 1
     assert witnesses[0] == (
         None, (2, 1, 1, 1, 1, 1, 3), "W'(f) <= W(f) + |W-|", (Fraction(5), Fraction(5, 2))
     )
@@ -1860,9 +1869,9 @@ def test_scaled_weights_matches_the_per_element_reference(weights):
 
 
 def ref_parse(text):
-    """The whole-line parser for GUGP, REL and T22 files: every line is split
-    into all its tokens, each token converted on its own, and each constraint
-    cached on its token tuple."""
+    """The whole-line parser for GUGP, REL, T22 and TSP files: every line is
+    split into all its tokens, each token converted on its own, and each
+    constraint cached on its token tuple."""
     lines = ((number, raw.split()) for number, raw in enumerate(text.splitlines(), start=1))
     records = (
         (number, fields) for number, fields in lines
@@ -1944,6 +1953,17 @@ def ref_parse(text):
             pv = permutation(tuple(fields[6 + width :]), line)
             edges.append(T22Edge(u, v, weight, pu, pv))
         return TwoToTwoInstance(n, k, edges)
+    if header[0] == "TSP":
+        n = keyword("n")
+        pairs = []
+        for line, fields in records:
+            if fields[0] != "w" or len(fields) != 4:
+                raise ParseError("expected 'w <u> <v> <num>/<den>'", line)
+            u, v, weight = head(fields, line)
+            if u >= v:
+                raise ParseError("pair weights require u < v", line)
+            pairs.append((u, v, weight))
+        return TspInstance(n, tuple(pairs))
     k1, k2, n = keyword("k1"), keyword("k2"), keyword("n")
     line, fields = record()
     if len(fields) != 2 or fields[0] != "bipartite" or fields[1] not in ("0", "1"):
@@ -2006,22 +2026,29 @@ def sharing(instance):
 
 # tokens that reach the deeper checks when swapped into a line
 _JUNK = st.sampled_from(
-    ["x", "0", "1", "2", "3", "-1", "1/1", "1/0", "e", "s", "pu", "pv", "V", "W", "#"]
+    ["x", "0", "1", "2", "3", "-1", "1/1", "1/0"]
+    + ["e", "s", "w", "pu", "pv", "V", "W", "#"]
 )
 _SPACES = st.sampled_from([" ", "  ", "\t", " \t", "\xa0"])
 
 
 @st.composite
 def noisy_texts(draw):
-    """A canonical GUGP, REL or T22 file rewritten with runs of spaces and
-    tabs between fields, leading and trailing whitespace, and comment and
+    """A canonical GUGP, REL, T22 or TSP file rewritten with runs of spaces
+    and tabs between fields, leading and trailing whitespace, and comment and
     blank lines; some rewrites also replace, drop or insert one token of a
     line after the header."""
-    kind = draw(st.sampled_from(["gugp", "rel", "t22"]))
+    kind = draw(st.sampled_from(["gugp", "rel", "t22", "tsp"]))
     if kind == "gugp":
         inst = draw(gugp_instances(max_k=5, max_m=10))
     elif kind == "rel":
         inst = draw(relational_instances())
+    elif kind == "tsp":
+        inst = draw(st.builds(
+            lambda seed, n: generate(GenSpec("random-tsp", seed, n=n)).instance,
+            st.integers(min_value=0, max_value=2**64 - 1),
+            st.integers(min_value=3, max_value=5),
+        ))
     else:
         inst = draw(st.builds(
             lambda seed, k, m: generate(GenSpec("random-t22", seed, n=4, m=m, k=k)).instance,
@@ -2032,7 +2059,7 @@ def noisy_texts(draw):
     lines = serialize(inst).splitlines()
     if draw(st.booleans()):
         # mostly an edge line, where the constraint string is cached
-        edge_lines = [i for i, raw in enumerate(lines) if raw.startswith("e ")]
+        edge_lines = [i for i, raw in enumerate(lines) if raw[:2] in ("e ", "w ")]
         if draw(st.booleans()):
             i = draw(st.sampled_from(edge_lines))
         else:
@@ -2114,6 +2141,16 @@ def test_parse_matches_the_whole_line_reference(text):
         "GUGP v1\nk 2\nn 3\ne +0 0_2 1/1 2 1\ne 0 1 1/1 2 x\n",
         "REL v1\nk1 2\nk2 2\nn 3\nbipartite 0\ne +2 0_2 1/1 1 1 1\n",
         "T22 v1\nk 2\nn 3\ne 0_1 +1 1/1 pu 1 2 3 4 pv 4 3 2 1\n",
+        # TSP heads: a bad u, a bad v on a new and on a cached weight token,
+        # a bad weight, vertex tokens that int() reads, and u >= v
+        "TSP v1\nn 3\nw x 1 1/1\n",
+        "TSP v1\nn 3\nw 0 y 1/1\n",
+        "TSP v1\nn 3\nw 0 1 1/1\nw 0 y 1/1\n",
+        "TSP v1\nn 3\nw 0 1 1/1\nw x y 2/1\n",
+        "TSP v1\nn 3\nw 0 1 1/1\nw 0 2 1/0\n",
+        "TSP v1\nn 3\nw 0 1 1/1\nw +1 0_1 1/1\n",
+        "TSP v1\nn 3\nw 0_1 +0 2/1\n",
+        "TSP v1\nn 3\nw 0 1 1/1\nw 2 1 1/1\n",
     ],
 )
 def test_parse_errors_match_the_whole_line_reference(text):
@@ -2275,6 +2312,39 @@ def test_bulk_edge_builder_matches_the_constructor_loop(columns):
         return [GugpEdge(*args) for args in zip(us, vs, ws, ps)]
 
     assert edge_outcome(gugp_edges, columns) == edge_outcome(constructor_loop, columns)
+
+
+def test_bulk_builders_make_no_edge_one_at_a_time(monkeypatch):
+    # every GugpEdge built by the generated constructor runs __post_init__;
+    # gugp_edges stores through the slot setters and runs none
+    base = repeat_max3cut(4, ((0, 1), (1, 2), (2, 3), (0, 2)), 2)
+    t22 = generate(GenSpec("random-t22", seed=9, n=6, m=10, k=3)).instance
+    tsp = generate(GenSpec("random-tsp", seed=3, n=6)).instance
+    spec = GenSpec("random-gugp", seed=5, n=20, m=60, k=3)
+    game = generate(spec).instance
+    text = serialize(game)
+    calls = []
+    real = GugpEdge.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(GugpEdge, "__post_init__", counted)
+    builds = {
+        "random-gugp": lambda: generate(spec),
+        "max-ratio": lambda: generate(dataclasses.replace(spec, max_ratio=Fraction(1, 2))),
+        "pwt1": lambda: pwt1_gadget(base),
+        "pwt-half": lambda: two2two_to_pwt_half(t22),
+        "tsp": lambda: reductions.tsp_to_min_nwa(tsp),
+        "bulk parse": lambda: parse(text),
+    }
+    for name, build in builds.items():
+        build()
+        assert (name, len(calls)) == (name, 0)
+    # the same text behind a comment line takes the per-line route
+    assert parse("# a comment\n" + text) == game
+    assert len(calls) == len(game.edges)
 
 
 def ref_check_instance(instance):

@@ -2,6 +2,7 @@
 transfer, strip sandwich, local-search guarantee, tour equivalence, and the
 merge-fraction measure."""
 
+import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -491,6 +492,38 @@ def test_strip_bounds_fails_on_a_scan_that_misreports(monkeypatch, skew, witness
     report = check_strip_bounds(counterexample_instance())
     assert report.verdict == "FAIL"
     assert witness in report.witnesses
+
+
+def test_strip_scan_records_at_most_the_reported_witnesses(monkeypatch):
+    # a faulty positive plan, the negated game's table set, breaks the
+    # sandwich at most of the 3^8 labelings
+    spec = GenSpec("random-gugp", 1, n=8, m=20, k=3, max_ratio=Fraction(1, 2))
+    inst = generate(spec).instance
+    negated = GugpInstance(
+        inst.n, inst.k, [dataclasses.replace(e, weight=-e.weight) for e in inst.edges]
+    )
+    real_scan, real_strip_scan = verification.scan, verification._strip_scan
+    held = []
+
+    def faulty_scan(instance, domains, positive=False):
+        return real_scan(negated if positive else instance, domains)
+
+    def counted(*args):
+        found = real_strip_scan(*args)
+        held.append(len(found[1]))
+        return found
+
+    monkeypatch.setattr(verification, "scan", faulty_scan)
+    monkeypatch.setattr(verification, "_strip_scan", counted)
+    cap = verification.MAX_RECORDED_WITNESSES
+    report = check_strip_bounds(inst)
+    # with room for every labeling, the scan records them all, and the
+    # report keeps the same first witnesses
+    monkeypatch.setattr(verification, "MAX_RECORDED_WITNESSES", 3**8)
+    unbounded = check_strip_bounds(dataclasses.replace(inst))
+    assert held[0] == cap < held[1]
+    cut = dataclasses.replace(unbounded, witnesses=unbounded.witnesses[:cap])
+    assert report == cut and report.verdict == "FAIL" and report.cases == 3**8
 
 
 @settings(deadline=None, max_examples=40)
