@@ -19,8 +19,9 @@ Conventions used throughout the workbench:
   theirs in a ``__post_init__``.  Either way ``dataclasses.replace``
   validates the new edge;
 * every bulk ``GugpEdge`` build goes through ``gugp_edges``, which takes
-  columns: it checks the constructor's rules in whole-column passes, stores
-  through the slot setters, and on a failed rule replays the constructor,
+  columns, and every bulk ``Permutation`` build through ``permutations``:
+  each checks the constructor's rules in whole-column passes, stores with no
+  ``__post_init__`` call, and on a failed rule replays the constructor,
   so the first error is the constructor's own;
 * the instance types check their edges in whole-column passes too, and walk
   the edges one by one only to name the first offender.
@@ -78,6 +79,23 @@ class Permutation:
         for label, hit in enumerate(self.image, start=1):
             inverse[hit] = label
         return (0,) + self.image, tuple(inverse)
+
+
+def permutations(images: Sequence[tuple[int, ...]]) -> list[Permutation]:
+    """``[Permutation(image) for image in images]`` for tuples: k >= 1 and
+    ``sorted(image) == [1..k]`` are checked in whole-column passes, and on a
+    failed rule or a ``TypeError`` the constructor runs over the images."""
+    try:
+        targets = {k: list(range(1, k + 1)) for k in set(map(len, images))}
+        sizes = map(targets.get, map(len, images))
+        valid = 0 not in targets and all(map(operator.eq, map(sorted, images), sizes))
+    except TypeError:
+        valid = False
+    if not valid:
+        return list(map(Permutation, images))
+    perms = list(map(object.__new__, repeat(Permutation, len(images))))
+    deque(map(object.__setattr__, perms, repeat("image"), images), maxlen=0)
+    return perms
 
 
 @dataclass(frozen=True)

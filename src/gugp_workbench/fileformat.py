@@ -36,17 +36,21 @@ A GUGP file in the serializer's exact form (the header ``GUGP v1``,
 single spaces, a final line feed and no other characters than the
 serializer writes) skips that loop: ``_bulk_gugp`` splits its lines into
 the same five fields a few hundred lines per pass, transposes them into
-columns, converts ``u`` and ``v`` a column at a time and each distinct
-weight token and image string once, and builds the edges with
-``core.gugp_edges``.  It raises nothing: any other file, and every file
-with an error, goes to the per-line route from the top, so messages and
-line numbers do not change.
+columns, converts ``u`` and ``v`` a column at a time, each distinct weight
+token once and the distinct image strings with one ``join``, ``split`` and
+``int`` pass per few hundred strings (where the per-line route converts
+each at its first line), and builds the permutations with
+``core.permutations`` and the edges with ``core.gugp_edges``.  It raises
+nothing: any other file, and every file with an error, goes to the per-line
+route from the top, so messages and line numbers do not change.
 
 Serializing renders each distinct weight, image tuple and relation object
 once and reuses the text for every edge that holds that same object.  Its
-caches are keyed by ``id``, which is safe while the instance being
-serialized holds the object, as it does for the whole call.  Both directions
-share ``core.built_once``.
+texts are keyed by ``id``, which is safe while the instance being
+serialized holds the object, as it does for the whole call: a GUGP body is
+then one list comprehension over the edges, and REL caches through
+``core.built_once``, as parsing does.  Images render through one ``%d``
+template per file, as every image of a file has the same length.
 
 T22 lines repeat a constraint string under 1.2% of the time, so each T22
 line is split and checked whole; it shares weights by token and
@@ -69,6 +73,7 @@ from .core import (
     RelationalInstance,
     built_once,
     gugp_edges,
+    permutations,
 )
 from .errors import ParseError
 from .reductions import T22Edge, TspInstance, TwoToTwoInstance
@@ -116,10 +121,6 @@ def _ints(tokens: Sequence[str], line: int) -> Iterable[int]:
 
 def _parse_permutation(tokens: Sequence[str], line: int) -> Permutation:
     return Permutation(tuple(_ints(tokens, line)))
-
-
-def _images(pi: Permutation) -> str:
-    return " ".join(map(str, pi.image))
 
 
 Records = Iterator[tuple[int, list[str]]]
@@ -174,12 +175,14 @@ def _edge_head(
 
 def serialize_gugp(instance: GugpInstance) -> str:
     lines = ["GUGP v1", f"k {instance.k}", f"n {instance.n}"]
-    weights: dict[int, str] = {}
-    perms: dict[int, str] = {}
-    for e in instance.edges:
-        weight = built_once(weights, id(e.weight), fmt_fraction, e.weight)
-        images = built_once(perms, id(e.pi), _images, e.pi)
-        lines.append(f"e {e.u} {e.v} {weight} {images}")
+    edges = instance.edges
+    weights = {id(e.weight): e.weight for e in edges}
+    weights = {key: fmt_fraction(w) for key, w in weights.items()}
+    perms = {id(e.pi): e.pi for e in edges}
+    # every image has k labels; the header's k alone sizes no template
+    images = " ".join(["%d"] * instance.k) if edges else ""
+    perms = {key: images % pi.image for key, pi in perms.items()}
+    lines += [f"e {e.u} {e.v} {weights[id(e.weight)]} {perms[id(e.pi)]}" for e in edges]
     return "\n".join(lines) + "\n"
 
 
@@ -189,7 +192,9 @@ _EDGE_FIELDS = methodcaller("split", " ", 4)
 # Lines split per pass: a pass's rows and zip's iterators over them die
 # before the cyclic GC's first generation (700 allocations by default) fills;
 # with every row of a 50,000-line file alive at once, the collections it set
-# off made the bulk route slower than the per-line one.
+# off made the bulk route slower than the per-line one.  Distinct image
+# strings are converted as many per pass, so one pass's label strings, not
+# the whole file's, are alive at once.
 _PASS_LINES = 256
 
 
@@ -229,12 +234,15 @@ def _bulk_gugp(text: str) -> GugpInstance | None:
             image_strings += images
         del lines
         weights = {t: parse_fraction(t, None) for t in dict.fromkeys(weight_tokens)}
-        perms = {
-            s: Permutation(tuple(map(int, s.split(" "))))
-            for s in dict.fromkeys(image_strings)
-        }
-        if any(len(pi.image) != k for pi in perms.values()):
+        distinct = list(dict.fromkeys(image_strings))
+        if {s.count(" ") for s in distinct} != {k - 1}:
             return None
+        image_tuples = []
+        for start in range(0, len(distinct), _PASS_LINES):
+            # a pass's labels at once; zip over one iterator chunks them by k
+            part = " ".join(distinct[start : start + _PASS_LINES]).split(" ")
+            image_tuples += zip(*[map(int, part)] * k)
+        perms = dict(zip(distinct, permutations(image_tuples)))
         weight_column = list(map(weights.__getitem__, weight_tokens))
         pi_column = list(map(perms.__getitem__, image_strings))
         # the tokens go before the edges are built
@@ -354,9 +362,10 @@ def _parse_rel(records: Records) -> RelationalInstance:
 
 def serialize_t22(instance: TwoToTwoInstance) -> str:
     lines = ["T22 v1", f"k {instance.k}", f"n {instance.n}"]
+    images = " ".join(["%d"] * 2 * instance.k) if instance.edges else ""
     for e in instance.edges:
-        weight, pu, pv = fmt_fraction(e.weight), _images(e.pi_u), _images(e.pi_v)
-        lines.append(f"e {e.u} {e.v} {weight} pu {pu} pv {pv}")
+        pu, pv = images % e.pi_u.image, images % e.pi_v.image
+        lines.append(f"e {e.u} {e.v} {fmt_fraction(e.weight)} pu {pu} pv {pv}")
     return "\n".join(lines) + "\n"
 
 

@@ -37,7 +37,8 @@ of a second table of their negations), so no ``Fraction`` is built per edge.
 Within one ``generate`` call every distinct permutation image is built, and
 so validated, once and shared by the edges that draw it: a permutation is
 keyed by its k - 1 shuffle draws, which Fisher-Yates maps one-to-one to
-images.  Neither changes what is drawn or in which order.
+images, and each pass's new images are built in one ``core.permutations``
+call.  Neither changes what is drawn or in which order.
 
 Before any draw, a size above ``GEN_SIZE_CAP`` raises ``CapacityError``:
 m*k (random-gugp), n(n-1)/2 (random-tsp), n + m (planted-3col), or 4*m*k
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .core import GugpInstance, Labeling, Permutation, built_once, gugp_edges, metrics
+from .core import GugpInstance, Labeling, Permutation, gugp_edges, metrics, permutations
 from .errors import CapacityError, UsageError
 from .reductions import (
     T22Edge,
@@ -126,14 +127,22 @@ def _edge_passes(stream: SplitMix64, m: int, edge_bounds: list[int]):
 Perms = dict[tuple[int, ...], Permutation]
 
 
+def _interned(images: list[tuple[int, ...]], perms: Perms) -> list[Permutation]:
+    """Each image's permutation, building the ones not in ``perms`` at once."""
+    fresh = [image for image in dict.fromkeys(images) if image not in perms]
+    if fresh:  # after the first passes, small k draws nothing new
+        perms.update(zip(fresh, permutations(fresh)))
+    return list(map(perms.__getitem__, images))
+
+
 def _permutations(columns: list, rows: int, k: int, perms: Perms) -> list[Permutation]:
     """Per row, the permutation that its k - 1 shuffle draws, the first k - 1
     ``columns``, make; ``perms`` is keyed by those draws and by the image
     (k - 1 and k long), so each image is built and checked once."""
     keys = list(zip(*columns[: k - 1])) if k > 1 else [()] * rows
-    for key in set(keys).difference(perms):
-        image = fisher_yates(list(range(1, k + 1)), key)
-        perms[key] = built_once(perms, tuple(image), Permutation, image)
+    new = list(set(keys).difference(perms))
+    images = [tuple(fisher_yates(list(range(1, k + 1)), key)) for key in new]
+    perms.update(zip(new, _interned(images, perms)))
     return list(map(perms.__getitem__, keys))
 
 
@@ -154,14 +163,16 @@ def _random_gugp(spec: GenSpec, stream: SplitMix64) -> GenResult:
     drawn = 0
     while drawn < _RESAMPLE_BUDGET and drawn * size <= _RESAMPLE_WORK * GEN_SIZE_CAP:
         drawn += 1
-        edges = []
-        for us, vs, columns in _edge_passes(stream, spec.m, edge_bounds):
-            pis = _permutations(columns, len(us), k, perms)
+        us, vs, weights, pis = [], [], [], []
+        for u, v, columns in _edge_passes(stream, spec.m, edge_bounds):
+            us += u
+            vs += v
+            pis += _permutations(columns, len(u), k, perms)
             index = map(operator.add, map((9).__mul__, columns[k - 1]), columns[k])
             signs = columns[k + 1] if draw_signs else repeat(int(not spec.nwa))
             tables = map(_SIGNED_WEIGHTS.__getitem__, signs)
-            weights = list(map(tuple.__getitem__, tables, index))
-            edges += gugp_edges(us, vs, weights, pis)
+            weights += map(tuple.__getitem__, tables, index)
+        edges = gugp_edges(us, vs, weights, pis)
         instance = GugpInstance(spec.n, spec.k, tuple(edges))
         if spec.max_ratio is None:
             return GenResult(instance)
@@ -239,18 +250,21 @@ def _random_t22(spec: GenSpec, stream: SplitMix64) -> GenResult:
     for us, vs, columns in _edge_passes(stream, spec.m, edge_bounds):
         pis_u = _permutations(columns, len(us), width, perms)
         pis_v = _permutations(columns[width - 1 :], len(us), width, perms)
-        for u, v, pi_u, pi_v in zip(us, vs, pis_u, pis_v):
-            if planted is not None:
+        if planted is not None:
+            images = []
+            for u, v, pi_u, pi_v in zip(us, vs, pis_u, pis_v):
                 # swap pi_u's value at the planted left label with the block
                 # partner of pi_v's value at the planted right label
                 hit = pi_u.apply(planted[u])
                 target = pi_v.apply(planted[v])
+                image = pi_u.image
                 if not t_contains(hit, target):
-                    image = list(pi_u.image)
-                    spot = image.index(target)
-                    image[planted[u] - 1], image[spot] = target, hit
-                    pi_u = built_once(perms, tuple(image), Permutation, image)
-            edges.append(T22Edge(u, v, one, pi_u, pi_v))
+                    swapped = list(image)
+                    swapped[planted[u] - 1], swapped[image.index(target)] = target, hit
+                    image = tuple(swapped)
+                images.append(image)
+            pis_u = _interned(images, perms)
+        edges += map(T22Edge, us, vs, repeat(one), pis_u, pis_v)
     return GenResult(TwoToTwoInstance(spec.n, spec.k, tuple(edges)), planted)
 
 

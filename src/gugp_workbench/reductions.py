@@ -47,6 +47,7 @@ from .core import (
     check_instance,
     edge_weight,
     gugp_edges,
+    permutations,
     scaled_weights,
 )
 from .errors import (
@@ -575,16 +576,16 @@ def two2two_to_pwt_half(
     w_miss = Fraction(-1, 2 * instance.k - 1)
     labels = range(1, k2 + 1)
     shifts = [(0, *(_pair_shift(a, s, k2) for a in labels)) for s in labels]
-    pis: list[Permutation] = []
+    images: list[tuple[int, ...]] = []
     for e in instance.edges:
         inverse, image = e.pi_v.rows[1].__getitem__, e.pi_u.image
-        pis.extend(
-            Permutation(tuple(map(inverse, map(shift.__getitem__, image))))
-            for shift in shifts
+        images.extend(
+            tuple(map(inverse, map(shift.__getitem__, image))) for shift in shifts
         )
     us = _bundled(map(operator.attrgetter("u"), instance.edges), k2)
     vs = _bundled(map(operator.attrgetter("v"), instance.edges), k2)
     weights = ((w_hit, w_hit) + (w_miss,) * (k2 - 2)) * m
+    pis = permutations(images)
     gadget = GugpInstance(instance.n, k2, gugp_edges(us, vs, weights, pis))
     return gadget, BundleMap(m, k2)
 

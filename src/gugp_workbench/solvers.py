@@ -127,7 +127,9 @@ def _plan(layout: Layout, tables: Tables) -> Plan:
             rows = map(table.__getitem__, columns[u])
             internal.append(map(operator.getitem, rows, columns[v]))
         else:
-            by_label = crossing.setdefault(u, {a: zeros[:] for a in domains[u]})
+            by_label = crossing.get(u)
+            if by_label is None:
+                by_label = crossing[u] = {a: zeros[:] for a in domains[u]}
             for a, rows_at in by_label.items():
                 rows_at[v - split] = list(
                     map(operator.add, rows_at[v - split], table[a][1:])

@@ -108,6 +108,7 @@ from gugp_workbench.core import scaled_weights
 from gugp_workbench.evaluation import pair_tables
 from gugp_workbench import fileformat
 from gugp_workbench.core import gugp_edges
+from gugp_workbench.core import permutations as bulk_permutations
 from gugp_workbench.fileformat import parse_fraction
 from gugp_workbench.reductions import _pair_shift
 from gugp_workbench.solvers import (
@@ -2267,6 +2268,55 @@ def test_bulk_route_reads_other_tokens_as_the_per_line_route(text):
     assert sharing(found) == sharing(reference)
 
 
+_BASE3 = "GUGP v1\nk 3\nn 3\ne 0 1 1/2 2 3 1\ne 1 2 -1/3 1 2 3\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # too few and too many labels, on the first and on a later image
+        _BASE.replace("1/2 2 1", "1/2 2"),
+        _BASE.replace("-1/3 1 2", "-1/3 1 2 3"),
+        _BASE3.replace("2 3 1", "2 3"),
+        _BASE3.replace("1 2 3\n", "1 2 3 1\n"),
+        # a double space: one space too many, and the count right with an
+        # empty label
+        _BASE.replace("1/2 2 1", "1/2 2  1"),
+        _BASE3.replace("1/2 2 3 1", "1/2 2  1"),
+        _BASE3.replace("-1/3 1 2 3", "-1/3  2 3"),
+        _BASE3.replace("-1/3 1 2 3", "-1/3 1 2 "),
+        # a leading zero, read as the per-line route reads it
+        _BASE.replace("1/2 2 1", "1/2 2 01"),
+        _BASE3.replace("-1/3 1 2 3", "-1/3 01 002 3"),
+        # labels -1 and k + 1, on the first and on a later image
+        _BASE.replace("1/2 2 1", "1/2 2 -1"),
+        _BASE3.replace("-1/3 1 2 3", "-1/3 1 -1 3"),
+        _BASE.replace("1/2 2 1", "1/2 3 1"),
+        _BASE3.replace("-1/3 1 2 3", "-1/3 1 2 4"),
+        _BASE3.replace("-1/3 1 2 3", "-1/3 1 2 2"),
+    ],
+)
+def test_bulk_route_reads_image_fields_as_the_per_line_route(text):
+    expected = outcome(per_line_parse, text)
+    assert outcome(parse, text) == expected == outcome(ref_parse, text)
+    found = fileformat._bulk_gugp(text)
+    if found is not None:
+        assert found == expected and sharing(found) == sharing(expected)
+
+
+def test_bulk_route_converts_image_strings_across_passes():
+    # a pwt-half gadget: nearly every edge has its own image string, so the
+    # distinct strings fill several conversion passes
+    source = generate(GenSpec("random-t22", seed=3, n=30, m=100, k=4)).instance
+    text = serialize(two2two_to_pwt_half(source)[0])
+    images = {line.split(" ", 4)[4] for line in text.splitlines()[3:]}
+    assert len(images) > 2 * fileformat._PASS_LINES
+    found = fileformat._bulk_gugp(text)
+    reference = per_line_parse(text)
+    assert found is not None and found == reference == ref_parse(text)
+    assert sharing(found) == sharing(reference)
+
+
 _BAD_WEIGHTS = [Fraction(0), 0, 2]
 
 
@@ -2312,6 +2362,91 @@ def test_bulk_edge_builder_matches_the_constructor_loop(columns):
         return [GugpEdge(*args) for args in zip(us, vs, ws, ps)]
 
     assert edge_outcome(gugp_edges, columns) == edge_outcome(constructor_loop, columns)
+
+
+_ODD_LABELS = st.sampled_from(["1", 1.0, None, True, Fraction(2)])
+
+
+@st.composite
+def image_lists(draw):
+    """Image tuples, mostly bijections on one [1..k], with now and then an
+    empty tuple, a bijection of another length, a repeated label, a label 0
+    or k + 1, or an entry that is not an int."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    size = draw(st.integers(min_value=0, max_value=6))
+    images = [list(draw(st.permutations(range(1, k + 1)))) for _ in range(size)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if size else 0):
+        image = images[draw(st.integers(min_value=0, max_value=size - 1))]
+        spot = draw(st.integers(min_value=0, max_value=k - 1))
+        how = draw(st.sampled_from(["empty", "length", "repeat", "0", "k+1", "type"]))
+        if how == "empty":
+            image.clear()
+        elif how == "length":
+            image[:] = draw(st.permutations(range(1, k + 2)))
+        elif image and how == "repeat":
+            image[spot] = image[draw(st.integers(min_value=0, max_value=len(image) - 1))]
+        elif image:
+            labels = {"0": st.just(0), "k+1": st.just(k + 1), "type": _ODD_LABELS}
+            image[spot] = draw(labels[how])
+    return [tuple(image) for image in images]
+
+
+def permutation_outcome(build, images):
+    try:
+        return [(type(pi), pi.image, pi.rows, repr(pi), hash(pi)) for pi in build(images)]
+    except (ValidationError, TypeError) as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(image_lists())
+@example([()])
+@example([(1,), (1,)])
+@example([(2, 1), (1, 2, 3)])
+@example([(2, 1), (1, "2")])
+@example([(1, 2), (0, 1)])
+@example([(3, 1), (1, 2)])
+def test_bulk_permutation_builder_matches_the_constructor_loop(images):
+    def constructor_loop(images):
+        return [Permutation(image) for image in images]
+
+    found = permutation_outcome(bulk_permutations, images)
+    assert found == permutation_outcome(constructor_loop, images)
+
+
+def test_bulk_builders_make_no_permutation_one_at_a_time(monkeypatch):
+    # every Permutation built by its constructor runs __post_init__;
+    # core.permutations stores the images on fresh objects and runs none
+    t22 = generate(GenSpec("random-t22", seed=9, n=6, m=10, k=3)).instance
+    spec = GenSpec("random-gugp", seed=5, n=20, m=60, k=3)
+    game = generate(spec).instance
+    text = serialize(game)
+    calls = []
+    real = Permutation.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    builds = {
+        "random-gugp": lambda: generate(spec),
+        "random-gugp k=1": lambda: generate(dataclasses.replace(spec, k=1)),
+        "random-t22": lambda: generate(GenSpec("random-t22", seed=9, n=6, m=10, k=3)),
+        "planted": lambda: generate(
+            GenSpec("random-t22", seed=9, n=6, m=40, k=2, satisfiable=True)
+        ),
+        "pwt-half": lambda: two2two_to_pwt_half(t22),
+        "bulk parse": lambda: parse(text),
+    }
+    for name, build in builds.items():
+        build()
+        assert (name, len(calls)) == (name, 0)
+    # the same text behind a comment line takes the per-line route, which
+    # builds one permutation per distinct image string
+    assert parse("# a comment\n" + text) == game
+    images = {line.split(" ", 4)[4] for line in text.splitlines()[3:]}
+    assert len(calls) == len(images) < len(game.edges)
 
 
 def test_bulk_builders_make_no_edge_one_at_a_time(monkeypatch):
