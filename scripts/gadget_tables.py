@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Closed-form metric tables for both gadget families, cross-checked.
+"""Metric tables for both gadget families, read off built gadgets.
 
-For every parameter in range this prints the per-bundle weights, the
-negative/positive ratio, and the per-source-edge total weight -- first from
-the closed forms, then re-derived by actually building a single-edge gadget
-and summing its weights.  A mismatch raises, so a clean run doubles as a
-verification sweep.
+For every parameter in range this builds a single-source-edge gadget and
+prints its bundle's first and last edge weights, its negative/positive
+ratio and its total weight per source edge.  Every gadget must pass
+``check_gadget_metrics``, which holds it to the family's closed forms, or
+the script raises, so a clean run doubles as a verification sweep.
 
 Usage:
     python3 scripts/gadget_tables.py --max-fold 4 --max-half 5
@@ -18,6 +18,8 @@ from gugp_workbench import (
     Permutation,
     T22Edge,
     TwoToTwoInstance,
+    check_gadget_metrics,
+    fmt_fraction,
     metrics,
     pwt1_gadget,
     repeat_max3cut,
@@ -25,39 +27,33 @@ from gugp_workbench import (
 )
 
 
-def fmt(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def row(gadget, family: str, param: int, source_edges: int) -> tuple:
+    """The bundle size, the first and last edge weights, the ratio and the
+    sigma per source edge of a gadget that passes its metrics check."""
+    report = check_gadget_metrics(gadget, family, param, source_edges)
+    if report.verdict != "PASS":
+        raise AssertionError(f"{family} closed form mismatch at {param}")
+    got = metrics(gadget)
+    first, last = gadget.edges[0].weight, gadget.edges[-1].weight
+    cells = (first, last, got.ratio, got.sigma / source_edges)
+    return (param, gadget.k, *map(fmt_fraction, cells))
 
 
 def shift_rows(max_fold: int):
     for fold in range(1, max_fold + 1):
-        three, two = 3**fold, 2**fold
-        w_x = Fraction(-(two - 1), three - 1)
-        w_y = Fraction(three - two, three - 1)
-        ratio = Fraction(two - 1, two)
-        sigma = Fraction(three - two, three - 1)
         repeated = repeat_max3cut(2, ((0, 1),), fold)
         gadget, _ = pwt1_gadget(repeated)
-        got = metrics(gadget)
-        if got.ratio != ratio or got.sigma != sigma * len(repeated.edges):
-            raise AssertionError(f"closed form mismatch at fold {fold}")
-        yield fold, three, fmt(w_x), fmt(w_y), fmt(ratio), fmt(sigma)
+        yield row(gadget, "pwt1", fold, len(repeated.edges))
 
 
 def pair_rows(max_half: int):
     for k in range(2, max_half + 1):
-        w_x = Fraction(2 * k - 2, 2 * k - 1)
-        w_y = Fraction(-1, 2 * k - 1)
-        sigma = Fraction(2 * k - 2, 2 * k - 1)
-        identity = Permutation(tuple(range(1, 2 * k + 1)))
+        identity = Permutation.identity(2 * k)
         source = TwoToTwoInstance(
             2, k, (T22Edge(0, 1, Fraction(1), identity, identity),)
         )
         gadget, _ = two2two_to_pwt_half(source)
-        got = metrics(gadget)
-        if got.ratio != Fraction(1, 2) or got.sigma != sigma:
-            raise AssertionError(f"closed form mismatch at half-size {k}")
-        yield k, 2 * k, fmt(w_x), fmt(w_y), "1/2", fmt(sigma)
+        yield row(gadget, "pwt-half", k, 1)
 
 
 def main(argv=None) -> int:

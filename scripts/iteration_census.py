@@ -14,7 +14,7 @@ Usage:
 import argparse
 from fractions import Fraction
 
-from gugp_workbench import GenSpec, SplitMix64, generate, local_search_half
+from gugp_workbench import GenSpec, SplitMix64, fmt_fraction, generate, local_search_half
 
 
 def census(trials: int, seed: int, max_n: int, max_m: int, max_k: int):
@@ -58,10 +58,7 @@ def main(argv=None) -> int:
         args.trials, args.seed, args.max_n, args.max_m, args.max_k
     ):
         total_exceed += exceed
-        print(
-            f"{n:>3} {worst:>10} {str(mean.numerator) + '/' + str(mean.denominator):>12}"
-            f" {exceed:>9}"
-        )
+        print(f"{n:>3} {worst:>10} {fmt_fraction(mean):>12} {exceed:>9}")
     print(f"# runs exceeding their vertex count: {total_exceed}")
     return 0
 

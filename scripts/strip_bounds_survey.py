@@ -16,7 +16,14 @@ Usage:
 import argparse
 from fractions import Fraction
 
-from gugp_workbench import GenSpec, SplitMix64, check_strip_bounds, generate, metrics
+from gugp_workbench import (
+    GenSpec,
+    SplitMix64,
+    check_strip_bounds,
+    fmt_fraction,
+    generate,
+    metrics,
+)
 
 BUCKETS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
 
@@ -71,7 +78,7 @@ def main(argv=None) -> int:
         f" {'lower fails':>12} {'neg optimum':>12}"
     )
     for bound, sandwich, upper, lower, negative in survey(args.trials, args.seed):
-        label = f"{bound.numerator}/{bound.denominator}"
+        label = fmt_fraction(bound)
         print(f"{label:>9} {sandwich:>15} {upper:>12} {lower:>12} {negative:>12}")
     print("# the weight-level sandwich is a hard guarantee; any nonzero count")
     print("# in its column is a bug.  The normalized columns are descriptive.")

@@ -12,11 +12,9 @@ Conventions used throughout the workbench:
   ``rows``) is cached on the object at first use and touches no equality,
   hash or ``repr``;
 * the edge types (``GugpEdge``, ``RelEdge`` and ``reductions.T22Edge``) are
-  slotted frozen dataclasses with the generated equality, hashing and
-  ``repr``.  ``RelEdge``, which REL files and the reductions' relational
-  games build one edge at a time, checks its arguments in a hand-written
-  ``__init__`` before it stores them; ``GugpEdge`` and ``T22Edge`` check
-  theirs in a ``__post_init__``.  Either way ``dataclasses.replace``
+  slotted frozen dataclasses with the generated ``__init__``, equality,
+  hashing and ``repr``; each checks its arguments in a ``__post_init__``
+  (``edge_weight``, then its own sign rule), so ``dataclasses.replace``
   validates the new edge;
 * every bulk ``GugpEdge`` build goes through ``gugp_edges``, which takes
   columns, and every bulk ``Permutation`` build through ``permutations``:
@@ -135,14 +133,6 @@ def edge_weight(u: int, v: int, weight: Fraction | int) -> Fraction:
     return weight
 
 
-def slot_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot descriptor, in field order.
-    ``RelEdge``'s hand-written ``__init__`` and ``gugp_edges`` store through
-    these: one C call per field, where a frozen dataclass's generated
-    ``__init__`` makes one ``object.__setattr__`` call per field."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
 # endpoint and image columns, read in whole-column passes
 _U, _V = operator.attrgetter("u"), operator.attrgetter("v")
 _IMAGE = operator.attrgetter("pi.image")
@@ -183,7 +173,8 @@ class GugpEdge:
         object.__setattr__(self, "weight", weight)
 
 
-_GUGP_SETTERS = slot_setters(GugpEdge)
+# each field's slot descriptor ``__set__``: one C call per stored field
+_GUGP_SETTERS = tuple(getattr(GugpEdge, f.name).__set__ for f in fields(GugpEdge))
 
 
 def gugp_edges(
@@ -257,7 +248,7 @@ class GugpInstance:
         return self.k
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class RelEdge:
     """Oriented edge carrying an arbitrary relation and a positive weight.
 
@@ -269,19 +260,13 @@ class RelEdge:
     weight: Fraction
     rel: Relation
 
-    def __init__(self, u: int, v: int, weight: Fraction, rel: Relation):
-        weight = edge_weight(u, v, weight)
+    def __post_init__(self):
+        weight = edge_weight(self.u, self.v, self.weight)
         if weight.numerator <= 0:
-            raise ValidationError(f"relational edge ({u},{v}) needs positive weight")
-        # slot descriptors store with one C call each, not object.__setattr__
-        set_u, set_v, set_weight, set_rel = _REL_SETTERS
-        set_u(self, u)
-        set_v(self, v)
-        set_weight(self, weight)
-        set_rel(self, rel)
-
-
-_REL_SETTERS = slot_setters(RelEdge)
+            raise ValidationError(
+                f"relational edge ({self.u},{self.v}) needs positive weight"
+            )
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)

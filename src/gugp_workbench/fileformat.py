@@ -47,10 +47,9 @@ route from the top, so messages and line numbers do not change.
 Serializing renders each distinct weight, image tuple and relation object
 once and reuses the text for every edge that holds that same object.  Its
 texts are keyed by ``id``, which is safe while the instance being
-serialized holds the object, as it does for the whole call: a GUGP body is
-then one list comprehension over the edges, and REL caches through
-``core.built_once``, as parsing does.  Images render through one ``%d``
-template per file, as every image of a file has the same length.
+serialized holds the object, as it does for the whole call: a GUGP or REL
+body is then one list comprehension over the edges.  Images render through
+one ``%d`` template per file, as every image of a file has the same length.
 
 T22 lines repeat a constraint string under 1.2% of the time, so each T22
 line is split and checked whole; it shares weights by token and
@@ -289,12 +288,12 @@ def serialize_rel(instance: RelationalInstance) -> str:
     if instance.sides is not None:
         for v, side in enumerate(instance.sides):
             lines.append(f"s {v} {side}")
-    weights: dict[int, str] = {}
-    relations: dict[int, str] = {}
-    for e in instance.edges:
-        weight = built_once(weights, id(e.weight), fmt_fraction, e.weight)
-        rel = built_once(relations, id(e.rel), _relation_fields, e.rel)
-        lines.append(f"e {e.u} {e.v} {weight} {rel}")
+    edges = instance.edges
+    weights = {id(e.weight): e.weight for e in edges}
+    weights = {key: fmt_fraction(w) for key, w in weights.items()}
+    rels = {id(e.rel): e.rel for e in edges}
+    rels = {key: _relation_fields(rel) for key, rel in rels.items()}
+    lines += [f"e {e.u} {e.v} {weights[id(e.weight)]} {rels[id(e.rel)]}" for e in edges]
     return "\n".join(lines) + "\n"
 
 

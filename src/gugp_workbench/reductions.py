@@ -20,8 +20,10 @@ Contents:
 Mixed-radix encodings (base n for tuple vertices, base 3 for tuple labels,
 most-significant coordinate first) are part of the interchange contract and
 exposed via the encode/decode helpers, kept public as the reference oracles
-that the tests hold the builders' tables to.  The builders extend such codes
-one coordinate at a time (``a * base + digit``), so each table costs time in
+that the tests hold the builders' tables to; no builder calls them, and only
+``RepeatedInstance``'s check decodes its endpoints with ``decode_vertex``.
+The builders, ``product_coloring`` included, extend such codes one
+coordinate at a time (``a * base + digit``), so each table costs time in
 proportion to its size.  What depends on the fold alone (the relation and
 the pwt1 weight and shift bundle) is built once per fold and shared; the
 pwt-half pair-shift rows are built once per call.
@@ -42,7 +44,6 @@ from .core import (
     RelEdge,
     Relation,
     RelationalInstance,
-    built_once,
     capped_power_product,
     check_instance,
     edge_weight,
@@ -269,10 +270,11 @@ class RepeatedInstance:
         if self.base_n < 1 or self.fold < 1:
             raise ValidationError("base size and fold must be positive")
         seen = set()
-        base_n, fold = self.base_n, self.fold  # each vertex is decoded once
+        base_n, fold, n = self.base_n, self.fold, self.n
+        # each vertex is decoded once
         decode = functools.cache(lambda vertex: decode_vertex(vertex, base_n, fold))
         for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u},{v}) out of vertex range")
             if u >= v:
                 raise ValidationError("repeated edges must be stored (min, max)")
@@ -324,17 +326,18 @@ def repeated_from_relational(instance: RelationalInstance) -> RepeatedInstance:
         raise ValidationError("label count must be a power of three (at least 3)")
     fold = label_fold(instance.k1)
     differ = all_coords_differ_relation(fold)
-    pairs = []
-    # one comparison per relation object, keyed by id: the instance holds them
-    differs: dict[int, bool] = {}
-    for e in instance.edges:
-        if e.weight != 1:
+    # each distinct (weight, relation) pair of objects, keyed by id while the
+    # instance holds them, in order of first appearance: the first failing
+    # pair is the first failing edge's
+    parts = {(id(e.weight), id(e.rel)): (e.weight, e.rel) for e in instance.edges}
+    for weight, rel in parts.values():
+        if weight != 1:
             raise ValidationError("repeated 3-cut edges carry unit weight")
-        if built_once(differs, id(e.rel), operator.ne, e.rel, differ):
+        if rel != differ:
             raise ValidationError(
                 "every relation must be the all-coordinates-differ relation"
             )
-        pairs.append((min(e.u, e.v), max(e.u, e.v)))
+    pairs = [(min(e.u, e.v), max(e.u, e.v)) for e in instance.edges]
     # integer fold-th root: binary search below 2^ceil(bits(n) / fold)
     n, base, top = instance.n, 1, 1 << -(-instance.n.bit_length() // fold)
     while base < top:
@@ -398,17 +401,18 @@ def product_coloring(chi: tuple[int, ...], fold: int) -> Labeling:
     """Lift a base 3-coloring to the repeated instance coordinate-wise.
 
     Tuple vertex (v_1, ..., v_fold) receives the encoded color tuple
-    (chi(v_1), ..., chi(v_fold)).  If chi properly colors the base graph, the
-    lifted labeling differs in every coordinate across every repeated edge.
+    (chi(v_1), ..., chi(v_fold)), extended one coordinate at a time.  If chi
+    properly colors the base graph, the lifted labeling differs in every
+    coordinate across every repeated edge.
     """
-    base_n = len(chi)
     for c in chi:
         if not 1 <= c <= 3:
             raise ValidationError(f"color {c} out of range [1..3]")
-    labels = []
-    for vertex in range(base_n**fold):
-        coords = decode_vertex(vertex, base_n, fold)
-        labels.append(encode_label_tuple(tuple(chi[c] for c in coords)))
+    if fold < 0:
+        raise ValidationError("fold must be non-negative")
+    labels = [1]  # the one label of fold 0
+    for _ in range(fold):
+        labels = [3 * a + c - 3 for a in labels for c in chi]
     return tuple(labels)
 
 

@@ -369,6 +369,7 @@ def test_repeated_round_trip_through_relational():
     assert repeated_from_relational(repeated.to_relational()) == repeated
 
 
+@pytest.mark.parametrize("where", [(0, 1, 2), (5, 11, 12)], ids=["first", "later"])
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
 @pytest.mark.parametrize(
     "bad, message",
@@ -379,7 +380,9 @@ def test_repeated_round_trip_through_relational():
     ],
     ids=["weight-first", "relation-first", "one-edge"],
 )
-def test_repeated_from_relational_reports_the_first_bad_edge(shared, bad, message):
+def test_repeated_from_relational_reports_the_first_bad_edge(
+    where, shared, bad, message
+):
     # each relation object is compared once, so a relation met before, as
     # the same object or an equal copy, must neither hide nor reorder errors
     good = repeat_max3cut(3, triangle_pairs(), 2).to_relational()
@@ -393,9 +396,9 @@ def test_repeated_from_relational_reports_the_first_bad_edge(shared, bad, messag
     edges = [edge(e, e.weight, differ) for e in good.edges]
     clean = dataclasses.replace(good, edges=tuple(edges))
     assert repeated_from_relational(clean) == repeated_from_relational(good)
-    # edges 5 and 11 go bad in the given order, and edge 12 repeats the bad
-    # relation
-    for i, kind in zip((5, 11, 12), bad + ("relation",)):
+    # the first two edges of ``where`` go bad in the given order, and the
+    # third repeats the bad relation
+    for i, kind in zip(where, bad + ("relation",)):
         weight = Fraction(2 if kind in ("weight", "both") else 1)
         edges[i] = edge(good.edges[i], weight, differ if kind == "weight" else near)
     with pytest.raises(ValidationError, match=message):
@@ -404,6 +407,13 @@ def test_repeated_from_relational_reports_the_first_bad_edge(shared, bad, messag
 
 def test_product_coloring_l1_is_base():
     assert product_coloring((1, 2, 3), 1) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("chi", [(), (1,), (1, 2, 3)])
+@pytest.mark.parametrize("fold", [-1, -3])
+def test_product_coloring_refuses_a_negative_fold(chi, fold):
+    with pytest.raises(ValidationError, match="^fold must be non-negative$"):
+        product_coloring(chi, fold)
 
 
 def test_product_coloring_satisfies_repeated_triangle():

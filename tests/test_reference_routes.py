@@ -1,40 +1,42 @@
 """The integer routes against plain ``Fraction`` references.
 
-Each reference below is the direct per-edge ``Fraction`` loop for one
-weight sum, solver or verifier, or the label-decoding form of one indicator
+Each reference below is the direct per-edge ``Fraction`` loop for one weight
+sum, solver or verifier, or the label-decoding form of one indicator
 predicate.  The package's integer and relation-built routes must match it
 exactly: the same values, labelings, work counts, notes, and witnesses in
 scan order.  The generator and the serializers are held to per-edge copies
-the same way: the same instances and the same bytes; the generator and the
-GUGP and REL serializers build or render each distinct weight, permutation
-and relation once.  The parser, which splits GUGP and REL edge lines only
-up to their constraint string and reads every edge line's ``u v w`` with
-one guarded conversion, is held to a parser that splits every GUGP, REL,
-T22 and TSP line whole and converts each token on its own: the same
-objects, or the same error on the same line.  The edge types, slotted
-dataclasses that check their arguments in a hand-written ``__init__``
-(``RelEdge``) or in a ``__post_init__`` (``GugpEdge``, ``T22Edge``), are
-held to the same rules run as ``__post_init__`` steps of plain frozen
-dataclasses: the same fields, hash and repr, or the same error.
-``scaled_weights``, which scales each distinct weight object once, is held
-to a per-element loop, and ``_pair_shift`` to its three-branch form.  The
-exhaustive scan, compiled once per game, is held to the same kernel built
-afresh per call: the same blocks, prefixes, bases and rows.  ``smoothness``,
-which compares label columns per vertex, is held to the per-pair loop over
-each vertex's edges.  The local search, which finds its mover from a heap,
-is held to the loop that rescans from vertex 0 after every move.  The bulk
-GUGP parse is held to the per-line route, sharing included, the bulk edge
-builder to a constructor loop, and the instance checks, made in
-whole-column passes, to their edge-by-edge loops; every bulk GUGP build
-(generation, both gadgets, the TSP encoding and the bulk parse) makes no
-edge through the constructor.  The gadget builders, which extend their
-tables one coordinate at a time and build per fold or per call what depends
-on nothing else, are held to the definitions: the all-coordinates-differ
-relation to the label-decoding filter over every pair, the two-to-two
-relation to the ``t_contains`` filter, the repeated edges to
-``itertools.product`` over oriented base edges, the pwt1 shifts to decode,
-``modplus`` and encode per label, and the pwt-half images to per-label
-``_pair_shift`` composition.
+the same way: the same instances and the same bytes; the generator builds,
+and the GUGP and REL serializers render, each distinct weight, permutation
+and relation object once, counted by patching the renderers.  The parser,
+which splits GUGP and REL edge lines only up to their constraint string and
+reads every edge line's ``u v w`` with one guarded conversion, is held to a
+parser that splits every GUGP, REL, T22 and TSP line whole and converts each
+token on its own: the same objects, or the same error on the same line.  The
+edge types, slotted dataclasses that check their arguments in a
+``__post_init__``, are held to the same rules run as ``__post_init__`` steps
+of plain frozen dataclasses: the same fields, hash and repr, or the same
+error.  ``scaled_weights``, which scales each distinct weight object once,
+is held to a per-element loop, and ``_pair_shift`` to its three-branch form.
+The exhaustive scan, compiled once per game, is held to the same kernel
+built afresh per call: the same blocks, prefixes, bases and rows.
+``smoothness``, which compares label columns per vertex, is held to the
+per-pair loop over each vertex's edges.  The local search, which finds its
+mover from a heap, is held to the loop that rescans from vertex 0 after
+every move.  The bulk GUGP parse is held to the per-line route, sharing
+included, the bulk edge builder to a constructor loop, and the instance
+checks, made in whole-column passes, to their edge-by-edge loops; every bulk
+GUGP build (generation, both gadgets, the TSP encoding and the bulk parse)
+makes no edge through the constructor.  The gadget builders, which extend
+their tables one coordinate at a time and build per fold or per call what
+depends on nothing else, are held to the definitions: the
+all-coordinates-differ relation to the label-decoding filter over every
+pair, the two-to-two relation to the ``t_contains`` filter, the repeated
+edges to ``itertools.product`` over oriented base edges, the pwt1 shifts to
+decode, ``modplus`` and encode per label, the pwt-half images to per-label
+``_pair_shift`` composition, and ``product_coloring`` to decode and encode
+per vertex.  ``repeated_from_relational``, which checks each distinct pair
+of weight and relation objects once, is held to the per-edge loop: the same
+first failing edge and message.
 """
 
 import collections
@@ -81,6 +83,7 @@ from gugp_workbench import (
     check_strip_bounds,
     coordinate_collision_predicate,
     decode_label,
+    decode_vertex,
     encode_label_tuple,
     encode_vertex_tuple,
     exhaustive_tsp_optimum,
@@ -92,8 +95,10 @@ from gugp_workbench import (
     modplus,
     pair_block_predicate,
     parse,
+    product_coloring,
     pwt1_gadget,
     repeat_max3cut,
+    repeated_from_relational,
     satisfied_weight,
     serialize,
     smoothness,
@@ -110,7 +115,7 @@ from gugp_workbench import fileformat
 from gugp_workbench.core import gugp_edges
 from gugp_workbench.core import permutations as bulk_permutations
 from gugp_workbench.fileformat import parse_fraction
-from gugp_workbench.reductions import _pair_shift
+from gugp_workbench.reductions import _pair_shift, label_fold
 from gugp_workbench.solvers import (
     BLOCK_LABELINGS,
     _best_labeling,
@@ -1730,6 +1735,76 @@ def test_serialize_gadgets_matches_the_per_edge_reference(fold):
         assert serialize(inst) == ref_serialize(inst)
 
 
+def counted(name):
+    """A patch of ``fileformat.<name>`` that records each argument it is
+    called with, and the list it records them in."""
+    calls, real = [], getattr(fileformat, name)
+
+    def recording(part):
+        calls.append(part)
+        return real(part)
+
+    return mock.patch.object(fileformat, name, recording), calls
+
+
+def mixed_sharing_rel():
+    """A REL game whose edges share relation and weight objects, hold equal
+    copies of them, or own theirs."""
+    full = frozenset((a, b) for a in (1, 2) for b in (1, 2))
+    shared, copy = Relation(2, 2, full), Relation(2, 2, full)
+    own = Relation(2, 2, frozenset({(2, 1)}))
+    half, three = Fraction(1, 2), Fraction(3)
+    edges = [
+        RelEdge(0, 1, half, shared),
+        RelEdge(1, 2, half, shared),
+        RelEdge(2, 3, Fraction(2, 4), copy),
+        RelEdge(3, 0, three, own),
+        RelEdge(0, 2, three, shared),
+        RelEdge(1, 3, Fraction(3), Relation(2, 2, frozenset())),
+    ]
+    return RelationalInstance(4, 2, 2, tuple(edges))
+
+
+def mixed_sharing_gugp_game():
+    """The same mix for a GUGP game's weights and permutations."""
+    pi, copy = perm(2, 1, 3), perm(2, 1, 3)
+    half = Fraction(-1, 2)
+    edges = [
+        GugpEdge(0, 1, half, pi),
+        GugpEdge(1, 2, half, copy),
+        GugpEdge(2, 0, Fraction(-2, 4), pi),
+        GugpEdge(0, 2, Fraction(3), perm(3, 2, 1)),
+        GugpEdge(1, 0, Fraction(3), pi),
+    ]
+    return GugpInstance(3, 3, tuple(edges))
+
+
+def test_serializers_render_each_distinct_object_once():
+    repeated = repeat_max3cut(4, ((0, 1), (1, 2), (2, 3), (0, 2)), 2)
+    gadget, _ = pwt1_gadget(repeated)
+    cases = (
+        repeated.to_relational(),
+        mixed_sharing_rel(),
+        gadget,
+        mixed_sharing_gugp_game(),
+    )
+    for inst in cases:
+        weights, weight_calls = counted("fmt_fraction")
+        relations, relation_calls = counted("_relation_fields")
+        with weights, relations:
+            text = serialize(inst)
+        assert text == ref_serialize(inst)
+        distinct_weights = {id(e.weight): e.weight for e in inst.edges}
+        assert list(map(id, weight_calls)) == list(distinct_weights)
+        relational = isinstance(inst, RelationalInstance)
+        rels = [id(e.rel) for e in inst.edges] if relational else []
+        assert list(map(id, relation_calls)) == list(dict.fromkeys(rels))
+    # the mixed games hold equal copies, so distinct objects outnumber values
+    assert len({id(e.rel) for e in cases[1].edges}) == 4
+    assert len({e.rel for e in cases[1].edges}) == 3
+    assert len({id(e.weight) for e in cases[3].edges}) == 4
+
+
 # ---------------------------------------------------------------------------
 # edge constructors and weight scaling
 
@@ -2781,3 +2856,54 @@ def test_repeat_max3cut_matches_the_product_reference_seeded(seed, fold):
     edges = tuple((e.u, e.v) for e in base.edges)
     repeated = repeat_max3cut(base.n, edges, fold)
     assert repeated.edges == ref_repeat_edges(base.n, edges, fold)
+
+
+@pytest.mark.parametrize("fold", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_product_coloring_matches_the_definition(n, fold):
+    # every coloring of every base size up to 4
+    for chi in itertools.product((1, 2, 3), repeat=n):
+        expected = tuple(
+            encode_label_tuple(tuple(chi[c] for c in decode_vertex(v, n, fold)))
+            for v in range(n**fold)
+        )
+        assert product_coloring(chi, fold) == expected
+    if fold == 0:
+        assert product_coloring((1,) * n, fold) == (1,)
+
+
+def ref_repeated_error(instance):
+    """The message of the first failing edge, each edge's weight checked
+    before its relation, or None when every edge passes."""
+    differ = all_coords_differ_relation(label_fold(instance.k1))
+    for e in instance.edges:
+        if e.weight != 1:
+            return "repeated 3-cut edges carry unit weight"
+        if e.rel != differ:
+            return "every relation must be the all-coordinates-differ relation"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_repeated_from_relational_matches_the_per_edge_loop(data):
+    # the pools hold shared objects, equal copies and failing values
+    repeated = repeat_max3cut(3, ((0, 1), (1, 2), (0, 2)), 2)
+    good = repeated.to_relational()
+    one, differ = good.edges[0].weight, good.edges[0].rel
+    weights = [one, Fraction(1), Fraction(2), Fraction(1, 2)]
+    near = Relation(9, 9, differ.pairs - {min(differ.pairs)})
+    rels = [differ, Relation(9, 9, differ.pairs), near]
+    draw = data.draw
+    edges = tuple(
+        RelEdge(e.u, e.v, draw(st.sampled_from(weights)), draw(st.sampled_from(rels)))
+        for e in good.edges
+    )
+    instance = dataclasses.replace(good, edges=edges)
+    message = ref_repeated_error(instance)
+    if message is None:
+        assert repeated_from_relational(instance) == repeated
+    else:
+        with pytest.raises(ValidationError) as caught:
+            repeated_from_relational(instance)
+        assert str(caught.value) == message
