@@ -34,10 +34,10 @@ from .fileformat import fmt_fraction, parse, parse_fraction, serialize, serializ
 from .generators import FAMILIES, GenSpec, generate
 from .reductions import (
     BundleMap,
-    RelEdge,
     TspInstance,
     TwoToTwoInstance,
     label_fold,
+    max3cut_instance,
     pwt1_gadget,
     repeat_max3cut,
     repeated_from_relational,
@@ -95,6 +95,19 @@ def _objective(name: str) -> Objective:
             f"unknown objective {name!r}; choose from "
             f"{', '.join(o.value for o in Objective)}"
         ) from None
+
+
+def _game_objective(instance, name: str | None) -> Objective | None:
+    """The objective ``instance`` is scored by: ``MAX_UGP`` for a REL game,
+    which has no other, and the parsed ``--objective`` (or none) for a GUGP
+    game."""
+    if isinstance(instance, GugpInstance):
+        return _objective(name) if name else None
+    if name:
+        raise UsageError(
+            "relational instances have a single objective; drop --objective"
+        )
+    return Objective.MAX_UGP
 
 
 def _print_report(report: VerifyReport) -> None:
@@ -194,16 +207,9 @@ def _cmd_solve(args) -> int:
     path = getattr(args, "in")
     if args.mode == "brute":
         instance = _read(path, _GAMES, "solve expects a GUGP or REL file")
-        if isinstance(instance, GugpInstance):
-            if not args.objective:
-                raise UsageError("solve brute on a GUGP file needs --objective")
-            objective = _objective(args.objective)
-        else:
-            if args.objective:
-                raise UsageError(
-                    "relational instances have a single objective; drop --objective"
-                )
-            objective = Objective.MAX_UGP
+        objective = _game_objective(instance, args.objective)
+        if objective is None:
+            raise UsageError("solve brute on a GUGP file needs --objective")
         result = brute_force(instance, objective, args.cap)
         print(f"VAL={fmt_fraction(result.value)}")
         print(f"VISITED={result.visited}")
@@ -225,25 +231,15 @@ def _cmd_solve(args) -> int:
 def _cmd_eval(args) -> int:
     instance = _read(getattr(args, "in"), _GAMES, "eval expects a GUGP or REL file")
     labeling = _read(args.labeling, tuple, "--labeling must point at a LAB file")
+    objective = _game_objective(instance, args.objective)
     # compute every value before printing, so a failing input prints nothing
+    values = {"SAT": satisfied_weight(instance, labeling)}
     if isinstance(instance, GugpInstance):
-        values = {
-            "SAT": satisfied_weight(instance, labeling),
-            "UNSAT": unsatisfied_weight(instance, labeling),
-        }
-        if args.objective:
-            objective = _objective(args.objective)
-            values["VAL"] = labeling_value(instance, labeling, objective)
+        values["UNSAT"] = unsatisfied_weight(instance, labeling)
     else:
-        if args.objective:
-            raise UsageError(
-                "relational instances have a single objective; drop --objective"
-            )
-        values = {
-            "SAT": satisfied_weight(instance, labeling),
-            "TOTAL": metrics(instance).sigma,
-            "VAL": labeling_value(instance, labeling, Objective.MAX_UGP),
-        }
+        values["TOTAL"] = metrics(instance).sigma
+    if objective is not None:
+        values["VAL"] = labeling_value(instance, labeling, objective)
     for key, value in values.items():
         print(f"{key}={fmt_fraction(value)}")
     return 0
@@ -259,10 +255,21 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+# the input type each verification accepts, and the message for any other file
+_VERIFY_INPUT = {
+    "gadget-pwt1": (GugpInstance, "gadget-pwt1 expects a GUGP file"),
+    "gadget-pwt-half": (GugpInstance, "gadget-pwt-half expects a GUGP file"),
+    "strip-bounds": (GugpInstance, "strip-bounds expects a GUGP file"),
+    "half-guarantee": (GugpInstance, "half-guarantee expects a GUGP file"),
+    "tsp-equiv": (TspInstance, "tsp-equiv expects a TSP file"),
+    "smoothness": (RelationalInstance, "smoothness expects a REL file"),
+}
+
+
 def _cmd_verify(args) -> int:
-    path, kind = getattr(args, "in"), args.kind
+    kind = args.kind
+    instance = _read(getattr(args, "in"), *_VERIFY_INPUT[kind])
     if kind == "smoothness":
-        instance = _read(path, RelationalInstance, "smoothness expects a REL file")
         eta = smoothness(instance)
         skipped = isolated_left_vertices(instance)
         print(f"ETA={fmt_fraction(eta)}")
@@ -270,68 +277,58 @@ def _cmd_verify(args) -> int:
         for v in skipped:
             print(f"NOTE=ISOLATED_LEFT_VERTEX={v}")
         return 0
-
-    if kind in ("gadget-pwt1", "gadget-pwt-half"):
-        gadget = _read(path, GugpInstance, f"{kind} expects a GUGP file")
-        # one bundle of gadget.k edges per unit-weight source edge
-        if kind == "gadget-pwt1":
-            family, param = "pwt1", label_fold(gadget.k)
-            if not gadget.edges or len(gadget.edges) % gadget.k:
-                raise UsageError(
-                    f"gadget edge count must be a positive multiple of {gadget.k}"
-                )
-            relation_of = coordinate_collision_predicate(param)
-            differ = relation_of(0)
-            source_edges = tuple(
-                RelEdge(first.u, first.v, Fraction(1), differ)
-                for first in gadget.edges[:: gadget.k]
-            )
-            source = RelationalInstance(gadget.n, gadget.k, gadget.k, source_edges)
-        else:
-            if not args.source:
-                raise UsageError(
-                    "gadget-pwt-half needs --source (the T22 file the gadget encodes)"
-                )
-            t22 = _read(args.source, TwoToTwoInstance, "--source must be a T22 file")
-            width = 2 * t22.k
-            if gadget.k != width:
-                raise UsageError(
-                    f"gadget has {gadget.k} labels but source expects {width}"
-                )
-            if len(gadget.edges) != width * len(t22.edges):
-                raise UsageError(
-                    "gadget edge count does not match source edges times bundle size"
-                )
-            for i, (e, first) in enumerate(zip(t22.edges, gadget.edges[::width])):
-                if (first.u, first.v) != (e.u, e.v):
-                    raise UsageError(f"bundle {i} endpoints do not match source edge")
-            family, param = "pwt-half", t22.k
-            relation_of = pair_block_predicate(t22)
-            source = t22.to_unit_relational()
-        bundles = BundleMap(len(source.edges), gadget.k)
-        reports = [
-            check_bundle_exactly_one(gadget, bundles),
-            check_indicator_weights(gadget, bundles, relation_of),
-            check_gadget_metrics(gadget, family, param, len(source.edges)),
-        ]
-        try:
-            reports.append(check_value_transfer(source, gadget, args.cap))
-        except CapacityError:
-            print("NOTE=VALUE_TRANSFER=SKIPPED-CAPACITY")
-        return _finish_verify(reports)
-
     if kind == "strip-bounds":
-        instance = _read(path, GugpInstance, "strip-bounds expects a GUGP file")
         return _finish_verify([check_strip_bounds(instance, args.cap)])
     if kind == "half-guarantee":
-        instance = _read(path, GugpInstance, "half-guarantee expects a GUGP file")
         return _finish_verify(
             [check_half_guarantee(instance, args.cap, seed=args.seed)]
         )
     if kind == "tsp-equiv":
-        instance = _read(path, TspInstance, "tsp-equiv expects a TSP file")
         return _finish_verify([check_tsp_equivalence(instance, args.cap)])
-    raise UsageError(f"unknown verification {kind!r}")  # pragma: no cover
+
+    # a gadget: one bundle of gadget.k edges per unit-weight source edge
+    gadget = instance
+    if kind == "gadget-pwt1":
+        family, param = "pwt1", label_fold(gadget.k)
+        if not gadget.edges or len(gadget.edges) % gadget.k:
+            raise UsageError(
+                f"gadget edge count must be a positive multiple of {gadget.k}"
+            )
+        relation_of = coordinate_collision_predicate(param)
+        firsts = tuple((e.u, e.v) for e in gadget.edges[:: gadget.k])
+        source = max3cut_instance(gadget.n, firsts, param)
+    else:
+        if not args.source:
+            raise UsageError(
+                "gadget-pwt-half needs --source (the T22 file the gadget encodes)"
+            )
+        t22 = _read(args.source, TwoToTwoInstance, "--source must be a T22 file")
+        width = 2 * t22.k
+        if gadget.k != width:
+            raise UsageError(
+                f"gadget has {gadget.k} labels but source expects {width}"
+            )
+        if len(gadget.edges) != width * len(t22.edges):
+            raise UsageError(
+                "gadget edge count does not match source edges times bundle size"
+            )
+        for i, (e, first) in enumerate(zip(t22.edges, gadget.edges[::width])):
+            if (first.u, first.v) != (e.u, e.v):
+                raise UsageError(f"bundle {i} endpoints do not match source edge")
+        family, param = "pwt-half", t22.k
+        relation_of = pair_block_predicate(t22)
+        source = t22.to_unit_relational()
+    bundles = BundleMap(len(source.edges), gadget.k)
+    reports = [
+        check_bundle_exactly_one(gadget, bundles),
+        check_indicator_weights(gadget, bundles, relation_of),
+        check_gadget_metrics(gadget, family, param, len(source.edges)),
+    ]
+    try:
+        reports.append(check_value_transfer(source, gadget, args.cap))
+    except CapacityError:
+        print("NOTE=VALUE_TRANSFER=SKIPPED-CAPACITY")
+    return _finish_verify(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     met.set_defaults(func=_cmd_metrics)
 
     verify = sub.add_parser("verify", help="machine-check structural claims")
-    verify.add_argument(
-        "kind",
-        choices=(
-            "gadget-pwt1",
-            "gadget-pwt-half",
-            "strip-bounds",
-            "half-guarantee",
-            "tsp-equiv",
-            "smoothness",
-        ),
-    )
+    verify.add_argument("kind", choices=tuple(_VERIFY_INPUT))
     verify.add_argument("--in", required=True)
     verify.add_argument("--source", help="source T22 file for gadget-pwt-half")
     verify.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP)

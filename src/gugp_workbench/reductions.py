@@ -5,9 +5,11 @@ Contents:
 * ``tsp_to_min_nwa`` -- encode a travelling-salesman instance as an
   all-negative unique game whose minimum |satisfied weight| is the optimal
   tour length;
+* ``max3cut_instance`` -- the one builder of unit-weight 3-cut games, at
+  any fold l; its relation, ``all_coords_differ_relation``, is the l-fold
+  product of the 3-cut relation;
 * ``repeat_max3cut`` / ``product_coloring`` -- coordinate-wise repetition of
-  a 3-cut game on a graph; its relation, ``all_coords_differ_relation``, is
-  the l-fold product of the 3-cut relation;
+  a 3-cut game on a graph, and of a coloring of it;
 * ``pwt1_gadget`` -- expand each repeated edge into a bundle of coordinate
   shift edges whose unsatisfied weight is an exact 0/1 indicator of a
   coordinate collision; the resulting instances have mixed signs, positive
@@ -191,12 +193,18 @@ def tour_weight(tsp: TspInstance, tour: tuple[int, ...]) -> Fraction:
 
 
 def max3cut_instance(
-    n: int, edges: tuple[tuple[int, int], ...]
+    n: int, edges: tuple[tuple[int, int], ...], fold: int = 1
 ) -> RelationalInstance:
-    """A 3-cut game: every edge demands different labels from {1, 2, 3}."""
-    differ, one = all_coords_differ_relation(1), Fraction(1)
+    """The unit-weight 3-cut game repeated ``fold`` times on n vertices: one
+    edge per pair in ``edges``, in order, each demanding labels from
+    [3^fold] that differ in every coordinate.  The one builder of such
+    games: a planted 3-coloring's base, a ``RepeatedInstance`` and the
+    source ``verify gadget-pwt1`` reads off a gadget's bundles."""
+    if fold < 1:
+        raise ValidationError("fold must be at least 1")
+    differ, one = all_coords_differ_relation(fold), Fraction(1)
     rel_edges = tuple(RelEdge(u, v, one, differ) for u, v in edges)
-    return RelationalInstance(n, 3, 3, rel_edges)
+    return RelationalInstance(n, 3**fold, 3**fold, rel_edges)
 
 
 def encode_vertex_tuple(coords: tuple[int, ...], base_n: int) -> int:
@@ -297,9 +305,7 @@ class RepeatedInstance:
         return 3**self.fold
 
     def to_relational(self) -> RelationalInstance:
-        differ, one = all_coords_differ_relation(self.fold), Fraction(1)
-        rel_edges = tuple(RelEdge(u, v, one, differ) for u, v in self.edges)
-        return RelationalInstance(self.n, self.label_count, self.label_count, rel_edges)
+        return max3cut_instance(self.n, self.edges, self.fold)
 
 
 def label_fold(k: int) -> int:

@@ -111,9 +111,11 @@ def _bundle_tables(
 ) -> Iterator[tuple[int, int, int, list[list[int]]]]:
     """Yield ``(bundle, scale, total, table)``, holding one table at a time.
 
-    This is the one reader of the ``BundleMap`` layout: bundle i is
+    This reads the ``BundleMap`` layout whole: bundle i is
     ``gadget.edges[i * size:(i + 1) * size]``, and ``source_count * size``
-    must equal the gadget's edge count.
+    must equal the gadget's edge count.  The one other reader, ``verify`` in
+    the CLI, reads only each bundle's first edge: the pwt1 source's
+    endpoints, and the pwt-half endpoints it matches to the source's.
 
     ``table[a][b]`` and ``total`` are the bundle's weight satisfied at labels
     (a, b) and its whole weight, both times the gadget's ``scale``;

@@ -213,6 +213,22 @@ def test_solve_brute_needs_objective_for_gugp(capsys, counterexample):
     assert "objective" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("solve", "brute"), ("eval", "--labeling", "{d}/f.lab")],
+    ids=["solve-brute", "eval"],
+)
+def test_relational_instances_refuse_an_objective(capsys, tmp_path, argv):
+    game = write(tmp_path / "g.rel", "REL v1\nk1 3\nk2 3\nn 2\nbipartite 0\n")
+    write(tmp_path / "f.lab", (1, 2))
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv, "--in", game, "--objective", "max-ugp")
+    assert (code, out) == (1, [])
+    assert err == (
+        "error: relational instances have a single objective; drop --objective\n"
+    )
+
+
 def test_solve_local2_on_negative_instance(capsys, tmp_path):
     path = write(tmp_path / "neg.gugp", gugp(2, 2, (0, 1, -1, identity(2))))
     code, out, _ = run(capsys, "solve", "local2", "--in", path)

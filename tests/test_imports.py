@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is read somewhere in it, and
-no module imports a private name from a sibling.
+"""Every name a module of the package imports is read somewhere in it, no
+module imports a private name from a sibling, and every name imported from
+a sibling is defined there, so no module re-exports another's name.
 
 ``__init__.py`` is skipped by the first rule: it imports names to re-export
 them.  A name counts as read when the module's syntax tree loads it
@@ -92,4 +93,81 @@ def test_a_private_sibling_import_is_reported():
     assert private_sibling_imports(source) == [
         "line 3: _scan from .solvers",
         "line 4: _hidden from gugp_workbench.core",
+    ]
+
+
+def top_level_names(source: str) -> set[str]:
+    """The names a module's own top-level statements define: functions,
+    classes and assignment targets, not imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            )
+    return names
+
+
+def reexported_sibling_imports(
+    source: str, siblings: dict[str, set[str]]
+) -> list[str]:
+    """Each name imported from a sibling module, relatively or through the
+    package's own name, that the sibling does not define at its top level;
+    ``siblings`` maps each module's stem to its ``top_level_names``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0:
+            if parts[0] != PACKAGE.name:
+                continue
+            parts = parts[1:]
+        defined = siblings[".".join(parts) or "__init__"]
+        origin = "." * node.level + (node.module or "")
+        found += [
+            f"line {node.lineno}: {alias.name} from {origin}"
+            for alias in node.names
+            if alias.name not in defined
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_imports_each_sibling_name_from_its_definer(path):
+    siblings = {
+        p.stem: top_level_names(p.read_text(encoding="utf-8")) for p in ALL_MODULES
+    }
+    source = path.read_text(encoding="utf-8")
+    assert reexported_sibling_imports(source, siblings) == []
+
+
+def test_a_reexported_sibling_name_is_reported():
+    siblings = {
+        "core": top_level_names(
+            "from fractions import Fraction\n"
+            "class RelEdge: ...\n"
+            "LIMIT, CAP = 3, 4\n"
+            "scale: int = 2\n"
+        ),
+        "reductions": top_level_names(
+            "from .core import RelEdge\ndef build(): ...\n"
+        ),
+    }
+    source = (
+        "from __future__ import annotations\n"
+        "from .core import RelEdge, CAP, scale\n"
+        "from .reductions import build, RelEdge as Edge\n"
+        "from gugp_workbench.core import Fraction\n"
+        "from os.path import join\n"
+    )
+    assert reexported_sibling_imports(source, siblings) == [
+        "line 3: RelEdge from .reductions",
+        "line 4: Fraction from gugp_workbench.core",
     ]

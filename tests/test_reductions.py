@@ -266,6 +266,29 @@ def test_max3cut_edges_demand_differing_labels():
     assert all(e.rel.pairs == differ and e.weight == 1 for e in inst.edges)
 
 
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_max3cut_instance_equals_the_hand_built_game_at_every_fold(fold):
+    # unsorted, with a repeated pair and both orientations of another, as a
+    # source read off a gadget's bundles can be
+    pairs = ((2, 0), (0, 1), (2, 0), (1, 0), (3, 2))
+    rel = all_coords_differ_relation(fold)
+    edges = tuple(RelEdge(u, v, Fraction(1), rel) for u, v in pairs)
+    want = RelationalInstance(4, 3**fold, 3**fold, edges)
+    assert max3cut_instance(4, pairs, fold) == want
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_repeated_instance_serializes_through_max3cut_instance(fold):
+    r = repeat_max3cut(3, triangle_pairs(), fold)
+    assert r.to_relational() == max3cut_instance(r.n, r.edges, r.fold)
+
+
+@pytest.mark.parametrize("fold", [0, -1])
+def test_max3cut_instance_refuses_a_fold_below_one(fold):
+    with pytest.raises(ValidationError, match=r"^fold must be at least 1$"):
+        max3cut_instance(3, ((0, 1),), fold)
+
+
 # ---------------------------------------------------------------------------
 # repetition
 
