@@ -21,8 +21,9 @@ Conventions used throughout the workbench:
   each checks the constructor's rules in whole-column passes, stores with no
   ``__post_init__`` call, and on a failed rule replays the constructor,
   so the first error is the constructor's own;
-* the instance types check their edges in whole-column passes too, and walk
-  the edges one by one only to name the first offender.
+* ``check_instance`` and ``GugpInstance`` check edges in whole-column passes
+  too, walking them only to name the first offender; ``RelationalInstance``
+  and ``reductions.TwoToTwoInstance`` still walk every edge for their rules.
 """
 
 from __future__ import annotations

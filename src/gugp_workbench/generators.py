@@ -63,7 +63,6 @@ from .reductions import (
 )
 from .rng import SplitMix64, fisher_yates
 
-FAMILIES = ("random-gugp", "random-tsp", "planted-3col", "random-t22")
 _RESAMPLE_BUDGET = 10_000
 GEN_SIZE_CAP = 100_000
 # random-gugp stops redrawing for a ratio bound once this many times the size
@@ -268,6 +267,15 @@ def _random_t22(spec: GenSpec, stream: SplitMix64) -> GenResult:
     return GenResult(TwoToTwoInstance(spec.n, spec.k, tuple(edges)), planted)
 
 
+_BUILDERS = {
+    "random-gugp": _random_gugp,
+    "random-tsp": _random_tsp,
+    "planted-3col": _planted_3col,
+    "random-t22": _random_t22,
+}
+FAMILIES = tuple(_BUILDERS)
+
+
 def generate(spec: GenSpec) -> GenResult:
     """Produce the instance (and planted witness, if any) for a spec.
 
@@ -280,11 +288,4 @@ def generate(spec: GenSpec) -> GenResult:
         raise UsageError("nwa/max_ratio only apply to random-gugp")
     if spec.family != "random-t22" and spec.satisfiable:
         raise UsageError("satisfiable only applies to random-t22")
-    stream = SplitMix64(spec.seed)
-    if spec.family == "random-gugp":
-        return _random_gugp(spec, stream)
-    if spec.family == "random-tsp":
-        return _random_tsp(spec, stream)
-    if spec.family == "planted-3col":
-        return _planted_3col(spec, stream)
-    return _random_t22(spec, stream)
+    return _BUILDERS[spec.family](spec, SplitMix64(spec.seed))

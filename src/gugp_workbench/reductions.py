@@ -4,7 +4,7 @@ Contents:
 
 * ``tsp_to_min_nwa`` -- encode a travelling-salesman instance as an
   all-negative unique game whose minimum |satisfied weight| is the optimal
-  tour length;
+  tour length, which ``tour_length`` reads off ``TspInstance.distances``;
 * ``max3cut_instance`` -- the one builder of unit-weight 3-cut games, at
   any fold l; its relation, ``all_coords_differ_relation``, is the l-fold
   product of the 3-cut relation;
@@ -16,7 +16,8 @@ Contents:
   total, and negative/positive ratio 1 - 2^-l;
 * ``two2two_to_pwt_half`` -- expand each two-to-two constrained edge into a
   bundle of 2k parallel permutation edges whose unsatisfied weight indicates
-  violation of the source constraint; ratio is exactly 1/2;
+  violation of the source constraint; ratio is exactly 1/2; a source's
+  ``relations``, one ``two2two_relation`` per edge, are derived once;
 * ``strip_negative`` -- drop negative edges, keeping order.
 
 Mixed-radix encodings (base n for tuple vertices, base 3 for tuple labels,
@@ -135,8 +136,14 @@ class TspInstance:
             raise ValidationError("pair weights must be positive")
 
     @functools.cached_property
-    def weight_map(self) -> dict[tuple[int, int], Fraction]:
-        return {(u, v): w for u, v, w in self.weights}
+    def distances(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, dist)``: ``dist[u][v] == dist[v][u]`` is the pair's
+        weight times ``scale`` (``scaled_weights``); derived once."""
+        scale, ints = scaled_weights([w for _, _, w in self.weights])
+        dist = [[0] * self.n for _ in range(self.n)]
+        for (u, v, _), w in zip(self.weights, ints):
+            dist[u][v] = dist[v][u] = w
+        return scale, tuple(map(tuple, dist))
 
 
 def tsp_to_min_nwa(tsp: TspInstance) -> tuple[GugpInstance, BundleMap]:
@@ -179,13 +186,16 @@ def labeling_to_tour(tsp: TspInstance, labeling: Labeling) -> tuple[int, ...]:
     return tuple(order)
 
 
+def tour_length(dist: tuple[tuple[int, ...], ...], tour: tuple[int, ...]) -> int:
+    """The sum of ``dist`` over the tour's legs, the last back to the start."""
+    return sum(dist[a][b] for a, b in zip(tour, tour[1:] + tour[:1]))
+
+
 def tour_weight(tsp: TspInstance, tour: tuple[int, ...]) -> Fraction:
     if sorted(tour) != list(range(tsp.n)):
         raise ValidationError("tour must visit every vertex exactly once")
-    wmap = tsp.weight_map
-    legs = zip(tour, tour[1:] + tour[:1])
-    scale, weights = scaled_weights([wmap[min(a, b), max(a, b)] for a, b in legs])
-    return Fraction(sum(weights), scale)
+    scale, dist = tsp.distances
+    return Fraction(tour_length(dist, tour), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +309,6 @@ class RepeatedInstance:
     @property
     def n(self) -> int:
         return self.base_n**self.fold
-
-    @property
-    def label_count(self) -> int:
-        return 3**self.fold
 
     def to_relational(self) -> RelationalInstance:
         return max3cut_instance(self.n, self.edges, self.fold)
@@ -539,13 +545,16 @@ class TwoToTwoInstance:
                     f"edge ({e.u},{e.v}) permutations must act on [1..{2 * self.k}]"
                 )
 
+    @functools.cached_property
+    def relations(self) -> tuple[Relation, ...]:
+        """Each edge's ``two2two_relation``, in edge order; derived once."""
+        return tuple(two2two_relation(e.pi_u, e.pi_v) for e in self.edges)
+
     def to_unit_relational(self) -> RelationalInstance:
         """Same constraints with every weight forced to 1 (edge counting)."""
         one = Fraction(1)
-        edges = tuple(
-            RelEdge(e.u, e.v, one, two2two_relation(e.pi_u, e.pi_v))
-            for e in self.edges
-        )
+        rels = zip(self.edges, self.relations)
+        edges = tuple(RelEdge(e.u, e.v, one, rel) for e, rel in rels)
         return RelationalInstance(self.n, 2 * self.k, 2 * self.k, edges)
 
 

@@ -11,10 +11,9 @@ test-instance sampling.
 ``below_each(bounds)`` is ``[below(b) for b in bounds]``: draw i mixes
 ``state + i * gamma``, so it mixes many draws at once as the 128-bit lanes of
 one integer, each masked to 64 bits around every multiply, whose product
-then stays in its lane; fewer than ``_SCALAR_DRAWS`` bounds, where packing
-costs more than it saves, it draws one at a time.  ``next_u64`` and ``below``
-remain the definition; the generators draw through ``below_each`` a pass at
-a time, order unchanged.
+then stays in its lane; a list of any length takes this one route.
+``next_u64`` and ``below`` remain the definition; the generators draw
+through ``below_each`` a pass at a time, order unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _LANES = 256
-_SCALAR_DRAWS = 6
 # a 1, and a 64-bit mask, in the low half of every 128-bit lane
 _ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
 _LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
@@ -68,11 +66,9 @@ class SplitMix64:
         return self.next_u64() % n
 
     def below_each(self, bounds: Sequence[int]) -> list[int]:
-        """``[self.below(b) for b in bounds]``, in lanes unless it is short."""
+        """``[self.below(b) for b in bounds]``, drawn in lanes."""
         if min(bounds, default=1) <= 0:
             raise ValueError("bound must be positive")
-        if len(bounds) < _SCALAR_DRAWS:
-            return [self.next_u64() % b for b in bounds]
         out: list[int] = []
         state = self._state
         for start in range(0, len(bounds), _LANES):

@@ -7,9 +7,9 @@ scan order (bundle index, then label pair / labeling).
 
 Checks never trust metadata produced by the reductions: the indicator check
 reads each bundle's expected 0/1 weights off the source game's own relation
-(``all_coords_differ_relation``, ``two2two_relation``), which neither gadget
-builder calls, and bundle weights are compared against independently stated
-closed forms.
+(``all_coords_differ_relation``, a two-to-two game's ``relations``), which
+neither gadget builder reads, and bundle weights are compared against
+independently stated closed forms.
 
 A gadget's bundles are its ``BundleMap``: ``source_count`` runs of ``size``
 consecutive edges, one run per source edge, in source order.  The two bundle
@@ -24,6 +24,7 @@ collected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -38,7 +39,6 @@ from .core import (
     Relation,
     RelationalInstance,
     metrics,
-    scaled_weights,
 )
 from .errors import CapacityError, UsageError, ValidationError
 from .evaluation import (
@@ -54,10 +54,10 @@ from .reductions import (
     TwoToTwoInstance,
     all_coords_differ_relation,
     labeling_to_tour,
+    tour_length,
     tour_to_labeling,
     tour_weight,
     tsp_to_min_nwa,
-    two2two_relation,
 )
 from .solvers import (
     DEFAULT_BRUTE_CAP,
@@ -218,8 +218,8 @@ class _SourceRelations(tuple):
 
 def pair_block_predicate(source: TwoToTwoInstance) -> Callable[[int], Relation]:
     """Indicator input for pair-block bundles: bundle i's unsatisfied weight
-    should be 1 exactly off source edge i's two-to-two relation."""
-    return _SourceRelations(two2two_relation(e.pi_u, e.pi_v) for e in source.edges)
+    should be 1 exactly off source edge i's relation, in ``relations``."""
+    return _SourceRelations(source.relations)
 
 
 def check_indicator_weights(
@@ -496,17 +496,10 @@ def check_half_guarantee(
 def exhaustive_tsp_optimum(tsp: TspInstance) -> tuple[Fraction, tuple[int, ...]]:
     """Minimum tour weight by scanning all tours that fix vertex 0 first
     (the first one found wins ties)."""
-    scale, weights = scaled_weights([w for _, _, w in tsp.weights])
-    dist = [[0] * tsp.n for _ in range(tsp.n)]
-    for (u, v, _), w in zip(tsp.weights, weights):
-        dist[u][v] = dist[v][u] = w
-
-    def length(tour: tuple[int, ...]) -> int:
-        return sum(dist[a][b] for a, b in zip(tour, tour[1:] + tour[:1]))
-
+    scale, dist = tsp.distances
     tours = ((0,) + rest for rest in itertools.permutations(range(1, tsp.n)))
-    best = min(tours, key=length)
-    return Fraction(length(best), scale), best
+    best = min(tours, key=functools.partial(tour_length, dist))
+    return Fraction(tour_length(dist, best), scale), best
 
 
 def check_tsp_equivalence(

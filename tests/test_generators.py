@@ -126,22 +126,20 @@ def test_below_each_refuses_a_bound_of_zero_before_any_draw():
 
 @pytest.mark.parametrize("bounds", [[0], [3, 0], [3, 3, 3, 3, -1]])
 def test_below_each_refuses_a_short_list_with_a_bad_bound_before_any_draw(bounds):
-    # lists this short take the scalar route, which checks every bound first
-    assert len(bounds) < rng._SCALAR_DRAWS
     stream, untouched = SplitMix64(7), SplitMix64(7)
     with pytest.raises(ValueError):
         stream.below_each(bounds)
     assert stream.next_u64() == untouched.next_u64()
 
 
-@pytest.mark.parametrize("scalar_draws", [0, rng._SCALAR_DRAWS, 2 * LANES + 3])
-def test_scalar_and_lane_routes_draw_alike_at_every_length(monkeypatch, scalar_draws):
-    # below_each draws short lists one at a time and longer ones in packed
-    # lanes; either route, forced at every length, matches the scalar loop
-    monkeypatch.setattr(rng, "_SCALAR_DRAWS", scalar_draws)
+@pytest.mark.parametrize("seed", [2**64 - 5, 0, 9173])
+def test_scalar_and_lane_routes_draw_alike_at_every_length(seed):
+    # below_each draws every list in packed lanes; at every length, short
+    # ones and those crossing a pass boundary included, it matches the
+    # scalar loop
     bounds = [1 + 7 * i % 13 for i in range(2 * LANES + 1)] + [2**64 + 3]
     for length in range(2 * LANES + 2):
-        assert_below_each_is_below(2**64 - 5, bounds[-length:] if length else [])
+        assert_below_each_is_below(seed, bounds[-length:] if length else [])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from gugp_workbench import (
     BundleMap,
     CapacityError,
     DegenerateInstanceError,
+    GenSpec,
     GugpInstance,
     Permutation,
     RelEdge,
@@ -23,6 +24,7 @@ from gugp_workbench import (
     TwoToTwoInstance,
     ValidationError,
     all_coords_differ_relation,
+    generate,
     labeling_to_tour,
     max3cut_instance,
     metrics,
@@ -133,8 +135,9 @@ def test_tsp_normalizes_pair_order():
         (0, 2, Fraction(5)),
         (1, 2, Fraction(6)),
     )
-    assert inst.weight_map[0, 1] == 4
-    assert inst.weight_map[1, 2] == 6
+    scale, dist = inst.distances
+    assert Fraction(dist[0][1], scale) == Fraction(dist[1][0], scale) == 4
+    assert Fraction(dist[1][2], scale) == Fraction(dist[2][1], scale) == 6
 
 
 def test_encoding_structure():
@@ -202,6 +205,18 @@ def test_tour_weight_matches_satisfied_weight():
         tour = (0,) + tail
         labeling = tour_to_labeling(tsp, tour)
         assert tour_weight(tsp, tour) == abs(satisfied_weight(encoded, labeling))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_distances_are_the_scaled_pair_weights_both_ways(n):
+    tsp = generate(GenSpec("random-tsp", seed=n, n=n)).instance
+    scale, dist = tsp.distances
+    assert tsp.distances is tsp.distances
+    assert len(dist) == n and all(len(row) == n for row in dist)
+    assert all(dist[v][v] == 0 for v in range(n))
+    for u, v, w in tsp.weights:
+        assert dist[u][v] == dist[v][u]
+        assert Fraction(dist[u][v], scale) == w
 
 
 def test_non_bijective_labelings_cost_at_least_the_scale():
@@ -301,7 +316,7 @@ def test_repeat_l1_recovers_base():
     repeated = repeat_max3cut(3, triangle_pairs(), 1)
     assert repeated.n == 3
     assert len(repeated.edges) == 3
-    assert repeated.label_count == 3
+    assert repeated.to_relational().k1 == 3
 
 
 def test_repeat_k3_l2_sizes():
@@ -569,6 +584,15 @@ def test_two2two_relation_size_k3(pu, pv):
 def test_two2two_relation_rejects_odd_sizes():
     with pytest.raises(ValidationError):
         two2two_relation(identity(3), identity(3))
+
+
+def test_relations_are_each_edges_relation_derived_once():
+    source = generate(GenSpec("random-t22", seed=3, n=6, m=12, k=3)).instance
+    relations = source.relations
+    assert relations == tuple(
+        two2two_relation(e.pi_u, e.pi_v) for e in source.edges
+    )
+    assert source.relations is relations
 
 
 def test_half_size_lower_bound_enforced():

@@ -183,13 +183,14 @@ def ref_relational_satisfied_weight(instance, labeling):
 
 
 def ref_exhaustive_tsp_optimum(tsp):
+    weight = {(u, v): w for u, v, w in tsp.weights}
     best = best_tour = None
     for rest in itertools.permutations(range(1, tsp.n)):
         tour = (0,) + rest
         w = Fraction(0)
         for i, a in enumerate(tour):
             b = tour[(i + 1) % tsp.n]
-            w += tsp.weight_map[min(a, b), max(a, b)]
+            w += weight[min(a, b), max(a, b)]
         if best is None or w < best:
             best, best_tour = w, tour
     return best, best_tour

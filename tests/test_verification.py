@@ -4,6 +4,7 @@ merge-fraction measure."""
 
 import dataclasses
 import itertools
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -43,12 +44,14 @@ from gugp_workbench import (
     pair_block_predicate,
     pwt1_gadget,
     repeat_max3cut,
+    serialize,
     smoothness,
     tour_weight,
+    two2two_relation,
     two2two_to_pwt_half,
 )
 
-from gugp_workbench import verification
+from gugp_workbench import cli, verification
 
 from conftest import gugp, identity, perm, permutations
 
@@ -290,6 +293,38 @@ def test_indicator_refuses_a_source_of_another_edge_count():
         ValidationError, match=r"^gadget has 2 bundles but the source has 3 edges$"
     ):
         check_indicator_weights(gadget, bundles, pair_block_predicate(source))
+
+
+def test_pair_block_predicate_shares_the_unit_relational_relations():
+    source = generate(GenSpec("random-t22", seed=4, n=5, m=9, k=3)).instance
+    relation_of = pair_block_predicate(source)
+    unit = source.to_unit_relational()
+    assert len(relation_of) == len(unit.edges) == 9
+    for i, e in enumerate(unit.edges):
+        assert relation_of(i) is e.rel
+
+
+def test_verify_pwt_half_derives_each_source_relation_once(monkeypatch, tmp_path):
+    source = generate(
+        GenSpec("random-t22", seed=1, n=6, m=8, k=2, satisfiable=True)
+    ).instance
+    gadget, _ = two2two_to_pwt_half(source)
+    gadget_path, source_path = tmp_path / "half.gugp", tmp_path / "source.t22"
+    gadget_path.write_text(serialize(gadget))
+    source_path.write_text(serialize(source))
+    calls = []
+
+    def counting(pi_u, pi_v):
+        calls.append(None)
+        return two2two_relation(pi_u, pi_v)
+
+    # every package module that holds the name, so no caller escapes the count
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gugp_workbench") and hasattr(module, "two2two_relation"):
+            monkeypatch.setattr(module, "two2two_relation", counting)
+    argv = ["verify", "gadget-pwt-half", "--in", str(gadget_path)]
+    assert cli.main(argv + ["--source", str(source_path)]) == 0
+    assert len(calls) == len(source.edges) == 8
 
 
 def test_indicator_fails_on_perturbed_weight():
