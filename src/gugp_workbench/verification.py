@@ -1,13 +1,14 @@
 """Machine verification of the structural claims behind each construction.
 
-Every check enumerates its claim exhaustively (never sampling), returns a
-``VerifyReport`` with a PASS/FAIL verdict, counterexample witnesses, and the
-number of cases inspected.  Reports are deterministic: witnesses appear in
-scan order (bundle index, then label pair / labeling).
+Every check enumerates its claim exhaustively (never sampling) and returns a
+``VerifyReport`` holding the counterexample witnesses and the number of
+cases inspected; its PASS/FAIL verdict is read off the witnesses.  Reports
+are deterministic: witnesses appear in scan order (bundle index, then label
+pair / labeling).
 
 Checks never trust metadata produced by the reductions: the indicator check
 reads each bundle's expected 0/1 weights off the source game's own relation
-(``all_coords_differ_relation``, a two-to-two game's ``relations``), which
+(``all_coords_differ_relation``, a two-to-two game's ``relations`` tuple), which
 neither gadget builder reads, and bundle weights are compared against
 independently stated closed forms.
 
@@ -28,7 +29,6 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Sized
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -78,38 +78,33 @@ Witness = tuple[object, object, object, object]
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """A claim passes exactly when it has no witness.  Witnesses and notes
+    may be any iterables; the first ``MAX_RECORDED_WITNESSES`` witnesses and
+    every note are kept as tuples."""
+
     claim: str
-    verdict: str
     cases: int
     witnesses: tuple[Witness, ...] = ()
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "witnesses", tuple(self.witnesses))
+        kept = tuple(itertools.islice(self.witnesses, MAX_RECORDED_WITNESSES))
+        object.__setattr__(self, "witnesses", kept)
         object.__setattr__(self, "notes", tuple(self.notes))
-        if self.verdict not in ("PASS", "FAIL"):
-            raise ValidationError("verdict must be PASS or FAIL")
-        if (self.verdict == "FAIL") != bool(self.witnesses):
-            raise ValidationError("FAIL reports carry witnesses; PASS reports none")
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "PASS"
+        return not self.witnesses
 
-
-def _report(
-    claim: str, cases: int, witnesses: list[Witness], notes: tuple[str, ...] = ()
-) -> VerifyReport:
-    verdict = "PASS" if not witnesses else "FAIL"
-    return VerifyReport(
-        claim, verdict, cases, tuple(witnesses[:MAX_RECORDED_WITNESSES]), notes
-    )
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.passed else "FAIL"
 
 
 def _bundle_tables(
     gadget: GugpInstance, bundles: BundleMap, weighted: bool, claim: str, case_cap: int
-) -> Iterator[tuple[int, int, int, list[list[int]]]]:
-    """Yield ``(bundle, scale, total, table)``, holding one table at a time.
+) -> Iterator[tuple[int, int, int, list[list[int]], bool]]:
+    """Yield ``(bundle, scale, total, table, fresh)``, one table at a time.
 
     This reads the ``BundleMap`` layout whole: bundle i is
     ``gadget.edges[i * size:(i + 1) * size]``, and ``source_count * size``
@@ -121,8 +116,9 @@ def _bundle_tables(
     (a, b) and its whole weight, both times the gadget's ``scale``;
     unweighted tables count edges.  A bundle whose edges carry the same
     permutation objects with the same integer weights, in order, as the
-    previous bundle's yields that bundle's table object again: ids are safe
-    keys because the gadget holds every permutation for the whole call.
+    previous bundle's yields that bundle's table object again with ``fresh``
+    false: ids are safe keys because the gadget holds every permutation for
+    the whole call.
     Every bundle's edges must still share one vertex pair.  The cap is an
     upper bound on the edge looks performed: k per edge to fill a table plus
     k^2 to read it, counted for every bundle whether its table is reused or
@@ -151,10 +147,11 @@ def _bundle_tables(
             raise ValidationError(f"bundle {i} mixes edges of different vertex pairs")
         part = weights[start:end]
         bundle_key = (part, [id(e.pi) for e in edges])
-        if bundle_key != key:
+        fresh = bundle_key != key
+        if fresh:
             key = bundle_key
             table = pair_tables(edges, part, k, k)[u, v]
-        yield i, scale, sum(part), table
+        yield i, scale, sum(part), table, fresh
 
 
 def _differing_cells(
@@ -190,15 +187,14 @@ def check_bundle_exactly_one(
     once = [[0] + [1] * k] * (k + 1)
     witnesses: list[Witness] = []
     failing: list[tuple[object, object, object]] = []
-    seen = None
-    for i, _, _, table in _bundle_tables(gadget, bundles, False, "exactly-one", case_cap):
+    tables = _bundle_tables(gadget, bundles, False, "exactly-one", case_cap)
+    for i, _, _, table, fresh in tables:
         room = MAX_RECORDED_WITNESSES - len(witnesses)
-        if table is not seen:
-            seen = table
+        if fresh:
             cells = _differing_cells(table, once, room)
             failing = [((a, b), 1, table[a][b]) for a, b in cells]
         witnesses.extend((i, *cell) for cell in failing[:room])
-    return _report("bundle-exactly-one", k * k * bundles.source_count, witnesses)
+    return VerifyReport("bundle-exactly-one", k * k * bundles.source_count, witnesses)
 
 
 def coordinate_collision_predicate(fold: int) -> Callable[[int], Relation]:
@@ -209,31 +205,26 @@ def coordinate_collision_predicate(fold: int) -> Callable[[int], Relation]:
     return lambda _bundle: differ
 
 
-class _SourceRelations(tuple):
-    """One relation per source edge, looked up by bundle index; its length,
-    the source's edge count, is checked against the gadget's bundle count."""
-
-    __call__ = tuple.__getitem__
-
-
-def pair_block_predicate(source: TwoToTwoInstance) -> Callable[[int], Relation]:
+def pair_block_predicate(source: TwoToTwoInstance) -> tuple[Relation, ...]:
     """Indicator input for pair-block bundles: bundle i's unsatisfied weight
-    should be 1 exactly off source edge i's relation, in ``relations``."""
-    return _SourceRelations(source.relations)
+    should be 1 exactly off source edge i's relation, so this is the
+    source's own ``relations`` tuple, indexed by bundle."""
+    return source.relations
 
 
 def check_indicator_weights(
     gadget: GugpInstance,
     bundles: BundleMap,
-    relation_of: Callable[[int], Relation],
+    relation_of: tuple[Relation, ...] | Callable[[int], Relation],
     case_cap: int = DEFAULT_CASE_CAP,
 ) -> VerifyReport:
-    """Each bundle's unsatisfied weight must be exactly 1 off the relation
-    ``relation_of(bundle)`` and exactly 0 on it.
+    """Each bundle's unsatisfied weight must be exactly 1 off the bundle's
+    relation and exactly 0 on it.
 
-    A lookup with a length, such as ``pair_block_predicate``'s, holds one
-    relation per source edge; a gadget with another number of bundles raises
-    ``ValidationError`` naming both counts before any bundle is read.
+    ``relation_of`` is a tuple of one relation per bundle, such as
+    ``pair_block_predicate``'s, or a lookup called with the bundle index.  A
+    tuple whose length is not the bundle count raises ``ValidationError``
+    naming both counts before any bundle is read.
     Labels range over [1..k]; a relation narrower than that raises
     ``ValidationError`` naming the first label pair out of its range.  Each
     table row is compared whole with one expected row built from the
@@ -242,18 +233,19 @@ def check_indicator_weights(
     cells too, reported under its own index.  ``case_cap`` is an upper bound
     on the edge looks performed: k * |bundle| + k^2 per bundle.
     """
-    if isinstance(relation_of, Sized) and len(relation_of) != bundles.source_count:
-        raise ValidationError(
-            f"gadget has {bundles.source_count} bundles but the source has "
-            f"{len(relation_of)} edges"
-        )
+    if isinstance(relation_of, tuple):
+        if len(relation_of) != bundles.source_count:
+            raise ValidationError(
+                f"gadget has {bundles.source_count} bundles but the source has "
+                f"{len(relation_of)} edges"
+            )
+        relation_of = relation_of.__getitem__
     k = gadget.k
     witnesses: list[Witness] = []
     failing: list[tuple[object, object, object]] = []
-    seen = seen_rel = None
-    for i, scale, total, table in _bundle_tables(
-        gadget, bundles, True, "indicator", case_cap
-    ):
+    seen_rel = None
+    tables = _bundle_tables(gadget, bundles, True, "indicator", case_cap)
+    for i, scale, total, table, fresh in tables:
         rel = relation_of(i)
         if k > rel.k1 or k > rel.k2:
             a, b = (1, rel.k2 + 1) if k > rel.k2 else (rel.k1 + 1, 1)
@@ -261,8 +253,8 @@ def check_indicator_weights(
                 f"label pair ({a},{b}) out of range [1..{rel.k1}]x[1..{rel.k2}]"
             )
         room = MAX_RECORDED_WITNESSES - len(witnesses)
-        if table is not seen or rel is not seen_rel:
-            seen, seen_rel = table, rel
+        if fresh or rel is not seen_rel:
+            seen_rel = rel
             # satisfied weight: the whole bundle on the relation, one unit less off it
             expected = [[0] + [total - scale] * k for _ in range(k + 1)]
             for a, b in rel.pairs:
@@ -277,7 +269,9 @@ def check_indicator_weights(
                 for a, b in _differing_cells(table, expected, room)
             ]
         witnesses.extend((i, *cell) for cell in failing[:room])
-    return _report("bundle-indicator-weights", k * k * bundles.source_count, witnesses)
+    return VerifyReport(
+        "bundle-indicator-weights", k * k * bundles.source_count, witnesses
+    )
 
 
 def check_gadget_metrics(
@@ -313,7 +307,7 @@ def check_gadget_metrics(
         for name in ("w_plus", "w_minus", "sigma", "ratio")
         if expected[name] != actual[name]
     ]
-    return _report(f"{family}-metrics", len(expected), witnesses)
+    return VerifyReport(f"{family}-metrics", len(expected), witnesses)
 
 
 def check_value_transfer(
@@ -338,7 +332,7 @@ def check_value_transfer(
         f"SOURCE_OPTIMUM={fmt_fraction(src.value)}",
         f"GADGET_MIN_PWT={fmt_fraction(gad.value)}",
     )
-    return _report("value-transfer", src.visited + gad.visited, witnesses, notes)
+    return VerifyReport("value-transfer", src.visited + gad.visited, witnesses, notes)
 
 
 def _strip_scan(
@@ -457,7 +451,7 @@ def check_strip_bounds(
         f"WITNESS_ORIGINAL={','.join(map(str, best_orig_label))}",
         f"WITNESS_STRIPPED={','.join(map(str, best_stripped_label))}",
     )
-    return _report("strip-weight-sandwich", cases, witnesses, notes)
+    return VerifyReport("strip-weight-sandwich", cases, witnesses, notes)
 
 
 def check_half_guarantee(
@@ -490,7 +484,7 @@ def check_half_guarantee(
                 (None, result.labeling, optimum.value / 2, result.value)
             )
         notes.append(f"OPTIMUM={fmt_fraction(optimum.value)}")
-    return _report("local-search-half-guarantee", cases, witnesses, tuple(notes))
+    return VerifyReport("local-search-half-guarantee", cases, witnesses, notes)
 
 
 def exhaustive_tsp_optimum(tsp: TspInstance) -> tuple[Fraction, tuple[int, ...]]:
@@ -535,7 +529,7 @@ def check_tsp_equivalence(
         # possible only when some degenerate labeling ties the optimum at M
         notes.append("ENCODED_WITNESS=NON-BIJECTIVE-TIE")
     cases = math.factorial(tsp.n - 1) + brute.visited
-    return _report("tsp-equivalence", cases, witnesses, tuple(notes))
+    return VerifyReport("tsp-equivalence", cases, witnesses, notes)
 
 
 def isolated_left_vertices(instance: RelationalInstance) -> tuple[int, ...]:

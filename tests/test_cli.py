@@ -28,6 +28,7 @@ from gugp_workbench import (
     T22Edge,
     TwoToTwoInstance,
     generate,
+    max3cut_instance,
     parse,
     pwt1_gadget,
     repeat_max3cut,
@@ -1011,6 +1012,79 @@ def test_each_input_names_the_file_type_it_expects(capsys, tmp_path, argv, messa
     assert not (tmp_path / "out.txt").exists()
 
 
+def _rel(*lines, k=2, bipartite=0):
+    head = ("REL v1", f"k1 {k}", f"k2 {k}", "n 4", f"bipartite {bipartite}")
+    return "\n".join(head + lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (
+            ("gen", "--family", "random-gugp", "--seed", "1", "--n", "3", "--m",
+             "2", "--k", "2", "--max-ratio=-1/2"),
+            None,
+            "ratio must be non-negative with positive denominator",
+        ),
+        (
+            ("gen", "--family", "planted-3col", "--seed", "1", "--n", "1", "--m", "1"),
+            None,
+            "planted-3col needs n >= 2 and m >= 1",
+        ),
+        (("solve", "brute"), _rel(k=0), "label counts must be positive"),
+        (
+            ("solve", "brute"),
+            _rel("e 0 1 1/1 0", k=0),
+            "relation label counts must be positive",
+        ),
+        (
+            ("solve", "brute"),
+            _rel("e 0 1 1/1 2 1 1"),
+            "line 6: relation of 2 pairs needs 4 label fields",
+        ),
+        (
+            ("solve", "brute"),
+            _rel("e 0 1 1/1"),
+            "line 6: expected 'e <u> <v> <num>/<den> <m> <a1> <b1> ...'",
+        ),
+        (("solve", "brute"), _rel("s 0 X", bipartite=1), "line 6: expected 's <v> <V|W>'"),
+        (("solve", "brute"), _rel("s 0 V"), "line 6: side line in a non-bipartite file"),
+        (
+            ("solve", "brute"),
+            _rel("s 0 V", "s 0 W", bipartite=1),
+            "line 7: duplicate side line for vertex 0",
+        ),
+        (
+            ("reduce", "pwt1"),
+            _rel("e 0 1 1/1 1 1 2", k=4),
+            "label count must be a power of three (at least 3)",
+        ),
+        (
+            ("reduce", "pwt1"),
+            serialize(max3cut_instance(4, ((0, 1),), 2)),
+            "edge (0,1) has a colliding coordinate pair",
+        ),
+        (
+            ("verify", "smoothness"),
+            _rel("s 0 V", "s 1 W", "s 2 W", "s 3 W", "e 0 1 1/1 1 1 1", bipartite=1),
+            "edge (0,1) relation is not a projection: some left label has no image",
+        ),
+    ],
+)
+def test_file_refusals_end_in_exit_1_with_one_error_line(
+    capsys, tmp_path, argv, text, message
+):
+    out_file = tmp_path / "out.txt"
+    if text is not None:
+        (tmp_path / "in.txt").write_text(text)
+        argv += ("--in", str(tmp_path / "in.txt"))
+    if argv[0] in ("gen", "reduce"):
+        argv += ("--out", str(out_file))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, [], f"error: {message}\n")
+    assert not out_file.exists()
+
+
 def test_verify_strip_bounds_and_half_guarantee(capsys, counterexample, tmp_path):
     code, lines, _ = run(capsys, "verify", "strip-bounds", "--in", counterexample)
     assert code == 0
@@ -1020,6 +1094,28 @@ def test_verify_strip_bounds_and_half_guarantee(capsys, counterexample, tmp_path
     code, lines, _ = run(capsys, "verify", "half-guarantee", "--in", neg)
     assert code == 0
     assert "NOTE=VAL=1/1" in lines
+
+
+def test_local_search_notes_more_iterations_than_vertices(capsys, tmp_path):
+    path = str(tmp_path / "long.gugp")
+    spec = ("--family", "random-gugp", "--seed", "249", "--n", "4", "--m", "4")
+    assert run(capsys, "gen", *spec, "--k", "2", "--nwa", "--out", path)[0] == 0
+    note = "NOTE=ITERATIONS_EXCEED_VERTICES=5>4"
+    code, out, err = run(capsys, "solve", "local2", "--in", path)
+    assert (code, out, err) == (0, ["VAL=1/1", "ITERATIONS=5", note], "")
+    code, out, err = run(capsys, "verify", "half-guarantee", "--in", path)
+    assert (code, err) == (0, "")
+    assert out == [
+        "CLAIM=local-search-half-guarantee",
+        "VERDICT=PASS",
+        "CASES=21",
+        "WITNESSES=0",
+        "NOTE=VAL=1/1",
+        "NOTE=ITERATIONS=5",
+        note,
+        "NOTE=OPTIMUM=1/1",
+        "VERDICT=PASS",
+    ]
 
 
 def test_verify_smoothness(capsys, tmp_path):

@@ -19,12 +19,15 @@ from gugp_workbench import (
     RelEdge,
     Relation,
     RelationalInstance,
+    RepeatedInstance,
+    SplitMix64,
     T22Edge,
     TspInstance,
     TwoToTwoInstance,
     ValidationError,
     all_coords_differ_relation,
     generate,
+    isolated_left_vertices,
     labeling_to_tour,
     max3cut_instance,
     metrics,
@@ -732,3 +735,73 @@ def test_bundle_map_is_a_count_and_a_size():
     for count, size in ((-1, 2), (2, 0), (0, 0)):
         with pytest.raises(ValidationError, match="count >= 0 and a size >= 1"):
             BundleMap(count, size)
+
+
+# ---------------------------------------------------------------------------
+# refusals only a library call reaches
+
+
+def _bad_shape_game():
+    edge = RelEdge(0, 1, Fraction(1), Relation(3, 3, frozenset()))
+    return RelationalInstance(2, 2, 2, (edge,))
+
+
+def _triangle():
+    return TspInstance(3, ((0, 1, 1), (0, 2, 1), (1, 2, 1)))
+
+
+def _narrow_t22_game():
+    edge = T22Edge(0, 1, Fraction(1), identity(2), identity(2))
+    return TwoToTwoInstance(2, 2, (edge,))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: RelationalInstance(2, 2, 2, (), sides=("V",)), ValidationError,
+         "bipartite instance needs a side per vertex"),
+        (lambda: RelationalInstance(2, 2, 2, (), sides=("V", "X")), ValidationError,
+         "vertex sides must be 'V' or 'W'"),
+        (_bad_shape_game, ValidationError,
+         "edge (0,1) relation shape (3,3) != instance (2,2)"),
+        (lambda: modplus(1, 0), ValidationError, "modulus must be positive"),
+        (lambda: TspInstance(2, ()), ValidationError,
+         "travelling salesman needs at least 3 vertices"),
+        (lambda: tour_weight(_triangle(), (0, 1, 1)), ValidationError,
+         "tour must visit every vertex exactly once"),
+        (lambda: encode_vertex_tuple((0, 2), 2), ValidationError,
+         "coordinate 2 out of range [0..1]"),
+        (lambda: decode_vertex(4, 2, 2), ValidationError,
+         "vertex 4 out of range for 2^2"),
+        (lambda: encode_label_tuple((1, 4)), ValidationError,
+         "color 4 out of range [1..3]"),
+        (lambda: decode_label(10, 2), ValidationError,
+         "label 10 out of range for 3^2"),
+        (lambda: RepeatedInstance(0, 1, ()), ValidationError,
+         "base size and fold must be positive"),
+        (lambda: RepeatedInstance(2, 1, ((0, 2),)), ValidationError,
+         "edge (0,2) out of vertex range"),
+        (lambda: RepeatedInstance(2, 1, ((1, 0),)), ValidationError,
+         "repeated edges must be stored (min, max)"),
+        (lambda: RepeatedInstance(3, 1, ((1, 2), (0, 1))), ValidationError,
+         "repeated edges must be sorted"),
+        (lambda: repeat_max3cut(2, ((0, 1),), 0), ValidationError,
+         "fold must be at least 1"),
+        (lambda: repeat_max3cut(2, ((0, 2),), 1), ValidationError,
+         "edge (0,2) out of vertex range"),
+        (lambda: product_coloring((1, 4), 1), ValidationError,
+         "color 4 out of range [1..3]"),
+        (lambda: two2two_relation(identity(2), identity(4)), ValidationError,
+         "endpoint permutations must have equal size"),
+        (_narrow_t22_game, ValidationError,
+         "edge (0,1) permutations must act on [1..4]"),
+        (lambda: SplitMix64(1).below(0), ValueError, "bound must be positive"),
+        (lambda: isolated_left_vertices(max3cut_instance(2, ((0, 1),))),
+         ValidationError, "smoothness applies to bipartite instances"),
+    ],
+)
+def test_library_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == message

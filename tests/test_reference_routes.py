@@ -555,9 +555,16 @@ def test_exhaustive_tsp_optimum_matches_reference_seeded(n):
 # indicator predicates
 
 
+def lookup(relation_of):
+    """Bundle i's relation, from a relations tuple or a lookup."""
+    if isinstance(relation_of, tuple):
+        return relation_of.__getitem__
+    return relation_of
+
+
 def misses(relation_of):
-    """The per-cell predicate a relation lookup stands for."""
-    return lambda bundle, a, b: (a, b) not in relation_of(bundle)
+    """The per-cell predicate a relations tuple or lookup stands for."""
+    return lambda bundle, a, b: (a, b) not in lookup(relation_of)(bundle)
 
 
 @pytest.mark.parametrize("fold", [1, 2, 3])
@@ -582,7 +589,7 @@ def test_pair_block_predicate_matches_reference(seed, k):
     reference = ref_pair_block_predicate(source)
     labels = range(1, 2 * k + 1)
     for i in range(len(source.edges)):
-        assert (relation_of(i).k1, relation_of(i).k2) == (2 * k, 2 * k)
+        assert (relation_of[i].k1, relation_of[i].k2) == (2 * k, 2 * k)
         for a, b in itertools.product(labels, labels):
             assert predicate(i, a, b) == reference(i, a, b)
 
@@ -600,7 +607,7 @@ def test_predicates_reject_out_of_range_labels():
         (k6, k6_bundles, pair_block_predicate(source), "(1,5)"),
         (k6, k6_bundles, lambda _bundle: narrow_left, "(3,1)"),
     ):
-        rel = relation_of(0)
+        rel = lookup(relation_of)(0)
         message = f"label pair {pair} out of range [1..{rel.k1}]x[1..{rel.k2}]"
         with pytest.raises(ValidationError, match=re.escape(message)):
             check_indicator_weights(gadget, bundles, relation_of)
