@@ -172,34 +172,30 @@ _REDUCE_INPUT = {
 def _cmd_reduce(args) -> int:
     kind = args.kind
     source = _read(getattr(args, "in"), *_REDUCE_INPUT[kind])
-    if kind == "tsp-nwa":
-        gadget, bundles = tsp_to_min_nwa(source)
-    elif kind == "repeat3cut":
+    counts = {}
+    if kind == "repeat3cut":
         if source.k1 != 3:
             raise UsageError(_REDUCE_INPUT[kind][1])
         # the caps read counts alone, so an over-cap file is refused first
         require_repeat_size(source.n, len(source.edges), args.l)
         base = repeated_from_relational(source)
         repeated = repeat_max3cut(base.base_n, base.edges, args.l)
-        _write(args.out, serialize(repeated.to_relational()))
-        print(f"OUT={args.out}")
-        print(f"VERTICES={repeated.n}")
-        print(f"EDGES={len(repeated.edges)}")
-        return 0
-    elif kind == "pwt1":
-        gadget, bundles = pwt1_gadget(repeated_from_relational(source))
-    elif kind == "pwt-half":
-        gadget, bundles = two2two_to_pwt_half(source)
+        out, counts["VERTICES"] = repeated.to_relational(), repeated.n
+    elif kind == "strip-neg":
+        out = strip_negative(source)
     else:
-        stripped = strip_negative(source)
-        _write(args.out, serialize(stripped))
-        print(f"OUT={args.out}")
-        print(f"EDGES={len(stripped.edges)}")
-        return 0
-    _write(args.out, serialize(gadget))
+        if kind == "tsp-nwa":
+            out, bundles = tsp_to_min_nwa(source)
+        elif kind == "pwt1":
+            out, bundles = pwt1_gadget(repeated_from_relational(source))
+        else:
+            out, bundles = two2two_to_pwt_half(source)
+        counts["BUNDLES"] = bundles.source_count
+    _write(args.out, serialize(out))
     print(f"OUT={args.out}")
-    print(f"BUNDLES={bundles.source_count}")
-    print(f"EDGES={len(gadget.edges)}")
+    for key, count in counts.items():
+        print(f"{key}={count}")
+    print(f"EDGES={len(out.edges)}")
     return 0
 
 

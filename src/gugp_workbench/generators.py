@@ -36,9 +36,11 @@ entry of one module-level table of the 81 ``Fraction(num, den)`` values (and
 of a second table of their negations), so no ``Fraction`` is built per edge.
 Within one ``generate`` call every distinct permutation image is built, and
 so validated, once and shared by the edges that draw it: a permutation is
-keyed by its k - 1 shuffle draws, which Fisher-Yates maps one-to-one to
+keyed by its k - 1 shuffle draws alone, which Fisher-Yates maps one-to-one to
 images, and each pass's new images are built in one ``core.permutations``
-call.  Neither changes what is drawn or in which order.
+call.  Planted random-t22 ``pi_u`` images are the exception: they are built
+per edge, one ``core.permutations`` call per pass, and not shared.  Neither
+changes what is drawn or in which order.
 
 Before any draw, a size above ``GEN_SIZE_CAP`` raises ``CapacityError``:
 m*k (random-gugp), n(n-1)/2 (random-tsp), n + m (planted-3col), or 4*m*k
@@ -126,22 +128,15 @@ def _edge_passes(stream: SplitMix64, m: int, edge_bounds: list[int]):
 Perms = dict[tuple[int, ...], Permutation]
 
 
-def _interned(images: list[tuple[int, ...]], perms: Perms) -> list[Permutation]:
-    """Each image's permutation, building the ones not in ``perms`` at once."""
-    fresh = [image for image in dict.fromkeys(images) if image not in perms]
-    if fresh:  # after the first passes, small k draws nothing new
-        perms.update(zip(fresh, permutations(fresh)))
-    return list(map(perms.__getitem__, images))
-
-
 def _permutations(columns: list, rows: int, k: int, perms: Perms) -> list[Permutation]:
     """Per row, the permutation that its k - 1 shuffle draws, the first k - 1
-    ``columns``, make; ``perms`` is keyed by those draws and by the image
-    (k - 1 and k long), so each image is built and checked once."""
+    ``columns``, make; ``perms`` is keyed by those draws alone, which
+    Fisher-Yates maps one-to-one to images, so each image is built and
+    checked once."""
     keys = list(zip(*columns[: k - 1])) if k > 1 else [()] * rows
     new = list(set(keys).difference(perms))
     images = [tuple(fisher_yates(list(range(1, k + 1)), key)) for key in new]
-    perms.update(zip(new, _interned(images, perms)))
+    perms.update(zip(new, permutations(images)))
     return list(map(perms.__getitem__, keys))
 
 
@@ -262,7 +257,7 @@ def _random_t22(spec: GenSpec, stream: SplitMix64) -> GenResult:
                     swapped[planted[u] - 1], swapped[image.index(target)] = target, hit
                     image = tuple(swapped)
                 images.append(image)
-            pis_u = _interned(images, perms)
+            pis_u = permutations(images)
         edges += map(T22Edge, us, vs, repeat(one), pis_u, pis_v)
     return GenResult(TwoToTwoInstance(spec.n, spec.k, tuple(edges)), planted)
 

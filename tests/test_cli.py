@@ -833,6 +833,35 @@ def test_reduce_counts_the_edges_of_the_gadget_it_wrote(capsys, tmp_path, monkey
     assert len(parse(enc.read_text()).edges) == 18
 
 
+# one row per kind: its input (a generated source, or the file an earlier
+# row's kind wrote), its options, and the stdout lines after OUT=
+REDUCE_STDOUT = [
+    (GenSpec("random-tsp", seed=1, n=5), "tsp-nwa", (), ["BUNDLES=10", "EDGES=30"]),
+    (
+        GenSpec("planted-3col", seed=1, n=4, m=4),
+        "repeat3cut",
+        ("--l", "2"),
+        ["VERTICES=16", "EDGES=32"],
+    ),
+    ("repeat3cut", "pwt1", (), ["BUNDLES=32", "EDGES=288"]),
+    (GenSpec("random-t22", seed=3, n=5, m=6, k=2), "pwt-half", (), ["BUNDLES=6", "EDGES=24"]),
+    (GenSpec("random-gugp", seed=3, n=4, m=6, k=3), "strip-neg", (), ["EDGES=4"]),
+]
+
+
+def test_reduce_stdout_for_every_kind(capsys, tmp_path):
+    assert sorted(row[1] for row in REDUCE_STDOUT) == sorted(cli._REDUCE_INPUT)
+    for source, kind, argv, tail in REDUCE_STDOUT:
+        if isinstance(source, str):
+            path = str(tmp_path / source)
+        else:
+            path = write(tmp_path / f"{kind}.in", generate(source).instance)
+        out = tmp_path / kind
+        code, lines, err = run(capsys, "reduce", kind, "--in", path, *argv, "--out", str(out))
+        assert (code, lines, err) == (0, [f"OUT={out}", *tail], "")
+        assert f"EDGES={len(parse(out.read_text()).edges)}" == tail[-1]
+
+
 DIFFER_PAIRS = "6 1 2 1 3 2 1 2 3 3 1 3 2"
 
 

@@ -348,6 +348,23 @@ def test_random_t22_satisfiable_planting(seed):
     assert brute_force_relational(relational).value == 1
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize(
+    "family, k, permutations_of",
+    [
+        ("random-gugp", 3, lambda e: (e.pi,)),
+        ("random-t22", 2, lambda e: (e.pi_u, e.pi_v)),
+    ],
+)
+def test_distinct_images_are_distinct_objects(seed, family, k, permutations_of):
+    # draw-keyed permutations share one object per image, so the cached
+    # Permutation.rows and serialize_gugp's id-keyed texts are paid once per
+    # image; planted random-t22 pi_u images are built per edge, not shared
+    spec = GenSpec(family, seed=seed, n=6, m=200, k=k)
+    pis = [pi for e in generate(spec).instance.edges for pi in permutations_of(e)]
+    assert len(set(map(id, pis))) == len({pi.image for pi in pis}) < len(pis)
+
+
 # ---------------------------------------------------------------------------
 # flag validation
 

@@ -8,6 +8,11 @@ anywhere, as a name or as the base of an attribute, annotations included.
 A ``_``-prefixed name is private to the module that defines it, so what one
 module offers another, such as the solvers' exact-search substrate, is
 public.
+
+A census holds the other direction: every top-level function and class of
+the package is read, as a name or an attribute, somewhere in ``src/``,
+``scripts/`` or ``bench/``; ``__init__.py``'s re-exports are imports, not
+reads, so they do not count.
 """
 
 import ast
@@ -15,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gugp_workbench"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gugp_workbench"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -171,3 +177,54 @@ def test_a_reexported_sibling_name_is_reported():
         "line 3: RelEdge from .reductions",
         "line 4: Fraction from gugp_workbench.core",
     ]
+
+
+# the encode/decode helpers are the reference oracles the tests hold the
+# builders' tables to; no builder calls them (see the reductions docstring)
+EXEMPT = {"encode_vertex_tuple", "encode_label_tuple", "decode_label"}
+
+
+def read_names(source: str) -> set[str]:
+    """The names a source loads, as a name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def unread_definitions(definers: list[str], readers: list[str]) -> set[str]:
+    """The top-level functions and classes of ``definers`` that no source in
+    ``readers`` loads."""
+    read = set().union(*map(read_names, readers))
+    return {
+        node.name
+        for source in definers
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    }
+
+
+def test_every_function_and_class_is_read():
+    readers = [*ALL_MODULES, *ROOT.glob("scripts/*.py"), *ROOT.glob("bench/*.py")]
+    assert unread_definitions(
+        [p.read_text(encoding="utf-8") for p in ALL_MODULES],
+        [p.read_text(encoding="utf-8") for p in readers],
+    ) == EXEMPT
+
+
+def test_an_unread_definition_is_reported():
+    definer = (
+        "import math\n"
+        "class Used: ...\n"
+        "def helper(): return math.pi\n"
+        "def orphan(): return helper()\n"
+        "def method_only(): ...\n"
+        "async def waiter(): ...\n"
+    )
+    # an import is no read, and a definer reads its own helpers
+    reader = "from pkg import orphan, waiter\nUsed()\nobj.method_only()\n"
+    assert unread_definitions([definer], [definer, reader]) == {"orphan", "waiter"}

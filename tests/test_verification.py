@@ -416,13 +416,45 @@ def test_value_transfer_single_edge():
     assert "GADGET_MIN_PWT=0/1" in report.notes
 
 
-def test_value_transfer_k4():
-    repeated = repeat_max3cut(4, k4_pairs(), 1)
-    gadget, _ = pwt1_gadget(repeated)
-    report = check_value_transfer(repeated.to_relational(), gadget)
+# odd wheel W5: hub 0, rim cycle 1..5
+WHEEL5_PAIRS = tuple((0, v) for v in range(1, 6)) + tuple(
+    (v, v % 5 + 1) for v in range(1, 6)
+)
+MOSER_SPINDLE_PAIRS = (
+    (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4),
+    (0, 5), (4, 5), (4, 6), (5, 6), (3, 6),
+)
+
+
+def fold1_pwt1(n, pairs):
+    repeated = repeat_max3cut(n, pairs, 1)
+    return repeated.to_relational(), pwt1_gadget(repeated)[0]
+
+
+def unplanted_t22_pwt_half():
+    spec = GenSpec("random-t22", seed=3, n=5, m=6, k=2)
+    source = generate(spec).instance
+    return source.to_unit_relational(), two2two_to_pwt_half(source)[0]
+
+
+# sources that no labeling satisfies, so the gadget minimum is positive
+@pytest.mark.parametrize(
+    "build, optimum, gadget_min, cases",
+    [
+        (lambda: fold1_pwt1(4, k4_pairs()), "5/6", "1/3", 162),
+        (lambda: fold1_pwt1(6, WHEEL5_PAIRS), "9/10", "1/5", 1_458),
+        (lambda: fold1_pwt1(7, MOSER_SPINDLE_PAIRS), "10/11", "2/11", 4_374),
+        (unplanted_t22_pwt_half, "5/6", "1/4", 2_048),
+    ],
+    ids=["k4", "odd-wheel-w5", "moser-spindle", "random-t22-seed3"],
+)
+def test_value_transfer_unsatisfiable(build, optimum, gadget_min, cases):
+    source, gadget = build()
+    report = check_value_transfer(source, gadget)
     assert report.passed
-    assert "SOURCE_OPTIMUM=5/6" in report.notes
-    assert "GADGET_MIN_PWT=1/3" in report.notes
+    assert f"SOURCE_OPTIMUM={optimum}" in report.notes
+    assert f"GADGET_MIN_PWT={gadget_min}" in report.notes
+    assert report.cases == cases
 
 
 def test_value_transfer_block_gadget_with_conflict():
