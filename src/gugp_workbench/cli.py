@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import GugpInstance, RelationalInstance, metrics
+from .core import GugpInstance, RelationalInstance, capped_power_product, metrics
 from .errors import (
     CapacityError,
     DegenerateInstanceError,
@@ -313,16 +313,21 @@ def _cmd_verify(args) -> int:
                 raise UsageError(f"bundle {i} endpoints do not match source edge")
         family, param = "pwt-half", t22.k
         relation_of = pair_block_predicate(t22)
-        source = t22.to_unit_relational()
-    bundles = BundleMap(len(source.edges), gadget.k)
+        # value transfer's first gate, asked before the source's game is built
+        fits = capped_power_product(((width, t22.n),), args.cap)
+        source = t22.to_unit_relational() if fits else None
+    bundles = BundleMap(len(gadget.edges) // gadget.k, gadget.k)
     reports = [
         check_bundle_exactly_one(gadget, bundles),
         check_indicator_weights(gadget, bundles, relation_of),
-        check_gadget_metrics(gadget, family, param, len(source.edges)),
+        check_gadget_metrics(gadget, family, param, bundles.source_count),
     ]
-    try:
-        reports.append(check_value_transfer(source, gadget, args.cap))
-    except CapacityError:
+    if source is not None:
+        try:
+            reports.append(check_value_transfer(source, gadget, args.cap))
+        except CapacityError:
+            source = None
+    if source is None:
         print("NOTE=VALUE_TRANSFER=SKIPPED-CAPACITY")
     return _finish_verify(reports)
 

@@ -59,6 +59,7 @@ renders each edge on its own, as TSP renders each pair.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import methodcaller
 from typing import Iterable, Iterator, Sequence
@@ -94,6 +95,12 @@ def parse_fraction(token: str, line: int | None) -> Fraction:
     try:
         num, den = int(parts[0]), int(parts[1])
     except ValueError:
+        # a part past the interpreter's int-digit limit is named, not echoed
+        digits = max(sum(map(str.isdecimal, part)) for part in parts)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < digits:
+            message = f"rational part of {digits} digits exceeds the {limit}-digit limit"
+            raise ParseError(message, line) from None
         raise ParseError(f"non-integer rational parts in {token!r}", line) from None
     if den <= 0:
         raise ParseError(f"denominator must be positive in {token!r}", line)

@@ -6,29 +6,35 @@ space or vertex count, then walks the game's compiled ``scan``, whose
 ``Layout`` and ``Plan`` per table set are held in the instance's
 ``compiled_scans`` under ``"layout"``, ``"all"`` and ``"positive"``.  The
 layout splits the vertices into a depth-first prefix and a trailing block,
-the longest suffix of at most ``BLOCK_LABELINGS`` joint labelings.  A table
-set's plan scores the block's labelings in lexicographic order as one
-vector, plus one vector per label of each prefix vertex with tables into
-the block, which the walk adds once for all the leaves below it: a ``Leaf``
-costs at most one vector add, and every one of the k^n labelings is still
-scored.  Sibling leaves, and every scan of one game, may share rows;
-consumers only read the rows.
+the longest suffix of at most ``BLOCK_LABELINGS`` joint labelings.  A row
+packs the block's scores, in lexicographic order, into the fixed-width
+lanes of one integer, each plus a ``bias``: the width, in whole bytes, is
+chosen once per game from the sum of its absolute integer weights, so that
+every score and every gap of two stays below the lane's top (guard) bit.
+A plan holds its block row and one offset per label of each prefix vertex
+with tables into the block, which the walk adds once for all the leaves
+below it: a ``Leaf`` costs at most one integer add, and every one of the
+k^n labelings is still scored.  Rows may be shared; consumers only read
+them, testing every lane at once with ``Layout.reached`` and unpacking a
+row only when one of its labelings beats the incumbent or is a witness.
 
 Brute force is deterministic: it takes the first maximum within a leaf's
-vector and lets a later leaf replace the incumbent only when strictly
-better.  Leaves come in lexicographic prefix order and vectors in
-lexicographic block order, so ties resolve to the lexicographically smallest
-optimal labeling, as in a plain lexicographic scan.
+row and lets a later leaf replace the incumbent only when strictly better.
+Leaves come in lexicographic prefix order and lanes in lexicographic block
+order, so ties resolve to the lexicographically smallest optimal labeling,
+as in a plain lexicographic scan.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     GugpInstance,
@@ -53,8 +59,10 @@ from .evaluation import (
 from .rng import SplitMix64
 
 DEFAULT_BRUTE_CAP = 1_000_000
-# Largest joint label count of the trailing block that one row vector scores.
+# Largest joint label count of the trailing block that one row scores.
 BLOCK_LABELINGS = 243
+# the array typecode of each lane width up to 8 bytes, widths ascending
+_CODES = {array(code).itemsize: code for code in "BHILQ"}
 # Local search keeps four per-vertex lists; the header's n is checked first.
 LOCAL_SEARCH_VERTEX_CAP = 100_000
 
@@ -74,87 +82,124 @@ class SolveResult:
 
 class Layout(NamedTuple):
     """A scan's ``domains``, its prefix length ``split``, the ``block``'s joint
-    labelings, and ``columns``: per block vertex, its labels in them."""
+    labelings, and its lanes, as ``_layout`` sets them: ``masks[y][a]`` has a 1
+    in each lane where block vertex y takes label a + 1."""
     domains: list[range]
     split: int
     block: list[Labeling]
-    columns: dict[int, tuple[int, ...]]
+    masks: dict[int, list[int]]
+    bias: int
+    ones: int
+    guard: int
+    guards: int
+
+    def reached(self, row: int, t: int) -> int:
+        """The guard of each lane of ``row`` that holds at least ``t``: no lane
+        reaches its guard, so lane + guard - t never borrows for 0 <= t <= guard."""
+        if t <= 0:
+            return self.guards
+        if t >= self.guard:
+            return 0
+        return (row | self.guards) - self.ones * t & self.guards
+
+    def lanes(self, row: int) -> Sequence[int]:
+        """``row``'s lanes in block order, read by byte slices past 8 bytes."""
+        step = self.guard.bit_length() // 8
+        data = row.to_bytes(step * len(self.block), "little")
+        if step not in _CODES:
+            ends = range(step, len(data) + 1, step)
+            return [int.from_bytes(data[i - step : i], "little") for i in ends]
+        lanes = array(_CODES[step], data)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes
+
+    def top(self, row: int) -> tuple[int, int]:
+        """The largest score in ``row`` and the index of its first lane."""
+        lanes = self.lanes(row)
+        top = max(lanes)
+        return top - self.bias, lanes.index(top)
 
 
 class Plan(NamedTuple):
     """One table set oriented and summed on a layout: see ``_plan``."""
     later: list[list[tuple[int, list[list[int]]]]]
-    block_row: list[int]
-    cross: dict[int, dict[int, list[int]]]
+    block_row: int
+    cross: dict[int, dict[int, int]]
 
 
-# (prefix labels, prefix score, score of each block labeling)
-Leaf = tuple[Labeling, int, list[int]]
+# (prefix labels, prefix score, row of the block's scores)
+Leaf = tuple[Labeling, int, int]
 
 
-def _layout(domains: list[range]) -> Layout:
-    """Split ``domains`` into the prefix and the block, from the sizes alone."""
+def _layout(domains: list[range], bound: int) -> Layout:
+    """Split ``domains`` into the prefix and the block, from the sizes alone,
+    with ``step``-byte lanes that keep 4 ``bound`` below their top bit, the
+    ``guard``: biased by ``bound``, every score of absolute value at most
+    ``bound`` lies in [0, 2 bound], and the gap of two in [-2 bound, 2 bound]."""
     split, size = len(domains), 1
     while split and size * len(domains[split - 1]) <= BLOCK_LABELINGS:
         split -= 1
         size *= len(domains[split])
     block: list[Labeling] = list(itertools.product(*domains[split:]))
-    columns = dict(zip(range(split, len(domains)), zip(*block)))
-    return Layout(domains, split, block, columns)
+    need = (4 * bound).bit_length() // 8 + 1
+    step = next((width for width in _CODES if width >= need), need)
+    one = (1).to_bytes(step, "little")
+    masks, run = {}, len(block)
+    for y in range(split, len(domains)):
+        k = len(domains[y])
+        run //= k
+        # label 1 holds the first of every k runs of equal labels at y
+        first = (one * run + bytes(step * run * (k - 1))) * (len(block) // (run * k))
+        shifts = range(0, 8 * step * run * k, 8 * step * run)
+        masks[y] = [int.from_bytes(first, "little") << shift for shift in shifts]
+    ones = int.from_bytes(one * len(block), "little")
+    guard = 1 << 8 * step - 1
+    return Layout(domains, split, block, masks, bound, ones, guard, ones * guard)
 
 
 def _plan(layout: Layout, tables: Tables) -> Plan:
     """Orient and sum one table set, as built by ``pair_tables``.
 
     ``later[x]`` holds (y, table[label of y][label of x]) per table between
-    prefix vertices y < x, ``block_row`` scores the tables inside the block,
-    and ``cross[x][a]`` the tables from prefix vertex x into the block at
-    label a: per block vertex its row of k numbers, expanded to the block in
-    one pass over their product, so no row or column 0 is read.
+    prefix vertices y < x, ``block_row`` scores the tables inside the block
+    plus the bias, and ``cross[x][a]`` the tables from prefix vertex x into
+    the block at label a, an offset whose lanes may be negative: each table
+    entry times the mask of its label pair, so no row or column 0 is read.
     """
-    domains, split, block, columns = layout
+    domains, split, _, masks = layout[:4]
     later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
-    internal: list[Iterator[int]] = []
-    zeros = [[0] * len(labels) for labels in domains[split:]]
-    # crossing[x][a][y - split]: the tables from x to block vertex y, at label a
-    crossing: dict[int, dict[int, list[list[int]]]] = {}
+    block_row = layout.bias * layout.ones
+    cross: dict[int, dict[int, int]] = {}
     for (u, v), table in tables.items():
         if u > v:
             u, v, table = v, u, [list(col) for col in zip(*table)]
         if v < split:
             later[v].append((u, table))
         elif u >= split:
-            rows = map(table.__getitem__, columns[u])
-            internal.append(map(operator.getitem, rows, columns[v]))
+            for row, at_u in zip(table[1:], masks[u]):
+                block_row += sum(w * (at_u & at) for w, at in zip(row[1:], masks[v]))
         else:
-            by_label = crossing.get(u)
-            if by_label is None:
-                by_label = crossing[u] = {a: zeros[:] for a in domains[u]}
-            for a, rows_at in by_label.items():
-                rows_at[v - split] = list(
-                    map(operator.add, rows_at[v - split], table[a][1:])
-                )
-    block_row = list(map(sum, zip(*internal))) if internal else [0] * len(block)
-    cross = {
-        x: {a: list(map(sum, itertools.product(*rows))) for a, rows in by_label.items()}
-        for x, by_label in crossing.items()
-    }
+            by_label = cross.setdefault(u, dict.fromkeys(domains[u], 0))
+            for a in by_label:
+                by_label[a] += sum(map(operator.mul, table[a][1:], masks[v]))
     return Plan(later, block_row, cross)
 
 
 def _leaves(layout: Layout, plan: Plan) -> Iterator[Leaf]:
     """One ``(prefix, base, row)`` per prefix labeling, in lexicographic
-    order: labeling ``prefix + block[j]`` scores ``base + row[j]``.
+    order: labeling ``prefix + block[j]`` scores ``base`` plus lane j of
+    ``row`` less the bias.
 
-    ``row`` is the block vector carried down the walk, not a fresh list per
-    leaf: a prefix vertex without tables into the block hands its own row to
-    every child, and the plan's ``block_row`` starts every scan.
+    ``row`` is the block row carried down the walk: a prefix vertex without
+    tables into the block hands its own row to every child, and the plan's
+    ``block_row`` starts every scan.
     """
-    domains, split, _, _ = layout
+    domains, split = layout[:2]
     later, block_row, cross = plan
     labels = [0] * split
 
-    def walk(x: int, base: int, row: list[int]) -> Iterator[Leaf]:
+    def walk(x: int, base: int, row: int) -> Iterator[Leaf]:
         """Label vertex x onward; ``base`` scores the labels before x and
         ``row`` the block under them."""
         if x == split:
@@ -167,7 +212,7 @@ def _leaves(layout: Layout, plan: Plan) -> Iterator[Leaf]:
             yield from walk(
                 x + 1,
                 base + gain[a] if gain else base,
-                row if by_label is None else list(map(operator.add, row, by_label[a])),
+                row if by_label is None else row + by_label[a],
             )
 
     return walk(0, 0, block_row)
@@ -177,27 +222,34 @@ def scan(
     instance: GugpInstance | RelationalInstance,
     domains: list[range],
     positive: bool = False,
-) -> tuple[list[Labeling], Iterator[Leaf]]:
-    """The block labelings and the leaves of the scan over the ``domains``
-    that ``label_space`` returned, under every edge weight or the positive
-    ones; the layout and each plan are compiled once per instance."""
+) -> tuple[Layout, Iterator[Leaf]]:
+    """The layout and the leaves of the scan over the ``domains`` that
+    ``label_space`` returned, under every edge weight or the positive ones;
+    the layout and each plan are compiled once per instance."""
     scans = instance.compiled_scans
-    layout = built_once(scans, "layout", _layout, domains)
+    weights = instance.integer_weights[1]
+    layout = built_once(scans, "layout", _layout, domains, sum(map(abs, weights)))
     key = "positive" if positive else "all"
     if key not in scans:
-        weights = [max(w, 0) if positive else w for w in instance.integer_weights[1]]
+        weights = [max(w, 0) if positive else w for w in weights]
         gugp = isinstance(instance, GugpInstance)
         k1, k2 = (instance.k, instance.k) if gugp else (instance.k1, instance.k2)
         tables = pair_tables(instance.edges, weights, k1, k2)
         scans[key] = _plan(layout, tables)
-    return layout.block, _leaves(layout, scans[key])
+    return layout, _leaves(layout, scans[key])
 
 
-def _best_labeling(block: list[Labeling], leaves: Iterator[Leaf]) -> Labeling:
+def _best_labeling(layout: Layout, leaves: Iterator[Leaf]) -> Labeling:
     """The lexicographically first labeling with the largest total table
-    weight: ``max`` and ``index`` each keep the first of equal maxima."""
-    prefix, _, row = max(leaves, key=lambda leaf: leaf[1] + max(leaf[2]))
-    return prefix + block[row.index(max(row))]
+    weight: a leaf's row is unpacked only when some lane beats the
+    incumbent, and ``Layout.top`` keeps the first of its equal maxima."""
+    best = labeling = None
+    for prefix, base, row in leaves:
+        if best is None or layout.reached(row, best - base + 1 + layout.bias):
+            top, j = layout.top(row)
+            best, labeling = base + top, prefix + layout.block[j]
+    assert labeling is not None
+    return labeling
 
 
 def label_space(

@@ -61,6 +61,7 @@ from .reductions import (
 )
 from .solvers import (
     DEFAULT_BRUTE_CAP,
+    Layout,
     Leaf,
     brute_force,
     brute_force_relational,
@@ -336,7 +337,7 @@ def check_value_transfer(
 
 
 def _strip_scan(
-    block: list[Labeling],
+    layout: Layout,
     leaves_all: Iterator[Leaf],
     leaves_pos: Iterator[Leaf],
     sigma: int,
@@ -348,26 +349,30 @@ def _strip_scan(
 
     Returns the cases, the first ``MAX_RECORDED_WITNESSES`` sandwich
     witnesses in scan order, and the first minimum unsatisfied weight with
-    its labeling for each table set.  A leaf's whole row is checked at once;
-    only a failing row met while there is room is walked labeling by
-    labeling to record its witnesses.
+    its labeling for each table set.  A leaf's whole row is checked at once,
+    lane against lane; only a failing row met while there is room is
+    unpacked and walked labeling by labeling to record its witnesses, and a
+    row is unpacked for its minimum only when that beats the incumbent.
     """
     neg_total = w_plus - sigma
+    block, bias, reached = layout.block, layout.bias, layout.reached
+    # row_pos - row holds the gaps, in [-2 bias, 2 bias], lanes once shifted
+    shift = 2 * bias * layout.ones
     best_orig: tuple[int, Labeling] | None = None
     best_stripped: tuple[int, Labeling] | None = None
     witnesses: list[Witness] = []
     cases = 0
     for (prefix, base, row), (_, base_pos, row_pos) in zip(leaves_all, leaves_pos):
-        cases += len(row)
+        cases += len(block)
         # W'(f) - W(f) = c - gap(f), so the per-labeling sandwich
         # W(f) <= W'(f) <= W(f) + |W-| holds for the whole row exactly when
         # every gap lies in [c - |W-|, c]
         c = (w_plus - base_pos) - (sigma - base)
-        gaps = list(map(operator.sub, row_pos, row))
-        room = MAX_RECORDED_WITNESSES - len(witnesses)
-        if room and (max(gaps) > c or min(gaps) < c - neg_total):
-            unsat = map((sigma - base).__sub__, row)
-            unsat_pos = map((w_plus - base_pos).__sub__, row_pos)
+        gaps, room = row_pos - row + shift, MAX_RECORDED_WITNESSES - len(witnesses)
+        low, high = c - neg_total + 2 * bias, c + 1 + 2 * bias
+        if room and (reached(gaps, low) != layout.guards or reached(gaps, high)):
+            unsat = map((sigma - base + bias).__sub__, layout.lanes(row))
+            unsat_pos = map((w_plus - base_pos + bias).__sub__, layout.lanes(row_pos))
             for t, u_all, u_pos in zip(block, unsat, unsat_pos):
                 if not u_all <= u_pos:
                     pair = (Fraction(u_all, scale), Fraction(u_pos, scale))
@@ -379,12 +384,14 @@ def _strip_scan(
                     del witnesses[MAX_RECORDED_WITNESSES:]
                     break
         # the minimum unsatisfied weight sits at the row's first maximum
-        top, top_pos = max(row), max(row_pos)
-        low, low_pos = sigma - base - top, w_plus - base_pos - top_pos
-        if best_orig is None or low < best_orig[0]:
-            best_orig = (low, prefix + block[row.index(top)])
-        if best_stripped is None or low_pos < best_stripped[0]:
-            best_stripped = (low_pos, prefix + block[row_pos.index(top_pos)])
+        if best_orig is None or reached(row, sigma - base - best_orig[0] + 1 + bias):
+            top, j = layout.top(row)
+            best_orig = (sigma - base - top, prefix + block[j])
+        if best_stripped is None or reached(
+            row_pos, w_plus - base_pos - best_stripped[0] + 1 + bias
+        ):
+            top, j = layout.top(row_pos)
+            best_stripped = (w_plus - base_pos - top, prefix + block[j])
     assert best_orig is not None and best_stripped is not None
     return cases, witnesses, best_orig, best_stripped
 
@@ -411,10 +418,10 @@ def check_strip_bounds(
     # the solvers' gate refuses an over-cap scan before it starts
     space, domains = label_space(instance, cap)
     # every edge in one table set, positive edges in another, on one layout
-    block, leaves_all = scan(instance, domains)
+    layout, leaves_all = scan(instance, domains)
     _, leaves_pos = scan(instance, domains, positive=True)
     cases, witnesses, orig, stripped = _strip_scan(
-        block, leaves_all, leaves_pos, sigma, w_plus, scale
+        layout, leaves_all, leaves_pos, sigma, w_plus, scale
     )
     (best_orig, best_orig_label), (best_stripped, best_stripped_label) = orig, stripped
     min_orig, min_stripped = Fraction(best_orig, scale), Fraction(best_stripped, scale)

@@ -6,8 +6,10 @@ constructors, so every generated case also exercises validation.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from gugp_workbench import (
@@ -19,6 +21,15 @@ from gugp_workbench import (
     Relation,
     RelationalInstance,
 )
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default int-digit limit, set for one test."""
+    held = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(held)
 
 
 def perm(*image: int) -> Permutation:

@@ -601,6 +601,15 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     assert "zero-weight edge" in err
 
 
+def test_oversized_weight_is_refused_by_its_digit_count(capsys, tmp_path, digit_limit):
+    # the 5,000-digit numerator is named by its length, not echoed
+    bad = tmp_path / "big.gugp"
+    bad.write_text(f"GUGP v1\nk 2\nn 2\ne 0 1 {'8' * 5000}/7 2 1\n")
+    code, out, err = run(capsys, "metrics", "--in", str(bad))
+    message = "rational part of 5000 digits exceeds the 4300-digit limit"
+    assert (code, out, err) == (1, [], f"error: line 4: {message}\n")
+
+
 def test_argparse_usage_exit_is_remapped(capsys):
     assert main(["solve"]) == 1  # missing mode
     capsys.readouterr()
@@ -758,6 +767,37 @@ def test_block_gadget_pipeline(capsys, tmp_path, block_gadget_file):
     )
     assert code == 0
     assert lines[-1] == "VERDICT=PASS"
+
+
+@pytest.mark.parametrize(
+    "cap, extra_vertices, builds",
+    [
+        (16, 0, True),  # 4^2 labelings: value transfer runs
+        (15, 0, False),  # the source's label space is refused before its game is built
+        (16, 1, True),  # the source fits, the gadget's 4^3 labelings do not
+    ],
+)
+def test_block_gadget_value_transfer_builds_the_source_only_when_it_fits(
+    capsys, tmp_path, monkeypatch, block_gadget_file, cap, extra_vertices, builds
+):
+    gadget_path, source_path = block_gadget_file
+    gadget = parse(Path(gadget_path).read_text())
+    wider = GugpInstance(gadget.n + extra_vertices, gadget.k, gadget.edges)
+    built = []
+    real = TwoToTwoInstance.to_unit_relational
+
+    def counted(self):
+        built.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(TwoToTwoInstance, "to_unit_relational", counted)
+    argv = ("--in", write(tmp_path / "wider.gugp", wider), "--source", source_path)
+    code, lines, _ = run(capsys, "verify", "gadget-pwt-half", *argv, "--cap", str(cap))
+    assert code == 0 and lines[-1] == "VERDICT=PASS"
+    assert built == ([2] if builds else [])
+    skipped = "NOTE=VALUE_TRANSFER=SKIPPED-CAPACITY" in lines
+    assert skipped == (cap < 16 or extra_vertices > 0)
+    assert ("CLAIM=value-transfer" in lines) == (not skipped)
 
 
 def test_block_gadget_verify_requires_source(capsys, block_gadget_file):

@@ -27,6 +27,7 @@ from gugp_workbench import (
     serialize_labeling,
     two2two_relation,
 )
+from gugp_workbench.fileformat import parse_fraction
 
 from conftest import gugp, gugp_instances, identity, perm, permutations
 
@@ -303,6 +304,31 @@ def test_bad_token_first_seen_on_a_later_line_names_that_line(text, message):
     with pytest.raises(ParseError) as excinfo:
         parse(text)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("TSP v1\nn 3\nw 0 1 1/1\nw 0 2 {big}/1\nw 1 2 1/1\n", 4),
+        ("GUGP v1\nk 2\nn 2\ne 0 1 -1/{big} 2 1\n", 4),
+        ("GUGP v1\nk 2\nn 2\ne 0 1 1/1 2 1\ne 0 1 -{big}/3 1 2\n", 5),
+    ],
+)
+def test_rational_part_past_the_digit_limit_is_named_by_its_length(
+    digit_limit, text, line
+):
+    big = "9" * (digit_limit + 700)
+    with pytest.raises(ParseError) as excinfo:
+        parse(text.format(big=big))
+    message = f"rational part of {digit_limit + 700} digits exceeds the 4300-digit limit"
+    assert str(excinfo.value) == f"line {line}: {message}"
+
+
+def test_rational_part_at_the_digit_limit_parses(digit_limit):
+    part, den = "7" * digit_limit, "3" * digit_limit
+    assert parse_fraction(f"-{part}/{den}", None) == Fraction(-int(part), int(den))
+    with pytest.raises(ParseError, match="^rational part of 4301 digits exceeds"):
+        parse_fraction(f"-{part}1/{part}", None)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,8 @@ of plain frozen dataclasses: the same fields, hash and repr, or the same
 error.  ``scaled_weights``, which scales each distinct weight object once,
 is held to a per-element loop, and ``_pair_shift`` to its three-branch form.
 The exhaustive scan, compiled once per game, is held to the same kernel
-built afresh per call: the same blocks, prefixes, bases and rows.
+built afresh per call with list rows: the same blocks, prefixes, bases and
+rows, its packed rows unpacked, at every lane width.
 ``smoothness``, which compares label columns per vertex, is held to the
 per-pair loop over each vertex's edges.  The local search, which finds its
 mover from a heap, is held to the loop that rescans from vertex 0 after
@@ -110,7 +111,7 @@ from gugp_workbench import (
 
 from gugp_workbench import reductions, verification
 from gugp_workbench.core import scaled_weights
-from gugp_workbench.evaluation import pair_tables
+from gugp_workbench.evaluation import pair_tables, require_objective
 from gugp_workbench import fileformat
 from gugp_workbench.core import gugp_edges
 from gugp_workbench.core import permutations as bulk_permutations
@@ -724,11 +725,32 @@ def ref_prefix_scan(domains, *table_sets):
     return (block, *map(leaves, table_sets))
 
 
+def score_bound(*table_sets):
+    """A bound on the absolute score of any labeling under each table set:
+    per table, its largest absolute entry off the padding."""
+    return max(
+        sum(max(abs(x) for row in t[1:] for x in row[1:]) for t in tables.values())
+        for tables in table_sets
+    )
+
+
 def compiled_scan(domains, *table_sets):
     """``ref_prefix_scan``'s result through the compiled route: one layout,
-    one plan per table set."""
-    layout = _layout(domains)
-    return (layout.block, *(_leaves(layout, _plan(layout, t)) for t in table_sets))
+    with lanes for every table set, and one plan per table set."""
+    layout = _layout(domains, score_bound(*table_sets))
+    return (layout, *(_leaves(layout, _plan(layout, t)) for t in table_sets))
+
+
+def unpacked(layout, leaves):
+    """Compiled leaves with each packed row unpacked to its list of scores."""
+    for prefix, base, row in leaves:
+        yield prefix, base, [lane - layout.bias for lane in layout.lanes(row)]
+
+
+def compiled_stream(scanned):
+    """``scan_stream`` of a compiled ``(layout, leaves, ...)``, rows unpacked."""
+    layout, *leaves = scanned
+    return [layout.block, *(list(unpacked(layout, each)) for each in leaves)]
 
 
 def strip_scan(domains, tables_all, tables_pos, sigma, w_plus, scale):
@@ -738,11 +760,11 @@ def strip_scan(domains, tables_all, tables_pos, sigma, w_plus, scale):
 
 
 def kernel_scores(domains, tables):
-    block, leaves = compiled_scan(domains, tables)
+    layout, leaves = compiled_scan(domains, tables)
     return [
         (prefix + t, base + score)
-        for prefix, base, row in leaves
-        for t, score in zip(block, row)
+        for prefix, base, row in unpacked(layout, leaves)
+        for t, score in zip(layout.block, row)
     ]
 
 
@@ -827,8 +849,8 @@ def test_prefix_scan_split_depends_on_label_counts_only(sizes, prefix_len, leaf_
             [PAD] + [(3 * a + 5 * b + u) % 7 - 3 for b in domains[v]]
             for a in domains[u]
         ]
-    block, leaves = compiled_scan(domains, tables)
-    leaves = list(leaves)
+    layout, leaves = compiled_scan(domains, tables)
+    block, leaves = layout.block, list(leaves)
     assert len(leaves) == leaf_count
     assert all(len(prefix) == prefix_len for prefix, _, _ in leaves)
     assert len(block) == math.prod(sizes[prefix_len:]) <= BLOCK_LABELINGS
@@ -840,12 +862,12 @@ def test_prefix_scan_split_depends_on_label_counts_only(sizes, prefix_len, leaf_
 
 def eager_kernel_scores(domains, tables):
     """``kernel_scores`` with every leaf collected before any row is read."""
-    block, leaves = compiled_scan(domains, tables)
+    layout, leaves = compiled_scan(domains, tables)
     leaves = list(leaves)
     return [
         (prefix + t, base + score)
-        for prefix, base, row in leaves
-        for t, score in zip(block, row)
+        for prefix, base, row in unpacked(layout, leaves)
+        for t, score in zip(layout.block, row)
     ]
 
 
@@ -935,7 +957,7 @@ ONE_LABEL_TABLES = {
 def test_compiled_plan_yields_the_reference_stream(domains_and_table_sets):
     domains, table_sets = domains_and_table_sets
     expected = scan_stream(ref_prefix_scan(domains, *table_sets))
-    assert scan_stream(compiled_scan(domains, *table_sets)) == expected
+    assert compiled_stream(compiled_scan(domains, *table_sets)) == expected
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1040,8 +1062,8 @@ def test_compiled_scan_of_a_game_yields_the_reference_stream(inst, positive):
         tables = pair_tables(inst.edges, weights, inst.k1, inst.k2)
     expected = scan_stream(ref_prefix_scan(domains, tables))
     # the first scan compiles the plan, the second reads the held one
-    assert scan_stream(scan(inst, domains, positive)) == expected
-    assert scan_stream(scan(inst, domains, positive)) == expected
+    assert compiled_stream(scan(inst, domains, positive)) == expected
+    assert compiled_stream(scan(inst, domains, positive)) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -1094,9 +1116,9 @@ class WalkedBlock(list):
 def walked_strip_scan(args):
     """``strip_scan(*args)`` and the number of rows it walked."""
     domains, tables_all, tables_pos, *totals = args
-    block, *leaves = compiled_scan(domains, tables_all, tables_pos)
-    block = WalkedBlock(block)
-    return _strip_scan(block, *leaves, *totals), block.walks
+    layout, *leaves = compiled_scan(domains, tables_all, tables_pos)
+    layout = layout._replace(block=WalkedBlock(layout.block))
+    return _strip_scan(layout, *leaves, *totals), layout.block.walks
 
 
 def pair_table(entries):
@@ -1143,6 +1165,128 @@ def test_strip_scan_one_unit_past_each_bound_gives_the_reference_witness(
     assert result == ref_strip_scan(*args)
     assert [(f, rule) for _, f, rule, _ in result[1]] == [(label, bound)]
     assert walks == 1
+
+
+# packed rows: the lane predicate and every lane width
+
+
+def packed(lanes, step):
+    """One row of ``step``-byte lanes, lane 0 lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(step, "little") for v in lanes), "little")
+
+
+@pytest.mark.parametrize("step", [1, 2, 4, 8, 9, 16])
+def test_lane_predicate_at_the_edges_of_its_range(step):
+    # scores up to 2^(8 step - 4) in absolute value need exactly step bytes
+    layout = _layout([range(1, 4)], 1 << 8 * step - 4)
+    guard = layout.guard
+    assert guard == 1 << 8 * step - 1
+    # twice the bound would put four times it on the guard bit
+    assert _layout([range(1, 4)], 1 << 8 * step - 3).guard > guard
+    lanes = [0, guard - 1, 5]
+    row = packed(lanes, step)
+    for t in [-guard, -1, 0, 1, 5, 6, guard - 1, guard, guard + 1, 3 * guard]:
+        reached = sum(guard << 8 * step * j for j, lane in enumerate(lanes) if lane >= t)
+        assert layout.reached(row, t) == reached, t
+    assert layout.reached(row, 0) == layout.guards == layout.ones * guard
+    assert layout.reached(row, guard - 1) == guard << 8 * step
+    assert layout.reached(row, guard) == 0
+    assert list(layout.lanes(row)) == lanes
+    assert layout.top(row) == (guard - 1 - layout.bias, 1)
+    # the first of equal maxima
+    assert layout.top(packed([3, 7, 7], step)) == (7 - layout.bias, 1)
+
+
+# lane widths in bytes: three array typecodes and one past 64 bits
+WIDE_STEPS = (2, 4, 8, 9)
+
+
+@st.composite
+def wide_lane_games(draw):
+    """A game and its lane width in bytes: integer weights, with mixed signs,
+    all negative, tied or relational, scaled so that four times their
+    absolute sum fills a lane of the drawn width up to its guard bit."""
+    step = draw(st.sampled_from(WIDE_STEPS))
+    kind = draw(st.sampled_from(["mixed", "negative", "ties", "rel"]))
+    k = draw(st.integers(min_value=2, max_value=3))
+    n = draw(st.integers(min_value=2, max_value=7 if k == 2 else 6))
+    ends = [
+        (u, (u + d) % n)
+        for u, d in draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    ]
+    unit = {
+        "mixed": st.integers(-5, 5).filter(bool),
+        "negative": st.integers(-5, -1),
+        "ties": st.just(1),
+        "rel": st.integers(1, 5),
+    }[kind]
+    units = [draw(unit) for _ in ends]
+    scale = (1 << 8 * step - 4) // sum(map(abs, units)) + draw(st.integers(0, 1))
+    weights = [Fraction(u * scale) for u in units]
+    if kind == "rel":
+        pairs = st.frozensets(st.tuples(st.integers(1, k), st.integers(1, k)))
+        edges = [
+            RelEdge(u, v, w, Relation(k, k, draw(pairs)))
+            for (u, v), w in zip(ends, weights)
+        ]
+        return RelationalInstance(n, k, k, tuple(edges)), step
+    # tied games draw each permutation from two, so most labelings tie
+    perms = st.sampled_from([Permutation.identity(k), cyclic_shift(k, 1)])
+    perms = perms if kind == "ties" else permutations(k)
+    edges = [GugpEdge(u, v, w, draw(perms)) for (u, v), w in zip(ends, weights)]
+    return GugpInstance(n, k, tuple(edges)), step
+
+
+def first_objective(inst):
+    """The first maximizing objective the game's weight signs admit."""
+    for objective in (Objective.MAX_UGP, Objective.MAX_PWT, Objective.MAX_NWA):
+        try:
+            require_objective(inst, objective)
+        except ObjectiveMismatchError:
+            continue
+        return objective
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_lane_games())
+def test_wide_lanes_match_the_reference_scans(game):
+    inst, step = game
+    _, domains = label_space(inst, 10**6)
+    scale, weights = inst.integer_weights
+    k1, k2 = (inst.k, inst.k) if isinstance(inst, GugpInstance) else (inst.k1, inst.k2)
+    tables = pair_tables(inst.edges, weights, k1, k2)
+    tables_pos = pair_tables(inst.edges, [max(w, 0) for w in weights], k1, k2)
+    layout, leaves = scan(inst, domains)
+    assert layout.guard == 1 << 8 * step - 1
+    assert compiled_stream((layout, leaves)) == scan_stream(ref_prefix_scan(domains, tables))
+    scores = ref_scores(domains, tables)
+    top = max(score for _, score in scores)
+    first = next(f for f, score in scores if score == top)
+    assert _best_labeling(*scan(inst, domains)) == first
+    objective = first_objective(inst)
+    if objective is not None:
+        result = brute_force(inst, objective)
+        assert (result.labeling, result.visited) == (first, len(scores))
+        assert result.value == labeling_value(inst, first, objective)
+    sigma, w_plus = sum(weights), sum(w for w in weights if w > 0)
+    _, leaves_all = scan(inst, domains)
+    _, leaves_pos = scan(inst, domains, positive=True)
+    found = _strip_scan(layout, leaves_all, leaves_pos, sigma, w_plus, scale)
+    assert found == ref_strip_scan(domains, tables, tables_pos, sigma, w_plus, scale)
+    # the negated game's tables in the positive set's place: gaps of both
+    # signs, as wide as the lanes allow, and witnesses to record
+    negated = {pair: [[-x for x in row] for row in t] for pair, t in tables.items()}
+    _, leaves_all = scan(inst, domains)
+    leaves_neg = _leaves(layout, _plan(layout, negated))
+    found = _strip_scan(layout, leaves_all, leaves_neg, sigma, w_plus, scale)
+    assert found == ref_strip_scan(domains, tables, negated, sigma, w_plus, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -369,9 +369,9 @@ def count_compiles(monkeypatch):
     built = []
     real_layout, real_tables = solvers._layout, solvers.pair_tables
 
-    def layout(domains):
+    def layout(domains, bound):
         built.append("layout")
-        return real_layout(domains)
+        return real_layout(domains, bound)
 
     def tables(edges, weights, k1, k2):
         built.append(tuple(weights))
@@ -422,6 +422,22 @@ def test_parse_metrics_values_and_local_search_compile_no_scan(monkeypatch):
     assert built == [] and "compiled_scans" not in vars(instance)
 
 
+def unpacked_rows(instance):
+    """Per held plan, the scores of its block row and of that row plus each
+    offset, unpacked from their lanes."""
+    layout = instance.compiled_scans["layout"]
+
+    def scores(row):
+        return [lane - layout.bias for lane in layout.lanes(row)]
+
+    return {
+        key: [scores(plan.block_row)]
+        + [scores(plan.block_row + row) for by in plan.cross.values() for row in by.values()]
+        for key, plan in instance.compiled_scans.items()
+        if key != "layout"
+    }
+
+
 @pytest.mark.parametrize(
     "signs, scans",
     [
@@ -447,6 +463,8 @@ def test_a_held_scan_is_only_read(signs, scans):
 
     instance = parse(text)
     shown = hash(instance), repr(instance)
+    assert run(scans[0], instance) == run(scans[0], parse(text))
+    first = unpacked_rows(instance)
     # each scan twice, in both orders, against a game that never scanned
     for scan in scans + scans[::-1]:
         assert run(scan, instance) == run(scan, parse(text))
@@ -455,6 +473,8 @@ def test_a_held_scan_is_only_read(signs, scans):
     if check_strip_bounds in scans:
         held["positive"] = solvers.Plan
     assert {key: type(value) for key, value in instance.compiled_scans.items()} == held
+    later = unpacked_rows(instance)
+    assert {key: later[key] for key in first} == first
     assert instance == parse(text)
     assert (hash(instance), repr(instance)) == shown
     copy = dataclasses.replace(instance, edges=instance.edges[1:])
