@@ -90,7 +90,10 @@ def pair_tables(
     labels a at u and b at v satisfy, where ``weights[i]`` is edge i's
     weight.  Row and column 0 are padding so 1-indexed labels index
     directly.  Each table is (k1+1) x (k2+1); filling it costs O(k) per
-    permutation edge and O(|R|) per relation edge.
+    permutation edge and O(|R|) per relation edge.  Its callers want whole
+    rows: ``verification`` tables one gadget bundle at a time, and
+    ``solvers._plan`` only the edges between two prefix vertices, whose
+    rows the walk sums.
     """
     tables: Tables = {}
     for e, w in zip(edges, weights):

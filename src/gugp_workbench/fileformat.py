@@ -95,22 +95,29 @@ def parse_fraction(token: str, line: int | None) -> Fraction:
     try:
         num, den = int(parts[0]), int(parts[1])
     except ValueError:
-        # a part past the interpreter's int-digit limit is named, not echoed
-        digits = max(sum(map(str.isdecimal, part)) for part in parts)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if 0 < limit < digits:
-            message = f"rational part of {digits} digits exceeds the {limit}-digit limit"
-            raise ParseError(message, line) from None
+        _refuse_past_digit_limit("rational part", parts, line)
         raise ParseError(f"non-integer rational parts in {token!r}", line) from None
     if den <= 0:
         raise ParseError(f"denominator must be positive in {token!r}", line)
     return Fraction(num, den)
 
 
+def _refuse_past_digit_limit(what: str, parts: Sequence[str], line: int | None) -> None:
+    """Raise ``ParseError`` naming the digit count, not echoing the token,
+    when one of the ``parts`` that ``int`` refused is past the interpreter's
+    int-digit limit."""
+    digits = max(sum(map(str.isdecimal, part)) for part in parts)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < digits:
+        message = f"{what} of {digits} digits exceeds the {limit}-digit limit"
+        raise ParseError(message, line) from None
+
+
 def _parse_int(token: str, line: int) -> int:
     try:
         return int(token)
     except ValueError:
+        _refuse_past_digit_limit("integer", (token,), line)
         raise ParseError(f"expected integer, got {token!r}", line) from None
 
 

@@ -3,7 +3,7 @@
 The exact-search substrate, public to the verifiers too: every exhaustive
 scan passes one gate, ``label_space``, which refuses an over-cap label
 space or vertex count, then walks the game's compiled ``scan``, whose
-``Layout`` and ``Plan`` per table set are held in the instance's
+``Layout`` and ``Plan`` per weighting are held in the instance's
 ``compiled_scans`` under ``"layout"``, ``"all"`` and ``"positive"``.  The
 layout splits the vertices into a depth-first prefix and a trailing block,
 the longest suffix of at most ``BLOCK_LABELINGS`` joint labelings.  A row
@@ -12,11 +12,14 @@ lanes of one integer, each plus a ``bias``: the width, in whole bytes, is
 chosen once per game from the sum of its absolute integer weights, so that
 every score and every gap of two stays below the lane's top (guard) bit.
 A plan holds its block row and one offset per label of each prefix vertex
-with tables into the block, which the walk adds once for all the leaves
+with edges into the block, which the walk adds once for all the leaves
 below it: a ``Leaf`` costs at most one integer add, and every one of the
-k^n labelings is still scored.  Rows may be shared; consumers only read
-them, testing every lane at once with ``Layout.reached`` and unpacking a
-row only when one of its labelings beats the incumbent or is a witness.
+k^n labelings is still scored.  It is compiled in one pass over the game's
+edges, at O(k) per permutation edge and O(|R|) per relation edge, with a
+label table only per pair of prefix vertices.  Rows may be shared;
+consumers only read them, testing every lane at once with
+``Layout.reached`` and unpacking a row only when one of its labelings
+beats the incumbent or is a witness.
 
 Brute force is deterministic: it takes the first maximum within a leaf's
 row and lets a later leaf replace the incumbent only when strictly better.
@@ -28,7 +31,6 @@ as in a plain lexicographic scan.
 from __future__ import annotations
 
 import itertools
-import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -37,8 +39,10 @@ from heapq import heappop, heappush
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
+    GugpEdge,
     GugpInstance,
     Labeling,
+    RelEdge,
     RelationalInstance,
     built_once,
     capped_power_product,
@@ -50,7 +54,6 @@ from .errors import (
 )
 from .evaluation import (
     Objective,
-    Tables,
     labeling_value,
     objective_normalizer,
     pair_tables,
@@ -122,7 +125,8 @@ class Layout(NamedTuple):
 
 
 class Plan(NamedTuple):
-    """One table set oriented and summed on a layout: see ``_plan``."""
+    """A game's edges under one weighting, oriented and summed on a layout
+    in one pass over the edges: see ``_plan``."""
     later: list[list[tuple[int, list[list[int]]]]]
     block_row: int
     cross: dict[int, dict[int, int]]
@@ -132,11 +136,13 @@ class Plan(NamedTuple):
 Leaf = tuple[Labeling, int, int]
 
 
-def _layout(domains: list[range], bound: int) -> Layout:
+def _layout(domains: list[range], weights: Sequence[int]) -> Layout:
     """Split ``domains`` into the prefix and the block, from the sizes alone,
     with ``step``-byte lanes that keep 4 ``bound`` below their top bit, the
-    ``guard``: biased by ``bound``, every score of absolute value at most
-    ``bound`` lies in [0, 2 bound], and the gap of two in [-2 bound, 2 bound]."""
+    ``guard``, where ``bound`` is the sum of the absolute ``weights``: biased
+    by ``bound``, every score of absolute value at most ``bound`` lies in
+    [0, 2 bound], and the gap of two in [-2 bound, 2 bound]."""
+    bound = sum(map(abs, weights))
     split, size = len(domains), 1
     while split and size * len(domains[split - 1]) <= BLOCK_LABELINGS:
         split -= 1
@@ -158,31 +164,50 @@ def _layout(domains: list[range], bound: int) -> Layout:
     return Layout(domains, split, block, masks, bound, ones, guard, ones * guard)
 
 
-def _plan(layout: Layout, tables: Tables) -> Plan:
-    """Orient and sum one table set, as built by ``pair_tables``.
+def _plan(
+    layout: Layout, edges: Sequence[GugpEdge | RelEdge], weights: Sequence[int]
+) -> Plan:
+    """Orient and sum the edges under ``weights`` in one pass over them, at
+    k label pairs per permutation edge and |R| per relation edge; an edge of
+    weight 0 is skipped.
 
-    ``later[x]`` holds (y, table[label of y][label of x]) per table between
-    prefix vertices y < x, ``block_row`` scores the tables inside the block
-    plus the bias, and ``cross[x][a]`` the tables from prefix vertex x into
-    the block at label a, an offset whose lanes may be negative: each table
-    entry times the mask of its label pair, so no row or column 0 is read.
+    ``block_row`` scores the edges inside the block plus the bias: w times
+    the lanes where both ends take one of the edge's pairs.  ``cross[x][a]``
+    scores the edges between prefix vertex x and the block at label a of x,
+    an offset whose lanes may be negative: w times the mask of each block
+    label that a pairs with.  ``later[x]`` holds (y, table[label of y][label
+    of x]) per ``pair_tables`` table between prefix vertices y < x, padded
+    to the largest label count: the walk sums whole rows of these, so only
+    these vertex pairs are tabled.
     """
     domains, split, _, masks = layout[:4]
-    later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
     block_row = layout.bias * layout.ones
     cross: dict[int, dict[int, int]] = {}
-    for (u, v), table in tables.items():
+    # the edges between prefix vertices, and their weights
+    inner: tuple[list[GugpEdge | RelEdge], list[int]] = ([], [])
+    for e, w in zip(edges, weights):
+        if not w:
+            continue
+        u, v = e.u, e.v
+        pairs = e.rel.pairs if isinstance(e, RelEdge) else enumerate(e.pi.image, 1)
+        if u < split and v < split:
+            inner[0].append(e)
+            inner[1].append(w)
+        elif u >= split and v >= split:
+            at_u, at_v = masks[u], masks[v]
+            block_row += w * sum(at_u[a - 1] & at_v[b - 1] for a, b in pairs)
+        else:
+            if v < split:
+                u, v, pairs = v, u, [(b, a) for a, b in pairs]
+            by_label, at_v = cross.setdefault(u, dict.fromkeys(domains[u], 0)), masks[v]
+            for a, b in pairs:
+                by_label[a] += w * at_v[b - 1]
+    later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
+    k = max(map(len, domains))
+    for (u, v), table in pair_tables(*inner, k, k).items():
         if u > v:
             u, v, table = v, u, [list(col) for col in zip(*table)]
-        if v < split:
-            later[v].append((u, table))
-        elif u >= split:
-            for row, at_u in zip(table[1:], masks[u]):
-                block_row += sum(w * (at_u & at) for w, at in zip(row[1:], masks[v]))
-        else:
-            by_label = cross.setdefault(u, dict.fromkeys(domains[u], 0))
-            for a in by_label:
-                by_label[a] += sum(map(operator.mul, table[a][1:], masks[v]))
+        later[v].append((u, table))
     return Plan(later, block_row, cross)
 
 
@@ -192,7 +217,7 @@ def _leaves(layout: Layout, plan: Plan) -> Iterator[Leaf]:
     ``row`` less the bias.
 
     ``row`` is the block row carried down the walk: a prefix vertex without
-    tables into the block hands its own row to every child, and the plan's
+    edges into the block hands its own row to every child, and the plan's
     ``block_row`` starts every scan.
     """
     domains, split = layout[:2]
@@ -228,14 +253,11 @@ def scan(
     the layout and each plan are compiled once per instance."""
     scans = instance.compiled_scans
     weights = instance.integer_weights[1]
-    layout = built_once(scans, "layout", _layout, domains, sum(map(abs, weights)))
+    layout = built_once(scans, "layout", _layout, domains, weights)
     key = "positive" if positive else "all"
     if key not in scans:
         weights = [max(w, 0) if positive else w for w in weights]
-        gugp = isinstance(instance, GugpInstance)
-        k1, k2 = (instance.k, instance.k) if gugp else (instance.k1, instance.k2)
-        tables = pair_tables(instance.edges, weights, k1, k2)
-        scans[key] = _plan(layout, tables)
+        scans[key] = _plan(layout, instance.edges, weights)
     return layout, _leaves(layout, scans[key])
 
 

@@ -610,6 +610,17 @@ def test_oversized_weight_is_refused_by_its_digit_count(capsys, tmp_path, digit_
     assert (code, out, err) == (1, [], f"error: line 4: {message}\n")
 
 
+def test_oversized_vertex_id_is_refused_by_its_digit_count(
+    capsys, tmp_path, digit_limit
+):
+    # the 5,000-digit endpoint is named by its length, not echoed
+    bad = tmp_path / "big.gugp"
+    bad.write_text(f"GUGP v1\nk 2\nn 2\ne 0 {'1' * 5000} 1/1 2 1\n")
+    code, out, err = run(capsys, "metrics", "--in", str(bad))
+    message = "integer of 5000 digits exceeds the 4300-digit limit"
+    assert (code, out, err) == (1, [], f"error: line 4: {message}\n")
+
+
 def test_argparse_usage_exit_is_remapped(capsys):
     assert main(["solve"]) == 1  # missing mode
     capsys.readouterr()

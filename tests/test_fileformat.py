@@ -1,6 +1,7 @@
 """Text formats: canonical bytes, round trips, and malformed-input errors."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from gugp_workbench import (
     serialize_labeling,
     two2two_relation,
 )
+from gugp_workbench import fileformat
 from gugp_workbench.fileformat import parse_fraction
 
 from conftest import gugp, gugp_instances, identity, perm, permutations
@@ -322,6 +324,25 @@ def test_rational_part_past_the_digit_limit_is_named_by_its_length(
         parse(text.format(big=big))
     message = f"rational part of {digit_limit + 700} digits exceeds the 4300-digit limit"
     assert str(excinfo.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("GUGP v1\nk 2\nn 2\ne 0 {big} 1/1 2 1\n", 4),
+        ("GUGP v1\nk 2\nn {big}\ne 0 1 1/1 2 1\n", 3),
+    ],
+)
+def test_integer_past_the_digit_limit_is_named_by_its_length(digit_limit, text, line):
+    # both texts are in serializer form: the bulk route meets the token first
+    # and refuses, then the per-line route reports it, as it does alone
+    text = text.format(big="1" * (digit_limit + 700))
+    message = f"integer of {digit_limit + 700} digits exceeds the 4300-digit limit"
+    for bulk in (fileformat._bulk_gugp, lambda _text: None):
+        with mock.patch.object(fileformat, "_bulk_gugp", bulk):
+            with pytest.raises(ParseError) as excinfo:
+                parse(text)
+        assert str(excinfo.value) == f"line {line}: {message}"
 
 
 def test_rational_part_at_the_digit_limit_parses(digit_limit):

@@ -19,7 +19,9 @@ error.  ``scaled_weights``, which scales each distinct weight object once,
 is held to a per-element loop, and ``_pair_shift`` to its three-branch form.
 The exhaustive scan, compiled once per game, is held to the same kernel
 built afresh per call with list rows: the same blocks, prefixes, bases and
-rows, its packed rows unpacked, at every lane width.
+rows, its packed rows unpacked, at every lane width.  Its plan, built in one
+pass over the edges, is held to the plan built from dense pair tables: the
+same block row, offsets and prefix tables.
 ``smoothness``, which compares label columns per vertex, is held to the
 per-pair loop over each vertex's edges.  The local search, which finds its
 mover from a heap, is held to the loop that rescans from vertex 0 after
@@ -119,6 +121,7 @@ from gugp_workbench.fileformat import parse_fraction
 from gugp_workbench.reductions import _pair_shift, label_fold
 from gugp_workbench.solvers import (
     BLOCK_LABELINGS,
+    Plan,
     _best_labeling,
     _layout,
     _leaves,
@@ -734,11 +737,28 @@ def score_bound(*table_sets):
     )
 
 
+def table_edges(domains, tables):
+    """A bare table set as the edges and weights ``_plan`` reads: one
+    single-pair relation edge per nonzero entry off the padding, weighted by
+    the entry, so that the edges of each vertex pair sum back to its table."""
+    edges, weights = [], []
+    for (u, v), table in tables.items():
+        for a, row in enumerate(table[1:], 1):
+            for b, entry in enumerate(row[1:], 1):
+                if entry:
+                    rel = Relation(len(domains[u]), len(domains[v]), {(a, b)})
+                    edges.append(RelEdge(u, v, Fraction(1), rel))
+                    weights.append(entry)
+    return edges, weights
+
+
 def compiled_scan(domains, *table_sets):
     """``ref_prefix_scan``'s result through the compiled route: one layout,
-    with lanes for every table set, and one plan per table set."""
-    layout = _layout(domains, score_bound(*table_sets))
-    return (layout, *(_leaves(layout, _plan(layout, t)) for t in table_sets))
+    with lanes for every table set (one weight of ``score_bound`` sizes
+    them), and one plan per table set, from its entries as edges."""
+    layout = _layout(domains, [score_bound(*table_sets)])
+    plans = (_plan(layout, *table_edges(domains, t)) for t in table_sets)
+    return (layout, *(_leaves(layout, plan) for plan in plans))
 
 
 def unpacked(layout, leaves):
@@ -1066,6 +1086,171 @@ def test_compiled_scan_of_a_game_yields_the_reference_stream(inst, positive):
     assert compiled_stream(scan(inst, domains, positive)) == expected
 
 
+def ref_plan(layout, tables):
+    """The plan from dense tables, the route the per-edge ``_plan``
+    replaced: every oriented pair's ``pair_tables`` table, each entry times
+    the AND of its two label masks inside the block, or times its block
+    label's mask from a prefix vertex into the block."""
+    domains, split, _, masks = layout[:4]
+    later = [[] for _ in range(split)]
+    block_row = layout.bias * layout.ones
+    cross = {}
+    for (u, v), table in tables.items():
+        if u > v:
+            u, v, table = v, u, [list(col) for col in zip(*table)]
+        if v < split:
+            later[v].append((u, table))
+        elif u >= split:
+            for row, at_u in zip(table[1:], masks[u]):
+                block_row += sum(w * (at_u & at) for w, at in zip(row[1:], masks[v]))
+        else:
+            by_label = cross.setdefault(u, dict.fromkeys(domains[u], 0))
+            for a in by_label:
+                by_label[a] += sum(map(operator.mul, table[a][1:], masks[v]))
+    return Plan(later, block_row, cross)
+
+
+def plan_parts(layout, plan):
+    """A plan as plain values: its block row's scores; each prefix vertex's
+    offsets, unpacked around the bias, per label; and per prefix vertex x
+    its tables with each earlier vertex y, both orientations summed and cut
+    to the two label ranges.  Offsets and tables that are all zero, which
+    the walk reads as absent, are left out."""
+    domains, split = layout[:2]
+    later, block_row, cross = plan
+
+    def scores(row):
+        return [lane - layout.bias for lane in layout.lanes(row)]
+
+    offsets = {
+        x: [scores(layout.bias * layout.ones + by_label[a]) for a in domains[x]]
+        for x, by_label in cross.items()
+    }
+    tables = []
+    for x in range(split):
+        summed = {}
+        for y, table in later[x]:
+            cut = [row[: len(domains[x]) + 1] for row in table[: len(domains[y]) + 1]]
+            held = summed.setdefault(y, [[0] * len(row) for row in cut])
+            for row, add in zip(held, cut):
+                row[:] = map(operator.add, row, add)
+        tables.append({y: t for y, t in summed.items() if any(map(any, t))})
+    offsets = {x: rows for x, rows in offsets.items() if any(map(any, rows))}
+    return scores(block_row), offsets, tables
+
+
+@st.composite
+def plan_games(draw):
+    """Games for the plan oracle, most of them past one block.  GUGP: 1 to 9
+    vertices with 1 to 4 labels, or 2 with 244 (an empty block); weights of
+    mixed signs or all of one sign; edges that may repeat an earlier pair,
+    in either orientation.  REL: 2 to 9 vertices, either one label set or
+    bipartite with k1 and k2 drawn apart and each vertex's side drawn."""
+    if draw(st.booleans()):
+        shapes = [(n, k) for n in range(1, 10) for k in range(1, 5)] + [(2, 244)]
+        n, k = draw(st.sampled_from(shapes))
+        signs = draw(st.sampled_from(["any", "negative", "positive"]))
+        ends, edges = [], []
+        for _ in range(draw(st.integers(0, 12)) if n > 1 else 0):
+            if ends and draw(st.booleans()):
+                u, v = draw(st.sampled_from(ends))[:: draw(st.sampled_from([1, -1]))]
+            else:
+                u = draw(st.integers(0, n - 1))
+                v = (u + draw(st.integers(1, n - 1))) % n
+            ends.append((u, v))
+            edges.append(GugpEdge(u, v, draw(rationals(signs)), draw(permutations(k))))
+        return GugpInstance(n, k, tuple(edges))
+    n = draw(st.integers(2, 9))
+    k1 = draw(st.integers(1, 4))
+    sides = None
+    if draw(st.booleans()):
+        sides = tuple(draw(st.sampled_from("VW")) for _ in range(n))
+    k2 = k1 if sides is None else draw(st.integers(1, 4))
+    lefts = [x for x in range(n) if sides is None or sides[x] == "V"]
+    rights = [x for x in range(n) if sides is None or sides[x] == "W"]
+    edges = []
+    for _ in range(draw(st.integers(0, 10)) if lefts and rights else 0):
+        u = draw(st.sampled_from(lefts))
+        v = draw(st.sampled_from([x for x in rights if x != u]))
+        label_pairs = st.tuples(st.integers(1, k1), st.integers(1, k2))
+        rel = Relation(k1, k2, draw(st.frozensets(label_pairs, max_size=6)))
+        edges.append(RelEdge(u, v, draw(rationals("positive")), rel))
+    return RelationalInstance(n, k1, k2, tuple(edges), sides)
+
+
+# seven 3-label vertices, prefix 0, 1 and block 2..6: parallel edges in both
+# orientations between prefix vertices, across the split and in the block
+PLAN_MIXED = gugp(
+    7,
+    3,
+    (0, 1, 2, perm(2, 3, 1)),
+    (1, 0, -1, perm(1, 3, 2)),
+    (0, 1, -3, perm(3, 1, 2)),
+    (0, 4, 3, perm(1, 2, 3)),
+    (4, 0, -2, perm(3, 2, 1)),
+    (6, 1, 2, perm(2, 1, 3)),
+    (1, 6, 1, perm(2, 1, 3)),
+    (2, 6, 1, perm(3, 1, 2)),
+    (6, 2, -2, perm(2, 3, 1)),
+    (2, 6, 5, perm(1, 3, 2)),
+)
+# the shape of the CI's bipartite REL game and nine of its edges: k1 4, k2 3,
+# sides alternating from V, so that V vertices 0, 2, 4 lie in the prefix 0..5
+# and 6, 8 in the block 6..9
+PLAN_BIPARTITE = RelationalInstance(
+    10,
+    4,
+    3,
+    tuple(
+        RelEdge(u, v, Fraction(w), Relation(4, 3, pairs))
+        for u, v, w, pairs in [
+            (0, 1, "3/7", {(1, 1), (2, 2), (3, 3), (4, 1)}),
+            (0, 1, "2/5", {(1, 2), (2, 3), (4, 3)}),
+            (4, 3, "1/2", {(1, 3), (2, 1), (2, 2), (3, 2), (4, 3)}),
+            (0, 7, "7/11", {(1, 3), (2, 1), (3, 2), (4, 2)}),
+            (2, 9, "4/13", {(1, 1), (3, 3), (4, 1)}),
+            (6, 1, "6/19", {(1, 2), (2, 3), (3, 1), (4, 1)}),
+            (8, 5, "10/29", {(3, 3), (4, 2)}),
+            (6, 7, "11/31", {(1, 1), (2, 2), (3, 3), (4, 3)}),
+            (6, 9, "13/41", {(2, 2), (4, 1)}),
+        ]
+    ),
+    ("V", "W") * 5,
+)
+# all negative, so the positive plan has no edge left
+PLAN_ALL_NEGATIVE = gugp(
+    8, 3, *[(u, (u + 3) % 8, -1 - u, cyclic_shift(3, u)) for u in range(8)]
+)
+# split 0: 3^5 labelings, the whole space one block
+PLAN_ONE_BLOCK = gugp(
+    5, 3, (0, 4, 2, cyclic_shift(3, 1)), (3, 1, -1, cyclic_shift(3, 2))
+)
+# split n: 244 labels, past one block on their own, so every vertex is prefix
+PLAN_NO_BLOCK = gugp(
+    2, 244, (0, 1, 2, cyclic_shift(244, 5)), (1, 0, -3, cyclic_shift(244, 7))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_games(), st.booleans())
+@example(PLAN_MIXED, False)
+@example(PLAN_MIXED, True)
+@example(PLAN_BIPARTITE, False)
+@example(PLAN_ALL_NEGATIVE, True)
+@example(PLAN_ONE_BLOCK, False)
+@example(PLAN_NO_BLOCK, False)
+def test_per_edge_plan_matches_the_dense_table_plan(game, positive):
+    _, domains = label_space(game, 10**6)
+    weights = game.integer_weights[1]
+    layout = _layout(domains, weights)
+    if positive:
+        weights = [max(w, 0) for w in weights]
+    k1, k2 = (game.k, game.k) if isinstance(game, GugpInstance) else (game.k1, game.k2)
+    expected = ref_plan(layout, pair_tables(game.edges, weights, k1, k2))
+    plan = _plan(layout, game.edges, weights)
+    assert plan_parts(layout, plan) == plan_parts(layout, expected)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     scan_domains().flatmap(
@@ -1177,12 +1362,14 @@ def packed(lanes, step):
 
 @pytest.mark.parametrize("step", [1, 2, 4, 8, 9, 16])
 def test_lane_predicate_at_the_edges_of_its_range(step):
-    # scores up to 2^(8 step - 4) in absolute value need exactly step bytes
-    layout = _layout([range(1, 4)], 1 << 8 * step - 4)
+    # scores up to 2^(8 step - 4) in absolute value need exactly step bytes:
+    # one weight of that size, or of either sign in two halves
+    layout = _layout([range(1, 4)], [1 << 8 * step - 4])
     guard = layout.guard
     assert guard == 1 << 8 * step - 1
+    assert _layout([range(1, 4)], [-1 << 8 * step - 5] * 2) == layout
     # twice the bound would put four times it on the guard bit
-    assert _layout([range(1, 4)], 1 << 8 * step - 3).guard > guard
+    assert _layout([range(1, 4)], [1 << 8 * step - 3]).guard > guard
     lanes = [0, guard - 1, 5]
     row = packed(lanes, step)
     for t in [-guard, -1, 0, 1, 5, 6, guard - 1, guard, guard + 1, 3 * guard]:
@@ -1284,7 +1471,7 @@ def test_wide_lanes_match_the_reference_scans(game):
     # signs, as wide as the lanes allow, and witnesses to record
     negated = {pair: [[-x for x in row] for row in t] for pair, t in tables.items()}
     _, leaves_all = scan(inst, domains)
-    leaves_neg = _leaves(layout, _plan(layout, negated))
+    leaves_neg = _leaves(layout, _plan(layout, inst.edges, [-w for w in weights]))
     found = _strip_scan(layout, leaves_all, leaves_neg, sigma, w_plus, scale)
     assert found == ref_strip_scan(domains, tables, negated, sigma, w_plus, scale)
 

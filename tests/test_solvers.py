@@ -364,21 +364,21 @@ def test_local_search_guarantee_and_termination(inst):
 
 
 def count_compiles(monkeypatch):
-    """Record each layout and each table set's weights that ``solvers``
+    """Record each layout and the weights of each plan that ``solvers``
     compiles."""
     built = []
-    real_layout, real_tables = solvers._layout, solvers.pair_tables
+    real_layout, real_plan = solvers._layout, solvers._plan
 
-    def layout(domains, bound):
+    def layout(domains, weights):
         built.append("layout")
-        return real_layout(domains, bound)
+        return real_layout(domains, weights)
 
-    def tables(edges, weights, k1, k2):
+    def plan(layout, edges, weights):
         built.append(tuple(weights))
-        return real_tables(edges, weights, k1, k2)
+        return real_plan(layout, edges, weights)
 
     monkeypatch.setattr(solvers, "_layout", layout)
-    monkeypatch.setattr(solvers, "pair_tables", tables)
+    monkeypatch.setattr(solvers, "_plan", plan)
     return built
 
 
