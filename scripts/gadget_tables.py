@@ -4,8 +4,9 @@
 For every parameter in range this builds a single-source-edge gadget and
 prints its bundle's first and last edge weights, its negative/positive
 ratio and its total weight per source edge.  Every gadget must pass
-``check_gadget_metrics``, which holds it to the family's closed forms, or
-the script raises, so a clean run doubles as a verification sweep.
+``check_gadget_metrics``, which holds it to the one metrics rule in
+(k, d), or the script raises, so a clean run doubles as a verification
+sweep.
 
 Usage:
     python3 scripts/gadget_tables.py --max-fold 4 --max-half 5
@@ -32,7 +33,7 @@ def row(gadget, family: str, param: int, source_edges: int) -> tuple:
     sigma per source edge of a gadget that passes its metrics check."""
     report = check_gadget_metrics(gadget, family, param, source_edges)
     if report.verdict != "PASS":
-        raise AssertionError(f"{family} closed form mismatch at {param}")
+        raise AssertionError(f"{family} metrics rule mismatch at {param}")
     got = metrics(gadget)
     first, last = gadget.edges[0].weight, gadget.edges[-1].weight
     cells = (first, last, got.ratio, got.sigma / source_edges)

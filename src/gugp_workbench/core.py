@@ -37,10 +37,17 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Sequence
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 # A labeling is a plain tuple: entry i is the (1-indexed) label of vertex i.
 Labeling = tuple[int, ...]
+
+# Largest m * (bits of the common scale) that ``scaled_weights`` builds: 2 MiB
+# of scaled integers.  A parsed denominator has at most 14,285 bits, so under
+# it no weight sum passes about 500,000 bits, which takes about 0.4 s to print
+# in decimal on CPython 3.11; the largest file the generators write, 100,000
+# weights at a 12-bit scale, needs 1,200,000.
+SCALED_BITS_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -343,10 +350,20 @@ def scaled_weights(weights: Sequence[Fraction | int]) -> tuple[int, tuple[int, .
     comparisons stand in for exact ``Fraction`` ones and
     ``Fraction(x, scale)`` converts a result back.  Each distinct weight
     object is scaled once, keyed by ``id``, which is safe because ``weights``
-    holds every weight for the whole call.
+    holds every weight for the whole call.  The scale grows one distinct
+    denominator at a time, and ``CapacityError`` refuses it as soon as
+    ``len(weights)`` times its bit length passes ``SCALED_BITS_CAP``, before
+    any weight is scaled.
     """
     distinct = dict(zip(map(id, weights), weights))
-    scale = math.lcm(*(w.denominator for w in distinct.values()))
+    scale = 1
+    for den in dict.fromkeys(w.denominator for w in distinct.values()):
+        scale = math.lcm(scale, den)
+        if len(weights) * scale.bit_length() > SCALED_BITS_CAP:
+            raise CapacityError(
+                f"scaled weights need {len(weights)} * {scale.bit_length()} bits "
+                f"> cap {SCALED_BITS_CAP}"
+            )
     scaled = {
         key: w.numerator * (scale // w.denominator) for key, w in distinct.items()
     }

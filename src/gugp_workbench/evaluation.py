@@ -10,7 +10,9 @@ values of one labeling sum to exactly 1.  The families' preconditions:
 * NWA  -- all weights negative, so sigma < 0 and r = |satisfied| / |sigma|;
   values in [0, 1].
 
-Every weight sum runs over the instance's ``integer_weights`` (see ``core``).
+Every weight sum runs over the instance's ``integer_weights`` (see ``core``),
+one labeling at a time: the exhaustive scans (``solvers``) and the bundle
+checks (``verification``) fill their own label tables in their own passes.
 """
 
 from __future__ import annotations
@@ -18,14 +20,11 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from typing import Sequence
 
 from .core import (
-    GugpEdge,
     GugpInstance,
     InstanceMetrics,
     Labeling,
-    RelEdge,
     RelationalInstance,
     metrics,
 )
@@ -76,34 +75,6 @@ def satisfied_weight(
 
 def unsatisfied_weight(instance: GugpInstance, labeling: Labeling) -> Fraction:
     return metrics(instance).sigma - satisfied_weight(instance, labeling)
-
-
-Tables = dict[tuple[int, int], list[list[int]]]
-
-
-def pair_tables(
-    edges: Sequence[GugpEdge | RelEdge], weights: Sequence[int], k1: int, k2: int
-) -> Tables:
-    """Integer satisfied-weight table per oriented vertex pair.
-
-    ``tables[u, v][a][b]`` is the summed weight of the (u, v) edges that the
-    labels a at u and b at v satisfy, where ``weights[i]`` is edge i's
-    weight.  Row and column 0 are padding so 1-indexed labels index
-    directly.  Each table is (k1+1) x (k2+1); filling it costs O(k) per
-    permutation edge and O(|R|) per relation edge.  Its callers want whole
-    rows: ``verification`` tables one gadget bundle at a time, and
-    ``solvers._plan`` only the edges between two prefix vertices, whose
-    rows the walk sums.
-    """
-    tables: Tables = {}
-    for e, w in zip(edges, weights):
-        table = tables.get((e.u, e.v))
-        if table is None:
-            table = tables[e.u, e.v] = [[0] * (k2 + 1) for _ in range(k1 + 1)]
-        pairs = e.rel.pairs if isinstance(e, RelEdge) else enumerate(e.pi.image, 1)
-        for a, b in pairs:
-            table[a][b] += w
-    return tables
 
 
 def require_objective(

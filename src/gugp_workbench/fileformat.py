@@ -84,7 +84,18 @@ Parsed = (
 
 
 def fmt_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    """``num/den``, exact at any length.  The interpreter's int-digit limit
+    guards parsing; past it, the limit is lifted for this one conversion,
+    whose size ``core.SCALED_BITS_CAP`` bounds for every weight sum."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f"{x.numerator}/{x.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def parse_fraction(token: str, line: int | None) -> Fraction:

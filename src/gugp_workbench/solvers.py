@@ -16,7 +16,8 @@ with edges into the block, which the walk adds once for all the leaves
 below it: a ``Leaf`` costs at most one integer add, and every one of the
 k^n labelings is still scored.  It is compiled in one pass over the game's
 edges, at O(k) per permutation edge and O(|R|) per relation edge, with a
-label table only per pair of prefix vertices.  Rows may be shared;
+label table only per pair of prefix vertices joined by an edge, filled in
+that same pass.  Rows may be shared;
 consumers only read them, testing every lane at once with
 ``Layout.reached`` and unpacking a row only when one of its labelings
 beats the incumbent or is a witness.
@@ -56,7 +57,6 @@ from .evaluation import (
     Objective,
     labeling_value,
     objective_normalizer,
-    pair_tables,
     require_objective,
 )
 from .rng import SplitMix64
@@ -176,38 +176,41 @@ def _plan(
     scores the edges between prefix vertex x and the block at label a of x,
     an offset whose lanes may be negative: w times the mask of each block
     label that a pairs with.  ``later[x]`` holds (y, table[label of y][label
-    of x]) per ``pair_tables`` table between prefix vertices y < x, padded
-    to the largest label count: the walk sums whole rows of these, so only
-    these vertex pairs are tabled.
+    of x]) per pair of prefix vertices y < x joined by an edge, in either
+    orientation, padded to the largest label count: the walk sums whole
+    rows of these, so only these vertex pairs are tabled.  Every edge that
+    is not inside the block is oriented lower vertex first, so a crossing
+    edge starts at its prefix vertex and a prefix edge at y.
     """
     domains, split, _, masks = layout[:4]
     block_row = layout.bias * layout.ones
     cross: dict[int, dict[int, int]] = {}
-    # the edges between prefix vertices, and their weights
-    inner: tuple[list[GugpEdge | RelEdge], list[int]] = ([], [])
+    later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
+    tables: dict[tuple[int, int], list[list[int]]] = {}
+    k = max(map(len, domains))
     for e, w in zip(edges, weights):
         if not w:
             continue
         u, v = e.u, e.v
         pairs = e.rel.pairs if isinstance(e, RelEdge) else enumerate(e.pi.image, 1)
-        if u < split and v < split:
-            inner[0].append(e)
-            inner[1].append(w)
-        elif u >= split and v >= split:
+        if u >= split and v >= split:
             at_u, at_v = masks[u], masks[v]
             block_row += w * sum(at_u[a - 1] & at_v[b - 1] for a, b in pairs)
-        else:
-            if v < split:
-                u, v, pairs = v, u, [(b, a) for a, b in pairs]
+            continue
+        # lower vertex first: a prefix vertex, before the block or a later one
+        if u > v:
+            u, v, pairs = v, u, [(b, a) for a, b in pairs]
+        if v >= split:
             by_label, at_v = cross.setdefault(u, dict.fromkeys(domains[u], 0)), masks[v]
             for a, b in pairs:
                 by_label[a] += w * at_v[b - 1]
-    later: list[list[tuple[int, list[list[int]]]]] = [[] for _ in range(split)]
-    k = max(map(len, domains))
-    for (u, v), table in pair_tables(*inner, k, k).items():
-        if u > v:
-            u, v, table = v, u, [list(col) for col in zip(*table)]
-        later[v].append((u, table))
+        else:
+            table = tables.get((u, v))
+            if table is None:
+                table = tables[u, v] = [[0] * (k + 1) for _ in range(k + 1)]
+                later[v].append((u, table))
+            for a, b in pairs:
+                table[a][b] += w
     return Plan(later, block_row, cross)
 
 

@@ -9,17 +9,19 @@ pair / labeling).
 Checks never trust metadata produced by the reductions: the indicator check
 reads each bundle's expected 0/1 weights off the source game's own relation
 (``all_coords_differ_relation``, a two-to-two game's ``relations`` tuple), which
-neither gadget builder reads, and bundle weights are compared against
-independently stated closed forms.
+neither gadget builder reads, and gadget metrics are compared against one
+rule in (k, d), the label count and the relation's per-label degree.
 
 A gadget's bundles are its ``BundleMap``: ``source_count`` runs of ``size``
-consecutive edges, one run per source edge, in source order.  The two bundle
-checks build one satisfied-weight table per run of identical bundles (the
-same permutation objects with the same weights, in order, as in every pwt1
-gadget), compare it row by row, and report the failing cells of a reused
-table under each bundle's own index.  ``CASES=`` still counts k^2 label
-pairs per bundle, and ``case_cap`` is an upper bound on the edge looks
-performed.  At most ``MAX_RECORDED_WITNESSES`` witnesses are ever
+consecutive edges, one run per source edge, in source order.  Each bundle
+check reads only what it states.  The exactly-one check reads each
+bundle's images label by label and no weight; the indicator check fills a
+satisfied-weight table per bundle and compares it row by row.  Both derive
+once per run of identical bundles (the same permutation objects, in order,
+as in every pwt1 gadget, and for the indicator the same weights) and report
+the failing cells of a run under each bundle's own index.  ``CASES=`` still
+counts k^2 label pairs per bundle, and ``case_cap`` is an upper bound on the
+edge looks performed.  At most ``MAX_RECORDED_WITNESSES`` witnesses are ever
 collected.
 """
 
@@ -34,6 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .core import (
+    GugpEdge,
     GugpInstance,
     Labeling,
     Relation,
@@ -43,7 +46,6 @@ from .core import (
 from .errors import CapacityError, UsageError, ValidationError
 from .evaluation import (
     Objective,
-    pair_tables,
     require_objective,
     satisfied_weight,
 )
@@ -102,10 +104,10 @@ class VerifyReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def _bundle_tables(
-    gadget: GugpInstance, bundles: BundleMap, weighted: bool, claim: str, case_cap: int
-) -> Iterator[tuple[int, int, int, list[list[int]], bool]]:
-    """Yield ``(bundle, scale, total, table, fresh)``, one table at a time.
+def _bundle_walk(
+    gadget: GugpInstance, bundles: BundleMap, claim: str, case_cap: int
+) -> Iterator[tuple[int, tuple[GugpEdge, ...], bool]]:
+    """Yield ``(bundle, edges, fresh)``, one bundle at a time.
 
     This reads the ``BundleMap`` layout whole: bundle i is
     ``gadget.edges[i * size:(i + 1) * size]``, and ``source_count * size``
@@ -113,17 +115,14 @@ def _bundle_tables(
     the CLI, reads only each bundle's first edge: the pwt1 source's
     endpoints, and the pwt-half endpoints it matches to the source's.
 
-    ``table[a][b]`` and ``total`` are the bundle's weight satisfied at labels
-    (a, b) and its whole weight, both times the gadget's ``scale``;
-    unweighted tables count edges.  A bundle whose edges carry the same
-    permutation objects with the same integer weights, in order, as the
-    previous bundle's yields that bundle's table object again with ``fresh``
-    false: ids are safe keys because the gadget holds every permutation for
-    the whole call.
-    Every bundle's edges must still share one vertex pair.  The cap is an
-    upper bound on the edge looks performed: k per edge to fill a table plus
-    k^2 to read it, counted for every bundle whether its table is reused or
-    not: ``source_count * (k * size + k^2)``.
+    ``fresh`` is false for a bundle whose edges carry the same permutation
+    objects, in order, as the previous bundle's, so a check may reuse what
+    it derived from them: ids are safe keys because the gadget holds every
+    permutation for the whole call.  Every bundle's edges must still share
+    one vertex pair.  The cap is an upper bound on the edge looks performed:
+    k per edge to read a bundle plus k^2 label pairs to judge it, counted
+    for every bundle whether it is fresh or not:
+    ``source_count * (k * size + k^2)``.
     """
     count, size = bundles.source_count, bundles.size
     if count * size != len(gadget.edges):
@@ -135,41 +134,16 @@ def _bundle_tables(
     looks = count * (k * size + k * k)
     if looks > case_cap:
         raise CapacityError(f"{claim} check needs {looks} edge looks > cap {case_cap}")
-    scale, weights = (
-        gadget.integer_weights if weighted else (1, (1,) * len(gadget.edges))
-    )
-    key: tuple = ()
-    table: list[list[int]] = []
+    key: list[int] = []
     for i in range(count):
-        start, end = i * size, (i + 1) * size
-        edges = gadget.edges[start:end]
+        edges = gadget.edges[i * size : (i + 1) * size]
         u, v = edges[0].u, edges[0].v
         if any(e.u != u or e.v != v for e in edges):
             raise ValidationError(f"bundle {i} mixes edges of different vertex pairs")
-        part = weights[start:end]
-        bundle_key = (part, [id(e.pi) for e in edges])
+        bundle_key = [id(e.pi) for e in edges]
         fresh = bundle_key != key
-        if fresh:
-            key = bundle_key
-            table = pair_tables(edges, part, k, k)[u, v]
-        yield i, scale, sum(part), table, fresh
-
-
-def _differing_cells(
-    table: list[list[int]], expected: list[list[int]], room: int
-) -> list[tuple[int, int]]:
-    """The first ``room`` label pairs (a, b), in scan order, at which two
-    padded tables differ.  Rows are compared whole; only a row that differs
-    is walked cell by cell."""
-    cells: list[tuple[int, int]] = []
-    for a in range(1, len(table)):
-        if table[a] != expected[a]:
-            for b, (got, want) in enumerate(zip(table[a], expected[a])):
-                if got != want:
-                    if len(cells) == room:
-                        return cells
-                    cells.append((a, b))
-    return cells
+        key = bundle_key
+        yield i, edges, fresh
 
 
 def check_bundle_exactly_one(
@@ -177,23 +151,32 @@ def check_bundle_exactly_one(
     bundles: BundleMap,
     case_cap: int = DEFAULT_CASE_CAP,
 ) -> VerifyReport:
-    """Every bundle must satisfy exactly one of its edges per label pair.
+    """Every bundle must satisfy exactly one of its edges per label pair:
+    at each label a, the bundle's images of a are [1..k] in some order.
 
-    Each table row is compared whole with ``[0] + [1] * k``.  A bundle that
-    reuses the previous bundle's table (see ``_bundle_tables``) reuses its
-    failing cells too, reported under its own index.  ``case_cap`` is an
-    upper bound on the edge looks performed: k * |bundle| + k^2 per bundle.
+    Only a label whose images fail that test is counted cell by cell; no
+    weight is read.  A bundle with the previous bundle's permutation objects
+    (see ``_bundle_walk``) reuses its failing cells, reported under its own
+    index.  ``case_cap`` is an upper bound on the edge looks performed:
+    k * |bundle| + k^2 per bundle.
     """
     k = gadget.k
-    once = [[0] + [1] * k] * (k + 1)
+    labels = list(range(1, k + 1))
     witnesses: list[Witness] = []
     failing: list[tuple[object, object, object]] = []
-    tables = _bundle_tables(gadget, bundles, False, "exactly-one", case_cap)
-    for i, _, _, table, fresh in tables:
+    for i, edges, fresh in _bundle_walk(gadget, bundles, "exactly-one", case_cap):
         room = MAX_RECORDED_WITNESSES - len(witnesses)
         if fresh:
-            cells = _differing_cells(table, once, room)
-            failing = [((a, b), 1, table[a][b]) for a, b in cells]
+            # column a holds the bundle's images of label a
+            columns = zip(*(e.pi.image for e in edges))
+            cells = (
+                ((a, b), 1, count)
+                for a, column in enumerate(columns, 1)
+                if sorted(column) != labels
+                for b, count in enumerate(map(column.count, labels), 1)
+                if count != 1
+            )
+            failing = list(itertools.islice(cells, room))
         witnesses.extend((i, *cell) for cell in failing[:room])
     return VerifyReport("bundle-exactly-one", k * k * bundles.source_count, witnesses)
 
@@ -228,11 +211,13 @@ def check_indicator_weights(
     naming both counts before any bundle is read.
     Labels range over [1..k]; a relation narrower than that raises
     ``ValidationError`` naming the first label pair out of its range.  Each
-    table row is compared whole with one expected row built from the
-    relation's pairs.  A bundle that reuses the previous bundle's table (see
-    ``_bundle_tables``) under the same relation object reuses its failing
-    cells too, reported under its own index.  ``case_cap`` is an upper bound
-    on the edge looks performed: k * |bundle| + k^2 per bundle.
+    fresh bundle fills its own satisfied-weight table from its permutation
+    edges, and each row is compared whole with one expected row built from
+    the relation's pairs.  A bundle with the previous bundle's permutation
+    objects (see ``_bundle_walk``) and integer weights reuses its table, and
+    under the same relation object its failing cells too, reported under its
+    own index.  ``case_cap`` is an upper bound on the edge looks performed:
+    k * |bundle| + k^2 per bundle.
     """
     if isinstance(relation_of, tuple):
         if len(relation_of) != bundles.source_count:
@@ -241,12 +226,13 @@ def check_indicator_weights(
                 f"{len(relation_of)} edges"
             )
         relation_of = relation_of.__getitem__
-    k = gadget.k
+    k, size = gadget.k, bundles.size
+    scale, weights = gadget.integer_weights
     witnesses: list[Witness] = []
     failing: list[tuple[object, object, object]] = []
+    part: tuple[int, ...] = ()
     seen_rel = None
-    tables = _bundle_tables(gadget, bundles, True, "indicator", case_cap)
-    for i, scale, total, table, fresh in tables:
+    for i, edges, fresh in _bundle_walk(gadget, bundles, "indicator", case_cap):
         rel = relation_of(i)
         if k > rel.k1 or k > rel.k2:
             a, b = (1, rel.k2 + 1) if k > rel.k2 else (rel.k1 + 1, 1)
@@ -254,21 +240,29 @@ def check_indicator_weights(
                 f"label pair ({a},{b}) out of range [1..{rel.k1}]x[1..{rel.k2}]"
             )
         room = MAX_RECORDED_WITNESSES - len(witnesses)
-        if fresh or rel is not seen_rel:
+        bundle_weights = weights[i * size : (i + 1) * size]
+        if fresh or bundle_weights != part:
+            part, total, seen_rel = bundle_weights, sum(bundle_weights), None
+            # table[a][b]: the bundle's weight satisfied at labels (a, b)
+            table = [[0] * (k + 1) for _ in range(k + 1)]
+            for e, w in zip(edges, part):
+                for a, b in enumerate(e.pi.image, 1):
+                    table[a][b] += w
+        if rel is not seen_rel:
             seen_rel = rel
             # satisfied weight: the whole bundle on the relation, one unit less off it
             expected = [[0] + [total - scale] * k for _ in range(k + 1)]
             for a, b in rel.pairs:
                 if a <= k and b <= k:
                     expected[a][b] = total
-            failing = [
-                (
-                    (a, b),
-                    Fraction(total - expected[a][b], scale),
-                    Fraction(total - table[a][b], scale),
-                )
-                for a, b in _differing_cells(table, expected, room)
-            ]
+            cells = (
+                ((a, b), Fraction(total - want, scale), Fraction(total - got, scale))
+                for a in range(1, k + 1)
+                if table[a] != expected[a]
+                for b, (got, want) in enumerate(zip(table[a], expected[a]))
+                if got != want
+            )
+            failing = list(itertools.islice(cells, room))
         witnesses.extend((i, *cell) for cell in failing[:room])
     return VerifyReport(
         "bundle-indicator-weights", k * k * bundles.source_count, witnesses
@@ -278,30 +272,27 @@ def check_indicator_weights(
 def check_gadget_metrics(
     gadget: GugpInstance, family: str, param: int, source_edges: int
 ) -> VerifyReport:
-    """Compare instance metrics against the family's closed forms.
+    """Compare instance metrics against the one rule for a gadget whose
+    bundles are exact 0/1 indicators of a d-to-d relation on k labels.
 
-    ``family`` is "pwt1" (param = fold) or "pwt-half" (param = half-size k).
+    ``family`` names (k, d): "pwt1" at param = fold l is (3^l, 2^l), and
+    "pwt-half" at param = half-size K is (2K, 2).  Over m source edges the
+    rule is sigma = (k - d)/(k - 1) * m, W+ = d * sigma, W- = -(d - 1) *
+    sigma, and the ratio 1 - 1/d.
     """
     if family == "pwt1":
-        fold = param
-        three, two = 3**fold, 2**fold
-        expected = {
-            "w_plus": Fraction(two * (three - two), three - 1) * source_edges,
-            "w_minus": Fraction(-(two - 1) * (three - two), three - 1)
-            * source_edges,
-            "sigma": Fraction(three - two, three - 1) * source_edges,
-            "ratio": Fraction(two - 1, two),
-        }
+        k, d = 3**param, 2**param
     elif family == "pwt-half":
-        k = param
-        expected = {
-            "w_plus": Fraction(4 * (k - 1), 2 * k - 1) * source_edges,
-            "w_minus": Fraction(-2 * (k - 1), 2 * k - 1) * source_edges,
-            "sigma": Fraction(2 * k - 2, 2 * k - 1) * source_edges,
-            "ratio": Fraction(1, 2),
-        }
+        k, d = 2 * param, 2
     else:
         raise UsageError(f"unknown gadget family {family!r}")
+    sigma = Fraction(k - d, k - 1) * source_edges
+    expected = {
+        "w_plus": d * sigma,
+        "w_minus": -(d - 1) * sigma,
+        "sigma": sigma,
+        "ratio": Fraction(d - 1, d),
+    }
     actual = asdict(metrics(gadget))
     witnesses: list[Witness] = [
         (None, name, expected[name], actual[name])

@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import math
 import resource
 import subprocess
 import sys
@@ -460,6 +461,105 @@ def test_header_bombs_end_in_their_exit_code_within_a_memory_limit(
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error: ") if code else proc.stderr == ""
+
+
+def _primes_above(low, count):
+    """The first ``count`` primes above ``low``, by a sieve."""
+    high = low + 20 * count + 1000
+    sieve = bytearray([1]) * (high + 1)
+    for p in range(2, math.isqrt(high) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, high + 1, p)))
+    return [p for p in range(low + 1, high + 1) if sieve[p]][:count]
+
+
+def _prime_weight_game(count, signs):
+    """A GUGP file on k 2 and n 50 whose ``count`` edges weigh 1/p for the
+    first ``count`` primes above 10^6: every denominator is new, so the
+    common scale grows by about 20 bits an edge.  ``signs`` is "+", "-" or
+    "+-" (alternating, positive first, so the total stays positive)."""
+    lines = ["GUGP v1", "k 2", "n 50"]
+    for i, p in enumerate(_primes_above(10**6, count)):
+        u = i % 50
+        v = (u + 1 + i // 50 % 49) % 50
+        lines.append(f"e {u} {v} {signs[i % len(signs)].strip('+')}1/{p} 1 2")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def prime_weight_files(tmp_path_factory):
+    """The 1,000-edge file (21,617 bytes) and a 31,000-edge one (670 to 685
+    KB) in each sign variant, and an all-ones labeling of their 50 vertices."""
+    d = tmp_path_factory.mktemp("prime-weights")
+    for count in (1000, 31000):
+        for name, signs in (("pos", "+"), ("neg", "-"), ("mixed", "+-")):
+            (d / f"{count}-{name}.gugp").write_text(_prime_weight_game(count, signs))
+    ones = "".join(f"f {v} 1\n" for v in range(50))
+    (d / "ones.lab").write_text("LAB v1\nn 50\n" + ones)
+    return d
+
+
+@pytest.mark.parametrize("count, bits", [(1000, 16790), (31000, 559)])
+@pytest.mark.parametrize(
+    "argv, signs, code",
+    [
+        (("metrics",), "pos", 3),
+        (("eval", "--labeling", "ones.lab", "--objective", "max-ugp"), "pos", 3),
+        (("solve", "local2"), "neg", 3),
+        (("solve", "brute", "--objective", "max-ugp"), "pos", 3),
+        (("verify", "strip-bounds"), "mixed", 3),
+        (("reduce", "strip-neg", "--out", "out.gugp"), "mixed", 0),
+    ],
+    ids=lambda value: "-".join(value) if isinstance(value, tuple) else None,
+)
+def test_exact_weight_bombs_end_in_their_exit_code_within_a_memory_limit(
+    prime_weight_files, tmp_path, count, bits, argv, signs, code
+):
+    # each edge's new denominator grows the common scale: the 1,000-edge
+    # file ended in a ValueError traceback from printing a 6,000-digit sum,
+    # and scaling the 31,000-edge one needs about 2.4 GB.  The gate refuses
+    # both before scaling; stripping never scales and writes the positive half.
+    d = prime_weight_files
+    argv = [str(d / arg) if arg == "ones.lab" else arg for arg in argv]
+    argv = [str(tmp_path / arg) if arg == "out.gugp" else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gugp_workbench", *argv]
+        + ["--in", str(d / f"{count}-{signs}.gugp")],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert (proc.stdout, proc.stderr) == (
+            "",
+            f"error: scaled weights need {count} * {bits} bits > cap 16777216\n",
+        )
+    else:
+        stripped = parse((tmp_path / "out.gugp").read_text())
+        assert len(stripped.edges) == count // 2
+        assert proc.stdout.endswith(f"EDGES={count // 2}\n")
+
+
+def test_sums_past_the_digit_limit_print_exactly(digit_limit, tmp_path, capsys):
+    # 800 prime denominators: a 15,952-bit scale, 800 * 15,952 bits under
+    # the gate, whose sum prints 4,799 and 4,802 digits, past the
+    # 4,300-digit limit that guards parsing
+    path = tmp_path / "game.gugp"
+    path.write_text(_prime_weight_game(800, "+"))
+    assert main(["metrics", "--in", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    sys.set_int_max_str_digits(0)
+    total = sum(Fraction(1, p) for p in _primes_above(10**6, 800))
+    assert out == [
+        f"WPLUS={total.numerator}/{total.denominator}",
+        "WMINUS=0/1",
+        f"SIGMA={total.numerator}/{total.denominator}",
+        "RATIO=0/1",
+    ]
+    assert len(str(total.numerator)) > digit_limit
 
 
 @pytest.mark.parametrize(

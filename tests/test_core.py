@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gugp_workbench import (
+    CapacityError,
     GenSpec,
     GugpEdge,
     GugpInstance,
@@ -20,6 +22,7 @@ from gugp_workbench import (
     Relation,
     RelationalInstance,
     T22Edge,
+    TspInstance,
     TwoToTwoInstance,
     Objective,
     ValidationError,
@@ -35,7 +38,7 @@ from gugp_workbench import (
     serialize,
 )
 from gugp_workbench import core
-from gugp_workbench.core import scaled_weights
+from gugp_workbench.core import SCALED_BITS_CAP, scaled_weights
 
 from conftest import (
     gugp,
@@ -554,3 +557,53 @@ def test_integer_weights_are_the_scaled_edge_weights_and_change_no_identity(
     assert (hash(instance), repr(instance), dataclasses.asdict(instance)) == before
     assert instance == twin and hash(instance) == hash(twin)
     assert parse(serialize(instance)) == instance
+
+
+# ---------------------------------------------------------------------------
+# the scaled-bits gate
+
+
+def test_scaled_weights_refuse_one_bit_past_the_cap():
+    # 4,096 weights at a 4,096-bit scale are exactly the cap; one more bit
+    # of the one non-integer weight's denominator is refused
+    ones = [Fraction(1)] * 4095
+    assert 4096 * 4096 == SCALED_BITS_CAP
+    scale, ints = scaled_weights([Fraction(1, 2**4095), *ones])
+    assert (scale, ints[0], ints[1:]) == (2**4095, 1, (2**4095,) * 4095)
+    with pytest.raises(CapacityError) as refused:
+        scaled_weights([Fraction(1, 2**4096), *ones])
+    assert str(refused.value) == (
+        f"scaled weights need 4096 * 4097 bits > cap {SCALED_BITS_CAP}"
+    )
+
+
+def test_scaled_weights_refuse_before_the_last_denominator():
+    # the scale is refused at the first denominator that takes it past the
+    # cap, one of about 39 bits more than the last, far short of the product
+    # of all 1,000 (about 39,000 bits)
+    primes, p = [], 2**39
+    while len(primes) < 1000:
+        p += 1
+        if all(p % q for q in range(2, 2**10)) and pow(2, p - 1, p) == 1:
+            primes.append(p)
+    weights = [Fraction(1, p) for p in primes]
+    with pytest.raises(CapacityError) as refused:
+        scaled_weights(weights)
+    shape = r"scaled weights need 1000 \* (\d+) bits > cap \d+"
+    bits = int(re.fullmatch(shape, str(refused.value))[1])
+    assert SCALED_BITS_CAP < 1000 * bits <= SCALED_BITS_CAP + 1000 * 40
+    game = GugpInstance(2, 1, tuple(GugpEdge(0, 1, w, identity(1)) for w in weights))
+    with pytest.raises(CapacityError, match="scaled weights need 1000"):
+        metrics(game)
+
+
+def test_tour_distances_pass_the_same_gate():
+    # 19,900 pair weights of n = 200, one of them over a 900-bit denominator
+    weights = {(u, v): Fraction(1) for u in range(200) for v in range(u + 1, 200)}
+    weights[0, 1] = Fraction(1, 2**900)
+    tsp = TspInstance(200, tuple((u, v, w) for (u, v), w in weights.items()))
+    with pytest.raises(CapacityError) as refused:
+        tsp.distances
+    assert str(refused.value) == (
+        f"scaled weights need 19900 * 901 bits > cap {SCALED_BITS_CAP}"
+    )

@@ -1,5 +1,6 @@
 """Text formats: canonical bytes, round trips, and malformed-input errors."""
 
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -116,6 +117,20 @@ def test_fractions_always_carry_denominator():
     assert fmt_fraction(Fraction(3)) == "3/1"
     assert fmt_fraction(Fraction(-1, 2)) == "-1/2"
     assert fmt_fraction(Fraction(0)) == "0/1"
+
+
+def test_fractions_past_the_digit_limit_print_exactly(digit_limit):
+    # the limit guards parsing only: past it one conversion lifts it, and
+    # the limit holds again afterwards
+    big = Fraction(10**digit_limit + 1, 3)
+    sys.set_int_max_str_digits(0)
+    expected = f"{10**digit_limit + 1}/3"
+    sys.set_int_max_str_digits(digit_limit)
+    assert fmt_fraction(big) == expected
+    assert fmt_fraction(-big) == "-" + expected
+    assert sys.get_int_max_str_digits() == digit_limit
+    with pytest.raises(ParseError, match="exceeds the 4300-digit limit"):
+        parse_fraction(expected, 1)
 
 
 def test_serialize_ends_with_single_newline():

@@ -21,7 +21,10 @@ The exhaustive scan, compiled once per game, is held to the same kernel
 built afresh per call with list rows: the same blocks, prefixes, bases and
 rows, its packed rows unpacked, at every lane width.  Its plan, built in one
 pass over the edges, is held to the plan built from dense pair tables: the
-same block row, offsets and prefix tables.
+same block row, offsets and prefix tables.  The two bundle checks, which
+derive once per run of identical bundles, are held to per-cell loops over
+every bundle, and the metrics check's one (k, d) rule to the two per-family
+closed-form tables it replaced.
 ``smoothness``, which compares label columns per vertex, is held to the
 per-pair loop over each vertex's edges.  The local search, which finds its
 mover from a heap, is held to the loop that rescans from vertex 0 after
@@ -77,11 +80,13 @@ from gugp_workbench import (
     T22Edge,
     TspInstance,
     TwoToTwoInstance,
+    UsageError,
     ValidationError,
     all_coords_differ_relation,
     brute_force,
     brute_force_relational,
     check_bundle_exactly_one,
+    check_gadget_metrics,
     check_indicator_weights,
     check_strip_bounds,
     coordinate_collision_predicate,
@@ -111,9 +116,9 @@ from gugp_workbench import (
     unsatisfied_weight,
 )
 
-from gugp_workbench import reductions, verification
+from gugp_workbench import reductions
 from gugp_workbench.core import scaled_weights
-from gugp_workbench.evaluation import pair_tables, require_objective
+from gugp_workbench.evaluation import require_objective
 from gugp_workbench import fileformat
 from gugp_workbench.core import gugp_edges
 from gugp_workbench.core import permutations as bulk_permutations
@@ -144,6 +149,23 @@ from conftest import (
 
 # ---------------------------------------------------------------------------
 # references
+
+
+def pair_tables(edges, weights, k1, k2):
+    """Integer satisfied-weight table per oriented vertex pair:
+    ``tables[u, v][a][b]`` is the summed weight of the (u, v) edges that the
+    labels a at u and b at v satisfy, with row and column 0 as padding.
+    The dense-table route the scan plans were compiled from before they
+    filled their own prefix tables."""
+    tables = {}
+    for e, w in zip(edges, weights):
+        table = tables.get((e.u, e.v))
+        if table is None:
+            table = tables[e.u, e.v] = [[0] * (k2 + 1) for _ in range(k1 + 1)]
+        pairs = e.rel.pairs if isinstance(e, RelEdge) else enumerate(e.pi.image, 1)
+        for a, b in pairs:
+            table[a][b] += w
+    return tables
 
 
 def ref_satisfied_weight(instance, labeling):
@@ -454,18 +476,28 @@ def seeded_gugp(seed, n, m, k, nwa=False, max_ratio=None):
 @st.composite
 def bundled_gadgets(draw):
     """Arbitrary bundles of one drawn size (most of them failing both bundle
-    checks).  A bundle may repeat an earlier bundle's exact ``(pi, weight)``
-    objects, on any vertex pair, so runs of identical bundles reach the
-    shared-table path."""
-    k = draw(st.integers(min_value=1, max_value=4))
+    checks), on up to 6 labels, so that one bundle's failing cells can
+    overflow the witness room.  A bundle may repeat an earlier bundle's
+    exact ``(pi, weight)`` objects, on any vertex pair, so runs of identical
+    bundles reach the shared path, or its permutation objects alone with
+    fresh weights, so that a run of the exactly-one check, keyed by the
+    permutations, spans bundles that the indicator check derives apart."""
+    k = draw(st.integers(min_value=1, max_value=6))
     size = draw(st.integers(min_value=1, max_value=k + 1))
     count = draw(st.integers(min_value=1, max_value=6))
     edges, contents = [], []
     for _ in range(count):
         u = draw(st.integers(min_value=0, max_value=2))
         v = (u + draw(st.integers(min_value=1, max_value=2))) % 3
-        if contents and draw(st.booleans()):
+        reuse = "fresh"
+        if contents:
+            reuse = draw(st.sampled_from(["fresh", "same", "reweighted"]))
+        if reuse == "same":
             content = draw(st.sampled_from(contents))
+        elif reuse == "reweighted":
+            earlier = draw(st.sampled_from(contents))
+            content = [(pi, draw(rationals())) for pi, _ in earlier]
+            contents.append(content)
         else:
             content = []
             for _ in range(size):
@@ -1514,12 +1546,12 @@ def test_strip_bounds_matches_reference_seeded(seed):
 # one relation per residue: off it, (bundle + a + b) % 3 == 0 or a == b
 RESIDUE_RELATIONS = [
     Relation(
-        4,
-        4,
+        6,
+        6,
         {
             (a, b)
-            for a in range(1, 5)
-            for b in range(1, 5)
+            for a in range(1, 7)
+            for b in range(1, 7)
             if not ((r + a + b) % 3 == 0 or a == b)
         },
     )
@@ -1564,6 +1596,62 @@ def test_bundle_checks_match_reference_on_gadgets(fold):
     assert (report.cases, list(report.witnesses)) == (cases, witnesses[:50])
 
 
+def ref_gadget_metrics(family, param, source_edges):
+    """The two closed-form tables ``check_gadget_metrics`` held, one per
+    family, before its one rule in (k, d)."""
+    if family == "pwt1":
+        three, two = 3**param, 2**param
+        return {
+            "w_plus": Fraction(two * (three - two), three - 1) * source_edges,
+            "w_minus": Fraction(-(two - 1) * (three - two), three - 1) * source_edges,
+            "sigma": Fraction(three - two, three - 1) * source_edges,
+            "ratio": Fraction(two - 1, two),
+        }
+    k = param
+    return {
+        "w_plus": Fraction(4 * (k - 1), 2 * k - 1) * source_edges,
+        "w_minus": Fraction(-2 * (k - 1), 2 * k - 1) * source_edges,
+        "sigma": Fraction(2 * k - 2, 2 * k - 1) * source_edges,
+        "ratio": Fraction(1, 2),
+    }
+
+
+def metrics_gadget(w_plus, w_minus):
+    """A one-label game whose W+ and W- are the two given weights."""
+    identity = Permutation((1,))
+    edges = (GugpEdge(0, 1, w_plus, identity), GugpEdge(0, 1, w_minus, identity))
+    return GugpInstance(2, 1, edges)
+
+
+@pytest.mark.parametrize("source_edges", [1, 2, 7])
+@pytest.mark.parametrize(
+    "family, param",
+    [("pwt1", fold) for fold in range(1, 7)]
+    + [("pwt-half", half) for half in range(2, 13)],
+)
+def test_gadget_metrics_rule_matches_the_closed_form_tables(
+    family, param, source_edges
+):
+    expected = ref_gadget_metrics(family, param, source_edges)
+    gadget = metrics_gadget(expected["w_plus"], expected["w_minus"])
+    assert metrics(gadget).sigma == expected["sigma"]
+    assert metrics(gadget).ratio == expected["ratio"]
+    report = check_gadget_metrics(gadget, family, param, source_edges)
+    assert (report.claim, report.cases, report.passed) == (f"{family}-metrics", 4, True)
+    # twice the weights: every weight sum fails, each against the table's value
+    doubled = metrics_gadget(2 * expected["w_plus"], 2 * expected["w_minus"])
+    report = check_gadget_metrics(doubled, family, param, source_edges)
+    assert [w[:3] for w in report.witnesses] == [
+        (None, name, expected[name]) for name in ("w_plus", "w_minus", "sigma")
+    ]
+
+
+def test_gadget_metrics_rule_refuses_an_unknown_family():
+    gadget = metrics_gadget(Fraction(2), Fraction(-1))
+    with pytest.raises(UsageError, match="unknown gadget family 'pwt2'"):
+        check_gadget_metrics(gadget, "pwt2", 1, 1)
+
+
 def shared_and_perturbed_gadget():
     """A fold-2 pwt1 gadget, whose bundles all share one list of
     ``(pi, weight)`` objects, with middle bundles changed: bundles 3 and 4
@@ -1571,8 +1659,8 @@ def shared_and_perturbed_gadget():
     carries a different weight (the indicator fails), bundle 9 an equal
     weight in a distinct ``Fraction`` and bundle 12 equal but distinct
     ``Permutation`` objects (both pass).  Returns the gadget, its bundles and the number of
-    tables each check builds when it shares them: the weights do not enter
-    the exactly-one check's tables."""
+    fresh bundles each check derives when it shares them: the weights do
+    not enter the exactly-one check."""
     pairs = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
     gadget, bundles = pwt1_gadget(repeat_max3cut(4, pairs, 2))
     edges = list(gadget.edges)
@@ -1589,38 +1677,59 @@ def shared_and_perturbed_gadget():
     replace(9, 4, weight=Fraction(edges[4].weight.numerator, edges[4].weight.denominator))
     for offset in range(gadget.k):
         replace(12, offset, pi=Permutation(tuple(edges[offset].pi.image)))
-    # runs start at bundles 0, 3, 5, 12 and 13, and for the weighted tables
+    # runs start at bundles 0, 3, 5, 12 and 13, and for the indicator check
     # also at 6 and 7; bundle 9 stays in the run of bundle 7
     return GugpInstance(gadget.n, gadget.k, tuple(edges)), bundles, (5, 7)
 
 
-def count_tables(monkeypatch):
-    built = []
-    real = verification.pair_tables
+def counting_images(gadget):
+    """The gadget with each distinct permutation object replaced by one
+    copy that counts the reads of its ``image``, sharing kept, and the
+    counter, cleared.  A bundle check reads each image of a bundle it
+    derives anything from once and no image of a bundle it reuses, so the
+    count over the bundle size is the number of fresh bundles."""
+    reads = collections.Counter()
 
-    def counting(*args):
-        built.append(args)
-        return real(*args)
+    class CountedPermutation(Permutation):
+        def __getattribute__(self, name):
+            if name == "image":
+                reads["image"] += 1
+            return super().__getattribute__(name)
 
-    monkeypatch.setattr(verification, "pair_tables", counting)
-    return built
+    copies = {}
+    for e in gadget.edges:
+        if id(e.pi) not in copies:
+            copies[id(e.pi)] = CountedPermutation(e.pi.image)
+    edges = tuple(dataclasses.replace(e, pi=copies[id(e.pi)]) for e in gadget.edges)
+    counted = GugpInstance(gadget.n, gadget.k, edges)
+    reads.clear()
+    return counted, reads
 
 
-def test_bundle_checks_match_reference_on_shared_and_perturbed_bundles(monkeypatch):
+def fresh_bundles(check, gadget, bundles, *args):
+    """The report of one bundle check on a counting copy of the gadget, and
+    the number of bundles it derived afresh."""
+    counted, reads = counting_images(gadget)
+    report = check(counted, bundles, *args)
+    assert reads["image"] % bundles.size == 0
+    return report, reads["image"] // bundles.size
+
+
+def test_bundle_checks_match_reference_on_shared_and_perturbed_bundles():
     gadget, bundles, (unweighted_runs, weighted_runs) = shared_and_perturbed_gadget()
-    built = count_tables(monkeypatch)
-    exactly_one = check_bundle_exactly_one(gadget, bundles)
+    exactly_one, fresh = fresh_bundles(check_bundle_exactly_one, gadget, bundles)
     cases, witnesses = ref_bundle_exactly_one(gadget, bundles)
     assert (exactly_one.cases, list(exactly_one.witnesses)) == (cases, witnesses[:50])
     assert {w[0] for w in exactly_one.witnesses} == {3, 4}
-    assert len(built) == unweighted_runs
+    assert fresh == unweighted_runs
     for fold in (2, 3):
-        built.clear()
         relation_of = coordinate_collision_predicate(fold)
-        indicator = check_indicator_weights(gadget, bundles, relation_of)
+        indicator, fresh = fresh_bundles(
+            check_indicator_weights, gadget, bundles, relation_of
+        )
         cases, witnesses = ref_indicator_weights(gadget, bundles, misses(relation_of))
         assert (indicator.cases, list(indicator.witnesses)) == (cases, witnesses[:50])
-        assert len(built) == weighted_runs
+        assert fresh == weighted_runs
     # with the right relation only the perturbed bundles fail
     _, witnesses = ref_indicator_weights(
         gadget, bundles, misses(coordinate_collision_predicate(2))
@@ -1628,17 +1737,17 @@ def test_bundle_checks_match_reference_on_shared_and_perturbed_bundles(monkeypat
     assert {w[0] for w in witnesses} == {3, 4, 6}
 
 
-def test_parsed_gadget_builds_one_table_per_check(monkeypatch):
+def test_parsed_gadget_builds_one_table_per_check():
     # parsing shares one Permutation per distinct image, so every bundle of
-    # a parsed pwt1 gadget reuses the first bundle's table
+    # a parsed pwt1 gadget reuses what the first bundle derived
     pairs = ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))
     gadget, bundles = pwt1_gadget(repeat_max3cut(4, pairs, 2))
     parsed = parse(serialize(gadget))
-    built = count_tables(monkeypatch)
-    assert check_bundle_exactly_one(parsed, bundles).passed
+    report, fresh = fresh_bundles(check_bundle_exactly_one, parsed, bundles)
+    assert report.passed and fresh == 1
     relation_of = coordinate_collision_predicate(2)
-    assert check_indicator_weights(parsed, bundles, relation_of).passed
-    assert len(built) == 2
+    report, fresh = fresh_bundles(check_indicator_weights, parsed, bundles, relation_of)
+    assert report.passed and fresh == 1
 
 
 # ---------------------------------------------------------------------------
