@@ -50,6 +50,8 @@ texts are keyed by ``id``, which is safe while the instance being
 serialized holds the object, as it does for the whole call: a GUGP or REL
 body is then one list comprehension over the edges.  Images render through
 one ``%d`` template per file, as every image of a file has the same length.
+Weights keep the interpreter's int-digit limit, so a part that the parser
+would refuse raises ``CapacityError`` before any text is returned.
 
 T22 lines repeat a constraint string under 1.2% of the time, so each T22
 line is split and checked whole; it shares weights by token and
@@ -75,7 +77,7 @@ from .core import (
     gugp_edges,
     permutations,
 )
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 from .reductions import T22Edge, TspInstance, TwoToTwoInstance
 
 Parsed = (
@@ -84,9 +86,10 @@ Parsed = (
 
 
 def fmt_fraction(x: Fraction) -> str:
-    """``num/den``, exact at any length.  The interpreter's int-digit limit
-    guards parsing; past it, the limit is lifted for this one conversion,
-    whose size ``core.SCALED_BITS_CAP`` bounds for every weight sum."""
+    """``num/den``, exact at any length, for printed values.  The
+    interpreter's int-digit limit guards parsing; past it, the limit is
+    lifted for this one conversion, whose size ``core.SCALED_BITS_CAP``
+    bounds for every weight sum; file weights keep it."""
     try:
         return f"{x.numerator}/{x.denominator}"
     except ValueError:
@@ -96,6 +99,18 @@ def fmt_fraction(x: Fraction) -> str:
             return f"{x.numerator}/{x.denominator}"
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def _file_fraction(x: Fraction) -> str:
+    """``num/den`` for a file, formatted with the int-digit limit in force,
+    so that the file parses back: ``CapacityError`` names a part past it."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        digits = max(len(part.lstrip("-")) for part in fmt_fraction(x).split("/"))
+        limit = sys.get_int_max_str_digits()
+        message = f"weight part of {digits} digits exceeds the {limit}-digit limit"
+        raise CapacityError(message) from None
 
 
 def parse_fraction(token: str, line: int | None) -> Fraction:
@@ -201,7 +216,7 @@ def serialize_gugp(instance: GugpInstance) -> str:
     lines = ["GUGP v1", f"k {instance.k}", f"n {instance.n}"]
     edges = instance.edges
     weights = {id(e.weight): e.weight for e in edges}
-    weights = {key: fmt_fraction(w) for key, w in weights.items()}
+    weights = {key: _file_fraction(w) for key, w in weights.items()}
     perms = {id(e.pi): e.pi for e in edges}
     # every image has k labels; the header's k alone sizes no template
     images = " ".join(["%d"] * instance.k) if edges else ""
@@ -315,7 +330,7 @@ def serialize_rel(instance: RelationalInstance) -> str:
             lines.append(f"s {v} {side}")
     edges = instance.edges
     weights = {id(e.weight): e.weight for e in edges}
-    weights = {key: fmt_fraction(w) for key, w in weights.items()}
+    weights = {key: _file_fraction(w) for key, w in weights.items()}
     rels = {id(e.rel): e.rel for e in edges}
     rels = {key: _relation_fields(rel) for key, rel in rels.items()}
     lines += [f"e {e.u} {e.v} {weights[id(e.weight)]} {rels[id(e.rel)]}" for e in edges]
@@ -389,7 +404,7 @@ def serialize_t22(instance: TwoToTwoInstance) -> str:
     images = " ".join(["%d"] * 2 * instance.k) if instance.edges else ""
     for e in instance.edges:
         pu, pv = images % e.pi_u.image, images % e.pi_v.image
-        lines.append(f"e {e.u} {e.v} {fmt_fraction(e.weight)} pu {pu} pv {pv}")
+        lines.append(f"e {e.u} {e.v} {_file_fraction(e.weight)} pu {pu} pv {pv}")
     return "\n".join(lines) + "\n"
 
 
@@ -431,7 +446,7 @@ def _parse_t22(records: Records) -> TwoToTwoInstance:
 def serialize_tsp(instance: TspInstance) -> str:
     lines = ["TSP v1", f"n {instance.n}"]
     for u, v, w in instance.weights:
-        lines.append(f"w {u} {v} {fmt_fraction(w)}")
+        lines.append(f"w {u} {v} {_file_fraction(w)}")
     return "\n".join(lines) + "\n"
 
 

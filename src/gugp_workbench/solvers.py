@@ -4,23 +4,24 @@ The exact-search substrate, public to the verifiers too: every exhaustive
 scan passes one gate, ``label_space``, which refuses an over-cap label
 space or vertex count, then walks the game's compiled ``scan``, whose
 ``Layout`` and ``Plan`` per weighting are held in the instance's
-``compiled_scans`` under ``"layout"``, ``"all"`` and ``"positive"``.  The
-layout splits the vertices into a depth-first prefix and a trailing block,
-the longest suffix of at most ``BLOCK_LABELINGS`` joint labelings.  A row
-packs the block's scores, in lexicographic order, into the fixed-width
-lanes of one integer, each plus a ``bias``: the width, in whole bytes, is
-chosen once per game from the sum of its absolute integer weights, so that
-every score and every gap of two stays below the lane's top (guard) bit.
-A plan holds its block row and one offset per label of each prefix vertex
-with edges into the block, which the walk adds once for all the leaves
-below it: a ``Leaf`` costs at most one integer add, and every one of the
-k^n labelings is still scored.  It is compiled in one pass over the game's
-edges, at O(k) per permutation edge and O(|R|) per relation edge, with a
-label table only per pair of prefix vertices joined by an edge, filled in
-that same pass.  Rows may be shared;
-consumers only read them, testing every lane at once with
-``Layout.reached`` and unpacking a row only when one of its labelings
-beats the incumbent or is a witness.
+``compiled_scans`` under ``"layout"``, ``"all"`` and ``"positive"``.
+The layout splits the vertices into a depth-first prefix and a trailing
+block, the longest suffix of at most ``BLOCK_LABELINGS`` (256, which 2^8
+and 4^4 fill) joint labelings.  A row packs the block's scores, in
+lexicographic order, into the fixed-width lanes of one integer, each plus a
+``bias``: the width, in whole bytes, is chosen once per game from the sum
+of its absolute integer weights, so that every score and every gap of two
+stays below the lane's top (guard) bit.  A plan holds its block row and one
+offset per label of each prefix vertex with edges into the block, which the
+walk adds once for all the leaves below it: a ``Leaf`` costs at most one
+integer add, the last prefix vertex yields its leaves without a child
+generator each, and every one of the k^n labelings is still scored.  It is
+compiled in one pass over the game's edges, at O(k) per permutation edge
+and O(|R|) per relation edge, with a label table only per pair of prefix
+vertices joined by an edge, filled in that same pass.  Rows may be shared;
+consumers only read them, testing every lane at once with the test that
+``Layout.lane_test`` returns once per scan, and unpacking a row only when
+one of its labelings beats the incumbent or is a witness.
 
 Brute force is deterministic: it takes the first maximum within a leaf's
 row and lets a later leaf replace the incumbent only when strictly better.
@@ -37,7 +38,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import (
     GugpEdge,
@@ -63,7 +64,7 @@ from .rng import SplitMix64
 
 DEFAULT_BRUTE_CAP = 1_000_000
 # Largest joint label count of the trailing block that one row scores.
-BLOCK_LABELINGS = 243
+BLOCK_LABELINGS = 256
 # the array typecode of each lane width up to 8 bytes, widths ascending
 _CODES = {array(code).itemsize: code for code in "BHILQ"}
 # Local search keeps four per-vertex lists; the header's n is checked first.
@@ -96,14 +97,20 @@ class Layout(NamedTuple):
     guard: int
     guards: int
 
-    def reached(self, row: int, t: int) -> int:
-        """The guard of each lane of ``row`` that holds at least ``t``: no lane
+    def lane_test(self) -> Callable[[int, int], int]:
+        """``reached(row, t)``, the guard of each lane of ``row`` that holds at
+        least ``t``, with this layout's constants loaded once per scan: no lane
         reaches its guard, so lane + guard - t never borrows for 0 <= t <= guard."""
-        if t <= 0:
-            return self.guards
-        if t >= self.guard:
-            return 0
-        return (row | self.guards) - self.ones * t & self.guards
+        ones, guard, guards = self.ones, self.guard, self.guards
+
+        def reached(row: int, t: int) -> int:
+            if t <= 0:
+                return guards
+            if t >= guard:
+                return 0
+            return (row | guards) - ones * t & guards
+
+        return reached
 
     def lanes(self, row: int) -> Sequence[int]:
         """``row``'s lanes in block order, read by byte slices past 8 bytes."""
@@ -221,7 +228,8 @@ def _leaves(layout: Layout, plan: Plan) -> Iterator[Leaf]:
 
     ``row`` is the block row carried down the walk: a prefix vertex without
     edges into the block hands its own row to every child, and the plan's
-    ``block_row`` starts every scan.
+    ``block_row`` starts every scan; with an empty prefix it is the one
+    leaf's row.
     """
     domains, split = layout[:2]
     later, block_row, cross = plan
@@ -229,21 +237,20 @@ def _leaves(layout: Layout, plan: Plan) -> Iterator[Leaf]:
 
     def walk(x: int, base: int, row: int) -> Iterator[Leaf]:
         """Label vertex x onward; ``base`` scores the labels before x and
-        ``row`` the block under them."""
-        if x == split:
-            yield tuple(labels), base, row
-            return
+        ``row`` the block under them.  The last prefix vertex yields its
+        leaves itself."""
         gain = list(map(sum, zip(*(t[labels[y]] for y, t in later[x]))))
-        by_label = cross.get(x)
+        by_label, last = cross.get(x), x + 1 == split
         for a in domains[x]:
             labels[x] = a
-            yield from walk(
-                x + 1,
-                base + gain[a] if gain else base,
-                row if by_label is None else row + by_label[a],
-            )
+            base_a = base + gain[a] if gain else base
+            row_a = row if by_label is None else row + by_label[a]
+            if last:
+                yield tuple(labels), base_a, row_a
+            else:
+                yield from walk(x + 1, base_a, row_a)
 
-    return walk(0, 0, block_row)
+    return walk(0, 0, block_row) if split else iter([((), 0, block_row)])
 
 
 def scan(
@@ -269,8 +276,9 @@ def _best_labeling(layout: Layout, leaves: Iterator[Leaf]) -> Labeling:
     weight: a leaf's row is unpacked only when some lane beats the
     incumbent, and ``Layout.top`` keeps the first of its equal maxima."""
     best = labeling = None
+    reached, bias = layout.lane_test(), layout.bias
     for prefix, base, row in leaves:
-        if best is None or layout.reached(row, best - base + 1 + layout.bias):
+        if best is None or reached(row, best - base + 1 + bias):
             top, j = layout.top(row)
             best, labeling = base + top, prefix + layout.block[j]
     assert labeling is not None

@@ -346,7 +346,8 @@ def _strip_scan(
     row is unpacked for its minimum only when that beats the incumbent.
     """
     neg_total = w_plus - sigma
-    block, bias, reached = layout.block, layout.bias, layout.reached
+    block, bias, guards = layout.block, layout.bias, layout.guards
+    reached = layout.lane_test()
     # row_pos - row holds the gaps, in [-2 bias, 2 bias], lanes once shifted
     shift = 2 * bias * layout.ones
     best_orig: tuple[int, Labeling] | None = None
@@ -361,7 +362,7 @@ def _strip_scan(
         c = (w_plus - base_pos) - (sigma - base)
         gaps, room = row_pos - row + shift, MAX_RECORDED_WITNESSES - len(witnesses)
         low, high = c - neg_total + 2 * bias, c + 1 + 2 * bias
-        if room and (reached(gaps, low) != layout.guards or reached(gaps, high)):
+        if room and (reached(gaps, low) != guards or reached(gaps, high)):
             unsat = map((sigma - base + bias).__sub__, layout.lanes(row))
             unsat_pos = map((w_plus - base_pos + bias).__sub__, layout.lanes(row_pos))
             for t, u_all, u_pos in zip(block, unsat, unsat_pos):

@@ -721,6 +721,20 @@ def test_oversized_vertex_id_is_refused_by_its_digit_count(
     assert (code, out, err) == (1, [], f"error: line 4: {message}\n")
 
 
+def test_reduce_refuses_a_weight_its_file_would_not_parse_back(tmp_path):
+    # M = n x (largest pair weight) has 4,301 digits for a 4,300-digit pair
+    # weight: the file was written with exit 0, then refused by every reader
+    tsp = tmp_path / "big.tsp"
+    tsp.write_text(f"TSP v1\nn 3\nw 0 1 {'9' * 4300}/1\nw 0 2 1/1\nw 1 2 1/1\n")
+    out = tmp_path / "out.gugp"
+    code, stdout, err = run_module(
+        tmp_path, "reduce", "tsp-nwa", "--in", str(tsp), "--out", str(out)
+    )
+    assert (code, stdout) == (3, [])
+    assert err == "error: weight part of 4301 digits exceeds the 4300-digit limit\n"
+    assert not out.exists()
+
+
 def test_argparse_usage_exit_is_remapped(capsys):
     assert main(["solve"]) == 1  # missing mode
     capsys.readouterr()

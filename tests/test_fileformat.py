@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gugp_workbench import (
+    CapacityError,
     DegenerateInstanceError,
     GugpEdge,
     GugpInstance,
@@ -365,6 +366,36 @@ def test_rational_part_at_the_digit_limit_parses(digit_limit):
     assert parse_fraction(f"-{part}/{den}", None) == Fraction(-int(part), int(den))
     with pytest.raises(ParseError, match="^rational part of 4301 digits exceeds"):
         parse_fraction(f"-{part}1/{part}", None)
+
+
+# a game of each weighted format whose one weight, or every weight, is w
+ONE_WEIGHT_FILES = {
+    "gugp": lambda w: GugpInstance(2, 2, (GugpEdge(0, 1, w, perm(2, 1)),)),
+    "rel": lambda w: RelationalInstance(
+        2, 2, 2, (RelEdge(0, 1, w, Relation(2, 2, frozenset({(1, 2)}))),)
+    ),
+    "t22": lambda w: TwoToTwoInstance(
+        2, 2, (T22Edge(0, 1, w, perm(2, 1, 4, 3), identity(4)),)
+    ),
+    "tsp": lambda w: TspInstance(3, ((0, 1, w), (0, 2, w), (1, 2, w))),
+}
+
+
+@pytest.mark.parametrize("kind", ONE_WEIGHT_FILES)
+def test_file_weights_past_the_digit_limit_are_refused_before_any_text(
+    digit_limit, kind
+):
+    # a file written past the limit would not parse back, so every
+    # serializer refuses it by the part's digit count, under the limit in force
+    at_limit = Fraction(10**digit_limit - 1, 7)
+    instance = ONE_WEIGHT_FILES[kind](at_limit)
+    assert parse(serialize(instance)) == instance
+    for past in (at_limit * 10, 1 / (at_limit * 10)):
+        with pytest.raises(CapacityError) as excinfo:
+            serialize(ONE_WEIGHT_FILES[kind](past))
+        message = f"weight part of {digit_limit + 1} digits exceeds the 4300-digit limit"
+        assert str(excinfo.value) == message
+    assert sys.get_int_max_str_digits() == digit_limit
 
 
 @pytest.mark.parametrize(

@@ -126,6 +126,7 @@ from gugp_workbench.fileformat import parse_fraction
 from gugp_workbench.reductions import _pair_shift, label_fold
 from gugp_workbench.solvers import (
     BLOCK_LABELINGS,
+    Layout,
     Plan,
     _best_labeling,
     _layout,
@@ -884,11 +885,12 @@ def test_prefix_scan_scores_every_labeling_in_order(domains_and_tables):
     "sizes, prefix_len, leaf_count",
     [
         ([3] * 7, 2, 9),  # 3^5 = 243 labelings in the block
-        ([2] * 10, 3, 8),  # 2^7 = 128; one more vertex would pass the constant
+        ([2] * 10, 2, 4),  # 2^8 = 256 fills the block exactly
         ([3] * 5, 0, 1),  # the whole space is the block
         ([4], 0, 1),  # n = 1
         ([2, 300, 2], 2, 600),  # a vertex over the constant stays in the prefix
         ([300], 1, 300),  # an empty block: one score per leaf
+        ([4] * 6, 2, 16),  # 4^4 = 256 fills the block too
     ],
 )
 def test_prefix_scan_split_depends_on_label_counts_only(sizes, prefix_len, leaf_count):
@@ -1013,7 +1015,7 @@ def test_compiled_plan_yields_the_reference_stream(domains_and_table_sets):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("k, n, m", [(3, 7, 14), (2, 10, 18)])
+@pytest.mark.parametrize("k, n, m", [(3, 7, 14), (2, 10, 18), (4, 6, 14), (4, 5, 9)])
 def test_brute_force_over_the_block_matches_reference(seed, k, n, m):
     inst = seeded_gugp(seed, n=n, m=m, k=k, max_ratio=Fraction(1, 2))
     labeling, visited = ref_brute_force(inst)
@@ -1403,17 +1405,60 @@ def test_lane_predicate_at_the_edges_of_its_range(step):
     # twice the bound would put four times it on the guard bit
     assert _layout([range(1, 4)], [1 << 8 * step - 3]).guard > guard
     lanes = [0, guard - 1, 5]
-    row = packed(lanes, step)
+    row, reached = packed(lanes, step), layout.lane_test()
     for t in [-guard, -1, 0, 1, 5, 6, guard - 1, guard, guard + 1, 3 * guard]:
-        reached = sum(guard << 8 * step * j for j, lane in enumerate(lanes) if lane >= t)
-        assert layout.reached(row, t) == reached, t
-    assert layout.reached(row, 0) == layout.guards == layout.ones * guard
-    assert layout.reached(row, guard - 1) == guard << 8 * step
-    assert layout.reached(row, guard) == 0
+        want = sum(guard << 8 * step * j for j, lane in enumerate(lanes) if lane >= t)
+        assert reached(row, t) == want, t
+    assert reached(row, 0) == layout.guards == layout.ones * guard
+    assert reached(row, guard - 1) == guard << 8 * step
+    assert reached(row, guard) == 0
     assert list(layout.lanes(row)) == lanes
     assert layout.top(row) == (guard - 1 - layout.bias, 1)
     # the first of equal maxima
     assert layout.top(packed([3, 7, 7], step)) == (7 - layout.bias, 1)
+
+
+def test_thresholds_past_either_end_of_the_lanes_in_both_consumers(monkeypatch):
+    # the lanes bound only the block's and the crossing edges' scores, 2,
+    # while the edge between prefix vertices 0 and 1 weighs up to 1000: the
+    # second leaf's base puts its threshold at or below 0 and the third's
+    # at or above the guard, in brute force and in the strip-bounds scan
+    domains = [range(1, 3)] * 10
+    block, cross = [[PAD] * 3, [PAD, 1, 0], [PAD, 0, 1]], [[PAD] * 3, [PAD, 0, 1], [PAD, 1, 0]]
+    tables_all = {
+        (0, 1): [[PAD] * 3, [PAD, 0, 1000], [PAD, -1000, 500]],
+        (3, 9): block,
+        (1, 5): cross,
+    }
+    tables_pos = {(0, 1): [[PAD] * 3, [PAD, 0, 1000], [PAD, 0, 500]], (3, 9): block}
+    layout = _layout(domains, [2])
+    assert layout.split == 2
+
+    def leaves(tables):
+        return _leaves(layout, _plan(layout, *table_edges(domains, tables)))
+
+    thresholds, lane_test = [], Layout.lane_test
+
+    def recorded(self):
+        reached = lane_test(self)
+
+        def spy(row, t):
+            thresholds.append(t)
+            return reached(row, t)
+
+        return spy
+
+    monkeypatch.setattr(Layout, "lane_test", recorded)
+    scores = ref_scores(domains, tables_all)
+    top = max(score for _, score in scores)
+    first = next(f for f, score in scores if score == top)
+    assert _best_labeling(layout, leaves(tables_all)) == first
+    assert min(thresholds) <= 0 and max(thresholds) >= layout.guard
+    thresholds.clear()
+    args = (1500, 2000, 1)
+    found = _strip_scan(layout, leaves(tables_all), leaves(tables_pos), *args)
+    assert found == ref_strip_scan(domains, tables_all, tables_pos, *args)
+    assert min(thresholds) <= 0 and max(thresholds) >= layout.guard
 
 
 # lane widths in bytes: three array typecodes and one past 64 bits
@@ -2237,7 +2282,7 @@ def test_serializers_render_each_distinct_object_once():
         mixed_sharing_gugp_game(),
     )
     for inst in cases:
-        weights, weight_calls = counted("fmt_fraction")
+        weights, weight_calls = counted("_file_fraction")
         relations, relation_calls = counted("_relation_fields")
         with weights, relations:
             text = serialize(inst)
