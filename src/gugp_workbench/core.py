@@ -10,7 +10,11 @@ Conventions used throughout the workbench:
 * every type is immutable once constructed; what is derived from it (an
   instance's ``integer_weights`` and ``metrics``, a permutation's padded
   ``rows``) is cached on the object at first use and touches no equality,
-  hash or ``repr``;
+  hash or ``repr``.  The exceptions are what depends on a shape alone, not
+  on one object: ``reductions._shift_bundle`` and
+  ``reductions.all_coords_differ_relation`` per fold, and the scan layout's
+  shape part, ``solvers._shape``, per (label counts, lane width), are cached
+  at module level and shared;
 * the edge types (``GugpEdge``, ``RelEdge`` and ``reductions.T22Edge``) are
   slotted frozen dataclasses with the generated ``__init__``, equality,
   hashing and ``repr``; each checks its arguments in a ``__post_init__``

@@ -9,19 +9,23 @@ The layout splits the vertices into a depth-first prefix and a trailing
 block, the longest suffix of at most ``BLOCK_LABELINGS`` (256, which 2^8
 and 4^4 fill) joint labelings.  A row packs the block's scores, in
 lexicographic order, into the fixed-width lanes of one integer, each plus a
-``bias``: the width, in whole bytes, is chosen once per game from the sum
-of its absolute integer weights, so that every score and every gap of two
-stays below the lane's top (guard) bit.  A plan holds its block row and one
-offset per label of each prefix vertex with edges into the block, which the
-walk adds once for all the leaves below it: a ``Leaf`` costs at most one
-integer add, the last prefix vertex yields its leaves without a child
-generator each, and every one of the k^n labelings is still scored.  It is
-compiled in one pass over the game's edges, at O(k) per permutation edge
-and O(|R|) per relation edge, with a label table only per pair of prefix
-vertices joined by an edge, filled in that same pass.  Rows may be shared;
-consumers only read them, testing every lane at once with the test that
-``Layout.lane_test`` returns once per scan, and unpacking a row only when
-one of its labelings beats the incumbent or is a witness.
+``bias``: the bias, the sum of the game's absolute integer weights, is the
+game's own, and it chooses the width, in whole bytes, so that every score
+and every gap of two stays below the lane's top (guard) bit.  The rest of
+the layout (the split, the block's labelings, its lane masks and guard
+constants) depends only on the label counts and the width: it is built once
+per such shape, kept in a memo of at most ``LAYOUT_SHAPES`` shapes, and
+shared, read-only, by every game of that shape.  A plan holds its block row
+and one offset per label of each prefix vertex with edges into the block,
+which the walk adds once for all the leaves below it: a ``Leaf`` costs at
+most one integer add, the last prefix vertex yields its leaves without a
+child generator each, and every one of the k^n labelings is still scored.
+It is compiled in one pass over the game's edges, at O(k) per permutation
+edge and O(|R|) per relation edge, with a label table only per pair of
+prefix vertices joined by an edge, filled in that same pass.  Rows may be
+shared; consumers only read them, testing every lane at once with the test
+that ``Layout.lane_test`` returns once per scan, and unpacking a row only
+when one of its labelings beats the incumbent or is a witness.
 
 Brute force is deterministic: it takes the first maximum within a leaf's
 row and lets a later leaf replace the incumbent only when strictly better.
@@ -32,13 +36,15 @@ as in a plain lexicographic scan.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     GugpEdge,
@@ -67,6 +73,8 @@ DEFAULT_BRUTE_CAP = 1_000_000
 BLOCK_LABELINGS = 256
 # the array typecode of each lane width up to 8 bytes, widths ascending
 _CODES = {array(code).itemsize: code for code in "BHILQ"}
+# Most (label counts, lane width) shapes whose layout parts stay built.
+LAYOUT_SHAPES = 64
 # Local search keeps four per-vertex lists; the header's n is checked first.
 LOCAL_SEARCH_VERTEX_CAP = 100_000
 
@@ -87,11 +95,12 @@ class SolveResult:
 class Layout(NamedTuple):
     """A scan's ``domains``, its prefix length ``split``, the ``block``'s joint
     labelings, and its lanes, as ``_layout`` sets them: ``masks[y][a]`` has a 1
-    in each lane where block vertex y takes label a + 1."""
+    in each lane where block vertex y takes label a + 1.  Every field but
+    ``domains`` and ``bias`` is shared by the games of one shape."""
     domains: list[range]
     split: int
-    block: list[Labeling]
-    masks: dict[int, list[int]]
+    block: tuple[Labeling, ...]
+    masks: Mapping[int, tuple[int, ...]]
     bias: int
     ones: int
     guard: int
@@ -141,34 +150,47 @@ class Plan(NamedTuple):
 
 # (prefix labels, prefix score, row of the block's scores)
 Leaf = tuple[Labeling, int, int]
+# a layout's (split, block, masks, ones, guard, guards): see ``_shape``
+Shape = tuple[int, tuple[Labeling, ...], Mapping[int, tuple[int, ...]], int, int, int]
 
 
 def _layout(domains: list[range], weights: Sequence[int]) -> Layout:
-    """Split ``domains`` into the prefix and the block, from the sizes alone,
-    with ``step``-byte lanes that keep 4 ``bound`` below their top bit, the
-    ``guard``, where ``bound`` is the sum of the absolute ``weights``: biased
-    by ``bound``, every score of absolute value at most ``bound`` lies in
-    [0, 2 bound], and the gap of two in [-2 bound, 2 bound]."""
+    """The layout of a scan over ``domains``, the ranges ``label_space``
+    returns, with ``step``-byte lanes that keep 4 ``bound`` below their top
+    bit, the ``guard``, where ``bound``, the bias, is the sum of the absolute
+    ``weights``: biased by ``bound``, every score of absolute value at most
+    ``bound`` lies in [0, 2 bound], and the gap of two in [-2 bound,
+    2 bound].  The rest is the shape's, shared by every game of these label
+    counts and this lane width."""
     bound = sum(map(abs, weights))
-    split, size = len(domains), 1
-    while split and size * len(domains[split - 1]) <= BLOCK_LABELINGS:
-        split -= 1
-        size *= len(domains[split])
-    block: list[Labeling] = list(itertools.product(*domains[split:]))
     need = (4 * bound).bit_length() // 8 + 1
     step = next((width for width in _CODES if width >= need), need)
+    split, block, masks, ones, guard, guards = _shape(tuple(map(len, domains)), step)
+    return Layout(domains, split, block, masks, bound, ones, guard, guards)
+
+
+@functools.lru_cache(maxsize=LAYOUT_SHAPES)
+def _shape(counts: tuple[int, ...], step: int) -> Shape:
+    """Split vertices with these label ``counts`` into the prefix and the
+    block, from the sizes alone, and build the block's ``step``-byte lanes,
+    in containers no scan can change."""
+    split, size = len(counts), 1
+    while split and size * counts[split - 1] <= BLOCK_LABELINGS:
+        split -= 1
+        size *= counts[split]
+    block = tuple(itertools.product(*(range(1, k + 1) for k in counts[split:])))
     one = (1).to_bytes(step, "little")
-    masks, run = {}, len(block)
-    for y in range(split, len(domains)):
-        k = len(domains[y])
+    masks, run = {}, size
+    for y in range(split, len(counts)):
+        k = counts[y]
         run //= k
         # label 1 holds the first of every k runs of equal labels at y
-        first = (one * run + bytes(step * run * (k - 1))) * (len(block) // (run * k))
-        shifts = range(0, 8 * step * run * k, 8 * step * run)
-        masks[y] = [int.from_bytes(first, "little") << shift for shift in shifts]
-    ones = int.from_bytes(one * len(block), "little")
+        first = (one * run + bytes(step * run * (k - 1))) * (size // (run * k))
+        label_1 = int.from_bytes(first, "little")
+        masks[y] = tuple(label_1 << 8 * step * run * a for a in range(k))
+    ones = int.from_bytes(one * size, "little")
     guard = 1 << 8 * step - 1
-    return Layout(domains, split, block, masks, bound, ones, guard, ones * guard)
+    return split, block, MappingProxyType(masks), ones, guard, ones * guard
 
 
 def _plan(
@@ -379,19 +401,21 @@ def local_search_half(instance: GugpInstance, seed: int | None = None) -> SolveR
     labels = [1 + label for label in draws]
 
     # incident[x] holds (y, hit, w) per edge at x: the edge is unsatisfied
-    # in restated form exactly when f(x) = hit[f(y)]
+    # in restated form exactly when f(x) = hit[f(y)].  unsat[x]: restated
+    # weight at x left unsatisfied; x is below the half threshold exactly
+    # when 2 * unsat[x] > total[x].  All three are filled in one edge pass.
     incident: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
+    total, unsat = [0] * n, [0] * n
     for e, w in zip(instance.edges, weights):
+        u, v = e.u, e.v
         image, inverse = e.pi.rows
-        incident[e.u].append((e.v, inverse, w))
-        incident[e.v].append((e.u, image, w))
-    total = [sum(w for _, _, w in edges) for edges in incident]
-    # unsat[x]: restated weight at x left unsatisfied; x is below the half
-    # threshold exactly when 2 * unsat[x] > total[x]
-    unsat = [
-        sum(w for y, hit, w in incident[x] if hit[labels[y]] == labels[x])
-        for x in range(n)
-    ]
+        incident[u].append((v, inverse, w))
+        incident[v].append((u, image, w))
+        total[u] += w
+        total[v] += w
+        if image[labels[u]] == labels[v]:
+            unsat[u] += w
+            unsat[v] += w
 
     # a min-heap (a sorted list to start) holding every vertex below the
     # threshold, and stale entries dropped when they reach the top, so its

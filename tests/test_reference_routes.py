@@ -19,16 +19,20 @@ error.  ``scaled_weights``, which scales each distinct weight object once,
 is held to a per-element loop, and ``_pair_shift`` to its three-branch form.
 The exhaustive scan, compiled once per game, is held to the same kernel
 built afresh per call with list rows: the same blocks, prefixes, bases and
-rows, its packed rows unpacked, at every lane width.  Its plan, built in one
+rows, its packed rows unpacked, at every lane width.  Its layout, whose
+shape part is built once per (label counts, lane width) and shared, is held
+to the layout built afresh per game: the same fields, at every lane width.
+Its plan, built in one
 pass over the edges, is held to the plan built from dense pair tables: the
 same block row, offsets and prefix tables.  The two bundle checks, which
 derive once per run of identical bundles, are held to per-cell loops over
 every bundle, and the metrics check's one (k, d) rule to the two per-family
 closed-form tables it replaced.
 ``smoothness``, which compares label columns per vertex, is held to the
-per-pair loop over each vertex's edges.  The local search, which finds its
-mover from a heap, is held to the loop that rescans from vertex 0 after
-every move.  The bulk GUGP parse is held to the per-line route, sharing
+per-pair loop over each vertex's edges.  The local search, which sums each
+vertex's weights in its one pass over the edges and finds its mover from a
+heap, is held to the loop that sums each vertex's incident list and rescans
+from vertex 0 after every move.  The bulk GUGP parse is held to the per-line route, sharing
 included, the bulk edge builder to a constructor loop, and the instance
 checks, made in whole-column passes, to their edge-by-edge loops; every bulk
 GUGP build (generation, both gadgets, the TSP encoding and the bulk parse)
@@ -116,7 +120,7 @@ from gugp_workbench import (
     unsatisfied_weight,
 )
 
-from gugp_workbench import reductions
+from gugp_workbench import reductions, solvers
 from gugp_workbench.core import scaled_weights
 from gugp_workbench.evaluation import require_objective
 from gugp_workbench import fileformat
@@ -801,9 +805,10 @@ def unpacked(layout, leaves):
 
 
 def compiled_stream(scanned):
-    """``scan_stream`` of a compiled ``(layout, leaves, ...)``, rows unpacked."""
+    """``scan_stream`` of a compiled ``(layout, leaves, ...)``, rows unpacked
+    and the shared block tuple listed."""
     layout, *leaves = scanned
-    return [layout.block, *(list(unpacked(layout, each)) for each in leaves)]
+    return [list(layout.block), *(list(unpacked(layout, each)) for each in leaves)]
 
 
 def strip_scan(domains, tables_all, tables_pos, sigma, w_plus, scale):
@@ -1551,6 +1556,130 @@ def test_wide_lanes_match_the_reference_scans(game):
     leaves_neg = _leaves(layout, _plan(layout, inst.edges, [-w for w in weights]))
     found = _strip_scan(layout, leaves_all, leaves_neg, sigma, w_plus, scale)
     assert found == ref_strip_scan(domains, tables, negated, sigma, w_plus, scale)
+
+
+def ref_layout(domains, weights):
+    """The layout built afresh per game, in lists and a dict: the split, the
+    block and one ``int.from_bytes`` per block vertex and label."""
+    bound = sum(map(abs, weights))
+    split, size = len(domains), 1
+    while split and size * len(domains[split - 1]) <= BLOCK_LABELINGS:
+        split -= 1
+        size *= len(domains[split])
+    block = list(itertools.product(*domains[split:]))
+    need = (4 * bound).bit_length() // 8 + 1
+    step = next((width for width in (1, 2, 4, 8) if width >= need), need)
+    one = (1).to_bytes(step, "little")
+    masks, run = {}, len(block)
+    for y in range(split, len(domains)):
+        k = len(domains[y])
+        run //= k
+        first = (one * run + bytes(step * run * (k - 1))) * (len(block) // (run * k))
+        shifts = range(0, 8 * step * run * k, 8 * step * run)
+        masks[y] = [int.from_bytes(first, "little") << shift for shift in shifts]
+    ones = int.from_bytes(one * len(block), "little")
+    guard = 1 << 8 * step - 1
+    return Layout(domains, split, block, masks, bound, ones, guard, ones * guard)
+
+
+def listed(layout):
+    """``layout`` with its shared block and masks in ``ref_layout``'s lists."""
+    masks = {y: list(at_y) for y, at_y in layout.masks.items()}
+    return layout._replace(block=list(layout.block), masks=masks)
+
+
+# the lane widths with an array typecode, then two read by byte slices
+LANE_WIDTHS = (1, 2, 4, 8, 9, 11)
+
+
+def width_bounds(step):
+    """The least and the largest bound whose layout has ``step``-byte lanes:
+    4 bound must fit below the top bit of ``step`` bytes but not of the next
+    narrower width."""
+    narrower = step - 1 if step > 8 else max((w for w in (1, 2, 4) if w < step), default=0)
+    return (1 << 8 * narrower - 3) if narrower else 0, (1 << 8 * step - 3) - 1
+
+
+@st.composite
+def label_counts(draw):
+    """1..10 vertices, every one with k labels, or a bipartite mix of k1 and
+    k2 != k1 labels; both more and fewer than ``BLOCK_LABELINGS`` labelings."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    k1 = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        return (k1,) * n
+    k2 = draw(st.integers(min_value=1, max_value=5).filter(lambda k: k != k1))
+    return tuple(draw(st.sampled_from((k1, k2))) for _ in range(n))
+
+
+@pytest.mark.parametrize("step", LANE_WIDTHS)
+@settings(max_examples=40, deadline=None)
+@given(counts=label_counts(), at=st.fractions(min_value=0, max_value=1))
+@example(counts=(2,) * 8, at=Fraction(0))  # 256 labelings: all block
+@example(counts=(2,) * 9, at=Fraction(1))  # 512: one prefix vertex
+@example(counts=(4,) * 4, at=Fraction(1))  # 256 in k = 4
+@example(counts=(3,) * 6, at=Fraction(0))  # 729: 243 in the block
+@example(counts=(4, 3) * 3, at=Fraction(1))  # a bipartite mix past the block
+@example(counts=(3, 4, 4, 3, 4), at=Fraction(0))  # a bipartite mix within it
+@example(counts=(1, 5, 1), at=Fraction(1))  # one-label vertices
+def test_shared_layout_matches_the_per_game_reference(step, counts, at):
+    low, high = width_bounds(step)
+    bound = low + int((high - low) * at)
+    weights = [bound // 3, -(bound - bound // 3), 0]
+    domains = [range(1, k + 1) for k in counts]
+    layout = _layout(domains, weights)
+    assert layout.guard == 1 << 8 * step - 1
+    assert listed(layout) == ref_layout(domains, weights)
+    assert type(layout.block) is tuple and type(layout.masks) is types.MappingProxyType
+    assert all(type(at_y) is tuple for at_y in layout.masks.values())
+
+
+def test_games_of_one_shape_share_the_layout_shape_and_keep_their_bias():
+    edges = [(0, 1, perm(2, 3, 1)), (1, 2, perm(1, 3, 2)), (3, 0, perm(3, 1, 2))]
+    first = gugp(4, 3, *((u, v, w, p) for (u, v, p), w in zip(edges, (2, -1, 3))))
+    second = gugp(
+        4, 3, *((u, v, w, p) for (u, v, p), w in zip(edges, ("1/2", "2/3", "-1/6")))
+    )
+    _, domains = label_space(first, 10**6)
+    (a, _), (b, _) = scan(first, domains), scan(second, domains)
+    assert (a.bias, b.bias) == (6, 8)
+    assert a.guard == b.guard == 1 << 7
+    for name in ("split", "block", "masks", "ones", "guard", "guards"):
+        assert getattr(a, name) is getattr(b, name), name
+    for game in (first, second):
+        result = brute_force(game, Objective.MIN_PWT)
+        assert result.labeling == ref_brute_force(game)[0]
+    with pytest.raises(TypeError):
+        a.block[0] = (2, 2, 2, 2)
+    with pytest.raises(TypeError):
+        a.masks[0] = (0, 0, 0)
+    with pytest.raises(TypeError):
+        a.masks[0][0] = 0
+    with pytest.raises(AttributeError):
+        a.block.append((1, 1, 1, 1))
+    assert listed(a) == ref_layout(domains, first.integer_weights[1])
+
+
+def test_layout_shape_memo_stays_bounded_and_rebuilds_an_evicted_shape():
+    # k = 2 rings of 2..6 vertices at 18 lane widths: 90 shapes, past the bound
+    def game(n, step):
+        heavy = width_bounds(step)[0] or 1
+        ring = [(v, (v + 1) % n, heavy if v == 0 else 1, perm(2, 1)) for v in range(n)]
+        return gugp(n, 2, *ring)
+
+    shapes = [(n, step) for n in range(2, 7) for step in (*LANE_WIDTHS, *range(12, 24))]
+    assert len(shapes) > solvers.LAYOUT_SHAPES
+    solvers._shape.cache_clear()
+    first = brute_force(game(*shapes[0]), Objective.MAX_UGP)
+    for shape in shapes[1:]:
+        brute_force(game(*shape), Objective.MAX_UGP)
+        assert solvers._shape.cache_info().currsize <= solvers.LAYOUT_SHAPES
+    # every game met a shape of its own
+    assert solvers._shape.cache_info().misses == len(shapes)
+    again = brute_force(game(*shapes[0]), Objective.MAX_UGP)
+    assert solvers._shape.cache_info().misses == len(shapes) + 1
+    assert (again.value, again.labeling) == (first.value, first.labeling)
+    assert again.labeling == ref_brute_force(game(*shapes[0]))[0]
 
 
 # ---------------------------------------------------------------------------
